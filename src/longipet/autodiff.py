@@ -22,6 +22,8 @@ from pathlib import Path
 from typing import Dict, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import expit
 
 from .errors import FormatError, ParameterError, ShapeError, StateError
 
@@ -243,12 +245,7 @@ def tanh(a):
 
 def sigmoid(a):
     a = _const(a)
-    # Numerically stable logistic: exponentiate only the non-positive side.
-    s = np.empty_like(a.data)
-    pos = a.data >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ena = np.exp(a.data[~pos])
-    s[~pos] = ena / (1.0 + ena)
+    s = expit(a.data)
 
     def backward(g):
         a._accumulate(g * s * (1.0 - s))
@@ -338,42 +335,83 @@ def _check_conv_args(x, w, expect_in_axis):
     return k
 
 
+# Byte budget of one im2col column matrix.  A slab is the largest block of
+# whole items, x-planes of one item, or y-rows of one plane that fits; only
+# a single y-row, (z, k, k, k, c_in) columns, may exceed it.
+_SLAB_BYTES = 2 << 20
+
+
+def _pad(x, k):
+    p = k // 2
+    return np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
+
+
+def _columns(xp, k):
+    # View of every k^3 patch of the padded input, laid out
+    # (n, a, b, c, i, j, l, ci) so a slab reshapes to im2col rows whose
+    # column order matches w.reshape(k^3 * ci, co).
+    win = sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))
+    return win.transpose(0, 1, 2, 3, 5, 6, 7, 4)
+
+
+def _slabs(lead, row_bytes):
+    # Index tuples over the leading axes lead = (n, a, b).  Each selects a
+    # C-contiguous block of an (n, a, b, ...) array, so out[sel].reshape(-1,
+    # co) is a view; together they cover every (item, x, y) once.
+    rows = max(1, _SLAB_BYTES // row_bytes)
+    d, inner = len(lead) - 1, 1
+    while d > 0 and inner * lead[d] <= rows:
+        inner *= lead[d]
+        d -= 1
+    step = max(1, rows // inner)
+    for outer in np.ndindex(*lead[:d]):
+        for i0 in range(0, lead[d], step):
+            yield outer + (slice(i0, i0 + step),)
+
+
 def _corr3d(x, w):
     # Same-padding stride-1 correlation: x (n,a,b,c,ci), w (k,k,k,ci,co).
-    # One matmul per kernel offset keeps peak memory at one input-sized copy.
+    # Wide outputs run one GEMM per slab of im2col rows, written straight
+    # into the output, so beyond the padded input the extra memory is one
+    # slab's columns (_SLAB_BYTES).  Narrow outputs (only the x-gradients of training)
+    # keep one matmul per kernel offset: there, building k^3 * ci columns
+    # costs more than the k^3 passes over the small output.
     n, a, b, c, ci = x.shape
     k = w.shape[0]
     co = w.shape[4]
     if k == 1:
         return np.tensordot(x, w[0, 0, 0], axes=([4], [0]))
-    p = k // 2
-    xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
-    out = np.zeros((n, a, b, c, co))
-    out2 = out.reshape(-1, co)
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                patch = xp[:, i : i + a, j : j + b, l : l + c, :]
-                out2 += patch.reshape(-1, ci) @ w[i, j, l]
+    xp = _pad(x, k)
+    if co < ci:
+        out = np.zeros((n, a, b, c, co))
+        out2 = out.reshape(-1, co)
+        for i in range(k):
+            for j in range(k):
+                for l in range(k):
+                    patch = xp[:, i : i + a, j : j + b, l : l + c, :]
+                    out2 += patch.reshape(-1, ci) @ w[i, j, l]
+        return out
+    cols = _columns(xp, k)
+    width = k ** 3 * ci
+    w2 = w.reshape(width, co)
+    out = np.empty((n, a, b, c, co))
+    for sel in _slabs((n, a, b), c * width * x.itemsize):
+        np.matmul(cols[sel].reshape(-1, width), w2, out=out[sel].reshape(-1, co))
     return out
 
 
 def _corr3d_grad_w(x, gy, k):
+    # Kernel gradient: im2col(x).T @ gy, summed over slabs.
     n, a, b, c, ci = x.shape
     co = gy.shape[4]
-    gw = np.empty((k, k, k, ci, co))
     if k == 1:
-        gw[0, 0, 0] = x.reshape(-1, ci).T @ gy.reshape(-1, co)
-        return gw
-    p = k // 2
-    xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
-    g2 = gy.reshape(-1, co)
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                patch = xp[:, i : i + a, j : j + b, l : l + c, :]
-                gw[i, j, l] = patch.reshape(-1, ci).T @ g2
-    return gw
+        return (x.reshape(-1, ci).T @ gy.reshape(-1, co)).reshape(1, 1, 1, ci, co)
+    cols = _columns(_pad(x, k), k)
+    width = k ** 3 * ci
+    gw = np.zeros((width, co))
+    for sel in _slabs((n, a, b), c * width * x.itemsize):
+        gw += cols[sel].reshape(-1, width).T @ gy[sel].reshape(-1, co)
+    return gw.reshape(k, k, k, ci, co)
 
 
 def _flip_swap(w):
@@ -396,7 +434,7 @@ def conv3d(x, kernel, bias=None):
             raise ShapeError(
                 f"bias shape {bias.shape} does not match {kernel.data.shape[4]} filters"
             )
-        out_data = out_data + bias.data
+        out_data += bias.data
         parents = (x, kernel, bias)
     else:
         parents = (x, kernel)
@@ -427,7 +465,7 @@ def conv_transpose3d(x, kernel, bias=None):
             raise ShapeError(
                 f"bias shape {bias.shape} does not match {kernel.data.shape[3]} filters"
             )
-        out_data = out_data + bias.data
+        out_data += bias.data
         parents = (x, kernel, bias)
     else:
         parents = (x, kernel)

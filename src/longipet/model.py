@@ -34,6 +34,9 @@ class I2IModelConfig:
         object.__setattr__(self, "dims", dims)
         if len(dims) != 3 or min(dims) < 2:
             raise ParameterError(f"dims must be 3 values >= 2, got {dims}")
+        if self.pool != 2:
+            # maxpool3d supports window 2 only
+            raise ParameterError(f"pool must be 2, got {self.pool!r}")
         if any(d % self.pool for d in dims):
             raise ParameterError(
                 f"dims {dims} must be divisible by the pooling factor {self.pool}"

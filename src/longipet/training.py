@@ -180,7 +180,8 @@ def train_fold(
     """Train one cross-validation round; returns (best params, TrainReport).
 
     Deterministic per seed: initialization, augmentation and epoch shuffles
-    all derive from it.  A non-finite loss aborts with DivergenceError.
+    all derive from it.  A non-finite loss or gradient aborts with
+    DivergenceError before the step is applied.
     """
     rnd = folds.rounds[round_index]
     train_records = manifest.load_records(rnd.train)
@@ -224,6 +225,12 @@ def train_fold(
                 )
             loss.backward()
             grads = {name: t.grad for name, t in params.params.items()}
+            for name, g in grads.items():
+                if g is not None and not np.all(np.isfinite(g)):
+                    raise DivergenceError(
+                        f"training diverged: round {round_index}, epoch {epoch + 1}, "
+                        f"batch at {lo}, non-finite gradient for parameter {name!r}"
+                    )
             state = ad.adam_step(params, grads, state, lr=hyper.lr)
             losses.append(loss_value)
             weights.append(len(idx))

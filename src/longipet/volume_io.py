@@ -197,13 +197,28 @@ def _read_raw(path: Path) -> Volume3D:
     return Volume3D.from_flat(dims, flat, affine)
 
 
+def _is_sidecar(path: Path) -> bool:
+    try:
+        meta = json.loads(path.read_bytes())
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return False
+    return isinstance(meta, dict) and "dims" in meta and "affine" in meta
+
+
 def _write_raw(vol: Volume3D, path: Path) -> None:
+    side = _sidecar_path(path)
+    # The sidecar of d/manifest.vol is d/manifest.json: never clobber a JSON
+    # file that is not a volume sidecar.
+    if side.exists() and not _is_sidecar(side):
+        raise FormatError(
+            f"refusing to write {path}: {side} exists and is not a volume sidecar"
+        )
     path.write_bytes(vol.flat().astype("<f4").tobytes())
     meta = {
         "dims": [int(d) for d in vol.dims],
         "affine": [[float(v) for v in row] for row in vol.affine],
     }
-    _sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    side.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

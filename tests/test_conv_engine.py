@@ -1,0 +1,117 @@
+"""Equivalence of the slab-chunked im2col convolution with the per-offset
+loop it replaced.
+
+The oracle below is the previous implementation: one matmul per kernel
+offset over the whole batch.  The GEMM sums in another order, so the
+comparison uses a tolerance rather than equality.
+"""
+
+import numpy as np
+import pytest
+
+from longipet import autodiff as ad
+
+TOL = 1e-12
+
+
+def corr3d_per_offset(x, w):
+    n, a, b, c, ci = x.shape
+    k = w.shape[0]
+    co = w.shape[4]
+    if k == 1:
+        return np.tensordot(x, w[0, 0, 0], axes=([4], [0]))
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
+    out = np.zeros((n, a, b, c, co))
+    out2 = out.reshape(-1, co)
+    for i in range(k):
+        for j in range(k):
+            for l in range(k):
+                patch = xp[:, i : i + a, j : j + b, l : l + c, :]
+                out2 += patch.reshape(-1, ci) @ w[i, j, l]
+    return out
+
+
+def corr3d_grad_w_per_offset(x, gy, k):
+    n, a, b, c, ci = x.shape
+    co = gy.shape[4]
+    gw = np.empty((k, k, k, ci, co))
+    if k == 1:
+        gw[0, 0, 0] = x.reshape(-1, ci).T @ gy.reshape(-1, co)
+        return gw
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
+    g2 = gy.reshape(-1, co)
+    for i in range(k):
+        for j in range(k):
+            for l in range(k):
+                patch = xp[:, i : i + a, j : j + b, l : l + c, :]
+                gw[i, j, l] = patch.reshape(-1, ci).T @ g2
+    return gw
+
+
+# Slab budgets, in y-rows of im2col columns of the input shape.  None keeps
+# the module default (the whole batch in one GEMM at these sizes).  1 and 2
+# cut single planes into rows (2 leaves a ragged last slab when b = 3);
+# "planes" makes slabs of 2, 2, 1 x-planes of a = 5; "items" groups two
+# whole items of n = 3, leaving one alone.
+BUDGETS = [None, 1, 2, "planes", "items"]
+
+
+def _set_budget(monkeypatch, budget, shape, k):
+    if budget is None:
+        return
+    _, a, b, c, ci = shape
+    rows = {"planes": 2 * b, "items": 2 * a * b}.get(budget, budget)
+    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * c * k ** 3 * ci * 8)
+
+
+# (shape, k, c_out): both branches (c_out >= c_in and c_out < c_in), k in
+# {1, 3, 5}, batches of 3 with a = 5 x-planes.
+CASES = [
+    ((3, 5, 4, 3, 2), 3, 5),
+    ((3, 5, 4, 3, 2), 3, 2),
+    ((3, 5, 3, 4, 6), 3, 2),
+    ((3, 5, 2, 3, 2), 5, 3),
+    ((3, 5, 3, 2, 4), 5, 1),
+    ((3, 5, 2, 2, 2), 1, 3),
+    ((3, 5, 2, 2, 3), 1, 2),
+]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("shape,k,co", CASES)
+def test_corr3d_matches_per_offset_loop(monkeypatch, shape, k, co, budget):
+    r = np.random.default_rng((77, k, co, shape[4]))
+    x = r.normal(size=shape)
+    w = r.normal(size=(k, k, k, shape[4], co))
+    _set_budget(monkeypatch, budget, shape, k)
+    got = ad._corr3d(x, w)
+    assert got.shape == shape[:4] + (co,)
+    np.testing.assert_allclose(got, corr3d_per_offset(x, w), rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("shape,k,co", CASES)
+def test_corr3d_grad_w_matches_per_offset_loop(monkeypatch, shape, k, co, budget):
+    r = np.random.default_rng((78, k, co, shape[4]))
+    x = r.normal(size=shape)
+    gy = r.normal(size=shape[:4] + (co,))
+    _set_budget(monkeypatch, budget, shape, k)
+    got = ad._corr3d_grad_w(x, gy, k)
+    assert got.shape == (k, k, k, shape[4], co)
+    np.testing.assert_allclose(got, corr3d_grad_w_per_offset(x, gy, k), rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("lead", [(3, 5, 4), (1, 7, 3), (2, 1, 1)])
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 8, 20, 41, 1000])
+def test_slabs_cover_every_row_once_within_budget(monkeypatch, lead, rows):
+    row_bytes = 96
+    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * row_bytes)
+    seen = np.zeros(lead, dtype=int)
+    for sel in ad._slabs(lead, row_bytes):
+        block = seen[sel]
+        assert block.size <= rows
+        assert block.flags.c_contiguous
+        seen[sel] += 1
+    np.testing.assert_array_equal(seen, 1)

@@ -46,6 +46,12 @@ def test_config_rejects_even_kernel():
         I2IModelConfig(dims=(8, 8, 8), kernel_size=2)
 
 
+@pytest.mark.parametrize("pool", [0, 1, 3, 4])
+def test_config_rejects_pool_other_than_two(pool):
+    with pytest.raises(ParameterError, match="pool must be 2"):
+        I2IModelConfig(dims=(6, 6, 6), pool=pool)
+
+
 def test_config_rejects_bad_activation():
     with pytest.raises(ParameterError):
         I2IModelConfig(dims=(8, 8, 8), output_activation="tanh")

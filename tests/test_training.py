@@ -19,7 +19,7 @@ from longipet.training import (
     train_fold,
     write_train_report,
 )
-from longipet import autodiff as ad
+from longipet import autodiff as ad, training
 from longipet.volume_io import (
     CohortManifest,
     ManifestEntry,
@@ -236,6 +236,27 @@ def test_train_fold_diverges_on_absurd_lr(tmp_path):
     folds = make_folds(m, seed=0)
     with pytest.raises(DivergenceError):
         train_fold(m, folds, 0, cfg, Hyper(batch_size=4, epochs=4, n_copies=1, lr=1e300), seed=0)
+
+
+def test_train_fold_stops_on_non_finite_gradient_before_the_update(tmp_path, monkeypatch):
+    # The loss stays finite; only the gradient reaching the parameters
+    # overflows, as when a large step saturates nothing in the forward pass.
+    def blow_up_gradient(*args, **kwargs):
+        out = forward_batch(*args, **kwargs)
+        return ad._node(out.data, (out,), lambda g: out._accumulate(g * np.inf))
+
+    updates = []
+    real_adam_step = ad.adam_step
+    monkeypatch.setattr(training, "forward_batch", blow_up_gradient)
+    monkeypatch.setattr(
+        ad, "adam_step", lambda *a, **k: updates.append(1) or real_adam_step(*a, **k)
+    )
+    m = cohort_on_disk(tmp_path)
+    folds = make_folds(m, seed=0)
+    with pytest.raises(DivergenceError, match=r"round 1, epoch 1, .*'convlstm.kernel'"):
+        with np.errstate(invalid="ignore"):
+            train_fold(m, folds, 1, TINY, Hyper(batch_size=4, epochs=2, n_copies=0), seed=0)
+    assert updates == []
 
 
 def test_write_train_report(tmp_path):

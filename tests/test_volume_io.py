@@ -86,6 +86,25 @@ def test_raw_payload_is_x_fastest_float32(tmp_path):
     np.testing.assert_array_equal(raw, np.arange(8.0, dtype=np.float32))
 
 
+def test_raw_sidecar_is_name_dot_json_and_is_rewritten(tmp_path):
+    p = tmp_path / "v.vol"
+    write_volume(Volume3D(np.zeros((2, 2, 2))), p)
+    assert (tmp_path / "v.json").exists()
+    write_volume(Volume3D(np.ones((2, 3, 2))), p)
+    assert read_volume(p).dims == (2, 3, 2)
+
+
+@pytest.mark.parametrize("text", ['{"subjects": []}', "[1, 2]", "not json", "\xff"])
+def test_raw_write_refuses_to_clobber_other_json(tmp_path, text):
+    other = tmp_path / "manifest.json"
+    other.write_text(text, encoding="latin-1")
+    before = other.read_bytes()
+    with pytest.raises(FormatError, match="not a volume sidecar"):
+        write_volume(Volume3D(np.zeros((2, 2, 2))), tmp_path / "manifest.vol")
+    assert other.read_bytes() == before
+    assert not (tmp_path / "manifest.vol").exists()
+
+
 def test_raw_missing_sidecar(tmp_path):
     p = tmp_path / "v.vol"
     p.write_bytes(b"\x00" * 32)
