@@ -3,13 +3,15 @@
 A Tensor wraps a float64 ndarray plus the closure that routes its output
 gradient back to its parents.  Calling ``backward()`` on a scalar loss walks
 the graph in reverse topological order and accumulates gradients additively,
-so repeated calls without ``zero_grad`` sum.
+so repeated calls without ``zero_grad`` sum.  Plain arrays are constants.
 
-The operation set is exactly what the image-to-image forecaster needs:
-elementwise arithmetic, relu / tanh / sigmoid, reductions, channel
-concat/slice, 3D convolution and its adjoint, 2x max pooling, batch
-normalization, a convolutional LSTM step, nearest-neighbor upsampling, mean
-absolute error, and an Adam update.  Tensors are laid out
+The operation set is what the image-to-image forecaster needs: elementwise
+arithmetic, relu / tanh / sigmoid, reductions, channel concat/slice, 3D
+convolution and its adjoint, 2x max pooling, nearest-neighbor upsampling,
+mean absolute error, and an Adam update.  Batch normalization and the
+convolutional LSTM step are fused ops with hand-derived backward passes;
+the LSTM step takes ``None`` for the zero initial state and computes no
+gradient for an input frame given as a plain array.  Tensors are laid out
 ``(batch, x, y, z, channel)``; convolutions use stride 1 with same-padding
 and odd cubic kernels.
 """
@@ -56,9 +58,12 @@ class Tensor:
     # -- graph plumbing ----------------------------------------------------
 
     def _accumulate(self, g):
+        # An owned copy first: no two tensors ever share a grad buffer.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -373,9 +378,9 @@ def _corr3d(x, w):
     # Same-padding stride-1 correlation: x (n,a,b,c,ci), w (k,k,k,ci,co).
     # Wide outputs run one GEMM per slab of im2col rows, written straight
     # into the output, so beyond the padded input the extra memory is one
-    # slab's columns (_SLAB_BYTES).  Narrow outputs (only the x-gradients of training)
-    # keep one matmul per kernel offset: there, building k^3 * ci columns
-    # costs more than the k^3 passes over the small output.
+    # slab's columns (_SLAB_BYTES).  Narrow outputs (only the x-gradients of
+    # training) add one GEMM per kernel offset over the whole padded input
+    # into the output at that offset's shift; no input patch is copied.
     n, a, b, c, ci = x.shape
     k = w.shape[0]
     co = w.shape[4]
@@ -383,13 +388,15 @@ def _corr3d(x, w):
         return np.tensordot(x, w[0, 0, 0], axes=([4], [0]))
     xp = _pad(x, k)
     if co < ci:
+        flat = xp.reshape(-1, ci)
+        y = np.empty((flat.shape[0], co))
+        shifted = y.reshape(xp.shape[:4] + (co,))
         out = np.zeros((n, a, b, c, co))
-        out2 = out.reshape(-1, co)
         for i in range(k):
             for j in range(k):
                 for l in range(k):
-                    patch = xp[:, i : i + a, j : j + b, l : l + c, :]
-                    out2 += patch.reshape(-1, ci) @ w[i, j, l]
+                    np.matmul(flat, w[i, j, l], out=y)
+                    out += shifted[:, i : i + a, j : j + b, l : l + c]
         return out
     cols = _columns(xp, k)
     width = k ** 3 * ci
@@ -419,6 +426,17 @@ def _flip_swap(w):
     return np.ascontiguousarray(np.flip(w, axis=(0, 1, 2)).transpose(0, 1, 2, 4, 3))
 
 
+def _add_bias(out, bias, filters):
+    # Check an optional conv bias against the filter count, add it in place.
+    if bias is None:
+        return None
+    bias = _const(bias)
+    if bias.data.shape != (filters,):
+        raise ShapeError(f"bias shape {bias.shape} does not match {filters} filters")
+    out += bias.data
+    return bias
+
+
 def conv3d(x, kernel, bias=None):
     """Stride-1 same-padding 3D correlation.
 
@@ -428,16 +446,8 @@ def conv3d(x, kernel, bias=None):
     x, kernel = _const(x), _const(kernel)
     k = _check_conv_args(x, kernel, 3)
     out_data = _corr3d(x.data, kernel.data)
-    if bias is not None:
-        bias = _const(bias)
-        if bias.data.shape != (kernel.data.shape[4],):
-            raise ShapeError(
-                f"bias shape {bias.shape} does not match {kernel.data.shape[4]} filters"
-            )
-        out_data += bias.data
-        parents = (x, kernel, bias)
-    else:
-        parents = (x, kernel)
+    bias = _add_bias(out_data, bias, kernel.data.shape[4])
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def backward(g):
         x._accumulate(_corr3d(g, _flip_swap(kernel.data)))
@@ -459,16 +469,8 @@ def conv_transpose3d(x, kernel, bias=None):
     k = _check_conv_args(x, kernel, 4)
     wt = _flip_swap(kernel.data)  # (k,k,k,ci,co), ready for plain correlation
     out_data = _corr3d(x.data, wt)
-    if bias is not None:
-        bias = _const(bias)
-        if bias.data.shape != (kernel.data.shape[3],):
-            raise ShapeError(
-                f"bias shape {bias.shape} does not match {kernel.data.shape[3]} filters"
-            )
-        out_data += bias.data
-        parents = (x, kernel, bias)
-    else:
-        parents = (x, kernel)
+    bias = _add_bias(out_data, bias, kernel.data.shape[3])
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def backward(g):
         x._accumulate(_corr3d(g, kernel.data))
@@ -550,7 +552,8 @@ def batchnorm(
     In train mode the batch statistics normalize the input and update the
     running estimates in ``stats`` (created on first use, EMA with the given
     momentum).  In infer mode the running estimates are used; calling infer
-    before any train step raises StateError.
+    before any train step raises StateError.  One graph node, whose
+    backward is derived by hand.
     """
     x = _const(x)
     gamma, beta = _const(gamma), _const(beta)
@@ -564,29 +567,43 @@ def batchnorm(
     mean_key, var_key = f"{key}.mean", f"{key}.var"
     axes = (0, 1, 2, 3)
     if mode == "train":
-        mu = mean(x, axis=axes, keepdims=True)
-        centered = sub(x, mu)
-        var = mean(mul(centered, centered), axis=axes, keepdims=True)
-        xhat = div(centered, sqrt(add(var, eps)))
+        mu = x.data.mean(axis=axes, keepdims=True)
+        centered = x.data - mu
+        var = (centered * centered).mean(axis=axes, keepdims=True)
+        std = np.sqrt(var + eps)
         if mean_key not in stats:
             # seed with the first batch so early infer calls are not pulled
             # toward an arbitrary (0, 1) prior the EMA takes ages to forget
-            stats[mean_key] = mu.data.reshape(ch).copy()
-            stats[var_key] = var.data.reshape(ch).copy()
+            stats[mean_key] = mu.reshape(ch).copy()
+            stats[var_key] = var.reshape(ch).copy()
         else:
-            stats[mean_key] = momentum * stats[mean_key] + (1.0 - momentum) * mu.data.reshape(ch)
-            stats[var_key] = momentum * stats[var_key] + (1.0 - momentum) * var.data.reshape(ch)
+            stats[mean_key] = momentum * stats[mean_key] + (1.0 - momentum) * mu.reshape(ch)
+            stats[var_key] = momentum * stats[var_key] + (1.0 - momentum) * var.reshape(ch)
     elif mode == "infer":
         if mean_key not in stats or var_key not in stats:
             raise StateError(
                 "batchnorm infer mode requires running statistics; train first"
             )
-        rm = stats[mean_key].reshape(1, 1, 1, 1, ch)
-        rv = stats[var_key].reshape(1, 1, 1, 1, ch)
-        xhat = div(sub(x, rm), np.sqrt(rv + eps))
+        centered = x.data - stats[mean_key].reshape(1, 1, 1, 1, ch)
+        std = np.sqrt(stats[var_key].reshape(1, 1, 1, 1, ch) + eps)
     else:
         raise ParameterError(f"mode must be 'train' or 'infer', got {mode!r}")
-    return add(mul(xhat, gamma), beta)
+    xhat = centered / std
+    out_data = xhat * gamma.data + beta.data
+
+    def backward(g):
+        gamma._accumulate((g * xhat).sum(axis=axes))
+        beta._accumulate(g.sum(axis=axes))
+        gx = g * gamma.data
+        if mode == "train":
+            # the batch mean and variance depend on x too
+            gx -= gx.mean(axis=axes, keepdims=True) + xhat * (gx * xhat).mean(
+                axis=axes, keepdims=True
+            )
+        gx /= std
+        x._accumulate(gx)
+
+    return _node(out_data, (x, gamma, beta), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -594,31 +611,93 @@ def batchnorm(
 # ---------------------------------------------------------------------------
 
 def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
-    """One ConvLSTM step.
+    """One ConvLSTM step (Shi et al. 2015) as a single fused op.
 
-    The gate kernel convolves the concatenated (input, hidden) channels and
-    emits 4*filters gate channels ordered (input, forget, candidate,
-    output).  Input/forget/output gates are logistic; the candidate and the
-    cell output are tanh.
+    The gate kernel (k, k, k, c_in + filters, 4 * filters) convolves the
+    concatenated (input, hidden) channels and emits gate channels ordered
+    (input, forget, candidate, output).  Input/forget/output gates are
+    logistic; the candidate and the cell output are tanh:
+    ``c = i*g + f*c_prev`` and ``h = o*tanh(c)``.  Returns ``(h, c)``.
+
+    ``h_prev`` and ``c_prev`` are both None for the zero initial state: the
+    conv then reads only ``x`` through ``kernel[..., :c_in, :]`` and the
+    ``f*c_prev`` term is skipped.  ``x`` given as a plain ndarray is a
+    constant and gets no gradient; pass a Tensor to differentiate it.
     """
-    x, h_prev, c_prev = _const(x), _const(h_prev), _const(c_prev)
+    if (h_prev is None) != (c_prev is None):
+        raise ParameterError("h_prev and c_prev must both be given or both be None")
+    state = h_prev is not None
+    x_in = x if isinstance(x, Tensor) else None
+    xd = x.data if x_in is not None else np.asarray(x, dtype=np.float64)
     kernel, bias = _const(kernel), _const(bias)
-    filters = h_prev.data.shape[4]
-    expected_in = x.data.shape[4] + filters
-    if kernel.data.shape[3] != expected_in or kernel.data.shape[4] != 4 * filters:
+    if state:
+        h_prev, c_prev = _const(h_prev), _const(c_prev)
+        if h_prev.shape[:-1] != xd.shape[:-1] or c_prev.shape != h_prev.shape:
+            raise ShapeError(
+                f"state shapes {h_prev.shape}, {c_prev.shape} do not fit input {xd.shape}"
+            )
+    nf = h_prev.shape[-1] if state else kernel.shape[-1] // 4
+    cin = xd.shape[-1]
+    if kernel.shape[3:] != (cin + nf, 4 * nf) or bias.shape != (4 * nf,):
         raise ShapeError(
-            f"gate kernel must map {expected_in} channels to {4 * filters}, "
-            f"got {kernel.shape}"
+            f"gate kernel must map {cin + nf} channels to {4 * nf} with a "
+            f"({4 * nf},) bias, got {kernel.shape} and {bias.shape}"
         )
-    z = concat_channels(x, h_prev)
-    gates = conv3d(z, kernel, bias)
-    i = sigmoid(narrow_channels(gates, 0, filters))
-    f = sigmoid(narrow_channels(gates, filters, filters))
-    g = tanh(narrow_channels(gates, 2 * filters, filters))
-    o = sigmoid(narrow_channels(gates, 3 * filters, filters))
-    c = add(mul(f, c_prev), mul(i, g))
-    h = mul(o, tanh(c))
-    return h, c
+    z = np.concatenate([xd, h_prev.data], axis=-1) if state else xd
+    w = kernel.data[..., : z.shape[-1], :]
+    k = _check_conv_args(z, w, 3)
+    act = _corr3d(z, w)
+    act += bias.data
+    expit(act[..., : 2 * nf], out=act[..., : 2 * nf])
+    np.tanh(act[..., 2 * nf : 3 * nf], out=act[..., 2 * nf : 3 * nf])
+    expit(act[..., 3 * nf :], out=act[..., 3 * nf :])
+    i, f, g, o = (act[..., j * nf : (j + 1) * nf] for j in range(4))
+    c_data = i * g
+    if state:
+        c_data += f * c_prev.data
+    tc = np.tanh(c_data)
+    h_data = o * tc
+
+    # h's backward fills the output-gate slice of the gate pre-activation
+    # gradient and passes dh*o*(1 - tanh(c)^2) on to c; c's backward, which
+    # always runs after it, fills the other slices and does the one conv
+    # backward.
+    pending = {}
+
+    def c_backward(gc):
+        dpre = pending.pop("dpre", None)
+        if dpre is None:
+            dpre = np.zeros_like(act)
+        di, df, dg = (dpre[..., j * nf : (j + 1) * nf] for j in range(3))
+        np.multiply(gc * g, i * (1.0 - i), out=di)
+        np.multiply(gc * i, 1.0 - g * g, out=dg)
+        if state:
+            np.multiply(gc * c_prev.data, f * (1.0 - f), out=df)
+            c_prev._accumulate(gc * f)
+        else:
+            df[...] = 0.0
+        bias._accumulate(dpre.sum(axis=(0, 1, 2, 3)))
+        gw = np.zeros(kernel.shape)
+        gw[..., : z.shape[-1], :] = _corr3d_grad_w(z, dpre, k)
+        kernel._accumulate(gw)
+        # conv input channels that need a gradient: x only when it is a Tensor
+        lo = 0 if x_in is not None else cin
+        if lo < z.shape[-1]:
+            gz = _corr3d(dpre, _flip_swap(w[..., lo:, :]))
+            if x_in is not None:
+                x_in._accumulate(gz[..., :cin])
+            if state:
+                h_prev._accumulate(gz[..., cin - lo :])
+
+    c = _node(c_data, [p for p in (x_in, h_prev, c_prev, kernel, bias) if p is not None],
+              c_backward)
+
+    def h_backward(gh):
+        dpre = pending["dpre"] = np.empty_like(act)
+        np.multiply(gh * tc, o * (1.0 - o), out=dpre[..., 3 * nf :])
+        c._accumulate(gh * o * (1.0 - tc * tc))
+
+    return _node(h_data, (c,), h_backward), c
 
 
 # ---------------------------------------------------------------------------

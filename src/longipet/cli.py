@@ -32,6 +32,7 @@ import hashlib
 import json
 import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -397,17 +398,24 @@ STATS_COLUMNS = (
 )
 
 
+@dataclass
 class _StatRow:
-    def __init__(self, test: str, scope: str, result: Optional[TestResult],
-                 detail: str = ""):
-        self.test = test
-        self.scope = scope
-        self.result = result
-        self.detail = detail  # reason when degenerate
+    test: str
+    scope: str
+    result: Optional[TestResult]
+    detail: str = ""  # reason when degenerate
 
     @property
     def ok(self) -> bool:
         return self.result is not None
+
+
+def _attempt(test: str, scope: str, fn, *args, **kwargs) -> _StatRow:
+    """Run one statistical test; a degenerate input becomes a row that says so."""
+    try:
+        return _StatRow(test, scope, fn(*args, **kwargs))
+    except DegenerateDataError as exc:
+        return _StatRow(test, scope, None, str(exc))
 
 
 def _suvr_pairs(rows: Sequence[EvalRow], year: int, predictor: str,
@@ -425,28 +433,27 @@ def _suvr_pairs(rows: Sequence[EvalRow], year: int, predictor: str,
     return pred_vals, true_vals
 
 
+def _by_predictor(rows, year, need_suvr=False):
+    # One year's rows keyed by predictor and subject, plus the sorted
+    # subjects that both i2i and linear scored.
+    by_pred: Dict[str, Dict[str, EvalRow]] = {}
+    for r in rows:
+        if r.year == year and (not need_suvr or r.meta_roi_suvr_pred is not None):
+            by_pred.setdefault(r.predictor, {})[r.subject_id] = r
+    return by_pred, sorted(set(by_pred.get("i2i", ())) & set(by_pred.get("linear", ())))
+
+
 def _stats_wilcoxon(rows, method) -> List[_StatRow]:
     out = []
-    years = sorted({r.year for r in rows})
-    for year in years:
-        by_pred: Dict[str, Dict[str, EvalRow]] = {}
-        for r in rows:
-            if r.year == year:
-                by_pred.setdefault(r.predictor, {})[r.subject_id] = r
-        if "i2i" not in by_pred or "linear" not in by_pred:
-            continue
-        shared = sorted(set(by_pred["i2i"]) & set(by_pred["linear"]))
+    for year in sorted({r.year for r in rows}):
+        by_pred, shared = _by_predictor(rows, year)
         if not shared:
             continue
         for metric in ("mae", "ssim"):
             a = [getattr(by_pred["i2i"][sid], metric) for sid in shared]
             b = [getattr(by_pred["linear"][sid], metric) for sid in shared]
             scope = f"year={year},metric={metric},i2i-vs-linear"
-            try:
-                res = wilcoxon_signed_rank(a, b, method=method)
-                out.append(_StatRow("wilcoxon", scope, res))
-            except DegenerateDataError as exc:
-                out.append(_StatRow("wilcoxon", scope, None, str(exc)))
+            out.append(_attempt("wilcoxon", scope, wilcoxon_signed_rank, a, b, method=method))
     return out
 
 
@@ -461,11 +468,7 @@ def _stats_ttest(rows) -> List[_StatRow]:
                 if len(pred_vals) < 2:
                     continue
                 scope = f"year={year},group={group},predictor={predictor},suvr-pred-vs-true"
-                try:
-                    res = paired_t(pred_vals, true_vals)
-                    out.append(_StatRow("ttest", scope, res))
-                except DegenerateDataError as exc:
-                    out.append(_StatRow("ttest", scope, None, str(exc)))
+                out.append(_attempt("ttest", scope, paired_t, pred_vals, true_vals))
     return out
 
 
@@ -482,11 +485,7 @@ def _stats_anova(rows) -> List[_StatRow]:
                     [getattr(r, metric) for r in sel if r.group == g] for g in groups
                 ]
                 scope = f"year={year},predictor={predictor},metric={metric},across-groups"
-                try:
-                    res = one_way_anova(samples)
-                    out.append(_StatRow("anova", scope, res))
-                except DegenerateDataError as exc:
-                    out.append(_StatRow("anova", scope, None, str(exc)))
+                out.append(_attempt("anova", scope, one_way_anova, samples))
     return out
 
 
@@ -503,23 +502,13 @@ def _stats_chi2(rows) -> List[_StatRow]:
         for yi, y in enumerate(years):
             table[gi, yi] = len({r.subject_id for r in rows if r.group == g and r.year == y})
     scope = f"groups={'|'.join(groups)},years={'|'.join(str(y) for y in years)}"
-    try:
-        res = chi_square_independence(table)
-        return [_StatRow("chi2", scope, res)]
-    except DegenerateDataError as exc:
-        return [_StatRow("chi2", scope, None, str(exc))]
+    return [_attempt("chi2", scope, chi_square_independence, table)]
 
 
 def _stats_mixed(rows) -> List[_StatRow]:
     out = []
     for year in sorted({r.year for r in rows}):
-        by_pred: Dict[str, Dict[str, EvalRow]] = {}
-        for r in rows:
-            if r.year == year and r.meta_roi_suvr_pred is not None:
-                by_pred.setdefault(r.predictor, {})[r.subject_id] = r
-        if "i2i" not in by_pred or "linear" not in by_pred:
-            continue
-        shared = sorted(set(by_pred["i2i"]) & set(by_pred["linear"]))
+        by_pred, shared = _by_predictor(rows, year, need_suvr=True)
         shared = [
             sid for sid in shared
             if by_pred["i2i"][sid].meta_roi_suvr_true is not None
@@ -584,14 +573,9 @@ def _cmd_stats(args) -> int:
         raise InputError(f"{args.metrics} has no evaluation rows")
     if args.test == "wilcoxon":
         stat_rows = _stats_wilcoxon(rows, args.method)
-    elif args.test == "ttest":
-        stat_rows = _stats_ttest(rows)
-    elif args.test == "anova":
-        stat_rows = _stats_anova(rows)
-    elif args.test == "chi2":
-        stat_rows = _stats_chi2(rows)
     else:
-        stat_rows = _stats_mixed(rows)
+        stat_rows = {"ttest": _stats_ttest, "anova": _stats_anova, "chi2": _stats_chi2,
+                     "mixed": _stats_mixed}[args.test](rows)
     if not stat_rows:
         raise InputError(
             f"metrics in {args.metrics} support no {args.test} comparison "

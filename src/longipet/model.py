@@ -128,18 +128,11 @@ def forward_batch(
         raise ShapeError(
             f"frames have spatial dims {frames0.shape[1:]}, model expects {config.dims}"
         )
-    n = frames0.shape[0]
-    f = config.lstm_filters
-    spatial = frames0.shape[1:]
-
-    x0 = ad.Tensor(frames0[..., None])
-    x1 = ad.Tensor(frames1[..., None])
-    h = ad.Tensor(np.zeros((n, *spatial, f)))
-    c = ad.Tensor(np.zeros((n, *spatial, f)))
+    # The frames are constants (plain arrays) and the initial state is zero.
     kernel = params.params["convlstm.kernel"]
     bias = params.params["convlstm.bias"]
-    h, c = ad.convlstm3d_step(x0, h, c, kernel, bias)
-    h, c = ad.convlstm3d_step(x1, h, c, kernel, bias)
+    h, c = ad.convlstm3d_step(frames0[..., None], None, None, kernel, bias)
+    h, c = ad.convlstm3d_step(frames1[..., None], h, c, kernel, bias)
     if trace is not None:
         trace["lstm_hidden"] = h.shape
     pooled = ad.maxpool3d(h, config.pool)

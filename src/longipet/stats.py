@@ -6,8 +6,8 @@ distribution up to n=25, normal approximation with continuity and tie
 corrections beyond), the paired t-test, one-way ANOVA, the chi-square
 independence test, and a two-factor mixed (split-plot) ANOVA with one
 between-subject factor and one within-subject factor.  The t, F and
-chi-square tail probabilities come from continued-fraction evaluations of
-the regularized incomplete beta and gamma functions.
+chi-square tail probabilities come from scipy's regularized incomplete beta
+and gamma functions.
 """
 
 import math
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import special
 
 from .errors import DegenerateDataError, InputError, ParameterError
 
@@ -34,66 +35,13 @@ class TestResult:
 # special functions
 # ---------------------------------------------------------------------------
 
-_FPMIN = 1e-300
-_EPS = 3e-16
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    # Lentz's continued fraction for the incomplete beta integral.
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, 400):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h
-
-
 def betainc_reg(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b)."""
     if a <= 0 or b <= 0:
         raise ParameterError(f"beta parameters must be positive, got a={a}, b={b}")
     if x < 0.0 or x > 1.0:
         raise ParameterError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_bt = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log(1.0 - x)
-    )
-    bt = math.exp(ln_bt)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _betacf(a, b, x) / a
-    return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
+    return float(special.betainc(a, b, x))
 
 
 def gammainc_lower(a: float, x: float) -> float:
@@ -102,40 +50,7 @@ def gammainc_lower(a: float, x: float) -> float:
         raise ParameterError(f"shape must be positive, got {a}")
     if x < 0:
         raise ParameterError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        # power series around 0
-        ap = a
-        total = 1.0 / a
-        term = total
-        for _ in range(1000):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * _EPS:
-                break
-        return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    # continued fraction for the upper tail
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return 1.0 - math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
+    return float(special.gammainc(a, x))
 
 
 def normal_cdf(z: float) -> float:

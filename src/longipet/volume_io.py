@@ -4,8 +4,10 @@ Two on-disk volume formats are supported:
 
 * NIfTI-1 single-file ``.nii`` (read and write).  Reading handles little- and
   big-endian headers, int16 / float32 / float64 voxels, and the
-  ``scl_slope`` / ``scl_inter`` intensity scaling.  Writing always emits
-  little-endian float32.
+  ``scl_slope`` / ``scl_inter`` intensity scaling.  The affine comes from
+  the sform when ``sform_code > 0``, else from the qform quaternion when
+  ``qform_code > 0``, else from the voxel sizes alone.  Writing always emits
+  little-endian float32 with an sform.
 * A raw format ``<name>.vol``: little-endian float32 voxels in x-fastest
   linear order, with a ``<name>.json`` sidecar holding
   ``{"dims": [nx, ny, nz], "affine": [[...4x4...]]}``.
@@ -16,6 +18,7 @@ JSON file ``{"subjects": [{"id": ..., "group": ..., "scans": {"0": path,
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -225,6 +228,29 @@ def _write_raw(vol: Volume3D, path: Path) -> None:
 # NIfTI-1 single-file format
 # ---------------------------------------------------------------------------
 
+def _qform_affine(quatern, pixdim) -> np.ndarray:
+    # NIfTI-1 method 2: rotation from the unit quaternion (a, b, c, d) with
+    # a = sqrt(1 - b^2 - c^2 - d^2), or a = 0 and (b, c, d) renormalized when
+    # that is below 1e-7 as in nifti1_io; voxel sizes from pixdim, the third
+    # negated when qfac = pixdim[0] < 0; origin from qoffset.
+    b, c, d = quatern[:3]
+    a = 1.0 - (b * b + c * c + d * d)
+    if a < 1e-7:
+        a, (b, c, d) = 0.0, np.array([b, c, d]) / math.sqrt(1.0 - a)
+    a = math.sqrt(a)
+    rot = np.array([
+        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+        [2 * (b * c + a * d), a * a + c * c - b * b - d * d, 2 * (c * d - a * b)],
+        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a + d * d - c * c - b * b],
+    ])
+    spacing = [v if v > 0 else 1.0 for v in pixdim[1:4]]
+    spacing[2] *= -1.0 if pixdim[0] < 0 else 1.0
+    affine = np.eye(4)
+    affine[:3, :3] = rot * spacing
+    affine[:3, 3] = quatern[3:6]
+    return affine
+
+
 def _read_nifti(path: Path) -> Volume3D:
     blob = path.read_bytes()
     if len(blob) < 348:
@@ -258,10 +284,12 @@ def _read_nifti(path: Path) -> Volume3D:
         raise FormatError(f"{path} has vox_offset {vox_offset} < 348")
     scl_slope = struct.unpack_from(bo + "f", blob, 112)[0]
     scl_inter = struct.unpack_from(bo + "f", blob, 116)[0]
-    sform_code = struct.unpack_from(bo + "h", blob, 254)[0]
+    qform_code, sform_code = struct.unpack_from(bo + "2h", blob, 252)
     if sform_code > 0:
         rows = struct.unpack_from(bo + "12f", blob, 280)
         affine = np.vstack([np.asarray(rows).reshape(3, 4), [0.0, 0.0, 0.0, 1.0]])
+    elif qform_code > 0:
+        affine = _qform_affine(struct.unpack_from(bo + "6f", blob, 256), pixdim)
     else:
         affine = np.diag([pixdim[1] or 1.0, pixdim[2] or 1.0, pixdim[3] or 1.0, 1.0])
     dtype = np.dtype(bo + _NIFTI_DTYPES[datatype])

@@ -494,6 +494,20 @@ def test_gradient_accumulates_across_backward_calls():
     assert x.grad is None
 
 
+def test_first_gradient_is_an_owned_copy_at_the_tensor_shape():
+    t = ad.Tensor(np.zeros((2, 3)))
+    g = np.ones((2, 3))
+    t._accumulate(g)
+    g[...] = 5.0  # the caller's buffer stays the caller's
+    np.testing.assert_array_equal(t.grad, 1.0)
+    t._accumulate(np.full(3, 2.0))  # later calls add, broadcasting
+    np.testing.assert_array_equal(t.grad, 3.0)
+    s = ad.Tensor(np.zeros((2, 3)))
+    s._accumulate(np.float64(4.0))
+    assert s.grad.shape == (2, 3) and s.grad.dtype == np.float64
+    np.testing.assert_array_equal(s.grad, 4.0)
+
+
 def test_diamond_graph_gradient():
     x = ad.Tensor(np.array(3.0))
     y = ad.add(ad.mul(x, x), x)  # x^2 + x, x reused

@@ -1,9 +1,10 @@
-"""Equivalence of the slab-chunked im2col convolution with the per-offset
-loop it replaced.
+"""Equivalence of the convolution engine with the per-offset loop it
+replaced: the slab-chunked im2col GEMM for wide outputs, and for narrow
+outputs one GEMM per offset over the padded input, added at a shift.
 
-The oracle below is the previous implementation: one matmul per kernel
-offset over the whole batch.  The GEMM sums in another order, so the
-comparison uses a tolerance rather than equality.
+The oracle below is the original implementation: one matmul per kernel
+offset over a copied input patch.  The GEMMs may sum in another order, so
+the comparison uses a tolerance rather than equality.
 """
 
 import numpy as np

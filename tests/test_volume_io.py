@@ -168,15 +168,21 @@ def build_nifti(
     pixdim=(1.0, 1.0, 1.0),
     ndim=3,
     dim4=1,
+    qfac=1.0,
+    qform=None,
 ):
     hdr = bytearray(352)
     struct.pack_into(bo + "i", hdr, 0, 348)
     struct.pack_into(bo + "8h", hdr, 40, ndim, dims[0], dims[1], dims[2], dim4, 1, 1, 1)
     struct.pack_into(bo + "h", hdr, 70, datatype)
-    struct.pack_into(bo + "8f", hdr, 76, 1.0, *pixdim, 0.0, 0.0, 0.0, 0.0)
+    struct.pack_into(bo + "8f", hdr, 76, qfac, *pixdim, 0.0, 0.0, 0.0, 0.0)
     struct.pack_into(bo + "f", hdr, 108, vox_offset)
     struct.pack_into(bo + "f", hdr, 112, scl[0])
     struct.pack_into(bo + "f", hdr, 116, scl[1])
+    if qform is not None:
+        # quatern_b, c, d, then qoffset_x, y, z
+        struct.pack_into(bo + "h", hdr, 252, 1)
+        struct.pack_into(bo + "6f", hdr, 256, *qform)
     if srow is not None:
         struct.pack_into(bo + "h", hdr, 254, 1)
         struct.pack_into(bo + "12f", hdr, 280, *srow)
@@ -236,6 +242,39 @@ def test_nifti_no_sform_uses_pixdim(tmp_path):
     np.testing.assert_array_equal(
         read_volume(p).affine, np.diag([2.0, 3.0, 4.0, 1.0])
     )
+
+
+def test_nifti_qform_only_gives_rotation_and_origin(tmp_path):
+    # 90 degrees about z: (a, b, c, d) = (cos 45, 0, 0, sin 45); qfac -1
+    # flips the third axis.  Voxel (i, j, k) maps to
+    # (-3j + 10, 2i - 20, -4k + 30).
+    vals = np.zeros(4, dtype="<f4")
+    s = np.sqrt(0.5)
+    blob = build_nifti((2, 2, 1), 16, vals.tobytes(), pixdim=(2.0, 3.0, 4.0),
+                       qfac=-1.0, qform=(0.0, 0.0, s, 10.0, -20.0, 30.0), bo=">")
+    p = tmp_path / "q.nii"
+    p.write_bytes(blob)
+    expected = np.array(
+        [[0, -3, 0, 10], [2, 0, 0, -20], [0, 0, -4, 30], [0, 0, 0, 1]], dtype=np.float64
+    )
+    np.testing.assert_allclose(read_volume(p).affine, expected, atol=1e-6)
+
+
+def test_nifti_qform_half_turn_and_sform_precedence(tmp_path):
+    # b = 1 (180 degrees about x) leaves a = 0: y and z flip.
+    vals = np.zeros(4, dtype="<f4")
+    blob = build_nifti((2, 2, 1), 16, vals.tobytes(), qform=(1.0, 0.0, 0.0, 1.0, 2.0, 3.0))
+    p = tmp_path / "h.nii"
+    p.write_bytes(blob)
+    np.testing.assert_allclose(
+        read_volume(p).affine, np.array([[1, 0, 0, 1], [0, -1, 0, 2], [0, 0, -1, 3], [0, 0, 0, 1]]),
+        atol=1e-12,
+    )
+    srow = [2.0, 0, 0, 10.0, 0, 2.0, 0, 20.0, 0, 0, 2.0, 30.0]
+    blob = build_nifti((2, 2, 1), 16, vals.tobytes(), srow=srow,
+                       qform=(1.0, 0.0, 0.0, 1.0, 2.0, 3.0))
+    p.write_bytes(blob)
+    np.testing.assert_array_equal(read_volume(p).affine[:3].ravel(), srow)
 
 
 def test_nifti_four_dim_single_frame_ok(tmp_path):
