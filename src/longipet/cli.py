@@ -299,9 +299,9 @@ def _cmd_predict(args) -> int:
 def _cmd_forecast(args) -> int:
     manifest = load_manifest(args.manifest)
     records = [
-        manifest.load_record(sid)
-        for sid in manifest.subject_ids
-        if {0, 1} <= set(manifest.entry(sid).years)
+        manifest.load_record(e.subject_id, years=(0, 1))
+        for e in manifest.entries
+        if {0, 1} <= set(e.years)
     ]
     if not records:
         raise InputError("no subject has both year-0 and year-1 scans")
@@ -364,8 +364,17 @@ def _load_predictions(pred_dir: Path) -> Dict[str, Dict[str, Dict[int, Volume3D]
 
 def _cmd_evaluate(args) -> int:
     manifest = load_manifest(args.manifest)
-    records = manifest.load_records()
     forecasts = _load_predictions(Path(args.predictions))
+    # Only the ground truth of predicted years is read.
+    wanted: Dict[str, set] = {}
+    for by_subject in forecasts.values():
+        for sid, by_year in by_subject.items():
+            wanted.setdefault(sid, set()).update(by_year)
+    records = [
+        manifest.load_record(sid, years=wanted[sid])
+        for sid in manifest.subject_ids
+        if sid in wanted
+    ]
     atlas = read_volume(args.atlas) if args.atlas else None
     roi = load_roi(args.roi) if args.roi else None
     if roi is not None and atlas is None:

@@ -4,7 +4,13 @@ MAE averages over the full volume by default; an optional mask restricts it.
 SSIM uses a separable 3D Gaussian window (size 11, sigma 1.5), constants
 k1=0.01 / k2=0.03, and a dynamic range estimated from the joint min/max of
 the two volumes unless given; the mean is taken over the interior map where
-the window fits entirely.
+the window fits entirely.  Only that interior is computed: four maps (the
+two means, ``E[a^2 + b^2]`` and ``E[ab]``; the formula needs the variances
+only as their sum) are stacked and filtered by banded GEMMs whose rows are
+the interior positions.
+
+Per-label means index the rounded atlas labels once (``AtlasIndex``); each
+volume pair then costs one ``np.bincount``.
 """
 
 import json
@@ -13,9 +19,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .errors import FormatError, ParameterError, ShapeError
+from .preprocess import _band, _filter3
 from .volume_io import Volume3D
 
 SSIM_WINDOW = 11
@@ -50,12 +56,6 @@ def _ssim_window() -> np.ndarray:
     return w / w.sum()
 
 
-def _filter3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    for axis in range(3):
-        x = convolve1d(x, w, axis=axis, mode="constant", cval=0.0)
-    return x
-
-
 def ssim3d(a: Volume3D, b: Volume3D, dynamic_range: Optional[float] = None) -> float:
     """Mean structural similarity over the interior of the SSIM map."""
     da, db = _as_pair(a, b)
@@ -75,39 +75,53 @@ def ssim3d(a: Volume3D, b: Volume3D, dynamic_range: Optional[float] = None) -> f
         )
     c1 = (SSIM_K1 * dynamic_range) ** 2
     c2 = (SSIM_K2 * dynamic_range) ** 2
-    w = _ssim_window()
-    mu_a = _filter3(da, w)
-    mu_b = _filter3(db, w)
-    ea2 = _filter3(da * da, w)
-    eb2 = _filter3(db * db, w)
-    eab = _filter3(da * db, w)
-    var_a = ea2 - mu_a * mu_a
-    var_b = eb2 - mu_b * mu_b
-    cov = eab - mu_a * mu_b
-    ssim_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
-        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    # Only the interior has full window support under zero padding, so the
+    # band matrices keep only its rows.
+    w, r = _ssim_window(), SSIM_WINDOW // 2
+    bands = [_band(n, w)[r : n - r] for n in a.dims]
+    stack = np.stack([da, db, da * da + db * db, da * db])
+    mu_a, mu_b, e_sq, e_ab = _filter3(stack, *bands)
+    # Written symmetrically in a and b, so ssim3d(a, b) == ssim3d(b, a)
+    # exactly and ssim3d(a, a) == 1.
+    mu_ab = mu_a * mu_b
+    mu_sq = mu_a * mu_a + mu_b * mu_b
+    ssim_map = ((2 * mu_ab + c1) * (2 * (e_ab - mu_ab) + c2)) / (
+        (mu_sq + c1) * (e_sq - mu_sq + c2)
     )
-    # Only the interior has full window support under zero padding.
-    r = SSIM_WINDOW // 2
-    core = ssim_map[r:-r, r:-r, r:-r]
-    return float(core.mean())
+    return float(ssim_map.mean())
+
+
+class AtlasIndex:
+    """An atlas's rounded labels, indexed once: the sorted distinct labels,
+    each voxel's position among them and the voxel count of each."""
+
+    def __init__(self, atlas: Volume3D):
+        self.dims = atlas.dims
+        rounded = np.rint(atlas.data).astype(np.int64)
+        self.labels, inverse, self.counts = np.unique(
+            rounded, return_inverse=True, return_counts=True
+        )
+        self.inverse = inverse.ravel()
+
+    def regional_mae(self, a: Volume3D, b: Volume3D) -> Dict[int, float]:
+        """Per-label MAE of ``a`` against ``b``; label 0 is background."""
+        da, db = _as_pair(a, b)
+        if self.dims != a.dims:
+            raise ShapeError(f"atlas dims {self.dims} do not match volume dims {a.dims}")
+        sums = np.bincount(
+            self.inverse, weights=np.abs(da - db).ravel(), minlength=self.labels.size
+        )
+        return {
+            int(label): float(s / n)
+            for label, s, n in zip(self.labels, sums, self.counts)
+            if label != 0
+        }
 
 
 def regional_mae(a: Volume3D, b: Volume3D, atlas: Volume3D) -> Dict[int, float]:
     """Per-atlas-label MAE.  Labels are the rounded nonzero atlas values;
     empty labels never appear in the result."""
-    da, db = _as_pair(a, b)
-    if atlas.dims != a.dims:
-        raise ShapeError(f"atlas dims {atlas.dims} do not match volume dims {a.dims}")
-    labels = np.rint(atlas.data).astype(np.int64)
-    diff = np.abs(da - db)
-    out: Dict[int, float] = {}
-    for label in np.unique(labels):
-        if label == 0:
-            continue
-        sel = labels == label
-        out[int(label)] = float(diff[sel].mean())
-    return out
+    return AtlasIndex(atlas).regional_mae(a, b)
 
 
 @dataclass(frozen=True)
@@ -130,7 +144,12 @@ def meta_roi_suvr(vol: Volume3D, atlas: Volume3D, roi: RoiDefinition) -> float:
     """Mean intensity over the ROI's label union."""
     if atlas.dims != vol.dims:
         raise ShapeError(f"atlas dims {atlas.dims} do not match volume dims {vol.dims}")
-    sel = roi.mask(atlas)
+    return _roi_mean(vol, roi.mask(atlas), roi)
+
+
+def _roi_mean(vol: Volume3D, sel: np.ndarray, roi: RoiDefinition) -> float:
+    """Mean of ``vol`` over ``sel``, the mask of ``roi`` on an atlas of the
+    same dims."""
     if not sel.any():
         raise ParameterError(
             f"ROI {roi.name!r} labels {roi.labels} select no atlas voxels"

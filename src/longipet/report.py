@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import FormatError, InputError
-from .metrics import RoiDefinition, mae, meta_roi_suvr, regional_mae, ssim3d
+from .metrics import AtlasIndex, RoiDefinition, _roi_mean, mae, ssim3d
 from .parallel import pool_map
 from .volume_io import SubjectRecord, Volume3D
 
@@ -68,9 +68,12 @@ def evaluate_forecasts(
     ``gaps`` instead of being scored.  Regional and ROI columns appear
     only when an atlas (and ROI) are supplied.  Row order is
     deterministic (predictor, then subject, then year) and independent of
-    ``max_workers``.
+    ``max_workers``.  The atlas labels and the ROI mask are indexed once
+    per call.
     """
     rec_map = {r.subject_id: r for r in records}
+    index = AtlasIndex(atlas) if atlas is not None else None
+    roi_sel = roi.mask(atlas) if atlas is not None and roi is not None else None
     tasks = [
         (predictor, sid)
         for predictor in sorted(forecasts)
@@ -93,11 +96,11 @@ def evaluate_forecasts(
                 )
                 continue
             true = rec.scans[year]
-            regional = regional_mae(pred, true, atlas) if atlas is not None else {}
+            regional = index.regional_mae(pred, true) if index is not None else {}
             suvr_p = suvr_t = None
-            if atlas is not None and roi is not None:
-                suvr_p = meta_roi_suvr(pred, atlas, roi)
-                suvr_t = meta_roi_suvr(true, atlas, roi)
+            if roi_sel is not None:
+                suvr_p = _roi_mean(pred, roi_sel, roi)
+                suvr_t = _roi_mean(true, roi_sel, roi)
             t_rows.append(
                 EvalRow(
                     subject_id=sid,

@@ -22,7 +22,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +38,24 @@ GROUPS = ("CN", "MCI", "Dementia")
 
 # NIfTI-1 datatype codes this reader accepts.
 _NIFTI_DTYPES = {4: "i2", 16: "f4", 64: "f8"}
+
+
+@dataclass(frozen=True)
+class _Header:
+    """What a volume file says about its voxels: dims, affine, the payload's
+    dtype and byte offset, and the NIfTI (slope, intercept) scaling if any."""
+
+    dims: Tuple[int, int, int]
+    affine: np.ndarray
+    dtype: np.dtype
+    offset: int
+    scale: Optional[Tuple[float, float]] = None
+
+
+def _c_order(flat: np.ndarray, dims) -> np.ndarray:
+    """C-ordered float64 (nx, ny, nz) array from x-fastest values, in one
+    transposing copy: x-fastest order is C order for the shape (nz, ny, nx)."""
+    return flat.reshape(dims[::-1]).T.astype(np.float64, order="C")
 
 
 @dataclass
@@ -73,15 +91,14 @@ class Volume3D:
     def from_flat(cls, dims, flat, affine=None) -> "Volume3D":
         """Build a volume from an x-fastest flat value sequence."""
         dims = tuple(int(d) for d in dims)
-        flat = np.asarray(flat, dtype=np.float64)
+        flat = np.asarray(flat)
         if flat.size != int(np.prod(dims)):
             raise CorruptionError(
                 f"payload has {flat.size} values, dims {dims} need {int(np.prod(dims))}"
             )
-        data = flat.reshape(dims, order="F")
         if affine is None:
             affine = np.eye(4)
-        return cls(np.ascontiguousarray(data), np.asarray(affine, dtype=np.float64))
+        return cls(_c_order(flat, dims), np.asarray(affine, dtype=np.float64))
 
     def flat(self) -> np.ndarray:
         """Values in x-fastest linear order."""
@@ -150,9 +167,18 @@ class CohortManifest:
                 return e
         raise ManifestError(f"unknown subject {subject_id!r}")
 
-    def load_record(self, subject_id: str) -> SubjectRecord:
+    def load_record(
+        self, subject_id: str, years: Optional[Iterable[int]] = None
+    ) -> SubjectRecord:
+        """Read the subject's scans, or only those of ``years``; a requested
+        year the manifest does not list is absent from the record."""
         e = self.entry(subject_id)
-        scans = {year: read_volume(p) for year, p in e.scan_paths.items()}
+        wanted = None if years is None else set(years)
+        scans = {
+            year: read_volume(p)
+            for year, p in e.scan_paths.items()
+            if wanted is None or year in wanted
+        }
         return SubjectRecord(e.subject_id, e.group, scans)
 
     def load_records(self, subject_ids=None) -> List[SubjectRecord]:
@@ -168,7 +194,7 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_suffix(".json")
 
 
-def _read_raw(path: Path) -> Volume3D:
+def _raw_header(path: Path) -> _Header:
     side = _sidecar_path(path)
     if not side.exists():
         raise FormatError(f"missing sidecar {side} for raw volume {path}")
@@ -188,16 +214,11 @@ def _read_raw(path: Path) -> Volume3D:
     affine = np.asarray(meta["affine"], dtype=np.float64)
     if affine.shape != (4, 4):
         raise FormatError(f"sidecar {side} affine must be 4x4")
-    payload = path.read_bytes()
+    size = path.stat().st_size
     count = dims[0] * dims[1] * dims[2]
-    if len(payload) != 4 * count:
-        raise CorruptionError(
-            f"{path} holds {len(payload)} bytes, dims {dims} need {4 * count}"
-        )
-    flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    if not np.all(np.isfinite(flat)):
-        raise CorruptionError(f"{path} contains non-finite voxel values")
-    return Volume3D.from_flat(dims, flat, affine)
+    if size != 4 * count:
+        raise CorruptionError(f"{path} holds {size} bytes, dims {dims} need {4 * count}")
+    return _Header(tuple(dims), affine, np.dtype("<f4"), 0)
 
 
 def _is_sidecar(path: Path) -> bool:
@@ -251,8 +272,9 @@ def _qform_affine(quatern, pixdim) -> np.ndarray:
     return affine
 
 
-def _read_nifti(path: Path) -> Volume3D:
-    blob = path.read_bytes()
+def _nifti_header(path: Path) -> _Header:
+    with open(path, "rb") as fh:
+        blob = fh.read(348)
     if len(blob) < 348:
         raise FormatError(f"{path} is too short to hold a NIfTI-1 header")
     # Endianness is detected from sizeof_hdr, which must decode to 348.
@@ -293,20 +315,18 @@ def _read_nifti(path: Path) -> Volume3D:
     else:
         affine = np.diag([pixdim[1] or 1.0, pixdim[2] or 1.0, pixdim[3] or 1.0, 1.0])
     dtype = np.dtype(bo + _NIFTI_DTYPES[datatype])
-    count = nx * ny * nz
-    if len(blob) < vox_offset + count * dtype.itemsize:
+    nbytes = nx * ny * nz * dtype.itemsize
+    size = path.stat().st_size
+    if size < vox_offset + nbytes:
         raise CorruptionError(
-            f"{path} payload is truncated: need {count * dtype.itemsize} bytes "
-            f"at offset {vox_offset}, file has {len(blob)}"
+            f"{path} payload is truncated: need {nbytes} bytes "
+            f"at offset {vox_offset}, file has {size}"
         )
-    raw = np.frombuffer(blob, dtype=dtype, count=count, offset=vox_offset)
-    values = raw.astype(np.float64)
     # NIfTI-1: slope 0 means "no scaling stored"; otherwise v*slope + inter.
+    scale = None
     if np.isfinite(scl_slope) and scl_slope != 0.0:
-        values = values * float(scl_slope) + float(scl_inter)
-    if not np.all(np.isfinite(values)):
-        raise CorruptionError(f"{path} contains non-finite voxel values")
-    return Volume3D.from_flat((nx, ny, nz), values, affine)
+        scale = (float(scl_slope), float(scl_inter))
+    return _Header((nx, ny, nz), affine, dtype, vox_offset, scale)
 
 
 def _write_nifti(vol: Volume3D, path: Path) -> None:
@@ -334,16 +354,36 @@ def _write_nifti(vol: Volume3D, path: Path) -> None:
 # public volume API
 # ---------------------------------------------------------------------------
 
-def read_volume(path) -> Volume3D:
-    """Read a volume from ``.nii`` or ``.vol`` (+ JSON sidecar)."""
-    path = Path(path)
+def _read_header(path: Path) -> _Header:
+    """Parse and check a volume's header (the ``.vol`` sidecar or the NIfTI-1
+    header) against the file size, without reading the voxels."""
     if not path.exists():
         raise FileNotFoundError(path)
     if path.suffix == ".nii":
-        return _read_nifti(path)
+        return _nifti_header(path)
     if path.suffix == ".vol":
-        return _read_raw(path)
+        return _raw_header(path)
     raise FormatError(f"unrecognized volume extension {path.suffix!r} for {path}")
+
+
+def read_volume(path) -> Volume3D:
+    """Read a volume from ``.nii`` or ``.vol`` (+ JSON sidecar)."""
+    path = Path(path)
+    header = _read_header(path)
+    nbytes = header.dtype.itemsize * header.dims[0] * header.dims[1] * header.dims[2]
+    with open(path, "rb") as fh:
+        fh.seek(header.offset)
+        payload = fh.read(nbytes)
+    if len(payload) != nbytes:
+        raise CorruptionError(f"{path} was truncated while it was read")
+    data = _c_order(np.frombuffer(payload, dtype=header.dtype), header.dims)
+    if header.scale is not None:
+        data *= header.scale[0]
+        data += header.scale[1]
+    try:
+        return Volume3D(data, header.affine)
+    except CorruptionError as exc:
+        raise CorruptionError(f"{path} contains non-finite voxel values") from exc
 
 
 def write_volume(vol: Volume3D, path) -> Path:
@@ -381,7 +421,10 @@ def load_manifest(path, check_files: bool = True) -> CohortManifest:
     """Load and validate a cohort manifest.
 
     With ``check_files`` every referenced scan must exist; headers are
-    parsed so malformed files fail here rather than mid-pipeline.
+    parsed so malformed files fail here rather than mid-pipeline.  Only the
+    headers are read: the ``.vol`` sidecar or the NIfTI-1 header, each
+    checked against the file size.  A payload that holds non-finite values
+    raises ``CorruptionError`` when the volume is read.
     """
     path = Path(path)
     try:
@@ -440,7 +483,7 @@ def load_manifest(path, check_files: bool = True) -> CohortManifest:
                         f"manifest {path} subject {e.subject_id!r} year {year}: "
                         f"missing file {p}"
                     )
-                read_volume(p)  # parse now so format errors surface early
+                _read_header(p)  # so format errors surface early
     return manifest
 
 

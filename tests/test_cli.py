@@ -215,6 +215,43 @@ def test_augment_command(pipeline, tmp_path):
 # exit codes
 # ---------------------------------------------------------------------------
 
+def test_forecast_and_evaluate_read_only_the_years_they_use(tmp_path):
+    ph, fc = tmp_path / "phantom", tmp_path / "forecast"
+    assert main([
+        "phantom", "--out", str(ph), "--dims", "12", "12", "12",
+        "--n-stable", "1", "--n-converter", "1", "--n-decliner", "1",
+        "--years", "0", "1", "2", "3", "--seed", "5",
+    ]) == 0
+    manifest = ph / "manifest.json"
+    entries = load_manifest(manifest).entries
+
+    def poison(year):
+        # NaN voxels at the same size: only reading the volume can tell
+        saved = {}
+        for e in entries:
+            p = e.scan_paths[year]
+            saved[p] = p.read_bytes()
+            p.write_bytes(np.full(len(saved[p]) // 4, np.nan, "<f4").tobytes())
+        return saved
+
+    saved = poison(3)
+    assert main([
+        "forecast", "--manifest", str(manifest), "--out", str(fc),
+        "--predictor", "linear", "--to-year", "2",
+    ]) == 0
+    for p, blob in saved.items():
+        p.write_bytes(blob)
+    poison(0)
+    metrics = tmp_path / "metrics.csv"
+    assert main([
+        "evaluate", "--manifest", str(manifest),
+        "--predictions", str(fc / "volumes"), "--out", str(metrics),
+    ]) == 0
+    assert sorted((r.subject_id, r.year) for r in read_metrics_csv(metrics)) == [
+        (e.subject_id, 2) for e in sorted(entries, key=lambda e: e.subject_id)
+    ]
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -1,0 +1,172 @@
+"""Equivalence of the banded-GEMM Gaussian filters and the bincount regional
+MAE with the implementations they replaced.
+
+The oracles below are the previous implementations: SSIM and smoothing by
+``scipy.ndimage.convolve1d`` along each axis with zero padding (SSIM over the
+whole map, then cut to the interior), and regional MAE by one mask per label.
+The GEMMs sum in another order, so values are compared with a tolerance.
+"""
+
+import numpy as np
+import pytest
+from scipy.ndimage import convolve1d
+
+from longipet.metrics import (
+    SSIM_K1,
+    SSIM_K2,
+    SSIM_WINDOW,
+    AtlasIndex,
+    _ssim_window,
+    regional_mae,
+    ssim3d,
+)
+from longipet.preprocess import _band, gaussian_kernel_1d, gaussian_smooth
+from longipet.volume_io import Volume3D
+
+TOL = 1e-13
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-axis convolutions and the per-label loop
+# ---------------------------------------------------------------------------
+
+def _convolve3(x, kernels):
+    for axis, k in enumerate(kernels):
+        x = convolve1d(x, k, axis=axis, mode="constant", cval=0.0)
+    return x
+
+
+def convolve_ssim3d(da, db, dynamic_range=None):
+    if dynamic_range is None:
+        dynamic_range = float(max(da.max(), db.max()) - min(da.min(), db.min()))
+    c1 = (SSIM_K1 * dynamic_range) ** 2
+    c2 = (SSIM_K2 * dynamic_range) ** 2
+    w = [_ssim_window()] * 3
+    mu_a = _convolve3(da, w)
+    mu_b = _convolve3(db, w)
+    ea2 = _convolve3(da * da, w)
+    eb2 = _convolve3(db * db, w)
+    eab = _convolve3(da * db, w)
+    var_a = ea2 - mu_a * mu_a
+    var_b = eb2 - mu_b * mu_b
+    cov = eab - mu_a * mu_b
+    ssim_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
+        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    )
+    r = SSIM_WINDOW // 2
+    return float(ssim_map[r:-r, r:-r, r:-r].mean())
+
+
+def convolve_smooth(data, fwhm):
+    return _convolve3(data, [gaussian_kernel_1d(f) for f in fwhm])
+
+
+def loop_regional_mae(da, db, atlas_data):
+    labels = np.rint(atlas_data).astype(np.int64)
+    diff = np.abs(da - db)
+    return {
+        int(label): float(diff[labels == label].mean())
+        for label in np.unique(labels)
+        if label != 0
+    }
+
+
+def _pair(dims, seed, noise=0.2):
+    r = np.random.default_rng(seed)
+    a = r.uniform(0.0, 2.0, size=dims)
+    return a, a + r.normal(0.0, noise, size=dims)
+
+
+# ---------------------------------------------------------------------------
+# the band matrix
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 3, 4, 9])
+def test_band_is_zero_padded_correlation(n):
+    # an asymmetric kernel pins correlation (not convolution) and the centre
+    k = np.array([1.0, 2.0, 5.0, -3.0, 0.5])
+    v = np.random.default_rng(n).normal(size=n)
+    want = np.correlate(np.pad(v, 2), k, mode="valid")
+    np.testing.assert_allclose(_band(n, k) @ v, want, atol=TOL)
+
+
+# ---------------------------------------------------------------------------
+# SSIM
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "dims", [(11, 11, 11), (11, 12, 13), (17, 11, 14), (12, 25, 11), (16, 16, 16)]
+)
+def test_ssim_matches_convolution_oracle(dims):
+    da, db = _pair(dims, sum(dims))
+    got = ssim3d(Volume3D(da), Volume3D(db))
+    assert got == pytest.approx(convolve_ssim3d(da, db), abs=TOL)
+    got = ssim3d(Volume3D(da), Volume3D(db), dynamic_range=3.0)
+    assert got == pytest.approx(convolve_ssim3d(da, db, 3.0), abs=TOL)
+
+
+def test_ssim_matches_oracle_on_anisotropic_structure():
+    # a smooth gradient along x, a step along y, noise along z
+    x, y, z = np.meshgrid(np.linspace(0, 1, 13), np.arange(20), np.arange(15),
+                          indexing="ij")
+    da = x + (y > 9) + 0.05 * np.random.default_rng(1).normal(size=x.shape)
+    db = 0.8 * x + (y > 11)
+    assert ssim3d(Volume3D(da), Volume3D(db)) == pytest.approx(
+        convolve_ssim3d(da, db), abs=TOL
+    )
+
+
+@pytest.mark.parametrize("dims", [(11, 11, 11), (13, 17, 12), (80, 96, 80)])
+def test_ssim_symmetric_and_self_similar_exactly(dims):
+    da, db = _pair(dims, 7)
+    a, b = Volume3D(da), Volume3D(db)
+    assert ssim3d(a, b) == ssim3d(b, a)
+    assert ssim3d(a, a) == 1.0
+    assert ssim3d(b, Volume3D(db.copy())) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# smoothing
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "dims, fwhm",
+    [
+        ((9, 14, 7), (2.0, 3.0, 5.5)),
+        ((12, 10, 11), (4.0, 4.0, 4.0)),
+        ((5, 5, 5), (8.0, 8.0, 8.0)),  # kernel radius 11 > axis length
+        ((3, 30, 2), (6.0, 1.0, 9.0)),
+    ],
+)
+def test_smooth_matches_convolution_oracle(dims, fwhm):
+    data = np.random.default_rng(3).normal(size=dims)
+    got = gaussian_smooth(Volume3D(data), fwhm=fwhm).data
+    np.testing.assert_allclose(got, convolve_smooth(data, fwhm), atol=TOL, rtol=0)
+    assert got.flags.c_contiguous
+
+
+# ---------------------------------------------------------------------------
+# regional MAE
+# ---------------------------------------------------------------------------
+
+def test_regional_mae_matches_per_label_loop():
+    dims = (9, 8, 7)
+    r = np.random.default_rng(5)
+    # negative, gapped and non-integer labels; -0.3 and 0.4 round to background
+    values = np.array([-7.0, -2.6, -0.3, 0.4, 1.0, 2.5, 3.49, 40.0, 1000.2])
+    atlas = r.choice(values, size=dims)
+    da, db = _pair(dims, 6)
+    got = regional_mae(Volume3D(da), Volume3D(db), Volume3D(atlas))
+    want = loop_regional_mae(da, db, atlas)
+    assert sorted(got) == sorted(want) == [-7, -3, 1, 2, 3, 40, 1000]
+    for label in want:
+        assert got[label] == pytest.approx(want[label], abs=TOL)
+
+
+def test_atlas_index_is_reusable_across_pairs():
+    dims = (10, 6, 5)
+    atlas = Volume3D(np.random.default_rng(8).integers(0, 6, size=dims).astype(float))
+    index = AtlasIndex(atlas)
+    for seed in range(3):
+        a, b = (Volume3D(v) for v in _pair(dims, seed))
+        assert index.regional_mae(a, b) == regional_mae(a, b, atlas)

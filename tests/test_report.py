@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from longipet.errors import FormatError, InputError
-from longipet.metrics import RoiDefinition, mae, meta_roi_suvr, ssim3d
+from longipet.metrics import RoiDefinition, mae, meta_roi_suvr, regional_mae, ssim3d
 from longipet.report import (
     CSV_FIXED_COLUMNS,
     EvalRow,
@@ -109,6 +109,7 @@ def test_atlas_and_roi_columns():
         rec = next(r for r in records if r.subject_id == row.subject_id)
         pred = forecasts[row.predictor][row.subject_id][row.year]
         assert sorted(row.regional) == [1, 2]
+        assert row.regional == regional_mae(pred, rec.scans[row.year], atlas)
         assert row.meta_roi_suvr_pred == pytest.approx(
             meta_roi_suvr(pred, atlas, roi), abs=1e-15
         )

@@ -20,6 +20,7 @@ from longipet.errors import (
     ShapeError,
     UnsupportedError,
 )
+from longipet import volume_io
 from longipet.volume_io import (
     CohortManifest,
     ManifestEntry,
@@ -76,6 +77,7 @@ def test_raw_roundtrip(tmp_path):
     back = read_volume(p)
     np.testing.assert_array_equal(back.data, vol.data.astype(np.float32))
     np.testing.assert_array_equal(back.affine, vol.affine)
+    assert back.data.dtype == np.float64 and back.data.flags.c_contiguous
 
 
 def test_raw_payload_is_x_fastest_float32(tmp_path):
@@ -129,8 +131,9 @@ def test_raw_nan_payload_rejected(tmp_path):
     (tmp_path / "v.json").write_text(
         json.dumps({"dims": [2, 2, 2], "affine": np.eye(4).tolist()})
     )
-    with pytest.raises(CorruptionError):
+    with pytest.raises(CorruptionError, match="non-finite") as exc:
         read_volume(p)
+    assert str(p) in str(exc.value)
 
 
 def test_raw_bad_sidecar_dims(tmp_path):
@@ -353,6 +356,7 @@ def test_nifti_write_read_roundtrip(tmp_path):
     back = read_volume(p)
     np.testing.assert_array_equal(back.data, vol.data.astype(np.float32))
     np.testing.assert_allclose(back.affine, affine, atol=1e-6)
+    assert back.data.dtype == np.float64 and back.data.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +397,14 @@ def test_pad_properties(nx, ny, nz, seed):
 # manifests
 # ---------------------------------------------------------------------------
 
-def _write_cohort(tmp_path, subjects):
+def _write_cohort(tmp_path, subjects, suffix=".vol"):
     vols = tmp_path / "vols"
     vols.mkdir(exist_ok=True)
     entries = []
     for sid, group, years in subjects:
         scan_paths = {}
         for year in years:
-            p = vols / f"{sid}_{year}.vol"
+            p = vols / f"{sid}_{year}{suffix}"
             write_volume(Volume3D(np.full((2, 2, 2), float(year))), p)
             scan_paths[year] = p
         entries.append(ManifestEntry(sid, group, scan_paths))
@@ -461,6 +465,64 @@ def test_manifest_corrupt_referenced_volume(tmp_path):
     (tmp_path / "vols" / "s1_0.vol").write_bytes(b"\x00" * 3)
     with pytest.raises(CorruptionError):
         load_manifest(path)
+
+
+def _nan_payload(p):
+    """Overwrite the voxels with NaN at the same size: only a read can tell."""
+    blob = bytearray(p.read_bytes())
+    start = 352 if p.suffix == ".nii" else 0
+    blob[start:] = np.full((len(blob) - start) // 4, np.nan, "<f4").tobytes()
+    p.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("suffix", [".vol", ".nii"])
+def test_manifest_checks_headers_only(tmp_path, monkeypatch, suffix):
+    path = _write_cohort(tmp_path, [("s1", "CN", [0, 1])], suffix)
+    bad = tmp_path / "vols" / f"s1_1{suffix}"
+    _nan_payload(bad)
+
+    def no_payload_reads(p):
+        raise AssertionError(f"load_manifest read the voxels of {p}")
+
+    with monkeypatch.context() as m:
+        m.setattr(volume_io, "read_volume", no_payload_reads)
+        manifest = load_manifest(path)
+    assert manifest.load_record("s1", years=[0]).years == [0]
+    with pytest.raises(CorruptionError, match="non-finite") as exc:
+        manifest.load_record("s1")
+    assert str(bad) in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "suffix, damage, error",
+    [
+        (".vol", lambda p: p.write_bytes(p.read_bytes()[:-4]), CorruptionError),
+        (".vol", lambda p: p.with_suffix(".json").write_text('{"dims": [2, 2]}'),
+         FormatError),
+        (".vol", lambda p: p.with_suffix(".json").unlink(), FormatError),
+        (".nii", lambda p: p.write_bytes(p.read_bytes()[:-4]), CorruptionError),
+        (".nii", lambda p: p.write_bytes(p.read_bytes()[:100]), FormatError),
+        (".nii", lambda p: p.write_bytes(b"\0" * 344 + p.read_bytes()[344:]), FormatError),
+    ],
+)
+def test_manifest_rejects_bad_headers_and_sizes(tmp_path, suffix, damage, error):
+    path = _write_cohort(tmp_path, [("s1", "CN", [0, 1])], suffix)
+    damage(tmp_path / "vols" / f"s1_1{suffix}")
+    with pytest.raises(error):
+        load_manifest(path)
+
+
+def test_load_record_reads_only_requested_years(tmp_path, monkeypatch):
+    path = _write_cohort(tmp_path, [("s1", "MCI", [0, 1, 2, 3])])
+    manifest = load_manifest(path)
+    read = []
+    original = volume_io.read_volume
+    monkeypatch.setattr(volume_io, "read_volume", lambda p: read.append(p) or original(p))
+    rec = manifest.load_record("s1", years=(3, 1, 7))
+    assert rec.years == [1, 3]  # year 7 is not in the manifest: absent
+    assert sorted(p.name for p in read) == ["s1_1.vol", "s1_3.vol"]
+    np.testing.assert_array_equal(rec.scans[3].data, np.full((2, 2, 2), 3.0))
+    assert manifest.load_record("s1", years=()).scans == {}
 
 
 def test_manifest_bad_year(tmp_path):
