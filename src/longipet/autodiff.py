@@ -28,6 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 from .errors import FormatError, ParameterError, ShapeError, StateError
+from .volume_io import atomic_open
 
 _GRAD_ENABLED = [True]
 
@@ -812,7 +813,10 @@ _CONTAINER_FORMAT = "longipet-tensors/1"
 
 
 def save_params(params: ParameterSet, path, meta: Optional[dict] = None) -> Path:
-    """Write a named-tensor container: magic, JSON index, float32 LE blobs."""
+    """Write a named-tensor container: magic, JSON index, float32 LE blobs.
+
+    The file is written in place atomically: a failed write leaves any
+    previous file at ``path`` as it was."""
     path = Path(path)
     entries = []
     blobs = []
@@ -838,7 +842,7 @@ def save_params(params: ParameterSet, path, meta: Optional[dict] = None) -> Path
         "meta": meta or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(_CONTAINER_MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)

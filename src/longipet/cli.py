@@ -24,7 +24,10 @@ Exit codes:
 * 1  any other package error
 
 Worker threads for per-subject loops come from LONGIPET_THREADS
-(default 1); results never depend on the thread count.
+(default 1); results never depend on the thread count.  ``train`` runs its
+cross-validation rounds in up to one worker process per core, each with a
+one-thread OpenBLAS pool; its outputs equal a serial run with that BLAS
+thread count.
 """
 
 import argparse
@@ -86,6 +89,7 @@ from .volume_io import (
     ManifestEntry,
     Volume3D,
     load_manifest,
+    read_header,
     read_volume,
     write_manifest,
     write_volume,
@@ -249,9 +253,8 @@ def _cmd_augment(args) -> int:
 def _cmd_train(args) -> int:
     manifest = load_manifest(args.manifest)
     first = manifest.entries[0]
-    probe = read_volume(first.scan_paths[first.years[0]])
     config = I2IModelConfig(
-        dims=probe.dims,
+        dims=read_header(first.scan_paths[first.years[0]]).dims,
         lstm_filters=args.lstm_filters,
         decoder_filters=args.decoder_filters,
         kernel_size=args.kernel_size,

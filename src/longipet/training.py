@@ -6,9 +6,16 @@ fold out for testing and splits the rest 80/20 into train and validation,
 again stratified by group.  Training minimizes mean absolute error with
 Adam; the checkpoint with the best validation MAE is kept.  Augmented copies
 are created only for the training subjects, never for validation or test.
+
+The rounds are independent and each derives its seeds from (seed, round),
+so ``cross_validate`` runs them in parallel worker processes, one OpenBLAS
+thread each, and its outputs equal a serial run's.
 """
 
 import json
+import multiprocessing
+import os
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -16,10 +23,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .augment import augment_cohort
 from .errors import DivergenceError, FormatError, InputError, ShapeError
 from .model import I2IModelConfig, forward_batch, init_model, load_model, save_model
-from .volume_io import GROUPS, CohortManifest, SubjectRecord, Volume3D
+from .volume_io import GROUPS, CohortManifest, SubjectRecord, Volume3D, atomic_open
 
 
 @dataclass(frozen=True)
@@ -114,7 +122,8 @@ def save_folds(folds: FoldAssignment, path) -> Path:
             for r in folds.rounds
         ],
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with atomic_open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -184,8 +193,22 @@ def train_fold(
     DivergenceError before the step is applied.
     """
     rnd = folds.rounds[round_index]
-    train_records = manifest.load_records(rnd.train)
-    val_records = manifest.load_records(rnd.val)
+    records = {r.subject_id: r for r in manifest.load_records(rnd.train + rnd.val)}
+    return _train_round(records, folds, round_index, config, hyper, seed)
+
+
+def _train_round(
+    records: Dict[str, SubjectRecord],
+    folds: FoldAssignment,
+    round_index: int,
+    config: I2IModelConfig,
+    hyper: Hyper,
+    seed: int,
+):
+    """``train_fold`` on records already read, keyed by subject id."""
+    rnd = folds.rounds[round_index]
+    train_records = [records[sid] for sid in rnd.train]
+    val_records = [records[sid] for sid in rnd.val]
     if not train_records or not val_records:
         raise InputError(f"round {round_index} has an empty train or val split")
 
@@ -251,7 +274,8 @@ def write_train_report(report: TrainReport, path) -> Path:
     lines = ["epoch,train_loss,val_mae,is_best"]
     for i, (tl, vm) in enumerate(zip(report.train_loss, report.val_mae)):
         lines.append(f"{i + 1},{tl!r},{vm!r},{1 if i + 1 == report.best_epoch else 0}")
-    path.write_text("\n".join(lines) + "\n")
+    with atomic_open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
@@ -261,6 +285,89 @@ class CrossValResult:
     reports: List[TrainReport]
     predictions: Dict[str, Volume3D]
     model_paths: Dict[int, Path]
+
+
+@dataclass(frozen=True)
+class _CvJob:
+    """What every round of one ``cross_validate`` call shares."""
+
+    records: Dict[str, SubjectRecord]
+    folds: FoldAssignment
+    config: I2IModelConfig
+    hyper: Hyper
+    seed: int
+    out_dir: Optional[Path]
+
+
+def _cv_round(job: _CvJob, index: int):
+    """Train round ``index``, save its model and report, and predict its test
+    subjects from the float32 parameters; returns (report, predictions,
+    model path or None)."""
+    params, report = _train_round(job.records, job.folds, index, job.config, job.hyper, job.seed)
+    config = job.config
+    model_path = None
+    if job.out_dir is not None:
+        model_path = job.out_dir / f"model_{index}.bin"
+        save_model(params, config, model_path)
+        write_train_report(report, job.out_dir / f"train_report_{index}.csv")
+        params, config = load_model(model_path)
+    else:
+        params = params.quantize()
+    test_records = [job.records[sid] for sid in job.folds.rounds[index].test]
+    predictions: Dict[str, Volume3D] = {}
+    if test_records:
+        t0 = np.stack([r.scans[0].data for r in test_records])
+        t1 = np.stack([r.scans[1].data for r in test_records])
+        preds = _infer_batched(params, t0, t1, config, job.hyper.batch_size)
+        for i, rec in enumerate(test_records):
+            predictions[rec.subject_id] = Volume3D(preds[i], rec.scans[1].affine.copy())
+    return report, predictions, model_path
+
+
+# The job of the pool this worker process belongs to.  Workers are forked,
+# so they receive it without pickling the cohort; only round indices and
+# results cross the process boundary.
+_worker_job: Optional[_CvJob] = None
+
+
+def _start_worker(job: _CvJob) -> None:
+    global _worker_job
+    parallel.set_blas_threads(1)
+    _worker_job = job
+
+
+def _worker_round(index: int):
+    return _cv_round(_worker_job, index)
+
+
+def _run_rounds(job: _CvJob, n_rounds: int) -> list:
+    """``_cv_round`` for every round, in round order.
+
+    The rounds run in min(n_rounds, cores) forked worker processes whose
+    OpenBLAS pools are pinned to one thread, so workers times BLAS threads
+    never exceeds the cores.  With one worker, or when the BLAS pool cannot
+    be pinned, they run inline.  A round is submitted only when a worker is
+    free, so after a round fails no further round starts; the error of the
+    lowest failing round is raised, as in a serial run.
+    """
+    workers = min(n_rounds, len(os.sched_getaffinity(0)))
+    if workers < 2 or parallel.blas_threads() is None:
+        return [_cv_round(job, k) for k in range(n_rounds)]
+    futures = []
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(job,),
+    ) as pool:
+        for k in range(n_rounds):
+            running = [f for f in futures if not f.done()]
+            if len(running) == workers:
+                wait(running, return_when=FIRST_COMPLETED)
+            if any(f.done() and f.exception() is not None for f in futures):
+                break
+            futures.append(pool.submit(_worker_round, k))
+    return [f.result() for f in futures]
 
 
 def cross_validate(
@@ -273,6 +380,12 @@ def cross_validate(
     """Run every round; predict year 2 for each held-out test subject with
     the model that never saw it.
 
+    Every eligible subject is read once, before the rounds start.  The
+    rounds run in up to one worker process per core, each with a
+    one-thread OpenBLAS pool; outputs are identical to a serial run with the
+    same BLAS thread count.  An error in a round is raised here with its
+    type and message, and no later round starts after it.
+
     Predictions always come from the serialized (float32) parameters so
     in-memory results match what a later load of the model file produces.
     """
@@ -281,26 +394,14 @@ def cross_validate(
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         save_folds(folds, out_dir / "folds.json")
+    records = {r.subject_id: r for r in manifest.load_records(sorted(folds.fold_of))}
+    job = _CvJob(records, folds, config, hyper, seed, out_dir)
     reports = []
     predictions: Dict[str, Volume3D] = {}
     model_paths: Dict[int, Path] = {}
-    for rnd in folds.rounds:
-        params, report = train_fold(manifest, folds, rnd.index, config, hyper, seed)
+    for index, (report, preds, model_path) in enumerate(_run_rounds(job, len(folds.rounds))):
         reports.append(report)
-        if out_dir is not None:
-            model_path = out_dir / f"model_{rnd.index}.bin"
-            save_model(params, config, model_path)
-            write_train_report(report, out_dir / f"train_report_{rnd.index}.csv")
-            params, config_loaded = load_model(model_path)
-            config = config_loaded
-            model_paths[rnd.index] = model_path
-        else:
-            params = params.quantize()
-        test_records = manifest.load_records(rnd.test)
-        if test_records:
-            t0 = np.stack([r.scans[0].data for r in test_records])
-            t1 = np.stack([r.scans[1].data for r in test_records])
-            preds = _infer_batched(params, t0, t1, config, hyper.batch_size)
-            for i, rec in enumerate(test_records):
-                predictions[rec.subject_id] = Volume3D(preds[i], rec.scans[1].affine.copy())
+        predictions.update(preds)
+        if model_path is not None:
+            model_paths[index] = model_path
     return CrossValResult(folds, reports, predictions, model_paths)

@@ -19,7 +19,9 @@ JSON file ``{"subjects": [{"id": ..., "group": ..., "scans": {"0": path,
 
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -354,9 +356,26 @@ def _write_nifti(vol: Volume3D, path: Path) -> None:
 # public volume API
 # ---------------------------------------------------------------------------
 
-def _read_header(path: Path) -> _Header:
+@contextmanager
+def atomic_open(path, mode: str = "wb"):
+    """Open a temporary file next to ``path`` for writing; when the block
+    ends without an error it replaces ``path``, otherwise it is removed, so
+    ``path`` is never left half-written."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def read_header(path) -> _Header:
     """Parse and check a volume's header (the ``.vol`` sidecar or the NIfTI-1
-    header) against the file size, without reading the voxels."""
+    header) against the file size, without reading the voxels; its ``dims``
+    and ``affine`` are those ``read_volume`` would return."""
+    path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
     if path.suffix == ".nii":
@@ -369,7 +388,7 @@ def _read_header(path: Path) -> _Header:
 def read_volume(path) -> Volume3D:
     """Read a volume from ``.nii`` or ``.vol`` (+ JSON sidecar)."""
     path = Path(path)
-    header = _read_header(path)
+    header = read_header(path)
     nbytes = header.dtype.itemsize * header.dims[0] * header.dims[1] * header.dims[2]
     with open(path, "rb") as fh:
         fh.seek(header.offset)
@@ -483,7 +502,7 @@ def load_manifest(path, check_files: bool = True) -> CohortManifest:
                         f"manifest {path} subject {e.subject_id!r} year {year}: "
                         f"missing file {p}"
                     )
-                _read_header(p)  # so format errors surface early
+                read_header(p)  # so format errors surface early
     return manifest
 
 

@@ -15,7 +15,7 @@ from longipet.errors import (
     LongipetError,
 )
 from longipet.report import read_metrics_csv
-from longipet.volume_io import load_manifest, read_volume
+from longipet.volume_io import ManifestEntry, load_manifest, read_volume, write_manifest
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +250,32 @@ def test_forecast_and_evaluate_read_only_the_years_they_use(tmp_path):
     assert sorted((r.subject_id, r.year) for r in read_metrics_csv(metrics)) == [
         (e.subject_id, 2) for e in sorted(entries, key=lambda e: e.subject_id)
     ]
+
+
+def test_train_reads_only_the_header_of_the_probed_volume(tmp_path):
+    ph = tmp_path / "phantom"
+    assert main([
+        "phantom", "--out", str(ph), "--dims", "8", "8", "8",
+        "--n-stable", "4", "--n-converter", "4", "--n-decliner", "2", "--seed", "5",
+    ]) == 0
+    entries = load_manifest(ph / "manifest.json").entries
+    # A subject with only a baseline scan is never trained on, but it comes
+    # first, so `train` takes the model dims from it.  NaN voxels at the
+    # right size: only reading the payload can tell.
+    scan = entries[0].scan_paths[0]
+    probe = ph / "probe.vol"
+    probe.write_bytes(np.full(scan.stat().st_size // 4, np.nan, "<f4").tobytes())
+    probe.with_suffix(".json").write_text(scan.with_suffix(".json").read_text())
+    manifest = write_manifest([ManifestEntry("CN_probe", "CN", {0: probe}), *entries],
+                              tmp_path / "manifest.json")
+    out = tmp_path / "train"
+    assert main([
+        "train", "--manifest", str(manifest), "--out", str(out), "--seed", "0",
+        "--epochs", "1", "--batch-size", "4", "--copies", "0", "--folds", "2",
+        "--lstm-filters", "1", "--decoder-filters", "1", "--kernel-size", "1",
+    ]) == 0
+    assert sorted(p.name for p in (out / "predictions").glob("*.vol")) == sorted(
+        f"{e.subject_id}__i2i__y2.vol" for e in entries)
 
 
 def test_usage_errors_exit_2(capsys):

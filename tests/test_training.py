@@ -1,13 +1,17 @@
 """Cross-validation protocol: stratified folds, nested splits, training
 determinism, divergence detection, and round-trip of fold files."""
 
+import builtins
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from longipet.errors import DivergenceError, FormatError, InputError, ShapeError
-from longipet.model import I2IModelConfig, forward_batch, load_model
+from longipet.model import I2IModelConfig, forward_batch, init_model, load_model
 from longipet.training import (
     CrossValResult,
     FoldAssignment,
@@ -19,7 +23,7 @@ from longipet.training import (
     train_fold,
     write_train_report,
 )
-from longipet import autodiff as ad, training
+from longipet import autodiff as ad, parallel, training, volume_io
 from longipet.volume_io import (
     CohortManifest,
     ManifestEntry,
@@ -333,3 +337,160 @@ def test_cross_validate_without_out_dir(tmp_path):
     res = cross_validate(m, TINY, Hyper(epochs=1, n_copies=0, batch_size=8), seed=0)
     assert res.model_paths == {}
     assert sorted(res.predictions) == sorted(m.subject_ids)
+
+
+def test_cross_validate_raises_a_round_divergence(tmp_path):
+    cfg = I2IModelConfig(
+        dims=(4, 4, 4), lstm_filters=1, decoder_filters=1, kernel_size=1,
+        decoder_activation="linear", output_activation="linear",
+    )
+    m = cohort_on_disk(tmp_path)
+    with pytest.raises(DivergenceError, match="round "):
+        cross_validate(m, cfg, Hyper(batch_size=4, epochs=4, n_copies=1, lr=1e300), seed=0,
+                       out_dir=tmp_path / "cv")
+
+
+def test_cross_validate_reads_each_subject_once(tmp_path, monkeypatch):
+    m = cohort_on_disk(tmp_path)
+    reads = []
+    real_read = volume_io.read_volume
+    monkeypatch.setattr(volume_io, "read_volume", lambda p: reads.append(p) or real_read(p))
+    cross_validate(m, TINY, Hyper(epochs=1, n_copies=1, batch_size=8), seed=0)
+    assert sorted(reads) == sorted(p for e in m.entries for p in e.scan_paths.values())
+
+
+# ---------------------------------------------------------------------------
+# rounds in worker processes
+# ---------------------------------------------------------------------------
+
+def _cores(monkeypatch, n):
+    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_pooled_cross_validate_equals_one_worker(tmp_path, monkeypatch):
+    # At 8^3 with 2/4 filters the BLAS thread count does not change any bit,
+    # so the inline run (this process's BLAS pool) and the pooled run (one
+    # BLAS thread per worker) must agree byte for byte.
+    m = cohort_on_disk(tmp_path, dims=(8, 8, 8))
+    cfg = I2IModelConfig(dims=(8, 8, 8), lstm_filters=2, decoder_filters=4)
+    hyper = Hyper(epochs=2, n_copies=1, batch_size=4)
+    _cores(monkeypatch, 2)
+    pooled = cross_validate(m, cfg, hyper, seed=3, out_dir=tmp_path / "pooled")
+    _cores(monkeypatch, 1)
+    serial = cross_validate(m, cfg, hyper, seed=3, out_dir=tmp_path / "serial")
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "pooled").iterdir())
+    assert len(names) == 11  # folds.json, 5 models, 5 reports
+    for name in names:
+        assert (tmp_path / "pooled" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+    assert sorted(pooled.predictions) == sorted(serial.predictions) == sorted(m.subject_ids)
+    for sid, vol in serial.predictions.items():
+        np.testing.assert_array_equal(pooled.predictions[sid].data, vol.data)
+        np.testing.assert_array_equal(pooled.predictions[sid].affine, vol.affine)
+    assert [r.__dict__ for r in pooled.reports] == [r.__dict__ for r in serial.reports]
+    assert pooled.model_paths == {k: tmp_path / "pooled" / f"model_{k}.bin" for k in range(5)}
+
+
+def test_round_pool_size_and_worker_blas_threads(monkeypatch):
+    if parallel.blas_threads() is None:
+        pytest.skip("numpy's OpenBLAS thread pool cannot be reached; rounds run inline")
+    sizes = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(training, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(training, "_cv_round",
+                        lambda job, k: (k, os.getpid(), parallel.blas_threads()))
+    for cores, rounds in ((2, 5), (4, 2)):
+        _cores(monkeypatch, cores)
+        out = training._run_rounds(None, rounds)
+        assert [k for k, _, _ in out] == list(range(rounds))
+        assert {threads for _, _, threads in out} == {1}
+        assert os.getpid() not in {pid for _, pid, _ in out}
+    assert sizes == [2, 2]
+    # one core, one round, or an unreachable BLAS pool: inline
+    cases = ((1, 5, 2), (4, 1, 2), (4, 5, None))
+    for cores, rounds, blas in cases:
+        _cores(monkeypatch, cores)
+        monkeypatch.setattr(parallel, "blas_threads", lambda: blas)
+        out = training._run_rounds(None, rounds)
+        assert [(k, pid) for k, pid, _ in out] == [(k, os.getpid()) for k in range(rounds)]
+    assert sizes == [2, 2]
+
+
+def test_failed_round_stops_the_pool(tmp_path, monkeypatch):
+    if parallel.blas_threads() is None:
+        pytest.skip("numpy's OpenBLAS thread pool cannot be reached; rounds run inline")
+
+    def round_(failing, slow):
+        def run(job, k):
+            if k in slow:
+                time.sleep(0.3)
+            (tmp_path / f"started_{k}").touch()
+            if k in failing:
+                raise DivergenceError(f"training diverged: round {k}")
+            return k
+        return run
+
+    _cores(monkeypatch, 2)
+    monkeypatch.setattr(training, "_cv_round", round_(failing={0}, slow={1}))
+    with pytest.raises(DivergenceError, match="^training diverged: round 0$"):
+        training._run_rounds(None, 5)
+    # round 1 was running when round 0 failed; no later round started
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["started_0", "started_1"]
+    # the lowest failing round wins, as in a serial run, even when it fails last
+    monkeypatch.setattr(training, "_cv_round", round_(failing={0, 1}, slow={0}))
+    with pytest.raises(DivergenceError, match="^training diverged: round 0$"):
+        training._run_rounds(None, 5)
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+# ---------------------------------------------------------------------------
+
+class _FailingFile:
+    """Writes half of the first chunk, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("writer", ["model", "train_report", "folds"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, writer, existing):
+    folds = make_folds(fake_manifest((8, 12, 4)), seed=2)
+    report = training.TrainReport(0, 0, [0.5, 0.25], [0.4, 0.3], 2)
+    write = {
+        "model": lambda p: ad.save_params(init_model(TINY, seed=0), p),
+        "train_report": lambda p: write_train_report(report, p),
+        "folds": lambda p: save_folds(folds, p),
+    }[writer]
+    target = tmp_path / "out.bin"
+    if existing:
+        target.write_bytes(b"previous")
+    monkeypatch.setattr(volume_io, "open",
+                        lambda path, mode: _FailingFile(builtins.open(path, mode)), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write(target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["out.bin"] if existing else [])
+    if existing:
+        assert target.read_bytes() == b"previous"
+    monkeypatch.undo()
+    write(target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+    assert target.read_bytes() != b"previous"
+
