@@ -70,13 +70,17 @@ from .preprocess import (
     suvr_normalize,
 )
 from .report import (
+    STATS_COLUMNS,
     EvalReport,
     EvalRow,
+    StatRow,
+    compare,
     evaluate_forecasts,
     read_metrics_csv,
     render_report_svg,
     write_metrics_csv,
     write_report_svg,
+    write_stats_csv,
 )
 from .stats import (
     MixedAnovaResult,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 import numpy as np
+from scipy.ndimage import map_coordinates
 
 from .errors import InputError, ParameterError
 from .volume_io import SubjectRecord, Volume3D
@@ -87,30 +88,6 @@ def sample_augmentation(rng: np.random.Generator) -> AffineAugmentation:
     return AffineAugmentation(rotations, zoom, shifts)
 
 
-def _trilinear_sample(data: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    # coords: (..., 3) fractional voxel positions; outside samples are 0.
-    nx, ny, nz = data.shape
-    base = np.floor(coords).astype(np.int64)
-    frac = coords - base
-    out = np.zeros(coords.shape[:-1])
-    for corner in range(8):
-        off = np.array([(corner >> 0) & 1, (corner >> 1) & 1, (corner >> 2) & 1])
-        idx = base + off
-        w = np.ones_like(out)
-        for axis in range(3):
-            f = frac[..., axis]
-            w = w * (f if off[axis] else 1.0 - f)
-        inside = (
-            (idx[..., 0] >= 0) & (idx[..., 0] < nx)
-            & (idx[..., 1] >= 0) & (idx[..., 1] < ny)
-            & (idx[..., 2] >= 0) & (idx[..., 2] < nz)
-        )
-        cidx = np.where(inside[..., None], idx, 0)
-        vals = np.where(inside, data[cidx[..., 0], cidx[..., 1], cidx[..., 2]], 0.0)
-        out += np.where(w != 0.0, w * vals, 0.0)
-    return out
-
-
 def apply_affine(vol: Volume3D, aug: AffineAugmentation) -> Volume3D:
     """Resample the volume under the transform, composed about the volume
     center ((n-1)/2 per axis)."""
@@ -126,7 +103,9 @@ def apply_affine(vol: Volume3D, aug: AffineAugmentation) -> Volume3D:
     # Output voxel p samples the input at m_inv (p - center - shift) + center.
     rel = grid - center - shifts
     src = rel @ m_inv.T + center
-    data = _trilinear_sample(vol.data, src)
+    # Trilinear sampling; samples outside the grid read 0.
+    data = map_coordinates(vol.data, np.moveaxis(src, -1, 0), order=1,
+                           mode="grid-constant", prefilter=False)
     return Volume3D(data, vol.affine.copy())
 
 

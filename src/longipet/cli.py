@@ -6,8 +6,10 @@ Subcommands cover the whole pipeline: ``phantom`` (synthetic cohorts),
 audit), ``evaluate`` (metrics CSV), ``stats`` (hypothesis tests on a
 metrics CSV), and ``report`` (SVG summary).
 
-Every command records what it wrote in a run manifest (JSON with sha256
-and byte size per artifact): commands with a directory output write
+The CLI is argument parsing over the library: each command calls the
+library and returns what it wrote, and ``main`` records that in a run
+manifest (JSON with the command, its arguments, and sha256 and byte size
+per artifact): commands with a directory output write
 ``run_manifest.json`` inside it, commands with a single file output write
 ``<name>.run.json`` next to it.
 
@@ -35,11 +37,9 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from . import __version__
 from .augment import augment_cohort
@@ -69,25 +69,19 @@ from .parallel import thread_count
 from .phantom import PhantomConfig, generate_cohort, write_cohort
 from .preprocess import preprocess_chain
 from .report import (
-    EvalRow,
+    TESTS,
+    compare,
     evaluate_forecasts,
     read_metrics_csv,
     write_metrics_csv,
     write_report_svg,
-)
-from .stats import (
-    TestResult,
-    bonferroni,
-    chi_square_independence,
-    mixed_anova,
-    one_way_anova,
-    paired_t,
-    wilcoxon_signed_rank,
+    write_stats_csv,
 )
 from .training import Hyper, cross_validate, load_folds
 from .volume_io import (
     ManifestEntry,
     Volume3D,
+    atomic_open,
     load_manifest,
     read_header,
     read_volume,
@@ -110,21 +104,8 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _arg_dict(args: argparse.Namespace) -> dict:
-    out = {}
-    for key, value in vars(args).items():
-        if key == "func":
-            continue
-        if isinstance(value, Path):
-            value = str(value)
-        elif isinstance(value, (list, tuple)):
-            value = [str(v) if isinstance(v, Path) else v for v in value]
-        out[key] = value
-    return out
-
-
-def _write_run_manifest(target: Path, command: str, args: argparse.Namespace,
-                        artifacts: Sequence[Path]) -> Path:
+def _write_run_manifest(args: argparse.Namespace, target: Path,
+                        artifacts: Sequence[Path]) -> None:
     base = target.parent
     entries = []
     for p in sorted(set(Path(a) for a in artifacts)):
@@ -134,54 +115,42 @@ def _write_run_manifest(target: Path, command: str, args: argparse.Namespace,
             rel = str(p)
         entries.append({"bytes": p.stat().st_size, "path": rel, "sha256": _sha256(p)})
     doc = {
-        "arguments": _arg_dict(args),
+        "arguments": {k: v for k, v in vars(args).items() if k != "func"},
         "artifacts": entries,
-        "command": command,
+        "command": args.command,
         "version": __version__,
     }
-    target.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return target
+    with atomic_open(target, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _dir_files(out_dir: Path, exclude: Path) -> List[Path]:
-    return [p for p in out_dir.rglob("*") if p.is_file() and p != exclude]
+# What a command wrote: its run-manifest path and its artifacts.
+Written = Tuple[Path, List[Path]]
 
 
-def _vol_pair(path: Path) -> List[Path]:
-    # raw volumes carry a JSON sidecar
-    side = path.with_suffix(".json")
-    return [path, side] if side.exists() else [path]
+def _in_dir(out_dir: Path) -> Written:
+    run_path = out_dir / "run_manifest.json"
+    return run_path, [p for p in out_dir.rglob("*") if p.is_file() and p != run_path]
+
+
+def _next_to(out: Path, *extra: Path) -> Written:
+    return out.parent / f"{out.name}.run.json", [out, *extra]
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_phantom(args) -> int:
-    config = PhantomConfig(
-        dims=tuple(args.dims),
-        margin=args.margin,
-        n_stable=args.n_stable,
-        n_converter=args.n_converter,
-        n_decliner=args.n_decliner,
-        years=tuple(args.years),
-        noise_sigma=args.noise_sigma,
-        decline_linear=args.decline_linear,
-        decline_quadratic=args.decline_quadratic,
-        n_blobs=args.n_blobs,
-        blob_amplitude=args.blob_amplitude,
-        seed=args.seed,
-    )
+def _cmd_phantom(args) -> Written:
+    # The phantom flags are PhantomConfig's fields.
+    config = PhantomConfig(**{f.name: getattr(args, f.name) for f in fields(PhantomConfig)})
     cohort = generate_cohort(config)
     manifest_path = write_cohort(cohort, args.out)
-    out_dir = Path(args.out)
-    run_path = out_dir / "run_manifest.json"
-    _write_run_manifest(run_path, "phantom", args, _dir_files(out_dir, run_path))
     print(f"wrote {len(cohort.records)} subjects to {manifest_path}")
-    return 0
+    return _in_dir(Path(args.out))
 
 
-def _cmd_preprocess(args) -> int:
+def _cmd_preprocess(args) -> Written:
     manifest = load_manifest(args.manifest)
     ref = read_volume(args.ref_mask) if args.ref_mask else None
     brain = read_volume(args.brain_mask) if args.brain_mask else None
@@ -214,13 +183,11 @@ def _cmd_preprocess(args) -> int:
             scan_paths[year] = p
         entries.append(ManifestEntry(entry.subject_id, entry.group, scan_paths))
     manifest_path = write_manifest(entries, out_dir / "manifest.json")
-    run_path = out_dir / "run_manifest.json"
-    _write_run_manifest(run_path, "preprocess", args, _dir_files(out_dir, run_path))
     print(f"applied {','.join(order)} to {len(entries)} subjects; wrote {manifest_path}")
-    return 0
+    return _in_dir(out_dir)
 
 
-def _cmd_augment(args) -> int:
+def _cmd_augment(args) -> Written:
     manifest = load_manifest(args.manifest)
     records = manifest.load_records()
     augmented = augment_cohort(records, seed=args.seed, n_copies=args.copies)
@@ -244,14 +211,14 @@ def _cmd_augment(args) -> int:
     (out_dir / "transforms.json").write_text(
         json.dumps(transforms, indent=2, sort_keys=True) + "\n"
     )
-    run_path = out_dir / "run_manifest.json"
-    _write_run_manifest(run_path, "augment", args, _dir_files(out_dir, run_path))
     print(f"wrote {len(entries)} records ({len(transforms)} augmented) to {manifest_path}")
-    return 0
+    return _in_dir(out_dir)
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> Written:
     manifest = load_manifest(args.manifest)
+    if not manifest.entries:
+        raise InputError(f"manifest {args.manifest} lists no subjects")
     first = manifest.entries[0]
     config = I2IModelConfig(
         dims=read_header(first.scan_paths[first.years[0]]).dims,
@@ -278,14 +245,12 @@ def _cmd_train(args) -> int:
             f"round {rep.round_index}: best val MAE {rep.best_val_mae:.6f} "
             f"at epoch {rep.best_epoch}"
         )
-    run_path = out_dir / "run_manifest.json"
-    _write_run_manifest(run_path, "train", args, _dir_files(out_dir, run_path))
     print(f"wrote {len(result.model_paths)} models and "
           f"{len(result.predictions)} held-out predictions to {out_dir}")
-    return 0
+    return _in_dir(out_dir)
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> Written:
     params, config = load_model(args.model)
     baseline = read_volume(args.baseline)
     followup = read_volume(args.followup)
@@ -293,13 +258,12 @@ def _cmd_predict(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_volume(pred, out)
-    run_path = out.parent / f"{out.name}.run.json"
-    _write_run_manifest(run_path, "predict", args, _vol_pair(out))
     print(f"wrote {out}")
-    return 0
+    side = out.with_suffix(".json")  # raw volumes carry a JSON sidecar
+    return _next_to(out, *([side] if side.exists() else []))
 
 
-def _cmd_forecast(args) -> int:
+def _cmd_forecast(args) -> Written:
     manifest = load_manifest(args.manifest)
     records = [
         manifest.load_record(e.subject_id, years=(0, 1))
@@ -339,13 +303,11 @@ def _cmd_forecast(args) -> int:
                 p = out_dir / "volumes" / f"{sid}__{predictor}__y{year}.vol"
                 write_volume(results[sid][year], p)
                 written.append(p)
-    run_path = out_dir / "run_manifest.json"
-    _write_run_manifest(run_path, "forecast", args, _dir_files(out_dir, run_path))
     print(
         f"forecast {len(records)} subjects x {len(predictors)} predictor(s) "
         f"to year {args.to_year}; wrote {len(written)} volumes to {out_dir}"
     )
-    return 0
+    return _in_dir(out_dir)
 
 
 def _load_predictions(pred_dir: Path) -> Dict[str, Dict[str, Dict[int, Volume3D]]]:
@@ -365,7 +327,7 @@ def _load_predictions(pred_dir: Path) -> Dict[str, Dict[str, Dict[int, Volume3D]
     return out
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> Written:
     manifest = load_manifest(args.manifest)
     forecasts = _load_predictions(Path(args.predictions))
     # Only the ground truth of predicted years is read.
@@ -390,228 +352,30 @@ def _cmd_evaluate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(report.rows, out)
-    artifacts = [out]
     gaps_path = Path(args.gaps) if args.gaps else out.parent / (out.stem + ".gaps.txt")
     gaps_path.write_text("".join(line + "\n" for line in report.gaps))
-    artifacts.append(gaps_path)
-    run_path = out.parent / f"{out.name}.run.json"
-    _write_run_manifest(run_path, "evaluate", args, artifacts)
     print(f"wrote {len(report.rows)} rows to {out} ({len(report.gaps)} gaps)")
-    return 0
+    return _next_to(out, gaps_path)
 
 
-# ---------------------------------------------------------------------------
-# stats command
-# ---------------------------------------------------------------------------
-
-STATS_COLUMNS = (
-    "test", "scope", "statistic_name", "statistic", "p_value",
-    "df1", "df2", "n", "m_comparisons", "alpha_adjusted", "significant", "status",
-)
-
-
-@dataclass
-class _StatRow:
-    test: str
-    scope: str
-    result: Optional[TestResult]
-    detail: str = ""  # reason when degenerate
-
-    @property
-    def ok(self) -> bool:
-        return self.result is not None
-
-
-def _attempt(test: str, scope: str, fn, *args, **kwargs) -> _StatRow:
-    """Run one statistical test; a degenerate input becomes a row that says so."""
-    try:
-        return _StatRow(test, scope, fn(*args, **kwargs))
-    except DegenerateDataError as exc:
-        return _StatRow(test, scope, None, str(exc))
-
-
-def _suvr_pairs(rows: Sequence[EvalRow], year: int, predictor: str,
-                group: Optional[str] = None) -> Tuple[List[float], List[float]]:
-    pred_vals, true_vals = [], []
-    for r in sorted(rows, key=lambda r: r.subject_id):
-        if r.year != year or r.predictor != predictor:
-            continue
-        if group is not None and r.group != group:
-            continue
-        if r.meta_roi_suvr_pred is None or r.meta_roi_suvr_true is None:
-            continue
-        pred_vals.append(r.meta_roi_suvr_pred)
-        true_vals.append(r.meta_roi_suvr_true)
-    return pred_vals, true_vals
-
-
-def _by_predictor(rows, year, need_suvr=False):
-    # One year's rows keyed by predictor and subject, plus the sorted
-    # subjects that both i2i and linear scored.
-    by_pred: Dict[str, Dict[str, EvalRow]] = {}
-    for r in rows:
-        if r.year == year and (not need_suvr or r.meta_roi_suvr_pred is not None):
-            by_pred.setdefault(r.predictor, {})[r.subject_id] = r
-    return by_pred, sorted(set(by_pred.get("i2i", ())) & set(by_pred.get("linear", ())))
-
-
-def _stats_wilcoxon(rows, method) -> List[_StatRow]:
-    out = []
-    for year in sorted({r.year for r in rows}):
-        by_pred, shared = _by_predictor(rows, year)
-        if not shared:
-            continue
-        for metric in ("mae", "ssim"):
-            a = [getattr(by_pred["i2i"][sid], metric) for sid in shared]
-            b = [getattr(by_pred["linear"][sid], metric) for sid in shared]
-            scope = f"year={year},metric={metric},i2i-vs-linear"
-            out.append(_attempt("wilcoxon", scope, wilcoxon_signed_rank, a, b, method=method))
-    return out
-
-
-def _stats_ttest(rows) -> List[_StatRow]:
-    out = []
-    for year in sorted({r.year for r in rows}):
-        groups = sorted({r.group for r in rows if r.year == year})
-        predictors = sorted({r.predictor for r in rows if r.year == year})
-        for group in groups:
-            for predictor in predictors:
-                pred_vals, true_vals = _suvr_pairs(rows, year, predictor, group)
-                if len(pred_vals) < 2:
-                    continue
-                scope = f"year={year},group={group},predictor={predictor},suvr-pred-vs-true"
-                out.append(_attempt("ttest", scope, paired_t, pred_vals, true_vals))
-    return out
-
-
-def _stats_anova(rows) -> List[_StatRow]:
-    out = []
-    for year in sorted({r.year for r in rows}):
-        for predictor in sorted({r.predictor for r in rows if r.year == year}):
-            sel = [r for r in rows if r.year == year and r.predictor == predictor]
-            groups = sorted({r.group for r in sel})
-            if len(groups) < 2:
-                continue
-            for metric in ("mae", "ssim"):
-                samples = [
-                    [getattr(r, metric) for r in sel if r.group == g] for g in groups
-                ]
-                scope = f"year={year},predictor={predictor},metric={metric},across-groups"
-                out.append(_attempt("anova", scope, one_way_anova, samples))
-    return out
-
-
-def _stats_chi2(rows) -> List[_StatRow]:
-    groups = sorted({r.group for r in rows})
-    years = sorted({r.year for r in rows})
-    if len(groups) < 2 or len(years) < 2:
-        raise InputError(
-            f"chi-square needs at least 2 groups and 2 years with scored rows, "
-            f"got {len(groups)} group(s) and {len(years)} year(s)"
-        )
-    table = np.zeros((len(groups), len(years)))
-    for gi, g in enumerate(groups):
-        for yi, y in enumerate(years):
-            table[gi, yi] = len({r.subject_id for r in rows if r.group == g and r.year == y})
-    scope = f"groups={'|'.join(groups)},years={'|'.join(str(y) for y in years)}"
-    return [_attempt("chi2", scope, chi_square_independence, table)]
-
-
-def _stats_mixed(rows) -> List[_StatRow]:
-    out = []
-    for year in sorted({r.year for r in rows}):
-        by_pred, shared = _by_predictor(rows, year, need_suvr=True)
-        shared = [
-            sid for sid in shared
-            if by_pred["i2i"][sid].meta_roi_suvr_true is not None
-        ]
-        if len(shared) < 3:
-            continue
-        values = np.array(
-            [
-                [
-                    by_pred["i2i"][sid].meta_roi_suvr_true,
-                    by_pred["i2i"][sid].meta_roi_suvr_pred,
-                    by_pred["linear"][sid].meta_roi_suvr_pred,
-                ]
-                for sid in shared
-            ]
-        )
-        labels = [by_pred["i2i"][sid].group for sid in shared]
-        if len(set(labels)) < 2:
-            continue
-        scope_base = f"year={year},levels=gt|i2i|linear"
-        try:
-            res = mixed_anova(values, labels)
-            out.append(_StatRow("mixed", scope_base + ",effect=group", res.between))
-            out.append(_StatRow("mixed", scope_base + ",effect=level", res.within))
-            out.append(_StatRow("mixed", scope_base + ",effect=interaction", res.interaction))
-        except DegenerateDataError as exc:
-            out.append(_StatRow("mixed", scope_base, None, str(exc)))
-    return out
-
-
-def _write_stats_csv(stat_rows: List[_StatRow], alpha: float, path: Path) -> int:
-    import csv as _csv
-
-    m = sum(1 for s in stat_rows if s.ok)
-    alpha_adj = bonferroni(alpha, m) if m > 0 else None
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(STATS_COLUMNS)
-        for s in stat_rows:
-            if s.ok:
-                res = s.result
-                df1 = repr(float(res.df[0])) if res.df and len(res.df) > 0 else ""
-                df2 = repr(float(res.df[1])) if res.df and len(res.df) > 1 else ""
-                writer.writerow([
-                    s.test, s.scope, res.name, repr(float(res.statistic)),
-                    repr(float(res.p_value)), df1, df2, str(res.n),
-                    str(m), repr(float(alpha_adj)),
-                    "true" if res.p_value < alpha_adj else "false", "ok",
-                ])
-            else:
-                writer.writerow([
-                    s.test, s.scope, "", "", "", "", "", "", str(m),
-                    repr(float(alpha_adj)) if alpha_adj is not None else "",
-                    "", f"degenerate: {s.detail}",
-                ])
-    return m
-
-
-def _cmd_stats(args) -> int:
-    rows = read_metrics_csv(args.metrics)
-    if not rows:
-        raise InputError(f"{args.metrics} has no evaluation rows")
-    if args.test == "wilcoxon":
-        stat_rows = _stats_wilcoxon(rows, args.method)
-    else:
-        stat_rows = {"ttest": _stats_ttest, "anova": _stats_anova, "chi2": _stats_chi2,
-                     "mixed": _stats_mixed}[args.test](rows)
-    if not stat_rows:
-        raise InputError(
-            f"metrics in {args.metrics} support no {args.test} comparison "
-            "(missing predictors, groups, or ROI columns)"
-        )
+def _cmd_stats(args) -> Written:
+    stat_rows = compare(read_metrics_csv(args.metrics), args.test,
+                        method=args.method, alpha=args.alpha)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    m = _write_stats_csv(stat_rows, args.alpha, out)
-    run_path = out.parent / f"{out.name}.run.json"
-    _write_run_manifest(run_path, "stats", args, [out])
+    m = write_stats_csv(stat_rows, args.alpha, out)
     print(f"wrote {len(stat_rows)} rows ({m} tests, alpha {args.alpha} "
           f"Bonferroni-adjusted over {m}) to {out}")
-    return 0
+    return _next_to(out)
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> Written:
     rows = read_metrics_csv(args.metrics)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_report_svg(rows, out, title=args.title)
-    run_path = out.parent / f"{out.name}.run.json"
-    _write_run_manifest(run_path, "report", args, [out])
     print(f"wrote {out}")
-    return 0
+    return _next_to(out)
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="hypothesis tests over a metrics CSV")
     p.add_argument("--metrics", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--test", required=True,
-                   choices=("wilcoxon", "ttest", "anova", "chi2", "mixed"))
+    p.add_argument("--test", required=True, choices=TESTS)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--method", choices=("auto", "exact", "approx"), default="auto",
                    help="wilcoxon p-value method")
@@ -736,7 +499,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _write_run_manifest(args, *args.func(args))
+        return 0
     except Exception as exc:  # noqa: BLE001 - mapped to documented exit codes
         for err_type, code in _EXIT_CODES:
             if isinstance(exc, err_type):

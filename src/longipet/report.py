@@ -8,20 +8,42 @@ fixed column order so downstream parsing never guesses:
     subject_id, year, predictor, mae, ssim, group,
     meta_roi_suvr_pred, meta_roi_suvr_true, region_<label>...
 
+``compare`` runs one family of hypothesis tests over the rows (i2i vs
+linear, predicted vs true SUVR, across groups), and ``write_stats_csv``
+writes the results with a Bonferroni-adjusted alpha in ``STATS_COLUMNS``
+order.  Each comparison whose input is degenerate becomes a row that says
+why, instead of failing the whole run.
+
 The SVG report is a pure function of the rows: same rows, same bytes.  It
 draws two bar panels (MAE and SSIM), one bar group per year, one bar per
 predictor.  No plotting library is used.
+
+Every file is written through ``volume_io.atomic_open``, so a failed write
+leaves no partial file.
 """
 
 import csv
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import FormatError, InputError
+import numpy as np
+
+from .errors import DegenerateDataError, FormatError, InputError, ParameterError
 from .metrics import AtlasIndex, RoiDefinition, _roi_mean, mae, ssim3d
 from .parallel import pool_map
-from .volume_io import SubjectRecord, Volume3D
+from .stats import (
+    MixedAnovaResult,
+    TestResult,
+    bonferroni,
+    chi_square_independence,
+    mixed_anova,
+    one_way_anova,
+    paired_t,
+    wilcoxon_signed_rank,
+)
+from .volume_io import SubjectRecord, Volume3D, atomic_open
 
 CSV_FIXED_COLUMNS = (
     "subject_id",
@@ -136,7 +158,7 @@ def write_metrics_csv(rows: Sequence[EvalRow], path) -> Path:
     path = Path(path)
     labels = sorted({label for r in rows for label in r.regional})
     header = list(CSV_FIXED_COLUMNS) + [f"region_{label}" for label in labels]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for r in rows:
@@ -207,6 +229,182 @@ def summarize(rows: Sequence[EvalRow], metric: str) -> Dict[int, Dict[str, float
     for (year, predictor), vals in sorted(sums.items()):
         out.setdefault(year, {})[predictor] = sum(vals) / len(vals)
     return out
+
+
+# ---------------------------------------------------------------------------
+# hypothesis tests
+# ---------------------------------------------------------------------------
+
+STATS_COLUMNS = (
+    "test", "scope", "statistic_name", "statistic", "p_value",
+    "df1", "df2", "n", "m_comparisons", "alpha_adjusted", "significant", "status",
+)
+
+TESTS = ("wilcoxon", "ttest", "anova", "chi2", "mixed")
+
+
+@dataclass
+class StatRow:
+    """One comparison: its test result, or why its input was degenerate."""
+
+    test: str
+    scope: str
+    result: Optional[TestResult]
+    detail: str = ""  # reason when degenerate
+
+    @property
+    def ok(self) -> bool:
+        return self.result is not None
+
+
+def _attempt(test: str, scope: str, fn, *args, **kwargs) -> List[StatRow]:
+    """Run one statistical test; a degenerate input becomes a row that says
+    so, and a mixed ANOVA gives one row per effect."""
+    try:
+        res = fn(*args, **kwargs)
+    except DegenerateDataError as exc:
+        return [StatRow(test, scope, None, str(exc))]
+    if isinstance(res, MixedAnovaResult):
+        return [
+            StatRow(test, f"{scope},effect={effect}", r)
+            for effect, r in (("group", res.between), ("level", res.within),
+                              ("interaction", res.interaction))
+        ]
+    return [StatRow(test, scope, res)]
+
+
+def _i2i_linear_pairs(year_rows: Sequence[EvalRow], need_suvr: bool = False):
+    # (i2i row, linear row) for each subject both predictors scored that
+    # year, sorted by subject.
+    by_pred: Dict[str, Dict[str, EvalRow]] = {}
+    for r in year_rows:
+        if not need_suvr or r.meta_roi_suvr_pred is not None:
+            by_pred.setdefault(r.predictor, {})[r.subject_id] = r
+    i2i, linear = by_pred.get("i2i", {}), by_pred.get("linear", {})
+    return [(i2i[sid], linear[sid]) for sid in sorted(set(i2i) & set(linear))]
+
+
+def _wilcoxon(year, year_rows, method) -> Iterator[StatRow]:
+    pairs = _i2i_linear_pairs(year_rows)
+    for metric in ("mae", "ssim") if pairs else ():
+        a = [getattr(i2i, metric) for i2i, _ in pairs]
+        b = [getattr(linear, metric) for _, linear in pairs]
+        scope = f"year={year},metric={metric},i2i-vs-linear"
+        yield from _attempt("wilcoxon", scope, wilcoxon_signed_rank, a, b, method=method)
+
+
+def _ttest(year, year_rows) -> Iterator[StatRow]:
+    scored = sorted(
+        (r for r in year_rows
+         if r.meta_roi_suvr_pred is not None and r.meta_roi_suvr_true is not None),
+        key=lambda r: r.subject_id,
+    )
+    for group in sorted({r.group for r in scored}):
+        for predictor in sorted({r.predictor for r in scored}):
+            sel = [r for r in scored if r.group == group and r.predictor == predictor]
+            if len(sel) < 2:
+                continue
+            scope = f"year={year},group={group},predictor={predictor},suvr-pred-vs-true"
+            yield from _attempt("ttest", scope, paired_t, [r.meta_roi_suvr_pred for r in sel],
+                                [r.meta_roi_suvr_true for r in sel])
+
+
+def _anova(year, year_rows) -> Iterator[StatRow]:
+    for predictor in sorted({r.predictor for r in year_rows}):
+        sel = [r for r in year_rows if r.predictor == predictor]
+        groups = sorted({r.group for r in sel})
+        if len(groups) < 2:
+            continue
+        for metric in ("mae", "ssim"):
+            samples = [[getattr(r, metric) for r in sel if r.group == g] for g in groups]
+            scope = f"year={year},predictor={predictor},metric={metric},across-groups"
+            yield from _attempt("anova", scope, one_way_anova, samples)
+
+
+def _mixed(year, year_rows) -> Iterator[StatRow]:
+    pairs = [(i2i, linear) for i2i, linear in _i2i_linear_pairs(year_rows, need_suvr=True)
+             if i2i.meta_roi_suvr_true is not None]
+    labels = [i2i.group for i2i, _ in pairs]
+    if len(pairs) < 3 or len(set(labels)) < 2:
+        return
+    values = np.array([
+        [i2i.meta_roi_suvr_true, i2i.meta_roi_suvr_pred, linear.meta_roi_suvr_pred]
+        for i2i, linear in pairs
+    ])
+    yield from _attempt("mixed", f"year={year},levels=gt|i2i|linear", mixed_anova, values, labels)
+
+
+def _chi2(by_year) -> List[StatRow]:
+    groups = sorted({r.group for year_rows in by_year.values() for r in year_rows})
+    years = list(by_year)
+    if len(groups) < 2 or len(years) < 2:
+        raise InputError(
+            f"chi-square needs at least 2 groups and 2 years with scored rows, "
+            f"got {len(groups)} group(s) and {len(years)} year(s)"
+        )
+    table = np.zeros((len(groups), len(years)))
+    for gi, g in enumerate(groups):
+        for yi, y in enumerate(years):
+            table[gi, yi] = len({r.subject_id for r in by_year[y] if r.group == g})
+    scope = f"groups={'|'.join(groups)},years={'|'.join(str(y) for y in years)}"
+    return _attempt("chi2", scope, chi_square_independence, table)
+
+
+def compare(rows: Sequence[EvalRow], test: str, method: str = "auto",
+            alpha: float = 0.05) -> List[StatRow]:
+    """Run one family of tests over evaluation rows, one row per comparison.
+
+    ``test`` is one of ``TESTS``: ``wilcoxon`` (i2i vs linear MAE and SSIM
+    per year, with the signed-rank ``method``), ``ttest`` (predicted vs
+    true meta-ROI SUVR per year, group and predictor), ``anova`` (MAE and
+    SSIM across groups per year and predictor), ``chi2`` (subjects per
+    group and year) or ``mixed`` (SUVR of ground truth, i2i and linear
+    within subjects, groups between, per year).  ``alpha`` is checked here,
+    before any test runs, and applied by ``write_stats_csv``.  Raises
+    ``InputError`` when the rows support no comparison.
+    """
+    bonferroni(alpha, 1)  # rejects an alpha outside (0, 1]
+    if test not in TESTS:
+        raise ParameterError(f"unknown test {test!r}; expected one of {TESTS}")
+    if not rows:
+        raise InputError("no evaluation rows to compare")
+    by_year = {y: [r for r in rows if r.year == y] for y in sorted({r.year for r in rows})}
+    if test == "chi2":
+        stat_rows = _chi2(by_year)
+    else:
+        per_year = {"wilcoxon": partial(_wilcoxon, method=method), "ttest": _ttest,
+                    "anova": _anova, "mixed": _mixed}[test]
+        stat_rows = [s for year, year_rows in by_year.items() for s in per_year(year, year_rows)]
+    if not stat_rows:
+        raise InputError(
+            f"metrics support no {test} comparison "
+            "(missing predictors, groups, or ROI columns)"
+        )
+    return stat_rows
+
+
+def _stat_cells(s: StatRow, m: int, alpha_adj: Optional[float]) -> List[str]:
+    res = s.result
+    if res is None:
+        return [s.test, s.scope, "", "", "", "", "", "", str(m), _cell(alpha_adj),
+                "", f"degenerate: {s.detail}"]
+    df1, df2 = (tuple(res.df or ()) + (None, None))[:2]
+    return [s.test, s.scope, res.name, _cell(res.statistic), _cell(res.p_value),
+            _cell(df1), _cell(df2), str(res.n), str(m), _cell(alpha_adj),
+            "true" if res.p_value < alpha_adj else "false", "ok"]
+
+
+def write_stats_csv(stat_rows: Sequence[StatRow], alpha: float, path) -> int:
+    """Write ``stat_rows`` as a ``STATS_COLUMNS`` CSV; ``alpha`` is
+    Bonferroni-adjusted over the m non-degenerate comparisons.  Returns m."""
+    m = sum(1 for s in stat_rows if s.ok)
+    alpha_adj = bonferroni(alpha, m) if m > 0 else None
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(STATS_COLUMNS)
+        for s in stat_rows:
+            writer.writerow(_stat_cells(s, m, alpha_adj))
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -324,5 +522,6 @@ def render_report_svg(rows: Sequence[EvalRow], title: str = "Forecast evaluation
 
 def write_report_svg(rows: Sequence[EvalRow], path, title: str = "Forecast evaluation") -> Path:
     path = Path(path)
-    path.write_text(render_report_svg(rows, title=title), encoding="utf-8")
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(render_report_svg(rows, title=title))
     return path

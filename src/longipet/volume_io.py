@@ -357,14 +357,14 @@ def _write_nifti(vol: Volume3D, path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 @contextmanager
-def atomic_open(path, mode: str = "wb"):
+def atomic_open(path, mode: str = "wb", **kwargs):
     """Open a temporary file next to ``path`` for writing; when the block
     ends without an error it replaces ``path``, otherwise it is removed, so
-    ``path`` is never left half-written."""
+    ``path`` is never left half-written.  ``kwargs`` go to ``open``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -524,3 +524,4 @@ def write_manifest(entries, path) -> Path:
         subjects.append({"id": e.subject_id, "group": e.group, "scans": scans})
     path.write_text(json.dumps({"subjects": subjects}, indent=2, sort_keys=True) + "\n")
     return path
+

@@ -101,6 +101,45 @@ def test_out_of_bounds_is_exact_zero():
     assert np.all(out.data[3:] == 1.0)
 
 
+def _trilinear_oracle(data, coords):
+    # The 8-corner loop apply_affine used before scipy's map_coordinates.
+    # coords: (..., 3) fractional voxel positions; outside samples are 0.
+    nx, ny, nz = data.shape
+    base = np.floor(coords).astype(np.int64)
+    frac = coords - base
+    out = np.zeros(coords.shape[:-1])
+    for corner in range(8):
+        off = np.array([(corner >> 0) & 1, (corner >> 1) & 1, (corner >> 2) & 1])
+        idx = base + off
+        w = np.ones_like(out)
+        for axis in range(3):
+            f = frac[..., axis]
+            w = w * (f if off[axis] else 1.0 - f)
+        inside = (
+            (idx[..., 0] >= 0) & (idx[..., 0] < nx)
+            & (idx[..., 1] >= 0) & (idx[..., 1] < ny)
+            & (idx[..., 2] >= 0) & (idx[..., 2] < nz)
+        )
+        cidx = np.where(inside[..., None], idx, 0)
+        vals = np.where(inside, data[cidx[..., 0], cidx[..., 1], cidx[..., 2]], 0.0)
+        out += np.where(w != 0.0, w * vals, 0.0)
+    return out
+
+
+def test_sampler_matches_corner_loop_oracle():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        dims = tuple(int(d) for d in rng.integers(6, 21, size=3))
+        vol = Volume3D(rng.uniform(0.0, 2.0, size=dims))
+        aug = sample_augmentation(rng)
+        center = (np.array(dims, dtype=np.float64) - 1.0) / 2.0
+        grid = np.stack(np.meshgrid(*(np.arange(d, dtype=np.float64) for d in dims),
+                                    indexing="ij"), axis=-1)
+        src = (grid - center - np.asarray(aug.shifts)) @ np.linalg.inv(aug.matrix()).T + center
+        expect = _trilinear_oracle(vol.data, src)
+        np.testing.assert_allclose(apply_affine(vol, aug).data, expect, rtol=0, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # transform algebra and validation
 # ---------------------------------------------------------------------------

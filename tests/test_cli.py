@@ -1,6 +1,7 @@
 """End-to-end command line pipeline and exit-code contract."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 
@@ -8,13 +9,21 @@ import numpy as np
 import pytest
 
 from longipet import cli
-from longipet.cli import STATS_COLUMNS, main
+from longipet.cli import main
 from longipet.errors import (
     DegenerateDataError,
     DivergenceError,
     LongipetError,
 )
-from longipet.report import read_metrics_csv
+from longipet.report import (
+    STATS_COLUMNS,
+    TESTS,
+    EvalRow,
+    compare,
+    read_metrics_csv,
+    write_metrics_csv,
+    write_stats_csv,
+)
 from longipet.volume_io import ManifestEntry, load_manifest, read_volume, write_manifest
 
 
@@ -156,6 +165,61 @@ def test_stats_commands(pipeline, test_name):
         assert r[10] in ("true", "false")
 
 
+def _two_year_rows():
+    rng = np.random.default_rng(4)
+    rows = []
+    for year in (2, 3):
+        for group in ("CN", "MCI", "Dementia"):
+            for i in range(4):
+                true = 1.0 + rng.normal(0.0, 0.05)
+                for predictor in ("i2i", "linear"):
+                    rows.append(EvalRow(
+                        f"{group}_{i:03d}", group, year, predictor,
+                        mae=rng.uniform(0.01, 0.1), ssim=rng.uniform(0.8, 1.0),
+                        meta_roi_suvr_pred=true + rng.normal(0.0, 0.02),
+                        meta_roi_suvr_true=true,
+                    ))
+    return rows
+
+
+@pytest.mark.parametrize("test_name", TESTS)
+def test_compare_gives_the_rows_the_cli_writes(tmp_path, test_name):
+    metrics = write_metrics_csv(_two_year_rows(), tmp_path / "metrics.csv")
+    out = tmp_path / "cli.csv"
+    assert main([
+        "stats", "--metrics", str(metrics), "--out", str(out),
+        "--test", test_name, "--alpha", "0.1",
+    ]) == 0
+    stat_rows = compare(read_metrics_csv(metrics), test_name, alpha=0.1)
+    m = write_stats_csv(stat_rows, 0.1, tmp_path / "lib.csv")
+    assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+    with open(out, newline="") as fh:
+        cells = list(csv.reader(fh))[1:]
+    assert [(c[0], c[1]) for c in cells] == [(s.test, s.scope) for s in stat_rows]
+    assert m == sum(s.ok for s in stat_rows) > 0
+
+
+@pytest.mark.parametrize("alpha", ["7", "-1", "0"])
+def test_stats_rejects_alpha_outside_unit_interval(pipeline, tmp_path, capsys, alpha):
+    # i2i rows equal to the linear ones: every Wilcoxon comparison is
+    # degenerate, so no Bonferroni adjustment would ever check alpha
+    linear = [r for r in read_metrics_csv(pipeline["metrics"]) if r.predictor == "linear"]
+    equal = write_metrics_csv(
+        linear + [dataclasses.replace(r, predictor="i2i") for r in linear],
+        tmp_path / "equal.csv",
+    )
+    out = tmp_path / "stats.csv"
+    argv = ["stats", "--metrics", str(equal), "--out", str(out), "--test", "wilcoxon"]
+    assert main(argv + ["--alpha", alpha]) == 5
+    assert "alpha must be in (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv) == 0
+    with open(out, newline="") as fh:
+        statuses = [r[-1] for r in list(csv.reader(fh))[1:]]
+    assert statuses and all(s == "degenerate: all paired differences are zero"
+                            for s in statuses)
+
+
 def test_stats_chi2_needs_two_years(pipeline):
     out = pipeline["root"] / "stats_chi2.csv"
     assert main([
@@ -278,6 +342,34 @@ def test_train_reads_only_the_header_of_the_probed_volume(tmp_path):
         f"{e.subject_id}__i2i__y2.vol" for e in entries)
 
 
+def test_each_run_manifest_names_its_command(pipeline, tmp_path):
+    ph, train, metrics = pipeline["phantom"], pipeline["train"], pipeline["metrics"]
+    for argv in (
+        ["stats", "--metrics", str(metrics), "--out", str(tmp_path / "s.csv"), "--test", "anova"],
+        ["report", "--metrics", str(metrics), "--out", str(tmp_path / "r.svg")],
+        ["predict", "--model", str(train / "model_0.bin"),
+         "--baseline", str(ph / "volumes" / "CN_000_y0.vol"),
+         "--followup", str(ph / "volumes" / "CN_000_y1.vol"), "--out", str(tmp_path / "p.vol")],
+        ["augment", "--manifest", str(ph / "manifest.json"), "--out", str(tmp_path / "aug"),
+         "--copies", "0"],
+    ):
+        assert main(argv) == 0
+    runs = {
+        "phantom": ph / "run_manifest.json",
+        "preprocess": pipeline["prep"] / "run_manifest.json",
+        "train": train / "run_manifest.json",
+        "forecast": pipeline["forecast"] / "run_manifest.json",
+        "evaluate": metrics.parent / "metrics.csv.run.json",
+        "stats": tmp_path / "s.csv.run.json",
+        "report": tmp_path / "r.svg.run.json",
+        "predict": tmp_path / "p.vol.run.json",
+        "augment": tmp_path / "aug" / "run_manifest.json",
+    }
+    for command, path in runs.items():
+        doc = json.loads(path.read_text())
+        assert doc["command"] == doc["arguments"]["command"] == command
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -333,6 +425,14 @@ def test_manifest_violation_exits_4(tmp_path):
     assert main([
         "augment", "--manifest", str(m), "--out", str(tmp_path / "o"),
     ]) == 4
+
+
+def test_manifest_with_no_subjects_exits_5(tmp_path, capsys):
+    m = tmp_path / "manifest.json"
+    m.write_text(json.dumps({"subjects": []}))
+    for command in ("train", "forecast", "augment"):
+        assert main([command, "--manifest", str(m), "--out", str(tmp_path / command)]) == 5
+        assert "error:" in capsys.readouterr().err
 
 
 def test_i2i_forecast_without_folds_exits_6(pipeline):

@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
-from longipet.errors import FormatError, InputError
+from longipet.errors import FormatError, InputError, ParameterError
 from longipet.metrics import RoiDefinition, mae, meta_roi_suvr, regional_mae, ssim3d
 from longipet.report import (
     CSV_FIXED_COLUMNS,
     EvalRow,
+    compare,
     evaluate_forecasts,
     read_metrics_csv,
     render_report_svg,
     summarize,
     write_metrics_csv,
     write_report_svg,
+    write_stats_csv,
 )
 from longipet.volume_io import SubjectRecord, Volume3D
 
@@ -243,3 +245,51 @@ def test_svg_bar_count_tracks_data():
     svg = render_report_svg(rows)
     # 3 bars per panel, 2 panels, plus 1 background and 2 legend swatches
     assert svg.count("<rect ") == 2 * 3 + 1 + 2
+
+
+# ---------------------------------------------------------------------------
+# hypothesis tests
+# ---------------------------------------------------------------------------
+
+def _flat_group_rows():
+    # Two subjects per group; every SUVR is its group's constant, so the
+    # between-subject error of the mixed ANOVA is zero.  MAE ties between
+    # the predictors, SSIM does not.
+    return [
+        EvalRow(f"{g}_{i}", g, 2, p, 0.1, 0.9 + 0.01 * i + (0.03 * (i + 1) if p == "i2i" else 0.0),
+                meta_roi_suvr_pred=v, meta_roi_suvr_true=v)
+        for g, v in (("CN", 1.0), ("MCI", 2.0)) for i in range(2) for p in ("i2i", "linear")
+    ]
+
+
+def test_degenerate_rows_keep_their_format(tmp_path):
+    mixed = compare(_flat_group_rows(), "mixed")
+    assert [(s.test, s.scope, s.ok) for s in mixed] == \
+        [("mixed", "year=2,levels=gt|i2i|linear", False)]
+    path = tmp_path / "mixed.csv"
+    assert write_stats_csv(mixed, 0.05, path) == 0
+    assert path.read_text().splitlines()[1] == (
+        f'mixed,"year=2,levels=gt|i2i|linear",,,,,,,0,,,degenerate: {mixed[0].detail}'
+    )
+    wilcoxon = compare(_flat_group_rows(), "wilcoxon", method="exact")
+    assert [s.ok for s in wilcoxon] == [False, True]
+    path = tmp_path / "wilcoxon.csv"
+    assert write_stats_csv(wilcoxon, 0.05, path) == 1
+    lines = path.read_text().splitlines()
+    assert lines[1] == ('wilcoxon,"year=2,metric=mae,i2i-vs-linear",,,,,,,1,0.05,,'
+                        'degenerate: all paired differences are zero')
+    assert lines[2].startswith('wilcoxon,"year=2,metric=ssim,i2i-vs-linear",')
+    assert lines[2].endswith(",1,0.05,false,ok")
+
+
+def test_compare_rejects_bad_input_before_testing():
+    rows = _flat_group_rows()
+    for alpha in (7.0, -1.0, 0.0):
+        with pytest.raises(ParameterError, match="alpha"):
+            compare(rows, "mixed", alpha=alpha)
+    with pytest.raises(ParameterError, match="unknown test"):
+        compare(rows, "kruskal")
+    with pytest.raises(InputError, match="no evaluation rows"):
+        compare([], "anova")
+    with pytest.raises(InputError, match="support no ttest comparison"):
+        compare([EvalRow("a", "CN", 2, "linear", 0.1, 0.9)], "ttest")

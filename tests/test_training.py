@@ -1,6 +1,7 @@
 """Cross-validation protocol: stratified folds, nested splits, training
 determinism, divergence detection, and round-trip of fold files."""
 
+import argparse
 import builtins
 import os
 import time
@@ -23,7 +24,14 @@ from longipet.training import (
     train_fold,
     write_train_report,
 )
-from longipet import autodiff as ad, parallel, training, volume_io
+from longipet import autodiff as ad, cli, parallel, training, volume_io
+from longipet.report import (
+    EvalRow,
+    StatRow,
+    write_metrics_csv,
+    write_report_svg,
+    write_stats_csv,
+)
 from longipet.volume_io import (
     CohortManifest,
     ManifestEntry,
@@ -469,21 +477,29 @@ class _FailingFile:
         raise OSError(28, "No space left on device")
 
 
-@pytest.mark.parametrize("writer", ["model", "train_report", "folds"])
+@pytest.mark.parametrize("writer", ["model", "train_report", "folds", "metrics_csv",
+                                    "stats_csv", "report_svg", "run_manifest"])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, writer, existing):
     folds = make_folds(fake_manifest((8, 12, 4)), seed=2)
     report = training.TrainReport(0, 0, [0.5, 0.25], [0.4, 0.3], 2)
+    rows = [EvalRow("CN_000", "CN", 2, "linear", 0.1, 0.9)]
     write = {
         "model": lambda p: ad.save_params(init_model(TINY, seed=0), p),
         "train_report": lambda p: write_train_report(report, p),
         "folds": lambda p: save_folds(folds, p),
+        "metrics_csv": lambda p: write_metrics_csv(rows, p),
+        "stats_csv": lambda p: write_stats_csv([StatRow("chi2", "all", None, "why")], 0.05, p),
+        "report_svg": lambda p: write_report_svg(rows, p),
+        "run_manifest": lambda p: cli._write_run_manifest(
+            argparse.Namespace(command="report"), p, []),
     }[writer]
     target = tmp_path / "out.bin"
     if existing:
         target.write_bytes(b"previous")
     monkeypatch.setattr(volume_io, "open",
-                        lambda path, mode: _FailingFile(builtins.open(path, mode)), raising=False)
+                        lambda path, mode, **kw: _FailingFile(builtins.open(path, mode, **kw)),
+                        raising=False)
     with pytest.raises(OSError, match="No space left"):
         write(target)
     assert sorted(p.name for p in tmp_path.iterdir()) == (["out.bin"] if existing else [])
