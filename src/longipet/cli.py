@@ -25,11 +25,9 @@ Exit codes:
 * 8  degenerate data in a statistical test
 * 1  any other package error
 
-Worker threads for per-subject loops come from LONGIPET_THREADS
-(default 1); results never depend on the thread count.  ``train`` runs its
-cross-validation rounds in up to one worker process per core, each with a
-one-thread OpenBLAS pool; its outputs equal a serial run with that BLAS
-thread count.
+``train`` runs its cross-validation rounds in up to one worker process per
+core, each with a one-thread OpenBLAS pool; its outputs equal a serial run
+with that BLAS thread count.  Every other command runs in one process.
 """
 
 import argparse
@@ -42,7 +40,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 from . import __version__
-from .augment import augment_cohort
+from .augment import augment_cohort, write_transforms
 from .errors import (
     DegenerateDataError,
     DivergenceError,
@@ -65,7 +63,6 @@ from .forecast import (
 )
 from .metrics import load_roi
 from .model import I2IModelConfig, forward, load_model
-from .parallel import thread_count
 from .phantom import PhantomConfig, generate_cohort, write_cohort
 from .preprocess import preprocess_chain
 from .report import (
@@ -73,6 +70,7 @@ from .report import (
     compare,
     evaluate_forecasts,
     read_metrics_csv,
+    write_gaps,
     write_metrics_csv,
     write_report_svg,
     write_stats_csv,
@@ -194,7 +192,6 @@ def _cmd_augment(args) -> Written:
     out_dir = Path(args.out)
     (out_dir / "volumes").mkdir(parents=True, exist_ok=True)
     entries = []
-    transforms = {}
     for rec in augmented:
         scan_paths = {}
         for year in sorted(rec.scans):
@@ -202,16 +199,9 @@ def _cmd_augment(args) -> Written:
             write_volume(rec.scans[year], p)
             scan_paths[year] = p
         entries.append(ManifestEntry(rec.subject_id, rec.group, scan_paths))
-        if rec.transform is not None:
-            transforms[rec.subject_id] = {
-                "source_id": rec.source_id,
-                "transform": rec.transform.to_dict(),
-            }
     manifest_path = write_manifest(entries, out_dir / "manifest.json")
-    (out_dir / "transforms.json").write_text(
-        json.dumps(transforms, indent=2, sort_keys=True) + "\n"
-    )
-    print(f"wrote {len(entries)} records ({len(transforms)} augmented) to {manifest_path}")
+    n_augmented = write_transforms(augmented, out_dir / "transforms.json")
+    print(f"wrote {len(entries)} records ({n_augmented} augmented) to {manifest_path}")
     return _in_dir(out_dir)
 
 
@@ -279,7 +269,6 @@ def _cmd_forecast(args) -> Written:
             raise PlanError("i2i forecasts need --folds and --models for the audit")
     out_dir = Path(args.out)
     (out_dir / "volumes").mkdir(parents=True, exist_ok=True)
-    workers = thread_count()
     written: List[Path] = []
     for predictor in predictors:
         if predictor == "i2i":
@@ -293,10 +282,7 @@ def _cmd_forecast(args) -> Written:
                 {r.subject_id: PlanEntry(r.subject_id, "linear") for r in records},
                 to_year=args.to_year,
             )
-        results = forecast_cohort(
-            records, plan, folds=folds,
-            clamp_nonnegative=args.clamp, max_workers=workers,
-        )
+        results = forecast_cohort(records, plan, folds=folds, clamp_nonnegative=args.clamp)
         save_plan(plan, out_dir / f"plan_{predictor}.json")
         for sid in sorted(results):
             for year in sorted(results[sid]):
@@ -345,15 +331,12 @@ def _cmd_evaluate(args) -> Written:
     if roi is not None and atlas is None:
         raise ParameterError("--roi requires --atlas")
     mask = read_volume(args.mask) if args.mask else None
-    report = evaluate_forecasts(
-        records, forecasts, atlas=atlas, roi=roi, mask=mask,
-        max_workers=thread_count(),
-    )
+    report = evaluate_forecasts(records, forecasts, atlas=atlas, roi=roi, mask=mask)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(report.rows, out)
     gaps_path = Path(args.gaps) if args.gaps else out.parent / (out.stem + ".gaps.txt")
-    gaps_path.write_text("".join(line + "\n" for line in report.gaps))
+    write_gaps(report.gaps, gaps_path)
     print(f"wrote {len(report.rows)} rows to {out} ({len(report.gaps)} gaps)")
     return _next_to(out, gaps_path)
 

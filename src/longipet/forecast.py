@@ -11,16 +11,13 @@ audit verifies exactly that and refuses to predict when it fails.
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from .errors import FormatError, InputError, ParameterError, PlanError
 from .linear import predict_linear
 from .model import forward, load_model
-from .parallel import pool_map
 from .training import FoldAssignment
-from .volume_io import SubjectRecord, Volume3D
+from .volume_io import SubjectRecord, Volume3D, atomic_open
 
 PREDICTORS = ("linear", "i2i")
 
@@ -177,14 +174,13 @@ def forecast_cohort(
     plan: ForecastPlan,
     folds: Optional[FoldAssignment] = None,
     clamp_nonnegative: bool = False,
-    max_workers: int = 1,
 ) -> Dict[str, Dict[int, Volume3D]]:
     """Forecast every planned subject after a mandatory leakage audit.
 
     ``folds`` may be omitted only when no subject uses the learned
-    predictor; an audit failure is a hard error naming the subjects.
-    Subjects are independent, so ``max_workers`` only changes wall time,
-    never the results.
+    predictor; an audit failure is a hard error naming the subjects.  Every
+    model is loaded before the first subject is forecast, so a missing
+    model file fails the call before any forward pass runs.
     """
     uses_i2i = any(e.predictor == "i2i" for e in plan.entries.values())
     if uses_i2i:
@@ -198,21 +194,17 @@ def forecast_cohort(
             raise PlanError(f"leakage audit failed: {names}")
     cache = _ModelCache()
     planned = [r for r in records if r.subject_id in plan.entries]
-    # Load weights up front; afterwards the cache is read-only and safe to
-    # share across workers.
     for record in planned:
         entry = plan.entries[record.subject_id]
         if entry.predictor == "i2i":
             cache.get(entry.model_path)
-
-    def run(record: SubjectRecord):
-        entry = plan.entries[record.subject_id]
-        return forecast_recursive(
-            record, entry, plan.to_year, cache, clamp_nonnegative=clamp_nonnegative
+    return {
+        r.subject_id: forecast_recursive(
+            r, plan.entries[r.subject_id], plan.to_year, cache,
+            clamp_nonnegative=clamp_nonnegative,
         )
-
-    results = pool_map(run, planned, max_workers=max_workers)
-    return {r.subject_id: res for r, res in zip(planned, results)}
+        for r in planned
+    }
 
 
 def save_plan(plan: ForecastPlan, path) -> Path:
@@ -229,7 +221,8 @@ def save_plan(plan: ForecastPlan, path) -> Path:
             for sid, e in sorted(plan.entries.items())
         },
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -1,51 +1,19 @@
-"""Bounded worker pool for cohort-level loops, and the BLAS thread count.
-
-The pool size comes from the LONGIPET_THREADS environment variable
-(default 1).  Results are always assembled in input order, so the thread
-count never changes any output.
+"""The OpenBLAS thread count of this process.
 
 The OpenBLAS that numpy bundles keeps its own thread pool per process;
-``set_blas_threads`` lets a worker process pin it, so that several worker
-processes do not oversubscribe the cores.
+``set_blas_threads`` lets a cross-validation worker process pin it, so that
+several worker processes do not oversubscribe the cores.
 """
 
 import ctypes
 import functools
 import glob
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
 
 from .errors import ParameterError
-
-ENV_VAR = "LONGIPET_THREADS"
-
-
-def thread_count(value=None) -> int:
-    """Resolve the worker count from ``value`` or the environment."""
-    if value is None:
-        value = os.environ.get(ENV_VAR, "1")
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{ENV_VAR} must be a positive integer, got {value!r}")
-    if n < 1:
-        raise ParameterError(f"{ENV_VAR} must be a positive integer, got {n}")
-    return n
-
-
-def pool_map(fn, items, max_workers: int = 1):
-    """Map ``fn`` over ``items``, in threads when max_workers > 1.
-
-    Output order matches input order regardless of worker count.
-    """
-    items = list(items)
-    if max_workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(max_workers, len(items))) as ex:
-        return list(ex.map(fn, items))
 
 
 @functools.cache

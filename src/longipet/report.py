@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import DegenerateDataError, FormatError, InputError, ParameterError
 from .metrics import AtlasIndex, RoiDefinition, _roi_mean, mae, ssim3d
-from .parallel import pool_map
 from .stats import (
     MixedAnovaResult,
     TestResult,
@@ -82,67 +81,48 @@ def evaluate_forecasts(
     atlas: Optional[Volume3D] = None,
     roi: Optional[RoiDefinition] = None,
     mask: Optional[Volume3D] = None,
-    max_workers: int = 1,
 ) -> EvalReport:
     """Score ``forecasts[predictor][subject][year]`` against ground truth.
 
     Predictions without a matching ground-truth scan are listed in
     ``gaps`` instead of being scored.  Regional and ROI columns appear
-    only when an atlas (and ROI) are supplied.  Row order is
-    deterministic (predictor, then subject, then year) and independent of
-    ``max_workers``.  The atlas labels and the ROI mask are indexed once
-    per call.
+    only when an atlas (and ROI) are supplied.  Rows and gaps come in
+    predictor, then subject, then year order.  The atlas labels and the
+    ROI mask are indexed once per call.
     """
     rec_map = {r.subject_id: r for r in records}
     index = AtlasIndex(atlas) if atlas is not None else None
     roi_sel = roi.mask(atlas) if atlas is not None and roi is not None else None
-    tasks = [
-        (predictor, sid)
-        for predictor in sorted(forecasts)
-        for sid in sorted(forecasts[predictor])
-    ]
-
-    def score(task) -> Tuple[List[EvalRow], List[str]]:
-        predictor, sid = task
-        t_rows: List[EvalRow] = []
-        t_gaps: List[str] = []
-        if sid not in rec_map:
-            t_gaps.append(f"{predictor}: subject {sid} has predictions but no record")
-            return t_rows, t_gaps
-        rec = rec_map[sid]
-        for year in sorted(forecasts[predictor][sid]):
-            pred = forecasts[predictor][sid][year]
-            if year not in rec.scans:
-                t_gaps.append(
-                    f"{predictor}: subject {sid} year {year} has no ground-truth scan"
-                )
-                continue
-            true = rec.scans[year]
-            regional = index.regional_mae(pred, true) if index is not None else {}
-            suvr_p = suvr_t = None
-            if roi_sel is not None:
-                suvr_p = _roi_mean(pred, roi_sel, roi)
-                suvr_t = _roi_mean(true, roi_sel, roi)
-            t_rows.append(
-                EvalRow(
-                    subject_id=sid,
-                    group=rec.group,
-                    year=year,
-                    predictor=predictor,
-                    mae=mae(pred, true, mask=mask),
-                    ssim=ssim3d(pred, true),
-                    meta_roi_suvr_pred=suvr_p,
-                    meta_roi_suvr_true=suvr_t,
-                    regional=regional,
-                )
-            )
-        return t_rows, t_gaps
-
     rows: List[EvalRow] = []
     gaps: List[str] = []
-    for t_rows, t_gaps in pool_map(score, tasks, max_workers=max_workers):
-        rows.extend(t_rows)
-        gaps.extend(t_gaps)
+    for predictor in sorted(forecasts):
+        for sid in sorted(forecasts[predictor]):
+            if sid not in rec_map:
+                gaps.append(f"{predictor}: subject {sid} has predictions but no record")
+                continue
+            rec = rec_map[sid]
+            for year, pred in sorted(forecasts[predictor][sid].items()):
+                if year not in rec.scans:
+                    gaps.append(f"{predictor}: subject {sid} year {year} has no ground-truth scan")
+                    continue
+                true = rec.scans[year]
+                suvr_p = suvr_t = None
+                if roi_sel is not None:
+                    suvr_p = _roi_mean(pred, roi_sel, roi)
+                    suvr_t = _roi_mean(true, roi_sel, roi)
+                rows.append(
+                    EvalRow(
+                        subject_id=sid,
+                        group=rec.group,
+                        year=year,
+                        predictor=predictor,
+                        mae=mae(pred, true, mask=mask),
+                        ssim=ssim3d(pred, true),
+                        meta_roi_suvr_pred=suvr_p,
+                        meta_roi_suvr_true=suvr_t,
+                        regional=index.regional_mae(pred, true) if index is not None else {},
+                    )
+                )
     return EvalReport(rows, gaps)
 
 
@@ -174,6 +154,14 @@ def write_metrics_csv(rows: Sequence[EvalRow], path) -> Path:
             ]
             cells += [_cell(r.regional.get(label)) for label in labels]
             writer.writerow(cells)
+    return path
+
+
+def write_gaps(gaps: Sequence[str], path) -> Path:
+    """Write the gap list of an ``EvalReport``, one line per gap."""
+    path = Path(path)
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in gaps))
     return path
 
 

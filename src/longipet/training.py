@@ -26,7 +26,7 @@ from . import autodiff as ad
 from . import parallel
 from .augment import augment_cohort
 from .errors import DivergenceError, FormatError, InputError, ShapeError
-from .model import I2IModelConfig, forward_batch, init_model, load_model, save_model
+from .model import I2IModelConfig, forward_batch, init_model, save_model
 from .volume_io import GROUPS, CohortManifest, SubjectRecord, Volume3D, atomic_open
 
 
@@ -304,21 +304,18 @@ def _cv_round(job: _CvJob, index: int):
     subjects from the float32 parameters; returns (report, predictions,
     model path or None)."""
     params, report = _train_round(job.records, job.folds, index, job.config, job.hyper, job.seed)
-    config = job.config
     model_path = None
     if job.out_dir is not None:
         model_path = job.out_dir / f"model_{index}.bin"
-        save_model(params, config, model_path)
+        save_model(params, job.config, model_path)
         write_train_report(report, job.out_dir / f"train_report_{index}.csv")
-        params, config = load_model(model_path)
-    else:
-        params = params.quantize()
+    params = params.quantize()  # bit-identical to reloading the saved model
     test_records = [job.records[sid] for sid in job.folds.rounds[index].test]
     predictions: Dict[str, Volume3D] = {}
     if test_records:
         t0 = np.stack([r.scans[0].data for r in test_records])
         t1 = np.stack([r.scans[1].data for r in test_records])
-        preds = _infer_batched(params, t0, t1, config, job.hyper.batch_size)
+        preds = _infer_batched(params, t0, t1, job.config, job.hyper.batch_size)
         for i, rec in enumerate(test_records):
             predictions[rec.subject_id] = Volume3D(preds[i], rec.scans[1].affine.copy())
     return report, predictions, model_path

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from longipet import forecast
 from longipet.errors import FormatError, InputError, ParameterError, PlanError
 from longipet.forecast import (
     AuditReport,
@@ -23,6 +24,7 @@ from longipet.forecast import (
     plan_from_folds,
     save_plan,
 )
+from longipet.model import I2IModelConfig, init_model, save_model
 from longipet.training import FoldAssignment, FoldRound
 from longipet.volume_io import SubjectRecord, Volume3D
 
@@ -273,16 +275,16 @@ def test_forecast_cohort_refuses_leaky_plan_naming_subjects(tmp_path):
     assert "C" in msg and "D" in msg
 
 
-def test_forecast_cohort_parallel_matches_serial():
-    plan = plan_from_folds(_folds(), None, predictor="linear", to_year=4)
-    serial = forecast_cohort(_cohort(), plan, max_workers=1)
-    threaded = forecast_cohort(_cohort(), plan, max_workers=4)
-    assert sorted(serial) == sorted(threaded)
-    for sid in serial:
-        for year in serial[sid]:
-            np.testing.assert_array_equal(
-                serial[sid][year].data, threaded[sid][year].data
-            )
+def test_forecast_cohort_checks_every_model_before_forecasting(tmp_path, monkeypatch):
+    # A and C are test subjects of rounds 0 and 1; only round 0's model exists.
+    plan = plan_from_folds(_folds(), tmp_path, subject_ids=["A", "C"])
+    config = I2IModelConfig(dims=(4, 4, 4), lstm_filters=1, decoder_filters=1, kernel_size=1)
+    save_model(init_model(config, seed=0), config, tmp_path / "model_0.bin")
+    calls = []
+    monkeypatch.setattr(forecast, "forward", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(PlanError, match="model_1.bin"):
+        forecast_cohort(_cohort(), plan, folds=_folds())
+    assert calls == []
 
 
 def test_audit_report_shape():

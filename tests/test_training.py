@@ -25,9 +25,12 @@ from longipet.training import (
     write_train_report,
 )
 from longipet import autodiff as ad, cli, parallel, training, volume_io
+from longipet.augment import augment_cohort, write_transforms
+from longipet.forecast import plan_from_folds, save_plan
 from longipet.report import (
     EvalRow,
     StatRow,
+    write_gaps,
     write_metrics_csv,
     write_report_svg,
     write_stats_csv,
@@ -35,6 +38,7 @@ from longipet.report import (
 from longipet.volume_io import (
     CohortManifest,
     ManifestEntry,
+    SubjectRecord,
     Volume3D,
     load_manifest,
     write_manifest,
@@ -478,12 +482,15 @@ class _FailingFile:
 
 
 @pytest.mark.parametrize("writer", ["model", "train_report", "folds", "metrics_csv",
-                                    "stats_csv", "report_svg", "run_manifest"])
+                                    "stats_csv", "report_svg", "run_manifest", "plan",
+                                    "gap_list", "transforms"])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, writer, existing):
     folds = make_folds(fake_manifest((8, 12, 4)), seed=2)
     report = training.TrainReport(0, 0, [0.5, 0.25], [0.4, 0.3], 2)
     rows = [EvalRow("CN_000", "CN", 2, "linear", 0.1, 0.9)]
+    scan = Volume3D(np.ones((4, 4, 4)))
+    augmented = augment_cohort([SubjectRecord("CN_000", "CN", {0: scan})], seed=0, n_copies=1)
     write = {
         "model": lambda p: ad.save_params(init_model(TINY, seed=0), p),
         "train_report": lambda p: write_train_report(report, p),
@@ -493,6 +500,9 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, writer, exis
         "report_svg": lambda p: write_report_svg(rows, p),
         "run_manifest": lambda p: cli._write_run_manifest(
             argparse.Namespace(command="report"), p, []),
+        "plan": lambda p: save_plan(plan_from_folds(folds, None, predictor="linear"), p),
+        "gap_list": lambda p: write_gaps(["linear: subject CN_000 year 3 has no scan"], p),
+        "transforms": lambda p: write_transforms(augmented, p),
     }[writer]
     target = tmp_path / "out.bin"
     if existing:
