@@ -8,7 +8,7 @@ audit, image metrics, and the statistical tests used to compare
 predictors.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .augment import (
     AffineAugmentation,

@@ -249,8 +249,7 @@ def _cmd_predict(args) -> Written:
     out.parent.mkdir(parents=True, exist_ok=True)
     write_volume(pred, out)
     print(f"wrote {out}")
-    side = out.with_suffix(".json")  # raw volumes carry a JSON sidecar
-    return _next_to(out, *([side] if side.exists() else []))
+    return _next_to(out)
 
 
 def _cmd_forecast(args) -> Written:

@@ -12,7 +12,7 @@ class LongipetError(Exception):
 
 class FormatError(LongipetError):
     """A file is not in the expected on-disk format (bad magic, bad version
-    tag, malformed header or sidecar)."""
+    tag, malformed header)."""
 
 
 class UnsupportedError(FormatError):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FormatError, ParameterError, ShapeError
 from .preprocess import _band, _filter3
-from .volume_io import Volume3D
+from .volume_io import Volume3D, atomic_open
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -174,7 +174,6 @@ def load_roi(path) -> RoiDefinition:
 
 def save_roi(roi: RoiDefinition, path) -> Path:
     path = Path(path)
-    path.write_text(
-        json.dumps({"name": roi.name, "labels": list(roi.labels)}, indent=2) + "\n"
-    )
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"name": roi.name, "labels": list(roi.labels)}, indent=2) + "\n")
     return path

@@ -24,11 +24,12 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import ParameterError
-from .metrics import RoiDefinition
+from .metrics import RoiDefinition, save_roi
 from .volume_io import (
     ManifestEntry,
     SubjectRecord,
     Volume3D,
+    atomic_open,
     write_manifest,
     write_volume,
 )
@@ -228,13 +229,9 @@ def write_cohort(cohort: PhantomCohort, out_dir: str) -> str:
     write_volume(cohort.atlas, out / "atlas.vol")
     write_volume(cohort.brain_mask, out / "brain_mask.vol")
     write_volume(cohort.reference_mask, out / "reference_mask.vol")
-    (out / "meta_roi.json").write_text(
-        json.dumps({"labels": list(cohort.roi.labels), "name": cohort.roi.name},
-                   sort_keys=True) + "\n"
-    )
-    (out / "phantom_config.json").write_text(
-        json.dumps(cohort.config.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    save_roi(cohort.roi, out / "meta_roi.json")
+    with atomic_open(out / "phantom_config.json", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(cohort.config.to_dict(), indent=2, sort_keys=True) + "\n")
     manifest_path = out / "manifest.json"
     write_manifest(entries, manifest_path)
     return str(manifest_path)

@@ -1,16 +1,13 @@
 """Volume and cohort-manifest I/O.
 
-Two on-disk volume formats are supported:
-
-* NIfTI-1 single-file ``.nii`` (read and write).  Reading handles little- and
-  big-endian headers, int16 / float32 / float64 voxels, and the
-  ``scl_slope`` / ``scl_inter`` intensity scaling.  The affine comes from
-  the sform when ``sform_code > 0``, else from the qform quaternion when
-  ``qform_code > 0``, else from the voxel sizes alone.  Writing always emits
-  little-endian float32 with an sform.
-* A raw format ``<name>.vol``: little-endian float32 voxels in x-fastest
-  linear order, with a ``<name>.json`` sidecar holding
-  ``{"dims": [nx, ny, nz], "affine": [[...4x4...]]}``.
+Every volume is one single-file NIfTI-1 file, named ``.nii`` or ``.vol``; the
+two extensions hold the same bytes.  Reading handles little- and big-endian
+headers, int16 / float32 / float64 voxels, and the ``scl_slope`` /
+``scl_inter`` intensity scaling.  The affine comes from the sform when
+``sform_code > 0``, else from the qform quaternion when ``qform_code > 0``,
+else from the voxel sizes alone.  Writing always emits little-endian float32
+voxels in x-fastest order after a 352-byte header, with the affine as a
+float32 sform, and replaces the file atomically.
 
 Voxel data is float64 in memory and float32 at rest.  A cohort manifest is a
 JSON file ``{"subjects": [{"id": ..., "group": ..., "scans": {"0": path,
@@ -189,67 +186,11 @@ class CohortManifest:
 
 
 # ---------------------------------------------------------------------------
-# raw .vol format
-# ---------------------------------------------------------------------------
-
-def _sidecar_path(path: Path) -> Path:
-    return path.with_suffix(".json")
-
-
-def _raw_header(path: Path) -> _Header:
-    side = _sidecar_path(path)
-    if not side.exists():
-        raise FormatError(f"missing sidecar {side} for raw volume {path}")
-    try:
-        meta = json.loads(side.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"sidecar {side} is not valid JSON: {exc}") from exc
-    if not isinstance(meta, dict) or "dims" not in meta or "affine" not in meta:
-        raise FormatError(f"sidecar {side} must contain 'dims' and 'affine'")
-    dims = meta["dims"]
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 3
-        or any((not isinstance(d, int)) or d < 1 for d in dims)
-    ):
-        raise FormatError(f"sidecar {side} dims must be 3 positive ints, got {dims!r}")
-    affine = np.asarray(meta["affine"], dtype=np.float64)
-    if affine.shape != (4, 4):
-        raise FormatError(f"sidecar {side} affine must be 4x4")
-    size = path.stat().st_size
-    count = dims[0] * dims[1] * dims[2]
-    if size != 4 * count:
-        raise CorruptionError(f"{path} holds {size} bytes, dims {dims} need {4 * count}")
-    return _Header(tuple(dims), affine, np.dtype("<f4"), 0)
-
-
-def _is_sidecar(path: Path) -> bool:
-    try:
-        meta = json.loads(path.read_bytes())
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return False
-    return isinstance(meta, dict) and "dims" in meta and "affine" in meta
-
-
-def _write_raw(vol: Volume3D, path: Path) -> None:
-    side = _sidecar_path(path)
-    # The sidecar of d/manifest.vol is d/manifest.json: never clobber a JSON
-    # file that is not a volume sidecar.
-    if side.exists() and not _is_sidecar(side):
-        raise FormatError(
-            f"refusing to write {path}: {side} exists and is not a volume sidecar"
-        )
-    path.write_bytes(vol.flat().astype("<f4").tobytes())
-    meta = {
-        "dims": [int(d) for d in vol.dims],
-        "affine": [[float(v) for v in row] for row in vol.affine],
-    }
-    side.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------------------
 # NIfTI-1 single-file format
 # ---------------------------------------------------------------------------
+
+_SUFFIXES = (".nii", ".vol")
+
 
 def _qform_affine(quatern, pixdim) -> np.ndarray:
     # NIfTI-1 method 2: rotation from the unit quaternion (a, b, c, d) with
@@ -324,9 +265,10 @@ def _nifti_header(path: Path) -> _Header:
             f"{path} payload is truncated: need {nbytes} bytes "
             f"at offset {vox_offset}, file has {size}"
         )
-    # NIfTI-1: slope 0 means "no scaling stored"; otherwise v*slope + inter.
+    # NIfTI-1: slope 0 means "no scaling stored"; otherwise v*slope + inter,
+    # which for (1, 0), as this module writes, is the identity.
     scale = None
-    if np.isfinite(scl_slope) and scl_slope != 0.0:
+    if np.isfinite(scl_slope) and scl_slope != 0.0 and (scl_slope, scl_inter) != (1.0, 0.0):
         scale = (float(scl_slope), float(scl_inter))
     return _Header((nx, ny, nz), affine, dtype, vox_offset, scale)
 
@@ -349,7 +291,9 @@ def _write_nifti(vol: Volume3D, path: Path) -> None:
     struct.pack_into("<3f", hdr, 268, *(float(v) for v in vol.affine[:3, 3]))
     struct.pack_into("<12f", hdr, 280, *(float(v) for v in vol.affine[:3, :].ravel()))
     struct.pack_into("4s", hdr, 344, b"n+1\x00")
-    path.write_bytes(bytes(hdr) + vol.flat().astype("<f4").tobytes())
+    with atomic_open(path) as fh:
+        fh.write(hdr)
+        fh.write(vol.flat().astype("<f4"))
 
 
 # ---------------------------------------------------------------------------
@@ -371,22 +315,24 @@ def atomic_open(path, mode: str = "wb", **kwargs):
         tmp.unlink(missing_ok=True)
 
 
+def _checked_suffix(path: Path) -> Path:
+    if path.suffix not in _SUFFIXES:
+        raise FormatError(f"unrecognized volume extension {path.suffix!r} for {path}")
+    return path
+
+
 def read_header(path) -> _Header:
-    """Parse and check a volume's header (the ``.vol`` sidecar or the NIfTI-1
-    header) against the file size, without reading the voxels; its ``dims``
-    and ``affine`` are those ``read_volume`` would return."""
+    """Parse and check a volume's NIfTI-1 header against the file size,
+    without reading the voxels; its ``dims`` and ``affine`` are those
+    ``read_volume`` would return."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    if path.suffix == ".nii":
-        return _nifti_header(path)
-    if path.suffix == ".vol":
-        return _raw_header(path)
-    raise FormatError(f"unrecognized volume extension {path.suffix!r} for {path}")
+    return _nifti_header(_checked_suffix(path))
 
 
 def read_volume(path) -> Volume3D:
-    """Read a volume from ``.nii`` or ``.vol`` (+ JSON sidecar)."""
+    """Read a volume from a ``.nii`` or ``.vol`` file."""
     path = Path(path)
     header = read_header(path)
     nbytes = header.dtype.itemsize * header.dims[0] * header.dims[1] * header.dims[2]
@@ -406,14 +352,9 @@ def read_volume(path) -> Volume3D:
 
 
 def write_volume(vol: Volume3D, path) -> Path:
-    """Write a volume as ``.nii`` or ``.vol`` (+ sidecar), float32 at rest."""
-    path = Path(path)
-    if path.suffix == ".nii":
-        _write_nifti(vol, path)
-    elif path.suffix == ".vol":
-        _write_raw(vol, path)
-    else:
-        raise FormatError(f"unrecognized volume extension {path.suffix!r} for {path}")
+    """Write a volume as a ``.nii`` or ``.vol`` file, float32 at rest."""
+    path = _checked_suffix(Path(path))
+    _write_nifti(vol, path)
     return path
 
 
@@ -441,9 +382,9 @@ def load_manifest(path, check_files: bool = True) -> CohortManifest:
 
     With ``check_files`` every referenced scan must exist; headers are
     parsed so malformed files fail here rather than mid-pipeline.  Only the
-    headers are read: the ``.vol`` sidecar or the NIfTI-1 header, each
-    checked against the file size.  A payload that holds non-finite values
-    raises ``CorruptionError`` when the volume is read.
+    NIfTI-1 headers are read, each checked against the file size.  A payload
+    that holds non-finite values raises ``CorruptionError`` when the volume
+    is read.
     """
     path = Path(path)
     try:
@@ -522,6 +463,7 @@ def write_manifest(entries, path) -> Path:
                 rel = p
             scans[str(year)] = str(rel)
         subjects.append({"id": e.subject_id, "group": e.group, "scans": scans})
-    path.write_text(json.dumps({"subjects": subjects}, indent=2, sort_keys=True) + "\n")
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"subjects": subjects}, indent=2, sort_keys=True) + "\n")
     return path
 

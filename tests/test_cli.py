@@ -253,8 +253,9 @@ def test_predict_command(pipeline):
     assert pred.dims == (12, 12, 12)
     assert np.all(pred.data >= 0)
     run = json.loads((out.parent / f"{out.name}.run.json").read_text())
-    assert {e["path"] for e in run["artifacts"]} == \
-        {"CN_000__i2i__y2.vol", "CN_000__i2i__y2.json"}
+    assert [e["path"] for e in run["artifacts"]] == ["CN_000__i2i__y2.vol"]
+    assert sorted(p.name for p in out.parent.iterdir()) == \
+        ["CN_000__i2i__y2.vol", "CN_000__i2i__y2.vol.run.json"]
 
 
 def test_augment_command(pipeline, tmp_path):
@@ -290,12 +291,13 @@ def test_forecast_and_evaluate_read_only_the_years_they_use(tmp_path):
     entries = load_manifest(manifest).entries
 
     def poison(year):
-        # NaN voxels at the same size: only reading the volume can tell
+        # NaN voxels behind the same header: only reading the volume can tell
         saved = {}
         for e in entries:
             p = e.scan_paths[year]
             saved[p] = p.read_bytes()
-            p.write_bytes(np.full(len(saved[p]) // 4, np.nan, "<f4").tobytes())
+            nan = np.full((len(saved[p]) - 352) // 4, np.nan, "<f4")
+            p.write_bytes(saved[p][:352] + nan.tobytes())
         return saved
 
     saved = poison(3)
@@ -324,12 +326,11 @@ def test_train_reads_only_the_header_of_the_probed_volume(tmp_path):
     ]) == 0
     entries = load_manifest(ph / "manifest.json").entries
     # A subject with only a baseline scan is never trained on, but it comes
-    # first, so `train` takes the model dims from it.  NaN voxels at the
-    # right size: only reading the payload can tell.
-    scan = entries[0].scan_paths[0]
+    # first, so `train` takes the model dims from it.  NaN voxels behind a
+    # valid header: only reading the payload can tell.
+    blob = entries[0].scan_paths[0].read_bytes()
     probe = ph / "probe.vol"
-    probe.write_bytes(np.full(scan.stat().st_size // 4, np.nan, "<f4").tobytes())
-    probe.with_suffix(".json").write_text(scan.with_suffix(".json").read_text())
+    probe.write_bytes(blob[:352] + np.full((len(blob) - 352) // 4, np.nan, "<f4").tobytes())
     manifest = write_manifest([ManifestEntry("CN_probe", "CN", {0: probe}), *entries],
                               tmp_path / "manifest.json")
     out = tmp_path / "train"

@@ -27,6 +27,7 @@ from longipet.training import (
 from longipet import autodiff as ad, cli, parallel, training, volume_io
 from longipet.augment import augment_cohort, write_transforms
 from longipet.forecast import plan_from_folds, save_plan
+from longipet.metrics import RoiDefinition, save_roi
 from longipet.report import (
     EvalRow,
     StatRow,
@@ -483,7 +484,8 @@ class _FailingFile:
 
 @pytest.mark.parametrize("writer", ["model", "train_report", "folds", "metrics_csv",
                                     "stats_csv", "report_svg", "run_manifest", "plan",
-                                    "gap_list", "transforms"])
+                                    "gap_list", "transforms", "vol", "nii", "manifest",
+                                    "roi"])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, writer, existing):
     folds = make_folds(fake_manifest((8, 12, 4)), seed=2)
@@ -503,8 +505,13 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, writer, exis
         "plan": lambda p: save_plan(plan_from_folds(folds, None, predictor="linear"), p),
         "gap_list": lambda p: write_gaps(["linear: subject CN_000 year 3 has no scan"], p),
         "transforms": lambda p: write_transforms(augmented, p),
+        "vol": lambda p: write_volume(scan, p),
+        "nii": lambda p: write_volume(scan, p),
+        "manifest": lambda p: write_manifest(
+            [ManifestEntry("CN_000", "CN", {0: tmp_path / "CN_000_y0.vol"})], p),
+        "roi": lambda p: save_roi(RoiDefinition("meta_roi", (2, 5, 7)), p),
     }[writer]
-    target = tmp_path / "out.bin"
+    target = tmp_path / {"vol": "out.vol", "nii": "out.nii"}.get(writer, "out.bin")
     if existing:
         target.write_bytes(b"previous")
     monkeypatch.setattr(volume_io, "open",
@@ -512,11 +519,11 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, writer, exis
                         raising=False)
     with pytest.raises(OSError, match="No space left"):
         write(target)
-    assert sorted(p.name for p in tmp_path.iterdir()) == (["out.bin"] if existing else [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([target.name] if existing else [])
     if existing:
         assert target.read_bytes() == b"previous"
     monkeypatch.undo()
     write(target)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [target.name]
     assert target.read_bytes() != b"previous"
 

@@ -21,6 +21,7 @@ from longipet.errors import (
     UnsupportedError,
 )
 from longipet import volume_io
+from longipet.cli import main as cli_main
 from longipet.volume_io import (
     CohortManifest,
     ManifestEntry,
@@ -66,7 +67,7 @@ def test_from_flat_wrong_count():
 
 
 # ---------------------------------------------------------------------------
-# raw .vol format
+# .vol files: NIfTI-1 under another extension
 # ---------------------------------------------------------------------------
 
 def test_raw_roundtrip(tmp_path):
@@ -84,66 +85,70 @@ def test_raw_payload_is_x_fastest_float32(tmp_path):
     vol = Volume3D.from_flat((2, 2, 2), np.arange(8.0))
     p = tmp_path / "v.vol"
     write_volume(vol, p)
-    raw = np.frombuffer(p.read_bytes(), dtype="<f4")
-    np.testing.assert_array_equal(raw, np.arange(8.0, dtype=np.float32))
+    blob = p.read_bytes()
+    assert len(blob) == 352 + 4 * 8
+    np.testing.assert_array_equal(np.frombuffer(blob[352:], dtype="<f4"),
+                                  np.arange(8.0, dtype=np.float32))
 
 
-def test_raw_sidecar_is_name_dot_json_and_is_rewritten(tmp_path):
+def test_vol_and_nii_files_are_byte_identical(tmp_path):
+    r = np.random.default_rng(1)
+    affine = np.array([[2.0, 0.0, 0.0, -10.0], [0.0, 0.0, 1.5, 4.0],
+                       [0.0, -3.0, 0.0, 0.25], [0.0, 0.0, 0.0, 1.0]])
+    vol = Volume3D(r.normal(size=(5, 3, 4)), affine)
+    vol_path = write_volume(vol, tmp_path / "v.vol")
+    nii_path = write_volume(vol, tmp_path / "v.nii")
+    assert vol_path.read_bytes() == nii_path.read_bytes()
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["v.nii", "v.vol"]
+
+
+def test_vol_roundtrip_keeps_float32_bits(tmp_path):
+    # No scaling is applied on read, so -0.0 stays -0.0 and subnormals survive.
+    vals = np.array([-0.0, 0.0, 1e-45, -1e-40, 1e-38, -1e-30, 3.5, -1.0], dtype=np.float32)
+    p = write_volume(Volume3D.from_flat((2, 2, 2), vals.astype(np.float64)), tmp_path / "v.vol")
+    payload = np.frombuffer(p.read_bytes()[352:], dtype="<f4")
+    np.testing.assert_array_equal(payload.view("<u4"), vals.view("<u4"))
+    back = read_volume(p).flat().astype(np.float32)
+    np.testing.assert_array_equal(back.view(np.uint32), vals.view(np.uint32))
+
+
+@pytest.mark.parametrize("dims, sidecar", [
+    ((2, 2, 2), None),  # payload too short to hold a header, no sidecar
+    ((2, 2, 1), [2, 2]),  # short payload, sidecar with bad dims
+    ((8, 8, 8), [8, 8, 8]),  # a complete old-format volume
+], ids=["missing_sidecar", "bad_sidecar_dims", "payload_and_sidecar"])
+def test_old_raw_vol_is_a_format_error(tmp_path, dims, sidecar):
+    # Before 0.2.0 a .vol held bare float32 voxels and a <name>.json held
+    # its dims and affine.  Such files are not NIfTI-1 and are refused.
     p = tmp_path / "v.vol"
-    write_volume(Volume3D(np.zeros((2, 2, 2))), p)
-    assert (tmp_path / "v.json").exists()
-    write_volume(Volume3D(np.ones((2, 3, 2))), p)
-    assert read_volume(p).dims == (2, 3, 2)
-
-
-@pytest.mark.parametrize("text", ['{"subjects": []}', "[1, 2]", "not json", "\xff"])
-def test_raw_write_refuses_to_clobber_other_json(tmp_path, text):
-    other = tmp_path / "manifest.json"
-    other.write_text(text, encoding="latin-1")
-    before = other.read_bytes()
-    with pytest.raises(FormatError, match="not a volume sidecar"):
-        write_volume(Volume3D(np.zeros((2, 2, 2))), tmp_path / "manifest.vol")
-    assert other.read_bytes() == before
-    assert not (tmp_path / "manifest.vol").exists()
-
-
-def test_raw_missing_sidecar(tmp_path):
-    p = tmp_path / "v.vol"
-    p.write_bytes(b"\x00" * 32)
+    n = dims[0] * dims[1] * dims[2]
+    p.write_bytes(np.linspace(0.5, 2.0, n, dtype="<f4").tobytes())
+    if sidecar is not None:
+        meta = {"dims": sidecar, "affine": np.eye(4).tolist()}
+        (tmp_path / "v.json").write_text(json.dumps(meta))
     with pytest.raises(FormatError):
         read_volume(p)
+    manifest = write_manifest([ManifestEntry("s1", "CN", {0: p})], tmp_path / "manifest.json")
+    with pytest.raises(FormatError):
+        load_manifest(manifest)
+    argv = ["forecast", "--manifest", str(manifest), "--out", str(tmp_path / "fc"),
+            "--predictor", "linear"]
+    assert cli_main(argv) == 3
 
 
 def test_raw_payload_size_mismatch(tmp_path):
-    p = tmp_path / "v.vol"
-    p.write_bytes(b"\x00" * 30)  # not 4 * 8
-    (tmp_path / "v.json").write_text(
-        json.dumps({"dims": [2, 2, 2], "affine": np.eye(4).tolist()})
-    )
+    p = write_volume(Volume3D(np.zeros((2, 2, 2))), tmp_path / "v.vol")
+    p.write_bytes(p.read_bytes()[:-2])  # not 4 * 8 payload bytes
     with pytest.raises(CorruptionError):
         read_volume(p)
 
 
 def test_raw_nan_payload_rejected(tmp_path):
-    p = tmp_path / "v.vol"
-    payload = np.full(8, np.nan, dtype="<f4")
-    p.write_bytes(payload.tobytes())
-    (tmp_path / "v.json").write_text(
-        json.dumps({"dims": [2, 2, 2], "affine": np.eye(4).tolist()})
-    )
+    p = write_volume(Volume3D(np.zeros((2, 2, 2))), tmp_path / "v.vol")
+    _nan_payload(p)
     with pytest.raises(CorruptionError, match="non-finite") as exc:
         read_volume(p)
     assert str(p) in str(exc.value)
-
-
-def test_raw_bad_sidecar_dims(tmp_path):
-    p = tmp_path / "v.vol"
-    p.write_bytes(b"\x00" * 16)
-    (tmp_path / "v.json").write_text(
-        json.dumps({"dims": [2, 2], "affine": np.eye(4).tolist()})
-    )
-    with pytest.raises(FormatError):
-        read_volume(p)
 
 
 def test_unknown_extension(tmp_path):
@@ -462,17 +467,16 @@ def test_manifest_missing_file(tmp_path):
 
 def test_manifest_corrupt_referenced_volume(tmp_path):
     path = _write_cohort(tmp_path, [("s1", "CN", [0])])
-    (tmp_path / "vols" / "s1_0.vol").write_bytes(b"\x00" * 3)
+    p = tmp_path / "vols" / "s1_0.vol"
+    p.write_bytes(p.read_bytes()[: 352 + 3])
     with pytest.raises(CorruptionError):
         load_manifest(path)
 
 
 def _nan_payload(p):
     """Overwrite the voxels with NaN at the same size: only a read can tell."""
-    blob = bytearray(p.read_bytes())
-    start = 352 if p.suffix == ".nii" else 0
-    blob[start:] = np.full((len(blob) - start) // 4, np.nan, "<f4").tobytes()
-    p.write_bytes(bytes(blob))
+    blob = p.read_bytes()
+    p.write_bytes(blob[:352] + np.full((len(blob) - 352) // 4, np.nan, "<f4").tobytes())
 
 
 @pytest.mark.parametrize("suffix", [".vol", ".nii"])
@@ -496,13 +500,13 @@ def test_manifest_checks_headers_only(tmp_path, monkeypatch, suffix):
 @pytest.mark.parametrize(
     "suffix, damage, error",
     [
-        (".vol", lambda p: p.write_bytes(p.read_bytes()[:-4]), CorruptionError),
-        (".vol", lambda p: p.with_suffix(".json").write_text('{"dims": [2, 2]}'),
-         FormatError),
-        (".vol", lambda p: p.with_suffix(".json").unlink(), FormatError),
-        (".nii", lambda p: p.write_bytes(p.read_bytes()[:-4]), CorruptionError),
-        (".nii", lambda p: p.write_bytes(p.read_bytes()[:100]), FormatError),
-        (".nii", lambda p: p.write_bytes(b"\0" * 344 + p.read_bytes()[344:]), FormatError),
+        (suffix, damage, error)
+        for suffix in (".vol", ".nii")
+        for damage, error in [
+            (lambda p: p.write_bytes(p.read_bytes()[:-4]), CorruptionError),
+            (lambda p: p.write_bytes(p.read_bytes()[:100]), FormatError),
+            (lambda p: p.write_bytes(b"\0" * 344 + p.read_bytes()[344:]), FormatError),
+        ]
     ],
 )
 def test_manifest_rejects_bad_headers_and_sizes(tmp_path, suffix, damage, error):
