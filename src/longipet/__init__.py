@@ -15,7 +15,6 @@ from .augment import (
     apply_affine,
     augment_cohort,
     augment_record,
-    identity_augmentation,
     sample_augmentation,
 )
 from .errors import (
@@ -40,7 +39,6 @@ from .forecast import (
     audit_leakage,
     forecast_cohort,
     forecast_recursive,
-    load_plan,
     plan_from_folds,
     save_plan,
 )

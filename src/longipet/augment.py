@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.ndimage import map_coordinates
@@ -27,25 +27,18 @@ SHIFT_RANGE = (-3.0, 3.0)
 
 @dataclass(frozen=True)
 class AffineAugmentation:
-    """One sampled transform.  ``zoom`` is isotropic by default; a per-axis
-    triple is also accepted."""
+    """One sampled transform: three rotations, an isotropic zoom and three
+    shifts."""
 
     rotations: Tuple[float, float, float]
-    zoom: Union[float, Tuple[float, float, float]]
+    zoom: float
     shifts: Tuple[float, float, float]
 
     def __post_init__(self):
         if len(self.rotations) != 3 or len(self.shifts) != 3:
             raise ParameterError("rotations and shifts must each have 3 components")
-        zooms = np.atleast_1d(np.asarray(self.zoom, dtype=np.float64))
-        if zooms.size not in (1, 3):
-            raise ParameterError(f"zoom must be scalar or length-3, got {self.zoom!r}")
-        if np.any(zooms <= 0):
-            raise ParameterError(f"zoom factors must be positive, got {self.zoom!r}")
-
-    def zoom_vector(self) -> np.ndarray:
-        zooms = np.atleast_1d(np.asarray(self.zoom, dtype=np.float64))
-        return np.repeat(zooms, 3) if zooms.size == 1 else zooms
+        if not isinstance(self.zoom, (int, float)) or self.zoom <= 0:
+            raise ParameterError(f"zoom must be a positive number, got {self.zoom!r}")
 
     def matrix(self) -> np.ndarray:
         """Forward map in voxel coordinates (before recentering): rotate
@@ -57,28 +50,14 @@ class AffineAugmentation:
         mx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
         my = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
         mz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
-        return np.diag(self.zoom_vector()) @ mz @ my @ mx
+        return (self.zoom * mz) @ my @ mx
 
     def to_dict(self) -> dict:
-        zooms = np.atleast_1d(np.asarray(self.zoom, dtype=np.float64))
         return {
             "rotations": [float(r) for r in self.rotations],
-            "zoom": float(zooms[0]) if zooms.size == 1 else [float(z) for z in zooms],
+            "zoom": float(self.zoom),
             "shifts": [float(s) for s in self.shifts],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AffineAugmentation":
-        zoom = d["zoom"]
-        return cls(
-            rotations=tuple(float(r) for r in d["rotations"]),
-            zoom=tuple(float(z) for z in zoom) if isinstance(zoom, list) else float(zoom),
-            shifts=tuple(float(s) for s in d["shifts"]),
-        )
-
-
-def identity_augmentation() -> AffineAugmentation:
-    return AffineAugmentation((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 0.0))
 
 
 def sample_augmentation(rng: np.random.Generator) -> AffineAugmentation:

@@ -117,32 +117,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 
-    # -- operators ----------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_const(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 def _const(value):
     if isinstance(value, Tensor):
@@ -538,23 +512,25 @@ def upsample_nn(x, factor: int = 2):
 # batch normalization
 # ---------------------------------------------------------------------------
 
+_BN_EPS = 1e-3
+_BN_MOMENTUM = 0.99
+
+
 def batchnorm(
     x,
     gamma,
     beta,
     stats: Dict[str, np.ndarray],
     mode: str = "train",
-    eps: float = 1e-3,
-    momentum: float = 0.99,
     key: str = "bn",
 ):
     """Per-channel batch normalization over the batch and spatial axes.
 
     In train mode the batch statistics normalize the input and update the
-    running estimates in ``stats`` (created on first use, EMA with the given
-    momentum).  In infer mode the running estimates are used; calling infer
-    before any train step raises StateError.  One graph node, whose
-    backward is derived by hand.
+    running estimates in ``stats`` (created on first use, then an EMA with
+    momentum 0.99).  In infer mode the running estimates are used; calling
+    infer before any train step raises StateError.  The variance is offset
+    by eps = 1e-3.  One graph node, whose backward is derived by hand.
     """
     x = _const(x)
     gamma, beta = _const(gamma), _const(beta)
@@ -571,22 +547,24 @@ def batchnorm(
         mu = x.data.mean(axis=axes, keepdims=True)
         centered = x.data - mu
         var = (centered * centered).mean(axis=axes, keepdims=True)
-        std = np.sqrt(var + eps)
+        std = np.sqrt(var + _BN_EPS)
         if mean_key not in stats:
             # seed with the first batch so early infer calls are not pulled
             # toward an arbitrary (0, 1) prior the EMA takes ages to forget
             stats[mean_key] = mu.reshape(ch).copy()
             stats[var_key] = var.reshape(ch).copy()
         else:
-            stats[mean_key] = momentum * stats[mean_key] + (1.0 - momentum) * mu.reshape(ch)
-            stats[var_key] = momentum * stats[var_key] + (1.0 - momentum) * var.reshape(ch)
+            stats[mean_key] = (_BN_MOMENTUM * stats[mean_key]
+                               + (1.0 - _BN_MOMENTUM) * mu.reshape(ch))
+            stats[var_key] = (_BN_MOMENTUM * stats[var_key]
+                              + (1.0 - _BN_MOMENTUM) * var.reshape(ch))
     elif mode == "infer":
         if mean_key not in stats or var_key not in stats:
             raise StateError(
                 "batchnorm infer mode requires running statistics; train first"
             )
         centered = x.data - stats[mean_key].reshape(1, 1, 1, 1, ch)
-        std = np.sqrt(stats[var_key].reshape(1, 1, 1, 1, ch) + eps)
+        std = np.sqrt(stats[var_key].reshape(1, 1, 1, 1, ch) + _BN_EPS)
     else:
         raise ParameterError(f"mode must be 'train' or 'infer', got {mode!r}")
     xhat = centered / std
@@ -763,6 +741,11 @@ class ParameterSet:
         return out
 
 
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-7
+
+
 @dataclass
 class AdamState:
     m: Dict[str, np.ndarray] = field(default_factory=dict)
@@ -775,11 +758,9 @@ def adam_step(
     grads: Dict[str, np.ndarray],
     state: Optional[AdamState] = None,
     lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-7,
 ) -> AdamState:
-    """One bias-corrected Adam update, applied in place."""
+    """One bias-corrected Adam update, applied in place, with the standard
+    constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-7."""
     if state is None:
         state = AdamState()
     state.t += 1
@@ -798,13 +779,13 @@ def adam_step(
         if m is None:
             m = np.zeros_like(tensor.data)
             v = np.zeros_like(tensor.data)
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
+        m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * g
+        v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * (g * g)
         state.m[name] = m
         state.v[name] = v
-        mhat = m / (1.0 - beta1 ** t)
-        vhat = v / (1.0 - beta2 ** t)
-        tensor.data = tensor.data - lr * mhat / (np.sqrt(vhat) + eps)
+        mhat = m / (1.0 - _ADAM_BETA1 ** t)
+        vhat = v / (1.0 - _ADAM_BETA2 ** t)
+        tensor.data = tensor.data - lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
     return state
 
 

@@ -54,13 +54,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .forecast import (
-    ForecastPlan,
-    PlanEntry,
-    forecast_cohort,
-    plan_from_folds,
-    save_plan,
-)
+from .forecast import forecast_cohort, plan_from_folds, save_plan
 from .metrics import load_roi
 from .model import I2IModelConfig, forward, load_model
 from .phantom import PhantomConfig, generate_cohort, write_cohort
@@ -75,6 +69,7 @@ from .report import (
     write_report_svg,
     write_stats_csv,
 )
+from .stats import WILCOXON_METHODS
 from .training import Hyper, cross_validate, load_folds
 from .volume_io import (
     ManifestEntry,
@@ -270,17 +265,11 @@ def _cmd_forecast(args) -> Written:
     (out_dir / "volumes").mkdir(parents=True, exist_ok=True)
     written: List[Path] = []
     for predictor in predictors:
-        if predictor == "i2i":
-            plan = plan_from_folds(
-                folds, args.models,
-                subject_ids=[r.subject_id for r in records],
-                to_year=args.to_year,
-            )
-        else:
-            plan = ForecastPlan(
-                {r.subject_id: PlanEntry(r.subject_id, "linear") for r in records},
-                to_year=args.to_year,
-            )
+        plan = plan_from_folds(
+            folds, args.models, predictor=predictor,
+            subject_ids=[r.subject_id for r in records],
+            to_year=args.to_year,
+        )
         results = forecast_cohort(records, plan, folds=folds, clamp_nonnegative=args.clamp)
         save_plan(plan, out_dir / f"plan_{predictor}.json")
         for sid in sorted(results):
@@ -452,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--test", required=True, choices=TESTS)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--method", choices=("auto", "exact", "approx"), default="auto",
+    p.add_argument("--method", choices=WILCOXON_METHODS, default="auto",
                    help="wilcoxon p-value method")
     p.set_defaults(func=_cmd_stats)
 

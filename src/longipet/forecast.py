@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .errors import FormatError, InputError, ParameterError, PlanError
+from .errors import InputError, ParameterError, PlanError
 from .linear import predict_linear
 from .model import forward, load_model
 from .training import FoldAssignment
@@ -116,30 +116,25 @@ def audit_leakage(plan: ForecastPlan, folds: FoldAssignment) -> AuditReport:
     return report
 
 
-class _ModelCache:
-    def __init__(self):
-        self._loaded = {}
-
-    def get(self, path: Path):
-        key = str(path)
-        if key not in self._loaded:
-            if not Path(path).exists():
-                raise PlanError(f"model file {path} does not exist")
-            self._loaded[key] = load_model(path)
-        return self._loaded[key]
+def _load_model(path):
+    if not Path(path).exists():
+        raise PlanError(f"model file {path} does not exist")
+    return load_model(path)
 
 
 def forecast_recursive(
     record: SubjectRecord,
     entry: PlanEntry,
     to_year: int,
-    model_cache: Optional[_ModelCache] = None,
+    models: Optional[Dict[str, tuple]] = None,
     clamp_nonnegative: bool = False,
 ) -> Dict[int, Volume3D]:
     """Predict years 2..to_year for one subject.
 
-    Requires observed year-0 and year-1 scans.  Only inference-mode forward
-    passes are used; no parameter ever updates here.
+    Requires observed year-0 and year-1 scans.  ``models`` maps a model path
+    to its loaded (params, config); a learned-predictor model not in it is
+    read from disk.  Only inference-mode forward passes are used; no
+    parameter ever updates here.
     """
     if to_year < 2:
         raise ParameterError(f"to_year must be >= 2, got {to_year}")
@@ -148,9 +143,8 @@ def forecast_recursive(
             f"subject {record.subject_id!r} needs year 0 and 1 scans to forecast"
         )
     if entry.predictor == "i2i":
-        if model_cache is None:
-            model_cache = _ModelCache()
-        params, config = model_cache.get(entry.model_path)
+        key = str(entry.model_path)
+        params, config = models[key] if models and key in models else _load_model(key)
 
         def step(a: Volume3D, b: Volume3D) -> Volume3D:
             return forward(params, a, b, config, mode="infer")
@@ -192,15 +186,15 @@ def forecast_cohort(
                 f"{item.subject_id} ({item.detail})" for item in report.failures()
             )
             raise PlanError(f"leakage audit failed: {names}")
-    cache = _ModelCache()
     planned = [r for r in records if r.subject_id in plan.entries]
+    models = {}
     for record in planned:
         entry = plan.entries[record.subject_id]
-        if entry.predictor == "i2i":
-            cache.get(entry.model_path)
+        if entry.predictor == "i2i" and str(entry.model_path) not in models:
+            models[str(entry.model_path)] = _load_model(entry.model_path)
     return {
         r.subject_id: forecast_recursive(
-            r, plan.entries[r.subject_id], plan.to_year, cache,
+            r, plan.entries[r.subject_id], plan.to_year, models,
             clamp_nonnegative=clamp_nonnegative,
         )
         for r in planned
@@ -224,23 +218,3 @@ def save_plan(plan: ForecastPlan, path) -> Path:
     with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def load_plan(path) -> ForecastPlan:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"plan file {path} is not valid JSON: {exc}") from exc
-    try:
-        entries = {}
-        for sid, e in doc["entries"].items():
-            entries[sid] = PlanEntry(
-                sid,
-                e["predictor"],
-                e.get("round"),
-                Path(e["model"]) if e.get("model") else None,
-            )
-        return ForecastPlan(entries, to_year=int(doc["to_year"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"plan file {path} violates its schema: {exc}") from exc

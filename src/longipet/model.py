@@ -25,7 +25,6 @@ class I2IModelConfig:
     lstm_filters: int = 16
     decoder_filters: int = 32
     kernel_size: int = 3
-    pool: int = 2
     decoder_activation: str = "relu"
     output_activation: str = "relu"
 
@@ -34,13 +33,8 @@ class I2IModelConfig:
         object.__setattr__(self, "dims", dims)
         if len(dims) != 3 or min(dims) < 2:
             raise ParameterError(f"dims must be 3 values >= 2, got {dims}")
-        if self.pool != 2:
-            # maxpool3d supports window 2 only
-            raise ParameterError(f"pool must be 2, got {self.pool!r}")
-        if any(d % self.pool for d in dims):
-            raise ParameterError(
-                f"dims {dims} must be divisible by the pooling factor {self.pool}"
-            )
+        if any(d % 2 for d in dims):
+            raise ParameterError(f"dims {dims} must be even for 2x pooling")
         if self.lstm_filters < 1 or self.decoder_filters < 1:
             raise ParameterError("filter counts must be positive")
         if self.kernel_size % 2 != 1 or self.kernel_size < 1:
@@ -63,7 +57,6 @@ class I2IModelConfig:
                 lstm_filters=int(d["lstm_filters"]),
                 decoder_filters=int(d["decoder_filters"]),
                 kernel_size=int(d.get("kernel_size", 3)),
-                pool=int(d.get("pool", 2)),
                 decoder_activation=d.get("decoder_activation", "relu"),
                 output_activation=d.get("output_activation", "relu"),
             )
@@ -135,7 +128,7 @@ def forward_batch(
     h, c = ad.convlstm3d_step(frames1[..., None], h, c, kernel, bias)
     if trace is not None:
         trace["lstm_hidden"] = h.shape
-    pooled = ad.maxpool3d(h, config.pool)
+    pooled = ad.maxpool3d(h, 2)
     if trace is not None:
         trace["pooled"] = pooled.shape
     normed = ad.batchnorm(
@@ -154,7 +147,7 @@ def forward_batch(
     )
     if trace is not None:
         trace["decoded"] = decoded.shape
-    up = ad.upsample_nn(decoded, config.pool)
+    up = ad.upsample_nn(decoded, 2)
     if trace is not None:
         trace["upsampled"] = up.shape
     out = _activate(

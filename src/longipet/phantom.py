@@ -17,7 +17,7 @@ linear forecasting to year k accumulates |error| = k*(k-1)*gamma.
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -89,22 +89,6 @@ class PhantomConfig:
                 f"base volume range [{lo}, {hi}] leaves [0.5, 2.0]; "
                 "reduce n_blobs or blob_amplitude"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "margin": self.margin,
-            "n_stable": self.n_stable,
-            "n_converter": self.n_converter,
-            "n_decliner": self.n_decliner,
-            "years": list(self.years),
-            "noise_sigma": self.noise_sigma,
-            "decline_linear": self.decline_linear,
-            "decline_quadratic": self.decline_quadratic,
-            "n_blobs": self.n_blobs,
-            "blob_amplitude": self.blob_amplitude,
-            "seed": self.seed,
-        }
 
 
 def _stream(seed: int, purpose: str, *indices: int) -> np.random.Generator:
@@ -231,7 +215,7 @@ def write_cohort(cohort: PhantomCohort, out_dir: str) -> str:
     write_volume(cohort.reference_mask, out / "reference_mask.vol")
     save_roi(cohort.roi, out / "meta_roi.json")
     with atomic_open(out / "phantom_config.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(cohort.config.to_dict(), indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(asdict(cohort.config), indent=2, sort_keys=True) + "\n")
     manifest_path = out / "manifest.json"
     write_manifest(entries, manifest_path)
     return str(manifest_path)

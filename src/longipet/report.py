@@ -40,6 +40,7 @@ from .stats import (
     mixed_anova,
     one_way_anova,
     paired_t,
+    WILCOXON_METHODS,
     wilcoxon_signed_rank,
 )
 from .volume_io import SubjectRecord, Volume3D, atomic_open
@@ -347,11 +348,14 @@ def compare(rows: Sequence[EvalRow], test: str, method: str = "auto",
     true meta-ROI SUVR per year, group and predictor), ``anova`` (MAE and
     SSIM across groups per year and predictor), ``chi2`` (subjects per
     group and year) or ``mixed`` (SUVR of ground truth, i2i and linear
-    within subjects, groups between, per year).  ``alpha`` is checked here,
-    before any test runs, and applied by ``write_stats_csv``.  Raises
-    ``InputError`` when the rows support no comparison.
+    within subjects, groups between, per year).  ``alpha`` and ``method``
+    are checked here, before any test runs; ``alpha`` is applied by
+    ``write_stats_csv``.  Raises ``InputError`` when the rows support no
+    comparison.
     """
     bonferroni(alpha, 1)  # rejects an alpha outside (0, 1]
+    if method not in WILCOXON_METHODS:
+        raise ParameterError(f"unknown method {method!r}; expected one of {WILCOXON_METHODS}")
     if test not in TESTS:
         raise ParameterError(f"unknown test {test!r}; expected one of {TESTS}")
     if not rows:

@@ -13,6 +13,7 @@ thread each, and its outputs equal a serial run's.
 """
 
 import json
+import math
 import multiprocessing
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -25,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from . import parallel
 from .augment import augment_cohort
-from .errors import DivergenceError, FormatError, InputError, ShapeError
+from .errors import DivergenceError, FormatError, InputError, ParameterError, ShapeError
 from .model import I2IModelConfig, forward_batch, init_model, save_model
 from .volume_io import GROUPS, CohortManifest, SubjectRecord, Volume3D, atomic_open
 
@@ -37,6 +38,18 @@ class Hyper:
     n_copies: int = 2
     lr: float = 1e-3
     n_folds: int = 5
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
+        if self.n_copies < 0:
+            raise ParameterError(f"n_copies must be >= 0, got {self.n_copies}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ParameterError(f"lr must be finite and > 0, got {self.lr}")
+        if self.n_folds < 2:
+            raise ParameterError(f"n_folds must be >= 2, got {self.n_folds}")
 
 
 @dataclass
@@ -53,9 +66,6 @@ class FoldAssignment:
     n_folds: int
     fold_of: Dict[str, int]
     rounds: List[FoldRound]
-
-    def round_of(self, subject_id: str) -> int:
-        return self.fold_of[subject_id]
 
 
 @dataclass
@@ -77,6 +87,8 @@ def make_folds(manifest: CohortManifest, seed: int, n_folds: int = 5) -> FoldAss
     Only subjects with the full year-0/1/2 triplet participate.  The split
     is a pure function of (manifest contents, seed).
     """
+    if n_folds < 2:
+        raise ParameterError(f"n_folds must be >= 2, got {n_folds}")
     eligible = [e for e in manifest.entries if e.has_triplet()]
     if len(eligible) < n_folds:
         raise InputError(

@@ -86,19 +86,6 @@ class Volume3D:
     def dims(self) -> Tuple[int, int, int]:
         return self.data.shape
 
-    @classmethod
-    def from_flat(cls, dims, flat, affine=None) -> "Volume3D":
-        """Build a volume from an x-fastest flat value sequence."""
-        dims = tuple(int(d) for d in dims)
-        flat = np.asarray(flat)
-        if flat.size != int(np.prod(dims)):
-            raise CorruptionError(
-                f"payload has {flat.size} values, dims {dims} need {int(np.prod(dims))}"
-            )
-        if affine is None:
-            affine = np.eye(4)
-        return cls(_c_order(flat, dims), np.asarray(affine, dtype=np.float64))
-
     def flat(self) -> np.ndarray:
         """Values in x-fastest linear order."""
         return self.data.ravel(order="F")
@@ -377,14 +364,13 @@ def pad_to_even(vol: Volume3D) -> Volume3D:
 # cohort manifest
 # ---------------------------------------------------------------------------
 
-def load_manifest(path, check_files: bool = True) -> CohortManifest:
+def load_manifest(path) -> CohortManifest:
     """Load and validate a cohort manifest.
 
-    With ``check_files`` every referenced scan must exist; headers are
-    parsed so malformed files fail here rather than mid-pipeline.  Only the
-    NIfTI-1 headers are read, each checked against the file size.  A payload
-    that holds non-finite values raises ``CorruptionError`` when the volume
-    is read.
+    Every referenced scan must exist; headers are parsed so malformed files
+    fail here rather than mid-pipeline.  Only the NIfTI-1 headers are read,
+    each checked against the file size.  A payload that holds non-finite
+    values raises ``CorruptionError`` when the volume is read.
     """
     path = Path(path)
     try:
@@ -434,17 +420,15 @@ def load_manifest(path, check_files: bool = True) -> CohortManifest:
             p = Path(rel)
             scan_paths[year] = p if p.is_absolute() else base / p
         entries.append(ManifestEntry(sid, group, scan_paths))
-    manifest = CohortManifest(entries, path=path)
-    if check_files:
-        for e in entries:
-            for year, p in e.scan_paths.items():
-                if not p.exists():
-                    raise ManifestError(
-                        f"manifest {path} subject {e.subject_id!r} year {year}: "
-                        f"missing file {p}"
-                    )
-                read_header(p)  # so format errors surface early
-    return manifest
+    for e in entries:
+        for year, p in e.scan_paths.items():
+            if not p.exists():
+                raise ManifestError(
+                    f"manifest {path} subject {e.subject_id!r} year {year}: "
+                    f"missing file {p}"
+                )
+            read_header(p)  # so format errors surface early
+    return CohortManifest(entries, path=path)
 
 
 def write_manifest(entries, path) -> Path:

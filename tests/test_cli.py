@@ -451,6 +451,21 @@ def test_too_few_subjects_for_folds_exits_5(pipeline):
     ]) == 5
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--batch-size", "0"), ("--epochs", "-1"), ("--copies", "-1"), ("--lr", "nan"),
+    ("--lr", "0"), ("--folds", "0"), ("--folds", "1"), ("--folds", "-2"),
+])
+def test_bad_hyperparameter_exits_5_and_writes_nothing(pipeline, tmp_path, capsys, flag, value):
+    out = tmp_path / "train"
+    out.mkdir()
+    assert main([
+        "train", "--manifest", str(pipeline["prep"] / "manifest.json"), "--out", str(out),
+        flag, value,
+    ]) == 5
+    assert "error:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("err,code", [
     (DivergenceError("loss blew up"), 7),
     (DegenerateDataError("all ties"), 8),

@@ -71,12 +71,12 @@ def composed_forward_batch(params, frames0, frames1, config, mode):
     h, c = composed_convlstm_step(ad.Tensor(frames0[..., None]), h, c, kernel, bias)
     h, c = composed_convlstm_step(ad.Tensor(frames1[..., None]), h, c, kernel, bias)
     normed = composed_batchnorm(
-        ad.maxpool3d(h, config.pool), params.params["bn.gamma"], params.params["bn.beta"],
+        ad.maxpool3d(h, 2), params.params["bn.gamma"], params.params["bn.beta"],
         params.stats, mode=mode,
     )
     decoded = ad.relu(ad.conv_transpose3d(
         normed, params.params["deconv.kernel"], params.params["deconv.bias"]))
-    up = ad.upsample_nn(decoded, config.pool)
+    up = ad.upsample_nn(decoded, 2)
     return ad.relu(ad.conv3d(up, params.params["head.kernel"], params.params["head.bias"]))
 
 

@@ -31,7 +31,6 @@ def test_config_defaults():
     assert c.lstm_filters == 16
     assert c.decoder_filters == 32
     assert c.kernel_size == 3
-    assert c.pool == 2
     assert c.decoder_activation == "relu"
     assert c.output_activation == "relu"
 
@@ -44,12 +43,6 @@ def test_config_rejects_odd_dims():
 def test_config_rejects_even_kernel():
     with pytest.raises(ParameterError):
         I2IModelConfig(dims=(8, 8, 8), kernel_size=2)
-
-
-@pytest.mark.parametrize("pool", [0, 1, 3, 4])
-def test_config_rejects_pool_other_than_two(pool):
-    with pytest.raises(ParameterError, match="pool must be 2"):
-        I2IModelConfig(dims=(6, 6, 6), pool=pool)
 
 
 def test_config_rejects_bad_activation():
@@ -67,6 +60,13 @@ def test_config_dict_roundtrip():
     d = c.to_dict()
     assert d["dims"] == [4, 6, 8]
     assert I2IModelConfig.from_dict(d) == c
+
+
+def test_config_from_dict_ignores_the_old_pool_key():
+    # model files from version 0.2.0 store "pool": 2, then the only legal value
+    d = I2IModelConfig(dims=(4, 6, 8)).to_dict()
+    assert "pool" not in d
+    assert I2IModelConfig.from_dict({**d, "pool": 2}) == I2IModelConfig(dims=(4, 6, 8))
 
 
 def test_config_from_dict_missing_key():

@@ -330,7 +330,8 @@ def test_write_cohort_roundtrip(tmp_path):
     roi_doc = json.loads((out / "meta_roi.json").read_text())
     assert roi_doc == {"labels": [2, 5, 7], "name": "meta_roi"}
     cfg_doc = json.loads((out / "phantom_config.json").read_text())
-    assert cfg_doc == cohort.config.to_dict()
+    assert cfg_doc["dims"] == list(cohort.config.dims)
+    assert PhantomConfig(**cfg_doc) == cohort.config
 
 
 def test_written_background_value():

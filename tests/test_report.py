@@ -287,3 +287,12 @@ def test_compare_rejects_bad_input_before_testing():
         compare([], "anova")
     with pytest.raises(InputError, match="support no ttest comparison"):
         compare([EvalRow("a", "CN", 2, "linear", 0.1, 0.9)], "ttest")
+
+
+def test_compare_rejects_bad_method_before_testing():
+    # Every pair is tied, so every signed-rank test is degenerate and none
+    # would reach its own check of the method.
+    rows = [EvalRow(f"s{i}", "CN", 2, p, 0.1, 0.9) for i in range(4) for p in ("i2i", "linear")]
+    assert all(not s.ok for s in compare(rows, "wilcoxon"))
+    with pytest.raises(ParameterError, match="unknown method 'bogus'"):
+        compare(rows, "wilcoxon", method="bogus")

@@ -357,6 +357,15 @@ def test_chi2_diagonal_table():
     assert res.p_value == pytest.approx(math.erfc(math.sqrt(20.0)), rel=1e-8)
 
 
+@pytest.mark.parametrize("table", [[[90, 10], [10, 90]], [[20, 0], [0, 20]], [[30, 5], [8, 25]]])
+def test_chi2_p_value_is_the_upper_tail_to_full_precision(table):
+    # 1 - cdf would read 0.0 for the first table (stat 128, p = 1.12e-29)
+    res = chi_square_independence(table)
+    want = math.erfc(math.sqrt(res.statistic / 2.0))
+    assert res.p_value > 0.0
+    assert res.p_value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_chi2_hand_worked_example():
     res = chi_square_independence([[10, 20], [20, 10]])
     # expected 15 everywhere: chi2 = 4 * 25/15

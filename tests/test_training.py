@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from longipet.errors import DivergenceError, FormatError, InputError, ShapeError
+from longipet.errors import DivergenceError, FormatError, InputError, ParameterError, ShapeError
 from longipet.model import I2IModelConfig, forward_batch, init_model, load_model
 from longipet.training import (
     CrossValResult,
@@ -90,6 +90,22 @@ def test_hyper_defaults():
     assert h.n_copies == 2
     assert h.lr == 1e-3
     assert h.n_folds == 5
+
+
+@pytest.mark.parametrize("bad", [
+    dict(batch_size=0), dict(epochs=-1), dict(n_copies=-1), dict(lr=0.0), dict(lr=-1e-3),
+    dict(lr=float("nan")), dict(lr=float("inf")), dict(n_folds=1), dict(n_folds=0),
+])
+def test_hyper_rejects_bad_values(bad):
+    with pytest.raises(ParameterError, match=next(iter(bad))):
+        Hyper(**bad)
+
+
+def test_make_folds_needs_two_folds():
+    m = fake_manifest((4, 4, 4))
+    for n_folds in (1, 0, -2):
+        with pytest.raises(ParameterError, match="n_folds must be >= 2"):
+            make_folds(m, seed=0, n_folds=n_folds)
 
 
 def test_fold_sizes_large_cohort():
