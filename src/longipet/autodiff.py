@@ -323,6 +323,8 @@ _SLAB_BYTES = 2 << 20
 
 def _pad(x, k):
     p = k // 2
+    if p == 0:
+        return x
     return np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
 
 
@@ -382,16 +384,18 @@ def _corr3d(x, w):
     return out
 
 
-def _corr3d_grad_w(x, gy, k):
-    # Kernel gradient: im2col(x).T @ gy, summed over slabs.
-    n, a, b, c, ci = x.shape
-    co = gy.shape[4]
+def _corr3d_grad_w(xp, gy, k):
+    # Kernel gradient: im2col(x).T @ gy, summed over slabs, from the input
+    # already zero-padded by k // 2 (_pad), so a caller that keeps its padded
+    # input never pads it again.
+    n, a, b, c, co = gy.shape
+    ci = xp.shape[4]
     if k == 1:
-        return (x.reshape(-1, ci).T @ gy.reshape(-1, co)).reshape(1, 1, 1, ci, co)
-    cols = _columns(_pad(x, k), k)
+        return (xp.reshape(-1, ci).T @ gy.reshape(-1, co)).reshape(1, 1, 1, ci, co)
+    cols = _columns(xp, k)
     width = k ** 3 * ci
     gw = np.zeros((width, co))
-    for sel in _slabs((n, a, b), c * width * x.itemsize):
+    for sel in _slabs((n, a, b), c * width * xp.itemsize):
         gw += cols[sel].reshape(-1, width).T @ gy[sel].reshape(-1, co)
     return gw.reshape(k, k, k, ci, co)
 
@@ -426,7 +430,7 @@ def conv3d(x, kernel, bias=None):
 
     def backward(g):
         x._accumulate(_corr3d(g, _flip_swap(kernel.data)))
-        kernel._accumulate(_corr3d_grad_w(x.data, g, k))
+        kernel._accumulate(_corr3d_grad_w(_pad(x.data, k), g, k))
         if bias is not None:
             bias._accumulate(g.sum(axis=(0, 1, 2, 3)))
 
@@ -449,7 +453,7 @@ def conv_transpose3d(x, kernel, bias=None):
 
     def backward(g):
         x._accumulate(_corr3d(g, kernel.data))
-        kernel._accumulate(_flip_swap(_corr3d_grad_w(x.data, g, k)))
+        kernel._accumulate(_flip_swap(_corr3d_grad_w(_pad(x.data, k), g, k)))
         if bias is not None:
             bias._accumulate(g.sum(axis=(0, 1, 2, 3)))
 
@@ -589,6 +593,61 @@ def batchnorm(
 # convolutional LSTM step
 # ---------------------------------------------------------------------------
 
+def _cell_forward(x, h_prev, c_prev, w, bias, keep):
+    # One ConvLSTM step on plain arrays; h_prev and c_prev are None for the
+    # zero state, w is the gate kernel's (x, h) part.  x and h_prev are
+    # written once into one zero-bordered buffer zp.  Each slab of im2col
+    # rows (the _corr3d grid) then runs its GEMM, bias and activations and
+    # writes its rows of c, tanh(c) and h while its gates are still in cache.
+    # Every element goes through the same expressions in the same order
+    # whatever the grid, so the slab size never changes a bit of the result.
+    # With keep the gates and tanh(c) are kept whole for the backward and
+    # returned with zp as (zp, act, tc); otherwise one slab-sized buffer of
+    # each is reused and the third result is None.
+    n, a, b, c, cin = x.shape
+    k = w.shape[0]
+    p = k // 2
+    cz, gates = w.shape[3:]
+    nf = gates // 4
+    zp = np.zeros((n, a + 2 * p, b + 2 * p, c + 2 * p, cz))
+    inner = zp[:, p : p + a, p : p + b, p : p + c]
+    inner[..., :cin] = x
+    if h_prev is not None:
+        inner[..., cin:] = h_prev
+    cols = _columns(zp, k)
+    width = k ** 3 * cz
+    w2 = w.reshape(width, gates)
+    h_out = np.empty((n, a, b, c, nf))
+    c_out = np.empty((n, a, b, c, nf))
+    slabs = list(_slabs((n, a, b), c * width * zp.itemsize))
+    if keep:
+        act = np.empty((n, a, b, c, gates))
+        tc = np.empty((n, a, b, c, nf))
+    else:
+        rows = max(h_out[sel].size for sel in slabs) // nf
+        gate_buf = np.empty((rows, gates))
+        tc_buf = np.empty((rows, nf))
+    for sel in slabs:
+        hs = h_out[sel].reshape(-1, nf)
+        cs = c_out[sel].reshape(-1, nf)
+        m = hs.shape[0]
+        gs = act[sel].reshape(-1, gates) if keep else gate_buf[:m]
+        ts = tc[sel].reshape(-1, nf) if keep else tc_buf[:m]
+        np.matmul(cols[sel].reshape(-1, width), w2, out=gs)
+        gs += bias
+        expit(gs[:, : 2 * nf], out=gs[:, : 2 * nf])
+        np.tanh(gs[:, 2 * nf : 3 * nf], out=gs[:, 2 * nf : 3 * nf])
+        expit(gs[:, 3 * nf :], out=gs[:, 3 * nf :])
+        i, f, g, o = (gs[:, j * nf : (j + 1) * nf] for j in range(4))
+        np.multiply(i, g, out=cs)
+        if c_prev is not None:
+            np.multiply(f, c_prev[sel].reshape(-1, nf), out=ts)
+            cs += ts
+        np.tanh(cs, out=ts)
+        np.multiply(o, ts, out=hs)
+    return h_out, c_out, ((zp, act, tc) if keep else None)
+
+
 def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
     """One ConvLSTM step (Shi et al. 2015) as a single fused op.
 
@@ -602,6 +661,14 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
     conv then reads only ``x`` through ``kernel[..., :c_in, :]`` and the
     ``f*c_prev`` term is skipped.  ``x`` given as a plain ndarray is a
     constant and gets no gradient; pass a Tensor to differentiate it.
+
+    Every shape is checked before anything is allocated.  The input and the
+    hidden state are written once into one zero-padded buffer, and the gates
+    are computed one slab of voxels at a time, each slab's GEMM followed at
+    once by its gate arithmetic.  Under ``no_grad`` the step keeps no gate
+    tensor: its memory beyond ``h`` and ``c`` is the padded buffer and one
+    slab.  With gradients on, the gates, ``tanh(c)`` and the padded buffer
+    are kept for the backward.
     """
     if (h_prev is None) != (c_prev is None):
         raise ParameterError("h_prev and c_prev must both be given or both be None")
@@ -622,20 +689,17 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
             f"gate kernel must map {cin + nf} channels to {4 * nf} with a "
             f"({4 * nf},) bias, got {kernel.shape} and {bias.shape}"
         )
-    z = np.concatenate([xd, h_prev.data], axis=-1) if state else xd
-    w = kernel.data[..., : z.shape[-1], :]
-    k = _check_conv_args(z, w, 3)
-    act = _corr3d(z, w)
-    act += bias.data
-    expit(act[..., : 2 * nf], out=act[..., : 2 * nf])
-    np.tanh(act[..., 2 * nf : 3 * nf], out=act[..., 2 * nf : 3 * nf])
-    expit(act[..., 3 * nf :], out=act[..., 3 * nf :])
+    k = _check_conv_args(xd, kernel.data[..., :cin, :], 3)
+    cz = cin + nf if state else cin
+    w = kernel.data[..., :cz, :]
+    keep = grad_enabled()
+    h_data, c_data, saved = _cell_forward(
+        xd, h_prev.data if state else None, c_prev.data if state else None,
+        w, bias.data, keep)
+    if not keep:
+        return Tensor(h_data), Tensor(c_data)
+    zp, act, tc = saved
     i, f, g, o = (act[..., j * nf : (j + 1) * nf] for j in range(4))
-    c_data = i * g
-    if state:
-        c_data += f * c_prev.data
-    tc = np.tanh(c_data)
-    h_data = o * tc
 
     # h's backward fills the output-gate slice of the gate pre-activation
     # gradient and passes dh*o*(1 - tanh(c)^2) on to c; c's backward, which
@@ -657,11 +721,11 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
             df[...] = 0.0
         bias._accumulate(dpre.sum(axis=(0, 1, 2, 3)))
         gw = np.zeros(kernel.shape)
-        gw[..., : z.shape[-1], :] = _corr3d_grad_w(z, dpre, k)
+        gw[..., :cz, :] = _corr3d_grad_w(zp, dpre, k)
         kernel._accumulate(gw)
         # conv input channels that need a gradient: x only when it is a Tensor
         lo = 0 if x_in is not None else cin
-        if lo < z.shape[-1]:
+        if lo < cz:
             gz = _corr3d(dpre, _flip_swap(w[..., lo:, :]))
             if x_in is not None:
                 x_in._accumulate(gz[..., :cin])

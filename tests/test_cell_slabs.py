@@ -1,0 +1,208 @@
+"""The slab-fused ConvLSTM step against the whole-tensor step it replaced.
+
+The oracle below is the previous implementation: concatenate the input and
+the hidden state, run ``_corr3d`` over the whole batch, then the gate
+arithmetic on full-tensor views, with the same hand-derived backward.  The
+fused step runs the same expressions on every element, one slab at a time,
+so values and gradients must match bit for bit, whatever the slab grid.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from scipy.special import expit
+
+from longipet import autodiff as ad
+from longipet.errors import ShapeError
+
+from gradcheck import weighted_sum
+from test_conv_engine import _set_budget
+
+
+def whole_tensor_convlstm_step(x, h_prev, c_prev, kernel, bias):
+    state = h_prev is not None
+    x_in = x if isinstance(x, ad.Tensor) else None
+    xd = x.data if x_in is not None else np.asarray(x, dtype=np.float64)
+    kernel, bias = ad._const(kernel), ad._const(bias)
+    if state:
+        h_prev, c_prev = ad._const(h_prev), ad._const(c_prev)
+    nf = kernel.shape[-1] // 4
+    cin = xd.shape[-1]
+    z = np.concatenate([xd, h_prev.data], axis=-1) if state else xd
+    w = kernel.data[..., : z.shape[-1], :]
+    k = w.shape[0]
+    act = ad._corr3d(z, w)
+    act += bias.data
+    expit(act[..., : 2 * nf], out=act[..., : 2 * nf])
+    np.tanh(act[..., 2 * nf : 3 * nf], out=act[..., 2 * nf : 3 * nf])
+    expit(act[..., 3 * nf :], out=act[..., 3 * nf :])
+    i, f, g, o = (act[..., j * nf : (j + 1) * nf] for j in range(4))
+    c_data = i * g
+    if state:
+        c_data += f * c_prev.data
+    tc = np.tanh(c_data)
+    h_data = o * tc
+    pending = {}
+
+    def c_backward(gc):
+        dpre = pending.pop("dpre", None)
+        if dpre is None:
+            dpre = np.zeros_like(act)
+        di, df, dg = (dpre[..., j * nf : (j + 1) * nf] for j in range(3))
+        np.multiply(gc * g, i * (1.0 - i), out=di)
+        np.multiply(gc * i, 1.0 - g * g, out=dg)
+        if state:
+            np.multiply(gc * c_prev.data, f * (1.0 - f), out=df)
+            c_prev._accumulate(gc * f)
+        else:
+            df[...] = 0.0
+        bias._accumulate(dpre.sum(axis=(0, 1, 2, 3)))
+        gw = np.zeros(kernel.shape)
+        gw[..., : z.shape[-1], :] = ad._corr3d_grad_w(ad._pad(z, k), dpre, k)
+        kernel._accumulate(gw)
+        lo = 0 if x_in is not None else cin
+        if lo < z.shape[-1]:
+            gz = ad._corr3d(dpre, ad._flip_swap(w[..., lo:, :]))
+            if x_in is not None:
+                x_in._accumulate(gz[..., :cin])
+            if state:
+                h_prev._accumulate(gz[..., cin - lo :])
+
+    c = ad._node(c_data, [p for p in (x_in, h_prev, c_prev, kernel, bias) if p is not None],
+                 c_backward)
+
+    def h_backward(gh):
+        dpre = pending["dpre"] = np.empty_like(act)
+        np.multiply(gh * tc, o * (1.0 - o), out=dpre[..., 3 * nf :])
+        c._accumulate(gh * o * (1.0 - tc * tc))
+
+    return ad._node(h_data, (c,), h_backward), c
+
+
+# n = 3 items of a = 5 x-planes and b = 3 y-rows: the "items" budget groups
+# two items and leaves one, "planes" cuts 2, 2, 1 planes, 2 y-rows leaves a
+# ragged last row; None keeps the default (one slab at these sizes).
+SHAPE = (3, 5, 3, 4)
+CIN, FILTERS = 2, 3
+
+
+def _case(k, seed):
+    r = np.random.default_rng((91, k, seed))
+    return {
+        "x": r.normal(size=SHAPE + (CIN,)),
+        "h": r.normal(size=SHAPE + (FILTERS,)),
+        "c": r.normal(size=SHAPE + (FILTERS,)),
+        "kernel": 0.4 * r.normal(size=(k, k, k, CIN + FILTERS, 4 * FILTERS)),
+        "bias": 0.1 * r.normal(size=4 * FILTERS),
+        "wh": r.normal(size=SHAPE + (FILTERS,)),
+        "wc": r.normal(size=SHAPE + (FILTERS,)),
+    }
+
+
+def _run(step, case, state, x_tensor, grad):
+    x = ad.Tensor(case["x"].copy()) if x_tensor else case["x"].copy()
+    hc = [ad.Tensor(case[key].copy()) for key in ("h", "c")] if state else [None, None]
+    kernel, bias = ad.Tensor(case["kernel"]), ad.Tensor(case["bias"])
+    if not grad:
+        with ad.no_grad():
+            h, c = step(x, *hc, kernel, bias)
+        return [h.data, c.data]
+    h, c = step(x, *hc, kernel, bias)
+    ad.add(weighted_sum(h, case["wh"]), weighted_sum(c, case["wc"])).backward()
+    leaves = ([x] if x_tensor else []) + [t for t in hc if t is not None] + [kernel, bias]
+    return [h.data, c.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("grad", [False, True])
+@pytest.mark.parametrize("x_tensor", [False, True])
+@pytest.mark.parametrize("state", [False, True])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("budget", [None, "items", "planes", 2])
+def test_fused_step_is_bit_identical_to_whole_tensor_step(monkeypatch, budget, k, state,
+                                                          x_tensor, grad):
+    case = _case(k, 1)
+    cz = CIN + FILTERS if state else CIN
+    _set_budget(monkeypatch, budget, SHAPE + (cz,), k)
+    got = _run(ad.convlstm3d_step, case, state, x_tensor, grad)
+    want = _run(whole_tensor_convlstm_step, case, state, x_tensor, grad)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def test_fused_step_two_steps_bit_identical():
+    # the model's pattern: zero state, then the first step's (h, c)
+    case = _case(3, 2)
+    x1 = np.random.default_rng(3).normal(size=case["x"].shape)
+    results = []
+    for step in (ad.convlstm3d_step, whole_tensor_convlstm_step):
+        kernel, bias = ad.Tensor(case["kernel"]), ad.Tensor(case["bias"])
+        h, c = step(case["x"], None, None, kernel, bias)
+        h, c = step(x1, h, c, kernel, bias)
+        weighted_sum(h, case["wh"]).backward()
+        results.append((h.data, kernel.grad, bias.grad))
+    for a, b in zip(*results):
+        assert np.array_equal(a, b)
+
+
+def test_no_grad_step_keeps_no_gate_tensor():
+    # The peak is the padded input, h, c, one slab of gates and of tanh(c),
+    # and the slab's im2col columns; the whole-tensor step also held the
+    # 64-channel gate tensor, the concatenated input and its padded copy.
+    d, cin, nf, k = 24, 1, 16, 3
+    r = np.random.default_rng(5)
+    x = r.normal(size=(1, d, d, d, cin))
+    h = r.normal(size=(1, d, d, d, nf))
+    c = r.normal(size=(1, d, d, d, nf))
+    kernel = 0.1 * r.normal(size=(k, k, k, cin + nf, 4 * nf))
+    bias = r.normal(size=4 * nf)
+    cz, width = cin + nf, k ** 3 * (cin + nf)
+    slab_rows = max(np.empty((1, d, d, d))[sel].size
+                    for sel in ad._slabs((1, d, d), d * width * 8))
+    zp = (d + 2) ** 3 * cz * 8
+    hc = 2 * d ** 3 * nf * 8
+    gate_slab = slab_rows * 4 * nf * 8
+    columns = slab_rows * width * 8
+    bound = zp + hc + 2 * gate_slab + columns + (64 << 10)
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            out = ad.convlstm3d_step(x, h, c, kernel, bias)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out[0].shape == out[1].shape == (1, d, d, d, nf)
+    assert peak <= bound, f"peak {peak} B over the bound {bound} B"
+    assert bound < peak + d ** 3 * 4 * nf * 8  # a whole gate tensor would not fit
+
+
+def _bad_step_args(case):
+    # (x, h_prev, c_prev, kernel): each breaks one check of the step
+    r = np.random.default_rng(6)
+    x = r.normal(size=(1, 12, 12, 12, 1))
+    state = r.normal(size=(1, 12, 12, 12, 2))
+    if case == "even kernel":
+        return x, state, state, np.zeros((2, 2, 2, 3, 8))
+    if case == "non-cubic kernel":
+        return x, state, state, np.zeros((3, 3, 1, 3, 8))
+    if case == "4-D x":
+        return x[0], None, None, np.zeros((3, 3, 3, 3, 8))
+    bad = r.normal(size=(1, 12, 12, 10, 2))
+    return x, bad, bad, np.zeros((3, 3, 3, 3, 8))
+
+
+@pytest.mark.parametrize("case", ["even kernel", "non-cubic kernel", "4-D x",
+                                  "state of another spatial shape"])
+def test_bad_step_raises_before_allocating(case):
+    x, h, c, kernel = _bad_step_args(case)
+    padded = 14 ** 3 * 3 * 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError):
+            ad.convlstm3d_step(x, h, c, kernel, np.zeros(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < padded // 4

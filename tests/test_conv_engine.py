@@ -99,7 +99,7 @@ def test_corr3d_grad_w_matches_per_offset_loop(monkeypatch, shape, k, co, budget
     x = r.normal(size=shape)
     gy = r.normal(size=shape[:4] + (co,))
     _set_budget(monkeypatch, budget, shape, k)
-    got = ad._corr3d_grad_w(x, gy, k)
+    got = ad._corr3d_grad_w(ad._pad(x, k), gy, k)
     assert got.shape == (k, k, k, shape[4], co)
     np.testing.assert_allclose(got, corr3d_grad_w_per_offset(x, gy, k), rtol=0, atol=TOL)
 
