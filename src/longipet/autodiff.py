@@ -11,7 +11,11 @@ convolution and its adjoint, 2x max pooling, nearest-neighbor upsampling,
 mean absolute error, and an Adam update.  Batch normalization and the
 convolutional LSTM step are fused ops with hand-derived backward passes;
 the LSTM step takes ``None`` for the zero initial state and computes no
-gradient for an input frame given as a plain array.  Tensors are laid out
+gradient for an input frame given as a plain array.  Its forward and its
+backward run one slab of voxels at a time, in plain functions
+(``_cell_forward``, ``_cell_backward``), so neither holds a whole-volume
+temporary of the 4 * filters gate channels beyond the gates it keeps for
+the backward and one gradient buffer.  Tensors are laid out
 ``(batch, x, y, z, channel)``; convolutions use stride 1 with same-padding
 and odd cubic kernels.
 """
@@ -351,19 +355,21 @@ def _slabs(lead, row_bytes):
             yield outer + (slice(i0, i0 + step),)
 
 
-def _corr3d(x, w):
-    # Same-padding stride-1 correlation: x (n,a,b,c,ci), w (k,k,k,ci,co).
-    # Wide outputs run one GEMM per slab of im2col rows, written straight
-    # into the output, so beyond the padded input the extra memory is one
-    # slab's columns (_SLAB_BYTES).  Narrow outputs (only the x-gradients of
-    # training) add one GEMM per kernel offset over the whole padded input
-    # into the output at that offset's shift; no input patch is copied.
-    n, a, b, c, ci = x.shape
+def _corr3d(xp, w):
+    # Same-padding stride-1 correlation of the input already zero-padded by
+    # k // 2 (_pad): xp (n, a+2p, b+2p, c+2p, ci), w (k,k,k,ci,co), output
+    # (n, a, b, c, co).  Wide outputs run one GEMM per slab of im2col rows,
+    # written straight into the output, so beyond the padded input the extra
+    # memory is one slab's columns (_SLAB_BYTES).  Narrow outputs (only the
+    # x-gradients of training) add one GEMM per kernel offset over the whole
+    # padded input into the output at that offset's shift; no input patch is
+    # copied.
     k = w.shape[0]
-    co = w.shape[4]
+    ci, co = w.shape[3:]
     if k == 1:
-        return np.tensordot(x, w[0, 0, 0], axes=([4], [0]))
-    xp = _pad(x, k)
+        return np.tensordot(xp, w[0, 0, 0], axes=([4], [0]))
+    n = xp.shape[0]
+    a, b, c = (d - (k - 1) for d in xp.shape[1:4])
     if co < ci:
         flat = xp.reshape(-1, ci)
         y = np.empty((flat.shape[0], co))
@@ -379,7 +385,7 @@ def _corr3d(x, w):
     width = k ** 3 * ci
     w2 = w.reshape(width, co)
     out = np.empty((n, a, b, c, co))
-    for sel in _slabs((n, a, b), c * width * x.itemsize):
+    for sel in _slabs((n, a, b), c * width * xp.itemsize):
         np.matmul(cols[sel].reshape(-1, width), w2, out=out[sel].reshape(-1, co))
     return out
 
@@ -424,13 +430,14 @@ def conv3d(x, kernel, bias=None):
     """
     x, kernel = _const(x), _const(kernel)
     k = _check_conv_args(x, kernel, 3)
-    out_data = _corr3d(x.data, kernel.data)
+    xp = _pad(x.data, k)
+    out_data = _corr3d(xp, kernel.data)
     bias = _add_bias(out_data, bias, kernel.data.shape[4])
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def backward(g):
-        x._accumulate(_corr3d(g, _flip_swap(kernel.data)))
-        kernel._accumulate(_corr3d_grad_w(_pad(x.data, k), g, k))
+        x._accumulate(_corr3d(_pad(g, k), _flip_swap(kernel.data)))
+        kernel._accumulate(_corr3d_grad_w(xp, g, k))
         if bias is not None:
             bias._accumulate(g.sum(axis=(0, 1, 2, 3)))
 
@@ -447,13 +454,14 @@ def conv_transpose3d(x, kernel, bias=None):
     x, kernel = _const(x), _const(kernel)
     k = _check_conv_args(x, kernel, 4)
     wt = _flip_swap(kernel.data)  # (k,k,k,ci,co), ready for plain correlation
-    out_data = _corr3d(x.data, wt)
+    xp = _pad(x.data, k)
+    out_data = _corr3d(xp, wt)
     bias = _add_bias(out_data, bias, kernel.data.shape[3])
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def backward(g):
-        x._accumulate(_corr3d(g, kernel.data))
-        kernel._accumulate(_flip_swap(_corr3d_grad_w(_pad(x.data, k), g, k)))
+        x._accumulate(_corr3d(_pad(g, k), kernel.data))
+        kernel._accumulate(_flip_swap(_corr3d_grad_w(xp, g, k)))
         if bias is not None:
             bias._accumulate(g.sum(axis=(0, 1, 2, 3)))
 
@@ -648,6 +656,81 @@ def _cell_forward(x, h_prev, c_prev, w, bias, keep):
     return h_out, c_out, ((zp, act, tc) if keep else None)
 
 
+def _cell_backward(gh, gc, saved, c_prev, w, lo):
+    # The backward of _cell_forward on plain arrays.  gh and gc are the
+    # gradients of h and c (either may be None), saved is the forward's
+    # (zp, act, tc), lo the first conv input channel that needs a gradient
+    # (lo == cz: none).  One pass over the forward's slab grid: each slab's
+    # gate pre-activation gradient goes into one reused slab buffer, feeds
+    # the weight-gradient GEMM (the _corr3d_grad_w grid and order) and is
+    # copied into the interior of one zero-bordered buffer dpad, which the
+    # x/h gradient conv reads without padding it again.  The buffer's row 0
+    # carries the running bias sum, so summing it with each slab adds the
+    # rows in the order dpre.sum(axis=(0, 1, 2, 3)) would.  At k = 1
+    # _corr3d_grad_w is one GEMM over all rows, which per-slab sums would not
+    # reproduce bit for bit, so the slabs write into the whole dpad (no
+    # border) and the GEMM and the bias sum run over it once.  Every element
+    # goes through the whole-tensor backward's expressions, so the result is
+    # bit-identical to it on any slab grid.  Returns (gz, gc_prev, gw, gb):
+    # gz is the gradient of zp's channels lo: (None when lo == cz), gc_prev
+    # c_prev's (None without state), gw of w and gb of the bias.
+    zp, act, tc = saved
+    n, a, b, c, gates = act.shape
+    nf = gates // 4
+    k = w.shape[0]
+    p = k // 2
+    cz = w.shape[3]
+    whole = k == 1
+    dpad = inner = None
+    if whole or lo < cz:
+        dpad = np.zeros((n, a + 2 * p, b + 2 * p, c + 2 * p, gates))
+        inner = dpad[:, p : p + a, p : p + b, p : p + c]
+    cols = _columns(zp, k)
+    width = k ** 3 * cz
+    slabs = list(_slabs((n, a, b), c * width * zp.itemsize))
+    if not whole:
+        rows = max(tc[sel].size for sel in slabs) // nf
+        buf = np.zeros((rows + 1, gates))
+        gw = np.zeros((width, gates))
+    gc_prev = None if c_prev is None else np.empty(c_prev.shape)
+    for sel in slabs:
+        acts = act[sel].reshape(-1, gates)
+        i, f, g, o = (acts[:, j * nf : (j + 1) * nf] for j in range(4))
+        ts = tc[sel].reshape(-1, nf)
+        m = ts.shape[0]
+        d = inner[sel].reshape(-1, gates) if whole else buf[1 : m + 1]
+        di, df, dg, do = (d[:, j * nf : (j + 1) * nf] for j in range(4))
+        if gh is None:
+            do[...] = 0.0
+            gct = gc[sel].reshape(-1, nf)
+        else:
+            ghs = gh[sel].reshape(-1, nf)
+            np.multiply(ghs * ts, o * (1.0 - o), out=do)
+            gct = ghs * o * (1.0 - ts * ts)
+            if gc is not None:
+                gct += gc[sel].reshape(-1, nf)
+        np.multiply(gct * g, i * (1.0 - i), out=di)
+        np.multiply(gct * i, 1.0 - g * g, out=dg)
+        if c_prev is None:
+            df[...] = 0.0
+        else:
+            np.multiply(gct * c_prev[sel].reshape(-1, nf), f * (1.0 - f), out=df)
+            np.multiply(gct, f, out=gc_prev[sel].reshape(-1, nf))
+        if not whole:
+            gw += cols[sel].reshape(-1, width).T @ d
+            buf[0] = buf[: m + 1].sum(axis=0)
+            if dpad is not None:
+                inner[sel] = d.reshape(inner[sel].shape)
+    if whole:
+        gb = dpad.sum(axis=(0, 1, 2, 3))
+        gw = _corr3d_grad_w(zp, dpad, k)
+    else:
+        gb = buf[0].copy()
+        gw = gw.reshape(k, k, k, cz, gates)
+    gz = _corr3d(dpad, _flip_swap(w[..., lo:, :])) if lo < cz else None
+    return gz, gc_prev, gw, gb
+
+
 def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
     """One ConvLSTM step (Shi et al. 2015) as a single fused op.
 
@@ -669,6 +752,14 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
     tensor: its memory beyond ``h`` and ``c`` is the padded buffer and one
     slab.  With gradients on, the gates, ``tanh(c)`` and the padded buffer
     are kept for the backward.
+
+    The backward makes one pass over the same slabs.  Each slab's gate
+    gradient is computed in one reused slab buffer, feeds the kernel and
+    bias gradients, and is copied into one zero-bordered buffer from which
+    the input and hidden-state gradients are convolved; no unpadded
+    whole-volume gate gradient exists.  ``h``'s backward only hands its
+    gradient to ``c``'s, which does all the work, so ``c.grad`` holds only
+    the gradient that reaches ``c`` directly, never ``h``'s contribution.
     """
     if (h_prev is None) != (c_prev is None):
         raise ParameterError("h_prev and c_prev must both be given or both be None")
@@ -689,7 +780,7 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
             f"gate kernel must map {cin + nf} channels to {4 * nf} with a "
             f"({4 * nf},) bias, got {kernel.shape} and {bias.shape}"
         )
-    k = _check_conv_args(xd, kernel.data[..., :cin, :], 3)
+    _check_conv_args(xd, kernel.data[..., :cin, :], 3)
     cz = cin + nf if state else cin
     w = kernel.data[..., :cz, :]
     keep = grad_enabled()
@@ -698,35 +789,24 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
         w, bias.data, keep)
     if not keep:
         return Tensor(h_data), Tensor(c_data)
-    zp, act, tc = saved
-    i, f, g, o = (act[..., j * nf : (j + 1) * nf] for j in range(4))
+    # conv input channels that need a gradient: x only when it is a Tensor
+    lo = 0 if x_in is not None else cin
 
-    # h's backward fills the output-gate slice of the gate pre-activation
-    # gradient and passes dh*o*(1 - tanh(c)^2) on to c; c's backward, which
-    # always runs after it, fills the other slices and does the one conv
-    # backward.
+    # h's backward only hands its gradient on; c's backward, which always
+    # runs after it, does the whole cell backward in one slab pass.  So c's
+    # own gradient never includes h's contribution.
     pending = {}
 
     def c_backward(gc):
-        dpre = pending.pop("dpre", None)
-        if dpre is None:
-            dpre = np.zeros_like(act)
-        di, df, dg = (dpre[..., j * nf : (j + 1) * nf] for j in range(3))
-        np.multiply(gc * g, i * (1.0 - i), out=di)
-        np.multiply(gc * i, 1.0 - g * g, out=dg)
+        gz, gc_prev, gw, gb = _cell_backward(
+            pending.pop("gh", None), gc, saved, c_prev.data if state else None, w, lo)
         if state:
-            np.multiply(gc * c_prev.data, f * (1.0 - f), out=df)
-            c_prev._accumulate(gc * f)
-        else:
-            df[...] = 0.0
-        bias._accumulate(dpre.sum(axis=(0, 1, 2, 3)))
-        gw = np.zeros(kernel.shape)
-        gw[..., :cz, :] = _corr3d_grad_w(zp, dpre, k)
-        kernel._accumulate(gw)
-        # conv input channels that need a gradient: x only when it is a Tensor
-        lo = 0 if x_in is not None else cin
-        if lo < cz:
-            gz = _corr3d(dpre, _flip_swap(w[..., lo:, :]))
+            c_prev._accumulate(gc_prev)
+        bias._accumulate(gb)
+        gk = np.zeros(kernel.shape)
+        gk[..., :cz, :] = gw
+        kernel._accumulate(gk)
+        if gz is not None:
             if x_in is not None:
                 x_in._accumulate(gz[..., :cin])
             if state:
@@ -736,9 +816,7 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
               c_backward)
 
     def h_backward(gh):
-        dpre = pending["dpre"] = np.empty_like(act)
-        np.multiply(gh * tc, o * (1.0 - o), out=dpre[..., 3 * nf :])
-        c._accumulate(gh * o * (1.0 - tc * tc))
+        pending["gh"] = gh
 
     return _node(h_data, (c,), h_backward), c
 

@@ -269,6 +269,11 @@ def _train_round(
             state = ad.adam_step(params, grads, state, lr=hyper.lr)
             losses.append(loss_value)
             weights.append(len(idx))
+        # Free the last batch's graph before validation.  Inside the loop each
+        # batch's graph lives on through the next forward; freeing it there
+        # made small steps slower (the allocator returns the heap top and the
+        # next forward faults it back in).
+        del pred, loss, grads
         report.train_loss.append(float(np.average(losses, weights=weights)))
 
         val_pred = _infer_batched(params, v0, v1, config, hyper.batch_size)

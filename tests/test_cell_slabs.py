@@ -32,7 +32,7 @@ def whole_tensor_convlstm_step(x, h_prev, c_prev, kernel, bias):
     z = np.concatenate([xd, h_prev.data], axis=-1) if state else xd
     w = kernel.data[..., : z.shape[-1], :]
     k = w.shape[0]
-    act = ad._corr3d(z, w)
+    act = ad._corr3d(ad._pad(z, k), w)
     act += bias.data
     expit(act[..., : 2 * nf], out=act[..., : 2 * nf])
     np.tanh(act[..., 2 * nf : 3 * nf], out=act[..., 2 * nf : 3 * nf])
@@ -63,7 +63,7 @@ def whole_tensor_convlstm_step(x, h_prev, c_prev, kernel, bias):
         kernel._accumulate(gw)
         lo = 0 if x_in is not None else cin
         if lo < z.shape[-1]:
-            gz = ad._corr3d(dpre, ad._flip_swap(w[..., lo:, :]))
+            gz = ad._corr3d(ad._pad(dpre, k), ad._flip_swap(w[..., lo:, :]))
             if x_in is not None:
                 x_in._accumulate(gz[..., :cin])
             if state:
@@ -206,3 +206,78 @@ def test_bad_step_raises_before_allocating(case):
     finally:
         tracemalloc.stop()
     assert peak < padded // 4
+
+
+def _run_one_output(step, case, state, x_tensor, target):
+    # the loss reads only h or only c, so the other output gets no gradient
+    x = ad.Tensor(case["x"].copy()) if x_tensor else case["x"].copy()
+    hc = [ad.Tensor(case[key].copy()) for key in ("h", "c")] if state else [None, None]
+    kernel, bias = ad.Tensor(case["kernel"]), ad.Tensor(case["bias"])
+    h, c = step(x, *hc, kernel, bias)
+    out, weights = (h, case["wh"]) if target == "h" else (c, case["wc"])
+    weighted_sum(out, weights).backward()
+    leaves = ([x] if x_tensor else []) + [t for t in hc if t is not None] + [kernel, bias]
+    return [h.data, c.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("target", ["h", "c"])
+@pytest.mark.parametrize("x_tensor", [False, True])
+@pytest.mark.parametrize("state", [False, True])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("budget", [None, "items", "planes", 2])
+def test_loss_on_one_output_is_bit_identical(monkeypatch, budget, k, state, x_tensor, target):
+    case = _case(k, 4)
+    cz = CIN + FILTERS if state else CIN
+    _set_budget(monkeypatch, budget, SHAPE + (cz,), k)
+    got = _run_one_output(ad.convlstm3d_step, case, state, x_tensor, target)
+    want = _run_one_output(whole_tensor_convlstm_step, case, state, x_tensor, target)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def test_c_gradient_excludes_h_contribution():
+    # c's backward takes h's gradient directly, so a loss on h alone leaves
+    # c.grad unset although every parameter gets its gradient
+    case = _case(3, 5)
+    kernel, bias = ad.Tensor(case["kernel"]), ad.Tensor(case["bias"])
+    h, c = ad.convlstm3d_step(case["x"], None, None, kernel, bias)
+    weighted_sum(h, case["wh"]).backward()
+    assert c.grad is None
+    assert kernel.grad is not None and bias.grad is not None
+
+
+def test_grad_step_backward_holds_the_gradient_once():
+    # The backward's peak is h's gradient, the zero-bordered pre-activation
+    # gradient dpad, the narrow conv's buffers (a product over the padded
+    # volume and the output), c_prev's gradient, and one slab's im2col
+    # columns and gate buffer.  The whole-tensor backward also held the
+    # unpadded pre-activation gradient, which dpad now replaces.
+    d, cin, nf, k = 24, 1, 16, 3
+    r = np.random.default_rng(7)
+    x = r.normal(size=(1, d, d, d, cin))
+    h = ad.Tensor(r.normal(size=(1, d, d, d, nf)))
+    c = ad.Tensor(r.normal(size=(1, d, d, d, nf)))
+    kernel = ad.Tensor(0.1 * r.normal(size=(k, k, k, cin + nf, 4 * nf)))
+    bias = ad.Tensor(r.normal(size=4 * nf))
+    wh = r.normal(size=(1, d, d, d, nf))
+    h1, _ = ad.convlstm3d_step(x, h, c, kernel, bias)
+    loss = ad._node(np.zeros(()), (h1,), lambda g: h1._accumulate(wh))
+    width = k ** 3 * (cin + nf)
+    slab_rows = max(np.empty((1, d, d, d))[sel].size
+                    for sel in ad._slabs((1, d, d), d * width * 8))
+    state_grad = d ** 3 * nf * 8
+    dpad = (d + 2) ** 3 * 4 * nf * 8
+    narrow = (d + 2) ** 3 * nf * 8 + state_grad
+    slab = slab_rows * (width + 4 * nf) * 8
+    bound = 2 * state_grad + dpad + narrow + slab + (64 << 10)
+    tracemalloc.start()
+    try:
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.grad.shape == c.grad.shape == (1, d, d, d, nf)
+    assert peak <= bound, f"peak {peak} B over the bound {bound} B"
+    assert bound < peak + d ** 3 * 4 * nf * 8  # an unpadded gradient copy would not fit

@@ -5,6 +5,7 @@ import argparse
 import builtins
 import os
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -290,6 +291,34 @@ def test_train_fold_stops_on_non_finite_gradient_before_the_update(tmp_path, mon
         with np.errstate(invalid="ignore"):
             train_fold(m, folds, 1, TINY, Hyper(batch_size=4, epochs=2, n_copies=0), seed=0)
     assert updates == []
+
+
+def test_last_batch_graph_is_freed_before_validation(tmp_path, monkeypatch):
+    # Tensor has no weakref slot, so the test watches the loss's and the
+    # prediction's data arrays, which only their Tensors hold.
+    refs = []
+    real_mae_loss, real_infer = ad.mae_loss, training._infer_batched
+
+    def watched_loss(pred, target):
+        loss = real_mae_loss(pred, target)
+        refs.extend([weakref.ref(loss.data), weakref.ref(pred.data)])
+        return loss
+
+    calls = []
+
+    def checked_infer(*args, **kwargs):
+        calls.append([r() is None for r in refs])
+        return real_infer(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "mae_loss", watched_loss)
+    monkeypatch.setattr(training, "_infer_batched", checked_infer)
+    m = cohort_on_disk(tmp_path)
+    folds = make_folds(m, seed=0)
+    train_fold(m, folds, 0, TINY, Hyper(batch_size=4, epochs=2, n_copies=1), seed=0)
+    assert len(calls) == 2  # one validation per epoch
+    assert len(refs) > 4  # several batches per epoch
+    for dead in calls:
+        assert dead and all(dead)
 
 
 def test_write_train_report(tmp_path):
