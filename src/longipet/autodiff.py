@@ -2,8 +2,13 @@
 
 A Tensor wraps a float64 ndarray plus the closure that routes its output
 gradient back to its parents.  Calling ``backward()`` on a scalar loss walks
-the graph in reverse topological order and accumulates gradients additively,
-so repeated calls without ``zero_grad`` sum.  Plain arrays are constants.
+the graph in reverse topological order and accumulates gradients into the
+leaves (tensors no op produced: parameters, inputs), so a leaf's gradients
+from backward calls through fresh graphs sum until ``zero_grad``.  Interior
+gradients are not kept: the walk releases each interior node's gradient,
+saved buffers and parent links once its backward has run, and a second
+``backward()`` that reaches a released node raises StateError.  Plain
+arrays are constants.
 
 The operation set is what the image-to-image forecaster needs: elementwise
 arithmetic, relu / tanh / sigmoid, reductions, channel concat/slice, 3D
@@ -35,6 +40,9 @@ from .errors import FormatError, ParameterError, ShapeError, StateError
 from .volume_io import atomic_open
 
 _GRAD_ENABLED = [True]
+
+# Stands in for the backward of a node whose graph backward() has released.
+_RELEASED = object()
 
 
 @contextmanager
@@ -74,13 +82,22 @@ class Tensor:
         self.grad = None
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into the ``.grad`` of every leaf.
+
+        The graph is released as the walk consumes it: once an interior
+        node's backward has run, its gradient, its saved forward buffers and
+        its parent links are dropped, so only the leaves' gradients and the
+        nodes' ``data`` outlive the call.  A released node is marked, and a
+        later backward whose graph reaches it raises StateError before any
+        gradient moves.
+        """
         if self.data.size != 1:
             raise ParameterError(
                 f"backward requires a scalar, got shape {self.data.shape}"
             )
-        # Iterative post-order walk; parents land before children, so the
-        # reversed order visits each node once all its consumers have pushed
-        # gradient into it.
+        # Iterative post-order walk; parents land before children, so
+        # popping from the end visits each node once all its consumers have
+        # pushed gradient into it.
         order = []
         visited = set()
         stack = [(self, False)]
@@ -91,15 +108,22 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _RELEASED:
+                raise StateError(
+                    "backward reached a node released by an earlier backward; "
+                    "rebuild the graph with a new forward pass"
+                )
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad, node._backward, node._parents = None, _RELEASED, ()
 
     # -- introspection -----------------------------------------------------
 
@@ -826,21 +850,27 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
 # ---------------------------------------------------------------------------
 
 def mae_loss(pred, target):
-    """Mean absolute error over all elements; subgradient 0 at zero."""
-    pred, target = _const(pred), _const(target)
-    if pred.data.shape != target.data.shape:
+    """Mean absolute error over all elements; subgradient 0 at zero.
+
+    ``target`` given as a plain ndarray is a constant and gets no gradient;
+    pass a Tensor to differentiate it."""
+    pred = _const(pred)
+    target_in = target if isinstance(target, Tensor) else None
+    td = target.data if target_in is not None else np.asarray(target, dtype=np.float64)
+    if pred.data.shape != td.shape:
         raise ShapeError(
-            f"mae_loss shapes differ: {pred.shape} vs {target.shape}"
+            f"mae_loss shapes differ: {pred.shape} vs {td.shape}"
         )
-    diff = pred.data - target.data
+    diff = pred.data - td
     out_data = np.mean(np.abs(diff))
 
     def backward(g):
         gd = g * np.sign(diff) / diff.size
         pred._accumulate(gd)
-        target._accumulate(-gd)
+        if target_in is not None:
+            target_in._accumulate(-gd)
 
-    return _node(out_data, (pred, target), backward)
+    return _node(out_data, (pred,) if target_in is None else (pred, target_in), backward)
 
 
 # ---------------------------------------------------------------------------

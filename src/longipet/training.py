@@ -251,7 +251,7 @@ def _train_round(
             idx = order[lo : lo + hyper.batch_size]
             params.zero_grad()
             pred = forward_batch(params, x0[idx], x1[idx], config, mode="train")
-            loss = ad.mae_loss(pred, ad.Tensor(y2[idx][..., None]))
+            loss = ad.mae_loss(pred, y2[idx][..., None])
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise DivergenceError(
@@ -269,10 +269,11 @@ def _train_round(
             state = ad.adam_step(params, grads, state, lr=hyper.lr)
             losses.append(loss_value)
             weights.append(len(idx))
-        # Free the last batch's graph before validation.  Inside the loop each
-        # batch's graph lives on through the next forward; freeing it there
-        # made small steps slower (the allocator returns the heap top and the
-        # next forward faults it back in).
+        # loss.backward() releases each batch's graph, so inside the loop only
+        # the last pred's and loss's data live on through the next forward.
+        # Free them before validation; freeing them per batch made small
+        # steps slower (the allocator returns the heap top and the next
+        # forward faults it back in).
         del pred, loss, grads
         report.train_loss.append(float(np.average(losses, weights=weights)))
 
