@@ -29,8 +29,9 @@ for rec in cohort.records:
     vals = [meta_roi_suvr(rec.scans[y], cohort.atlas, cohort.roi) for y in config.years]
     print(f"{rec.subject_id:<12}" + "".join(f"  {v:.4f}" for v in vals))
 
-out = Path(tempfile.mkdtemp(prefix="phantom_"))
-manifest_path = write_cohort(cohort, out)
-n_files = sum(1 for p in out.rglob("*") if p.is_file())
-print(f"\nwrote {n_files} files under {out}")
-print(f"manifest: {manifest_path}")
+with tempfile.TemporaryDirectory(prefix="phantom_") as tmp:
+    out = Path(tmp)
+    manifest_path = write_cohort(cohort, out)
+    n_files = sum(1 for p in out.rglob("*") if p.is_file())
+    print(f"\nwrote {n_files} files under {out} (removed on exit)")
+    print(f"manifest: {manifest_path}")

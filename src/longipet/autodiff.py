@@ -20,7 +20,11 @@ gradient for an input frame given as a plain array.  Its forward and its
 backward run one slab of voxels at a time, in plain functions
 (``_cell_forward``, ``_cell_backward``), so neither holds a whole-volume
 temporary of the 4 * filters gate channels beyond the gates it keeps for
-the backward and one gradient buffer.  Tensors are laid out
+the backward and one gradient buffer.  ``encode``, the forecaster's
+encoder, is one fused op over the same functions and the pool's
+(``_pool2``, ``_unpool2``): two LSTM steps from the zero state and the 2x
+max pool, one sample at a time, so no batch-sized full-resolution state
+exists.  Tensors are laid out
 ``(batch, x, y, z, channel)``; convolutions use stride 1 with same-padding
 and odd cubic kernels.
 """
@@ -496,6 +500,29 @@ def conv_transpose3d(x, kernel, bias=None):
 # pooling / upsampling
 # ---------------------------------------------------------------------------
 
+def _pool2(x):
+    # 2x max pooling of (n, a, b, c, ch) with a, b, c even.  Returns the
+    # pooled array and, as uint8, each cell's argmax in x-fastest scan order,
+    # which is all the backward (_unpool2) needs.
+    n, a, b, c, ch = x.shape
+    cells = x.reshape(n, a // 2, 2, b // 2, 2, c // 2, 2, ch)
+    # Reorder cell offsets to (dz, dy, dx) so the flattened last axis scans
+    # x fastest; argmax then breaks ties toward the first such position.
+    cells = cells.transpose(0, 1, 3, 5, 7, 6, 4, 2)
+    flat = cells.reshape(n, a // 2, b // 2, c // 2, ch, 8)
+    idx = flat.argmax(axis=-1).astype(np.uint8)
+    return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], idx
+
+
+def _unpool2(g, idx):
+    # The backward of _pool2: each pooled gradient goes to its cell's argmax.
+    n, a, b, c, ch = g.shape
+    gcells = np.zeros((n, a, b, c, ch, 8))
+    np.put_along_axis(gcells, idx[..., None], g[..., None], axis=-1)
+    gcells = gcells.reshape(n, a, b, c, ch, 2, 2, 2)
+    return gcells.transpose(0, 1, 7, 2, 6, 3, 5, 4).reshape(n, 2 * a, 2 * b, 2 * c, ch)
+
+
 def maxpool3d(x, window: int = 2):
     """Non-overlapping max pooling; gradient routes to the first maximum in
     x-fastest scan order within each cell."""
@@ -504,23 +531,12 @@ def maxpool3d(x, window: int = 2):
         raise ShapeError(f"maxpool input must be (n, x, y, z, c), got {x.shape}")
     if window != 2:
         raise ParameterError(f"only window 2 is supported, got {window}")
-    n, a, b, c, ch = x.data.shape
-    if a % 2 or b % 2 or c % 2:
-        raise ShapeError(f"spatial dims must be even for 2x pooling, got {(a, b, c)}")
-    cells = x.data.reshape(n, a // 2, 2, b // 2, 2, c // 2, 2, ch)
-    # Reorder cell offsets to (dz, dy, dx) so the flattened last axis scans
-    # x fastest; argmax then breaks ties toward the first such position.
-    cells = cells.transpose(0, 1, 3, 5, 7, 6, 4, 2)
-    flat = cells.reshape(n, a // 2, b // 2, c // 2, ch, 8)
-    idx = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    if any(d % 2 for d in x.shape[1:4]):
+        raise ShapeError(f"spatial dims must be even for 2x pooling, got {x.shape[1:4]}")
+    out_data, idx = _pool2(x.data)
 
     def backward(g):
-        gcells = np.zeros_like(flat)
-        np.put_along_axis(gcells, idx[..., None], g[..., None], axis=-1)
-        gcells = gcells.reshape(n, a // 2, b // 2, c // 2, ch, 2, 2, 2)
-        gx = gcells.transpose(0, 1, 7, 2, 6, 3, 5, 4).reshape(n, a, b, c, ch)
-        x._accumulate(gx)
+        x._accumulate(_unpool2(g, idx))
 
     return _node(out_data, (x,), backward)
 
@@ -625,12 +641,15 @@ def batchnorm(
 # convolutional LSTM step
 # ---------------------------------------------------------------------------
 
-def _cell_forward(x, h_prev, c_prev, w, bias, keep):
+def _cell_forward(x, h_prev, c_prev, w, bias, keep, h_out=None, c_out=None):
     # One ConvLSTM step on plain arrays; h_prev and c_prev are None for the
     # zero state, w is the gate kernel's (x, h) part.  x and h_prev are
     # written once into one zero-bordered buffer zp.  Each slab of im2col
     # rows (the _corr3d grid) then runs its GEMM, bias and activations and
     # writes its rows of c, tanh(c) and h while its gates are still in cache.
+    # So h_out may be h_prev itself, which zp already holds, and c_out may be
+    # c_prev, whose rows each slab reads before it writes them; by default
+    # both are new arrays.
     # Every element goes through the same expressions in the same order
     # whatever the grid, so the slab size never changes a bit of the result.
     # With keep the gates and tanh(c) are kept whole for the backward and
@@ -649,8 +668,10 @@ def _cell_forward(x, h_prev, c_prev, w, bias, keep):
     cols = _columns(zp, k)
     width = k ** 3 * cz
     w2 = w.reshape(width, gates)
-    h_out = np.empty((n, a, b, c, nf))
-    c_out = np.empty((n, a, b, c, nf))
+    if h_out is None:
+        h_out = np.empty((n, a, b, c, nf))
+    if c_out is None:
+        c_out = np.empty((n, a, b, c, nf))
     slabs = list(_slabs((n, a, b), c * width * zp.itemsize))
     if keep:
         act = np.empty((n, a, b, c, gates))
@@ -671,9 +692,11 @@ def _cell_forward(x, h_prev, c_prev, w, bias, keep):
         np.tanh(gs[:, 2 * nf : 3 * nf], out=gs[:, 2 * nf : 3 * nf])
         expit(gs[:, 3 * nf :], out=gs[:, 3 * nf :])
         i, f, g, o = (gs[:, j * nf : (j + 1) * nf] for j in range(4))
-        np.multiply(i, g, out=cs)
-        if c_prev is not None:
+        if c_prev is None:
+            np.multiply(i, g, out=cs)
+        else:
             np.multiply(f, c_prev[sel].reshape(-1, nf), out=ts)
+            np.multiply(i, g, out=cs)
             cs += ts
         np.tanh(cs, out=ts)
         np.multiply(o, ts, out=hs)
@@ -755,6 +778,19 @@ def _cell_backward(gh, gc, saved, c_prev, w, lo):
     return gz, gc_prev, gw, gb
 
 
+def _check_gate_args(x, nf, kernel, bias):
+    # The cell's checks of x and of the gate kernel and bias for nf filters;
+    # returns x's channel count.
+    cin = x.shape[-1]
+    if kernel.shape[3:] != (cin + nf, 4 * nf) or bias.shape != (4 * nf,):
+        raise ShapeError(
+            f"gate kernel must map {cin + nf} channels to {4 * nf} with a "
+            f"({4 * nf},) bias, got {kernel.shape} and {bias.shape}"
+        )
+    _check_conv_args(x, kernel.data[..., :cin, :], 3)
+    return cin
+
+
 def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
     """One ConvLSTM step (Shi et al. 2015) as a single fused op.
 
@@ -798,13 +834,7 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
                 f"state shapes {h_prev.shape}, {c_prev.shape} do not fit input {xd.shape}"
             )
     nf = h_prev.shape[-1] if state else kernel.shape[-1] // 4
-    cin = xd.shape[-1]
-    if kernel.shape[3:] != (cin + nf, 4 * nf) or bias.shape != (4 * nf,):
-        raise ShapeError(
-            f"gate kernel must map {cin + nf} channels to {4 * nf} with a "
-            f"({4 * nf},) bias, got {kernel.shape} and {bias.shape}"
-        )
-    _check_conv_args(xd, kernel.data[..., :cin, :], 3)
+    cin = _check_gate_args(xd, nf, kernel, bias)
     cz = cin + nf if state else cin
     w = kernel.data[..., :cz, :]
     keep = grad_enabled()
@@ -843,6 +873,80 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
         pending["gh"] = gh
 
     return _node(h_data, (c,), h_backward), c
+
+
+def _encode_sample(x0, x1, w, bias, keep):
+    # Both cells and the pool for one sample.  Cell 2 reads cell 1's h only
+    # through its padded input, so it writes its own h over it; without
+    # gradients it writes its c over cell 1's c too.  Returns the pooled
+    # state and, with keep, what the backward needs: (cell 1's saved, cell
+    # 2's saved, cell 1's c, the pool's argmax).
+    cin = x0.shape[-1]
+    h, c, cell1 = _cell_forward(x0, None, None, w[..., :cin, :], bias, keep)
+    h, c2, cell2 = _cell_forward(x1, h, c, w, bias, keep, h_out=h,
+                                 c_out=None if keep else c)
+    saved = (cell1, cell2, c) if keep else None
+    del c, c2  # the pool reads only h
+    pooled, idx = _pool2(h)
+    return pooled, (saved + (idx,) if keep else None)
+
+
+def encode(frames0, frames1, kernel, bias):
+    """The forecaster's encoder as one fused op: two ConvLSTM steps from the
+    zero state over ``frames0`` then ``frames1``, and 2x max pooling of the
+    final hidden state.  Returns the pooled state (n, x/2, y/2, z/2, filters).
+
+    The frames are (n, x, y, z, c_in) arrays with even x, y, z; they are
+    constants and get no gradient.  ``kernel`` and ``bias`` are the gate
+    kernel and bias of ``convlstm3d_step``, and the result equals, bit for
+    bit, ``maxpool3d`` of the ``h`` two chained ``convlstm3d_step`` calls
+    return.
+
+    The op runs one sample at a time, so no batch-sized full-resolution
+    state exists.  Under ``no_grad`` a sample's memory is one ``h`` and one
+    ``c`` buffer, shared by both steps, and the second step's padded input.
+    With gradients on it keeps, per sample, what the two cell backwards need
+    and the pool's argmax (uint8).  It is one graph node, whose backward
+    runs, per sample, the pool's backward and the two cell backwards, and
+    sums the kernel and bias gradients over the samples.
+    """
+    x0 = np.asarray(frames0, dtype=np.float64)
+    x1 = np.asarray(frames1, dtype=np.float64)
+    kernel, bias = _const(kernel), _const(bias)
+    if x0.shape != x1.shape:
+        raise ShapeError(f"frames must share one shape, got {x0.shape} and {x1.shape}")
+    nf = kernel.shape[-1] // 4
+    cin = _check_gate_args(x0, nf, kernel, bias)
+    if any(d % 2 for d in x0.shape[1:4]):
+        raise ShapeError(f"spatial dims must be even for 2x pooling, got {x0.shape[1:4]}")
+    n = x0.shape[0]
+    w = kernel.data
+    keep = grad_enabled()
+    parts = [_encode_sample(x0[s : s + 1], x1[s : s + 1], w, bias.data, keep)
+             for s in range(n)]
+    pooled = np.concatenate([part for part, _ in parts])
+    if not keep:
+        return Tensor(pooled)
+    saved = [kept for _, kept in parts]
+
+    def backward(g):
+        # Each step's gradients are summed over the samples apart, so with
+        # one sample the result is the two chained steps' bit for bit.
+        gw2, gb2 = np.zeros(kernel.shape), np.zeros(bias.shape)
+        gw1, gb1 = np.zeros(w[..., :cin, :].shape), np.zeros(bias.shape)
+        for s, (cell1, cell2, c1, idx) in enumerate(saved):
+            gh, gc, gw, gb = _cell_backward(
+                _unpool2(g[s : s + 1], idx), None, cell2, c1, w, cin)
+            gw2 += gw
+            gb2 += gb
+            _, _, gw, gb = _cell_backward(gh, gc, cell1, None, w[..., :cin, :], cin)
+            gw1 += gw
+            gb1 += gb
+        gw2[..., :cin, :] += gw1
+        kernel._accumulate(gw2)
+        bias._accumulate(gb2 + gb1)
+
+    return _node(pooled, (kernel, bias), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -462,7 +462,8 @@ def test_odd_dimensions_pad_and_flow_through_the_network(acceptance, tmp_path):
         and trace["lstm_hidden"] == (1, 80, 96, 80, 16)
         and trace["pooled"] == (1, 40, 48, 40, 16)
         and trace["decoded"] == (1, 40, 48, 40, 32)
-        and trace["upsampled"] == (1, 80, 96, 80, 32)
+        and trace["head"] == (1, 40, 48, 40, 1)
+        and trace["upsampled"] == (1, 80, 96, 80, 1)
         and trace["output"] == (1, 80, 96, 80, 1)
         and out_shape == (1, 80, 96, 80, 1)
         and fc[2].dims == (80, 96, 80)

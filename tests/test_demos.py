@@ -20,10 +20,14 @@ def test_all_five_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_cleanly(demo, tmp_path):
-    # TMPDIR keeps the demos' mkdtemp work directories inside tmp_path.
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), TMPDIR=str(tmp_path))
+    # The demos' temporary work directories go under their own TMPDIR, which
+    # must be empty again once the demo exits.
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), TMPDIR=str(tmpdir))
     run = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr[-2000:]
+    assert sorted(p.name for p in tmpdir.iterdir()) == []

@@ -101,14 +101,23 @@ def cell_case(seed, k, filters, cin=1, n=2, d=3):
     }
 
 
+def build_cell(step, case, x, h, c):
+    """Build the cell; return the outputs and the kernel and bias tensors."""
+    kernel, bias = ad.Tensor(case["kernel"]), ad.Tensor(case["bias"])
+    return step(x, h, c, kernel, bias) + (kernel, bias)
+
+
+def backprop_cell(cell, case):
+    h_out, c_out = cell[:2]
+    ad.add(weighted_sum(h_out, case["wh"]), weighted_sum(c_out, case["wc"])).backward()
+
+
 def run_cell(step, case, x, h, c):
     """Build the cell, backprop a weighted sum of h and c; return the outputs
     and the tensors the gradients land on."""
-    kernel, bias = ad.Tensor(case["kernel"]), ad.Tensor(case["bias"])
-    h_out, c_out = step(x, h, c, kernel, bias)
-    loss = ad.add(weighted_sum(h_out, case["wh"]), weighted_sum(c_out, case["wc"]))
-    loss.backward()
-    return h_out, c_out, kernel, bias
+    cell = build_cell(step, case, x, h, c)
+    backprop_cell(cell, case)
+    return cell
 
 
 CELL_CASES = [(k, filters) for k in (1, 3) for filters in (1, 3)]
@@ -155,9 +164,12 @@ def test_cell_ndarray_input_is_constant(k, filters, with_state):
     case = cell_case(3, k, filters)
     x = case["x"].copy()
     state = [ad.Tensor(case["h"].copy()), ad.Tensor(case["c"].copy())] if with_state else [None, None]
-    fused = run_cell(ad.convlstm3d_step, case, x, *state)
-    # the step records no node for x, so nothing upstream can receive dx
+    fused = build_cell(ad.convlstm3d_step, case, x, *state)
+    # the step records no node for x, so nothing upstream can receive dx;
+    # backward() releases the parent links, so look before it runs
+    assert any(p is fused[2] for p in fused[1]._parents)
     assert not any(np.shares_memory(p.data, x) for p in fused[1]._parents)
+    backprop_cell(fused, case)
     np.testing.assert_array_equal(x, case["x"])
 
     ref_state = [ad.Tensor(case["h"].copy()), ad.Tensor(case["c"].copy())] if with_state else [
@@ -299,7 +311,7 @@ def test_model_train_loss_and_gradients_match_composed():
 
 
 def test_model_forward_nodes():
-    # two fused cells, maxpool, batchnorm, deconv, relu, upsample, conv, relu
+    # encode, batchnorm, deconv, relu, head conv, relu, upsample
     cfg = I2IModelConfig(dims=(4, 4, 4), lstm_filters=2, decoder_filters=2)
     ps = init_model(cfg, seed=1)
     f0 = np.ones((1, 4, 4, 4))
@@ -311,5 +323,4 @@ def test_model_forward_nodes():
             continue
         seen.add(id(t))
         stack.extend(t._parents)
-    # nine ops; each cell returns two nodes, h on top of c
-    assert len(seen) == 11
+    assert len(seen) == 7

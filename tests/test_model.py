@@ -158,7 +158,8 @@ def test_forward_shapes_and_trace():
     assert trace["lstm_hidden"] == (2, 8, 8, 8, 2)
     assert trace["pooled"] == (2, 4, 4, 4, 2)
     assert trace["decoded"] == (2, 4, 4, 4, 3)
-    assert trace["upsampled"] == (2, 8, 8, 8, 3)
+    assert trace["head"] == (2, 4, 4, 4, 1)
+    assert trace["upsampled"] == (2, 8, 8, 8, 1)
     assert trace["output"] == (2, 8, 8, 8, 1)
 
 
