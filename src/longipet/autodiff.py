@@ -388,14 +388,12 @@ def _corr3d(xp, w):
     # k // 2 (_pad): xp (n, a+2p, b+2p, c+2p, ci), w (k,k,k,ci,co), output
     # (n, a, b, c, co).  Wide outputs run one GEMM per slab of im2col rows,
     # written straight into the output, so beyond the padded input the extra
-    # memory is one slab's columns (_SLAB_BYTES).  Narrow outputs (only the
-    # x-gradients of training) add one GEMM per kernel offset over the whole
-    # padded input into the output at that offset's shift; no input patch is
-    # copied.
+    # memory is one slab's columns (_SLAB_BYTES).  Narrow outputs (the
+    # x-gradients of training and the 1x1x1 head's few output channels) add
+    # one GEMM per kernel offset over the whole padded input into the output
+    # at that offset's shift; no input patch is copied.
     k = w.shape[0]
     ci, co = w.shape[3:]
-    if k == 1:
-        return np.tensordot(xp, w[0, 0, 0], axes=([4], [0]))
     n = xp.shape[0]
     a, b, c = (d - (k - 1) for d in xp.shape[1:4])
     if co < ci:
@@ -424,8 +422,6 @@ def _corr3d_grad_w(xp, gy, k):
     # input never pads it again.
     n, a, b, c, co = gy.shape
     ci = xp.shape[4]
-    if k == 1:
-        return (xp.reshape(-1, ci).T @ gy.reshape(-1, co)).reshape(1, 1, 1, ci, co)
     cols = _columns(xp, k)
     width = k ** 3 * ci
     gw = np.zeros((width, co))
@@ -713,10 +709,7 @@ def _cell_backward(gh, gc, saved, c_prev, w, lo):
     # copied into the interior of one zero-bordered buffer dpad, which the
     # x/h gradient conv reads without padding it again.  The buffer's row 0
     # carries the running bias sum, so summing it with each slab adds the
-    # rows in the order dpre.sum(axis=(0, 1, 2, 3)) would.  At k = 1
-    # _corr3d_grad_w is one GEMM over all rows, which per-slab sums would not
-    # reproduce bit for bit, so the slabs write into the whole dpad (no
-    # border) and the GEMM and the bias sum run over it once.  Every element
+    # rows in the order dpre.sum(axis=(0, 1, 2, 3)) would.  Every element
     # goes through the whole-tensor backward's expressions, so the result is
     # bit-identical to it on any slab grid.  Returns (gz, gc_prev, gw, gb):
     # gz is the gradient of zp's channels lo: (None when lo == cz), gc_prev
@@ -727,25 +720,23 @@ def _cell_backward(gh, gc, saved, c_prev, w, lo):
     k = w.shape[0]
     p = k // 2
     cz = w.shape[3]
-    whole = k == 1
     dpad = inner = None
-    if whole or lo < cz:
+    if lo < cz:
         dpad = np.zeros((n, a + 2 * p, b + 2 * p, c + 2 * p, gates))
         inner = dpad[:, p : p + a, p : p + b, p : p + c]
     cols = _columns(zp, k)
     width = k ** 3 * cz
     slabs = list(_slabs((n, a, b), c * width * zp.itemsize))
-    if not whole:
-        rows = max(tc[sel].size for sel in slabs) // nf
-        buf = np.zeros((rows + 1, gates))
-        gw = np.zeros((width, gates))
+    rows = max(tc[sel].size for sel in slabs) // nf
+    buf = np.zeros((rows + 1, gates))
+    gw = np.zeros((width, gates))
     gc_prev = None if c_prev is None else np.empty(c_prev.shape)
     for sel in slabs:
         acts = act[sel].reshape(-1, gates)
         i, f, g, o = (acts[:, j * nf : (j + 1) * nf] for j in range(4))
         ts = tc[sel].reshape(-1, nf)
         m = ts.shape[0]
-        d = inner[sel].reshape(-1, gates) if whole else buf[1 : m + 1]
+        d = buf[1 : m + 1]
         di, df, dg, do = (d[:, j * nf : (j + 1) * nf] for j in range(4))
         if gh is None:
             do[...] = 0.0
@@ -763,19 +754,12 @@ def _cell_backward(gh, gc, saved, c_prev, w, lo):
         else:
             np.multiply(gct * c_prev[sel].reshape(-1, nf), f * (1.0 - f), out=df)
             np.multiply(gct, f, out=gc_prev[sel].reshape(-1, nf))
-        if not whole:
-            gw += cols[sel].reshape(-1, width).T @ d
-            buf[0] = buf[: m + 1].sum(axis=0)
-            if dpad is not None:
-                inner[sel] = d.reshape(inner[sel].shape)
-    if whole:
-        gb = dpad.sum(axis=(0, 1, 2, 3))
-        gw = _corr3d_grad_w(zp, dpad, k)
-    else:
-        gb = buf[0].copy()
-        gw = gw.reshape(k, k, k, cz, gates)
+        gw += cols[sel].reshape(-1, width).T @ d
+        buf[0] = buf[: m + 1].sum(axis=0)
+        if dpad is not None:
+            inner[sel] = d.reshape(inner[sel].shape)
     gz = _corr3d(dpad, _flip_swap(w[..., lo:, :])) if lo < cz else None
-    return gz, gc_prev, gw, gb
+    return gz, gc_prev, gw.reshape(k, k, k, cz, gates), buf[0].copy()
 
 
 def _check_gate_args(x, nf, kernel, bias):
@@ -930,21 +914,17 @@ def encode(frames0, frames1, kernel, bias):
     saved = [kept for _, kept in parts]
 
     def backward(g):
-        # Each step's gradients are summed over the samples apart, so with
-        # one sample the result is the two chained steps' bit for bit.
-        gw2, gb2 = np.zeros(kernel.shape), np.zeros(bias.shape)
-        gw1, gb1 = np.zeros(w[..., :cin, :].shape), np.zeros(bias.shape)
+        gk, gb = np.zeros(kernel.shape), np.zeros(bias.shape)
         for s, (cell1, cell2, c1, idx) in enumerate(saved):
-            gh, gc, gw, gb = _cell_backward(
+            gh, gc, gw, gbs = _cell_backward(
                 _unpool2(g[s : s + 1], idx), None, cell2, c1, w, cin)
-            gw2 += gw
-            gb2 += gb
-            _, _, gw, gb = _cell_backward(gh, gc, cell1, None, w[..., :cin, :], cin)
-            gw1 += gw
-            gb1 += gb
-        gw2[..., :cin, :] += gw1
-        kernel._accumulate(gw2)
-        bias._accumulate(gb2 + gb1)
+            gk += gw
+            gb += gbs
+            _, _, gw, gbs = _cell_backward(gh, gc, cell1, None, w[..., :cin, :], cin)
+            gk[..., :cin, :] += gw
+            gb += gbs
+        kernel._accumulate(gk)
+        bias._accumulate(gb)
 
     return _node(pooled, (kernel, bias), backward)
 

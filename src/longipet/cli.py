@@ -72,13 +72,12 @@ from .report import (
 from .stats import WILCOXON_METHODS
 from .training import Hyper, cross_validate, load_folds
 from .volume_io import (
-    ManifestEntry,
     Volume3D,
     atomic_open,
     load_manifest,
     read_header,
     read_volume,
-    write_manifest,
+    write_cohort_scans,
     write_volume,
 )
 
@@ -162,22 +161,18 @@ def _cmd_preprocess(args) -> Written:
     if not order:
         raise ParameterError("no preprocessing steps selected")
     fwhm = args.fwhm if args.fwhm is not None else 4.0
-    out_dir = Path(args.out)
-    (out_dir / "volumes").mkdir(parents=True, exist_ok=True)
-    entries = []
-    for entry in manifest.entries:
-        scan_paths = {}
+
+    def scans(entry):
         for year in entry.years:
-            vol = read_volume(entry.scan_paths[year])
-            vol = preprocess_chain(vol, reference_mask=ref, brain_mask=brain,
-                                   fwhm=fwhm, order=order)
-            p = out_dir / "volumes" / f"{entry.subject_id}_y{year}.vol"
-            write_volume(vol, p)
-            scan_paths[year] = p
-        entries.append(ManifestEntry(entry.subject_id, entry.group, scan_paths))
-    manifest_path = write_manifest(entries, out_dir / "manifest.json")
-    print(f"applied {','.join(order)} to {len(entries)} subjects; wrote {manifest_path}")
-    return _in_dir(out_dir)
+            yield year, preprocess_chain(read_volume(entry.scan_paths[year]),
+                                         reference_mask=ref, brain_mask=brain,
+                                         fwhm=fwhm, order=order)
+
+    manifest_path = write_cohort_scans(
+        ((e.subject_id, e.group, scans(e)) for e in manifest.entries), args.out)
+    print(f"applied {','.join(order)} to {len(manifest.entries)} subjects; "
+          f"wrote {manifest_path}")
+    return _in_dir(Path(args.out))
 
 
 def _cmd_augment(args) -> Written:
@@ -185,18 +180,10 @@ def _cmd_augment(args) -> Written:
     records = manifest.load_records()
     augmented = augment_cohort(records, seed=args.seed, n_copies=args.copies)
     out_dir = Path(args.out)
-    (out_dir / "volumes").mkdir(parents=True, exist_ok=True)
-    entries = []
-    for rec in augmented:
-        scan_paths = {}
-        for year in sorted(rec.scans):
-            p = out_dir / "volumes" / f"{rec.subject_id}_y{year}.vol"
-            write_volume(rec.scans[year], p)
-            scan_paths[year] = p
-        entries.append(ManifestEntry(rec.subject_id, rec.group, scan_paths))
-    manifest_path = write_manifest(entries, out_dir / "manifest.json")
+    manifest_path = write_cohort_scans(
+        ((r.subject_id, r.group, sorted(r.scans.items())) for r in augmented), out_dir)
     n_augmented = write_transforms(augmented, out_dir / "transforms.json")
-    print(f"wrote {len(entries)} records ({n_augmented} augmented) to {manifest_path}")
+    print(f"wrote {len(augmented)} records ({n_augmented} augmented) to {manifest_path}")
     return _in_dir(out_dir)
 
 
@@ -249,27 +236,24 @@ def _cmd_predict(args) -> Written:
 
 def _cmd_forecast(args) -> Written:
     manifest = load_manifest(args.manifest)
-    records = [
-        manifest.load_record(e.subject_id, years=(0, 1))
-        for e in manifest.entries
-        if {0, 1} <= set(e.years)
-    ]
-    if not records:
+    ids = [e.subject_id for e in manifest.entries if {0, 1} <= set(e.years)]
+    if not ids:
         raise InputError("no subject has both year-0 and year-1 scans")
     predictors = ("i2i", "linear") if args.predictor == "both" else (args.predictor,)
     folds = load_folds(args.folds) if args.folds else None
     if "i2i" in predictors:
         if folds is None or args.models is None:
             raise PlanError("i2i forecasts need --folds and --models for the audit")
+    plans = {
+        predictor: plan_from_folds(folds, args.models, predictor=predictor,
+                                   subject_ids=ids, to_year=args.to_year)
+        for predictor in predictors
+    }
+    records = [manifest.load_record(sid, years=(0, 1)) for sid in ids]
     out_dir = Path(args.out)
     (out_dir / "volumes").mkdir(parents=True, exist_ok=True)
     written: List[Path] = []
-    for predictor in predictors:
-        plan = plan_from_folds(
-            folds, args.models, predictor=predictor,
-            subject_ids=[r.subject_id for r in records],
-            to_year=args.to_year,
-        )
+    for predictor, plan in plans.items():
         results = forecast_cohort(records, plan, folds=folds, clamp_nonnegative=args.clamp)
         save_plan(plan, out_dir / f"plan_{predictor}.json")
         for sid in sorted(results):
@@ -302,6 +286,8 @@ def _load_predictions(pred_dir: Path) -> Dict[str, Dict[str, Dict[int, Volume3D]
 
 
 def _cmd_evaluate(args) -> Written:
+    if args.roi and not args.atlas:
+        raise ParameterError("--roi requires --atlas")
     manifest = load_manifest(args.manifest)
     forecasts = _load_predictions(Path(args.predictions))
     # Only the ground truth of predicted years is read.
@@ -316,8 +302,6 @@ def _cmd_evaluate(args) -> Written:
     ]
     atlas = read_volume(args.atlas) if args.atlas else None
     roi = load_roi(args.roi) if args.roi else None
-    if roi is not None and atlas is None:
-        raise ParameterError("--roi requires --atlas")
     mask = read_volume(args.mask) if args.mask else None
     report = evaluate_forecasts(records, forecasts, atlas=atlas, roi=roi, mask=mask)
     out = Path(args.out)

@@ -43,6 +43,10 @@ class ForecastPlan:
     entries: Dict[str, PlanEntry]
     to_year: int = 2
 
+    def __post_init__(self):
+        if self.to_year < 2:
+            raise ParameterError(f"to_year must be >= 2, got {self.to_year}")
+
 
 @dataclass
 class AuditItem:

@@ -161,7 +161,7 @@ def load_roi(path) -> RoiDefinition:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"ROI file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "name" not in doc or "labels" not in doc:
         raise FormatError(f"ROI file {path} must contain 'name' and 'labels'")

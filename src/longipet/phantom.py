@@ -26,11 +26,10 @@ import numpy as np
 from .errors import ParameterError
 from .metrics import RoiDefinition, save_roi
 from .volume_io import (
-    ManifestEntry,
     SubjectRecord,
     Volume3D,
     atomic_open,
-    write_manifest,
+    write_cohort_scans,
     write_volume,
 )
 
@@ -201,21 +200,12 @@ def write_cohort(cohort: PhantomCohort, out_dir: str) -> str:
     """Write volumes, masks, ROI definition, and a manifest; returns the
     manifest path."""
     out = Path(out_dir)
-    (out / "volumes").mkdir(parents=True, exist_ok=True)
-    entries = []
-    for rec in cohort.records:
-        scan_paths = {}
-        for year in sorted(rec.scans):
-            p = out / "volumes" / f"{rec.subject_id}_y{year}.vol"
-            write_volume(rec.scans[year], p)
-            scan_paths[year] = p
-        entries.append(ManifestEntry(rec.subject_id, rec.group, scan_paths))
+    manifest_path = write_cohort_scans(
+        ((r.subject_id, r.group, sorted(r.scans.items())) for r in cohort.records), out)
     write_volume(cohort.atlas, out / "atlas.vol")
     write_volume(cohort.brain_mask, out / "brain_mask.vol")
     write_volume(cohort.reference_mask, out / "reference_mask.vol")
     save_roi(cohort.roi, out / "meta_roi.json")
     with atomic_open(out / "phantom_config.json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(asdict(cohort.config), indent=2, sort_keys=True) + "\n")
-    manifest_path = out / "manifest.json"
-    write_manifest(entries, manifest_path)
     return str(manifest_path)

@@ -23,6 +23,7 @@ leaves no partial file.
 """
 
 import csv
+import io
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -168,7 +169,11 @@ def write_gaps(gaps: Sequence[str], path) -> Path:
 
 def read_metrics_csv(path) -> List[EvalRow]:
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header[: len(CSV_FIXED_COLUMNS)]) != CSV_FIXED_COLUMNS:

@@ -143,7 +143,7 @@ def load_folds(path) -> FoldAssignment:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"fold file {path} is not valid JSON: {exc}") from exc
     try:
         rounds = [

@@ -375,9 +375,7 @@ def load_manifest(path) -> CohortManifest:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("subjects"), list):
         raise ManifestError(f"manifest {path} must be an object with a 'subjects' list")
@@ -451,3 +449,25 @@ def write_manifest(entries, path) -> Path:
         fh.write(json.dumps({"subjects": subjects}, indent=2, sort_keys=True) + "\n")
     return path
 
+
+def write_cohort_scans(subjects, out_dir) -> Path:
+    """Write a cohort in the on-disk layout every command reads: each scan
+    as ``volumes/<id>_y<year>.vol`` under ``out_dir`` and a ``manifest.json``
+    listing them; returns the manifest path.
+
+    ``subjects`` yields ``(subject_id, group, scans)`` with ``scans`` an
+    iterable of ``(year, volume)`` pairs.  Each volume is written as soon as
+    it is drawn, so lazily computed scans are held one at a time.
+    """
+    out_dir = Path(out_dir)
+    (out_dir / "volumes").mkdir(parents=True, exist_ok=True)
+    entries = []
+    for sid, group, scans in subjects:
+        scan_paths = {}
+        for year, vol in scans:
+            p = out_dir / "volumes" / f"{sid}_y{year}.vol"
+            write_volume(vol, p)
+            scan_paths[year] = p
+            del vol  # not alive while the next scan is computed
+        entries.append(ManifestEntry(sid, group, scan_paths))
+    return write_manifest(entries, out_dir / "manifest.json")

@@ -8,13 +8,16 @@ import json
 import numpy as np
 import pytest
 
-from longipet import cli
+from longipet import cli, volume_io
 from longipet.cli import main
 from longipet.errors import (
     DegenerateDataError,
     DivergenceError,
+    FormatError,
     LongipetError,
+    ManifestError,
 )
+from longipet.metrics import load_roi
 from longipet.report import (
     STATS_COLUMNS,
     TESTS,
@@ -24,6 +27,7 @@ from longipet.report import (
     write_metrics_csv,
     write_stats_csv,
 )
+from longipet.training import load_folds
 from longipet.volume_io import ManifestEntry, load_manifest, read_volume, write_manifest
 
 
@@ -416,6 +420,61 @@ def test_bad_metrics_csv_exits_3(tmp_path):
     assert main([
         "report", "--metrics", str(bad), "--out", str(tmp_path / "r.svg"),
     ]) == 3
+
+
+# Bytes that are not UTF-8: every one is a continuation or invalid lead byte.
+UNDECODABLE = bytes(range(128, 256))
+
+
+@pytest.mark.parametrize("reader,err", [
+    (load_manifest, ManifestError),
+    (load_folds, FormatError),
+    (load_roi, FormatError),
+    (read_metrics_csv, FormatError),
+])
+def test_undecodable_text_file_raises_the_readers_error(tmp_path, reader, err):
+    path = tmp_path / "binary"
+    path.write_bytes(UNDECODABLE)
+    with pytest.raises(err):
+        reader(path)
+
+
+def test_undecodable_inputs_exit_with_their_documented_codes(tmp_path, capsys):
+    blob = tmp_path / "blob"
+    blob.write_bytes(UNDECODABLE)
+    assert main(["forecast", "--manifest", str(blob), "--out", str(tmp_path / "fc")]) == 4
+    assert main([
+        "stats", "--metrics", str(blob), "--out", str(tmp_path / "s.csv"),
+        "--test", "wilcoxon",
+    ]) == 3
+    assert capsys.readouterr().err.count("error:") == 2
+
+
+@pytest.mark.parametrize("command,flags,code", [
+    ("forecast", ["--predictor", "i2i"], 6),
+    ("forecast", ["--predictor", "linear", "--to-year", "1"], 5),
+    ("evaluate", ["--roi", "{phantom}/meta_roi.json",
+                  "--predictions", "{forecast}/volumes"], 5),
+])
+def test_bad_flag_combination_fails_before_any_volume_is_read(
+        pipeline, monkeypatch, tmp_path, command, flags, code):
+    reads = []
+
+    def counting_read(path):
+        reads.append(path)
+        return read_volume(path)
+
+    monkeypatch.setattr(volume_io, "read_volume", counting_read)
+    monkeypatch.setattr(cli, "read_volume", counting_read)
+    out = tmp_path / "out"
+    target = out / "metrics.csv" if command == "evaluate" else out
+    assert main([
+        command, "--manifest", str(pipeline["prep"] / "manifest.json"),
+        "--out", str(target),
+        *(f.format(**{k: str(v) for k, v in pipeline.items()}) for f in flags),
+    ]) == code
+    assert reads == []
+    assert not out.exists()
 
 
 def test_manifest_violation_exits_4(tmp_path):

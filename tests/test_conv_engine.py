@@ -68,7 +68,8 @@ def _set_budget(monkeypatch, budget, shape, k):
 
 
 # (shape, k, c_out): both branches (c_out >= c_in and c_out < c_in), k in
-# {1, 3, 5}, batches of 3 with a = 5 x-planes.
+# {1, 3, 5}, batches of 3 with a = 5 x-planes.  The last case is the 1x1x1
+# head's many-to-one channel map, scaled down.
 CASES = [
     ((3, 5, 4, 3, 2), 3, 5),
     ((3, 5, 4, 3, 2), 3, 2),
@@ -77,6 +78,7 @@ CASES = [
     ((3, 5, 3, 2, 4), 5, 1),
     ((3, 5, 2, 2, 2), 1, 3),
     ((3, 5, 2, 2, 3), 1, 2),
+    ((3, 5, 4, 3, 8), 1, 1),
 ]
 
 
