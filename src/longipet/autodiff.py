@@ -38,7 +38,6 @@ from typing import Dict, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import expit
 
 from .errors import FormatError, ParameterError, ShapeError, StateError
 from .volume_io import atomic_open
@@ -255,9 +254,22 @@ def tanh(a):
     return _node(t, (a,), backward)
 
 
+def _sigmoid(v):
+    # The logistic function 1 / (1 + exp(-v)) in place, as numpy ufuncs so
+    # exp runs vectorized.  exp(-v) overflows to inf for v below about -709.8,
+    # which gives the correct 0, and underflows to 0 for large v, which gives
+    # 1; neither warns or raises, whatever the caller's error settings.
+    with np.errstate(over="ignore", under="ignore"):
+        np.negative(v, out=v)
+        np.exp(v, out=v)
+        v += 1.0
+        np.reciprocal(v, out=v)
+    return v
+
+
 def sigmoid(a):
     a = _const(a)
-    s = expit(a.data)
+    s = _sigmoid(a.data.copy())
 
     def backward(g):
         a._accumulate(g * s * (1.0 - s))
@@ -496,18 +508,23 @@ def conv_transpose3d(x, kernel, bias=None):
 # pooling / upsampling
 # ---------------------------------------------------------------------------
 
-def _pool2(x):
-    # 2x max pooling of (n, a, b, c, ch) with a, b, c even.  Returns the
-    # pooled array and, as uint8, each cell's argmax in x-fastest scan order,
-    # which is all the backward (_unpool2) needs.
+def _pool2(x, keep):
+    # 2x max pooling of (n, a, b, c, ch) with a, b, c even: seven maximum
+    # passes over the strided views of the eight cell offsets.  With keep it
+    # also returns, as uint8, each cell's argmax in x-fastest scan order,
+    # which is all the backward (_unpool2) needs; otherwise None.
     n, a, b, c, ch = x.shape
     cells = x.reshape(n, a // 2, 2, b // 2, 2, c // 2, 2, ch)
+    views = [cells[:, :, dx, :, dy, :, dz] for dz, dy, dx in np.ndindex(2, 2, 2)]
+    out = np.maximum(views[0], views[1])
+    for view in views[2:]:
+        np.maximum(out, view, out=out)
+    if not keep:
+        return out, None
     # Reorder cell offsets to (dz, dy, dx) so the flattened last axis scans
     # x fastest; argmax then breaks ties toward the first such position.
-    cells = cells.transpose(0, 1, 3, 5, 7, 6, 4, 2)
-    flat = cells.reshape(n, a // 2, b // 2, c // 2, ch, 8)
-    idx = flat.argmax(axis=-1).astype(np.uint8)
-    return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], idx
+    flat = cells.transpose(0, 1, 3, 5, 7, 6, 4, 2).reshape(n, a // 2, b // 2, c // 2, ch, 8)
+    return out, flat.argmax(axis=-1).astype(np.uint8)
 
 
 def _unpool2(g, idx):
@@ -529,7 +546,7 @@ def maxpool3d(x, window: int = 2):
         raise ParameterError(f"only window 2 is supported, got {window}")
     if any(d % 2 for d in x.shape[1:4]):
         raise ShapeError(f"spatial dims must be even for 2x pooling, got {x.shape[1:4]}")
-    out_data, idx = _pool2(x.data)
+    out_data, idx = _pool2(x.data, grad_enabled())
 
     def backward(g):
         x._accumulate(_unpool2(g, idx))
@@ -646,8 +663,16 @@ def _cell_forward(x, h_prev, c_prev, w, bias, keep, h_out=None, c_out=None):
     # So h_out may be h_prev itself, which zp already holds, and c_out may be
     # c_prev, whose rows each slab reads before it writes them; by default
     # both are new arrays.
-    # Every element goes through the same expressions in the same order
-    # whatever the grid, so the slab size never changes a bit of the result.
+    # The logistic runs over the whole contiguous slab at once, candidate
+    # columns included: their pre-activations are first copied to the slab's
+    # tanh(c) rows, still free then, and their tanh is written back over the
+    # logistic.  So the gates need no buffer beyond the slab.
+    # Past the GEMM every element goes through the same expressions whatever
+    # the grid, but the GEMM's last bits can depend on the slab's row count,
+    # and a slab can be as small as one y-row of z voxels.  With OpenBLAS
+    # 0.3.31, products of up to 34 rows at width 459 (cell 2 at 16 filters),
+    # and of one row at widths 27 and 162, differed from the same rows of a
+    # 20000-row product; 35 rows and more agreed.
     # With keep the gates and tanh(c) are kept whole for the backward and
     # returned with zp as (zp, act, tc); otherwise one slab-sized buffer of
     # each is reused and the third result is None.
@@ -684,10 +709,10 @@ def _cell_forward(x, h_prev, c_prev, w, bias, keep, h_out=None, c_out=None):
         ts = tc[sel].reshape(-1, nf) if keep else tc_buf[:m]
         np.matmul(cols[sel].reshape(-1, width), w2, out=gs)
         gs += bias
-        expit(gs[:, : 2 * nf], out=gs[:, : 2 * nf])
-        np.tanh(gs[:, 2 * nf : 3 * nf], out=gs[:, 2 * nf : 3 * nf])
-        expit(gs[:, 3 * nf :], out=gs[:, 3 * nf :])
         i, f, g, o = (gs[:, j * nf : (j + 1) * nf] for j in range(4))
+        np.copyto(ts, g)
+        _sigmoid(gs)
+        np.tanh(ts, out=g)
         if c_prev is None:
             np.multiply(i, g, out=cs)
         else:
@@ -792,7 +817,9 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
     Every shape is checked before anything is allocated.  The input and the
     hidden state are written once into one zero-padded buffer, and the gates
     are computed one slab of voxels at a time, each slab's GEMM followed at
-    once by its gate arithmetic.  Under ``no_grad`` the step keeps no gate
+    once by its gate arithmetic: one vectorized logistic pass over the whole
+    slab, then the candidate's tanh from a copy of its pre-activations made
+    in the slab's ``tanh(c)`` rows.  Under ``no_grad`` the step keeps no gate
     tensor: its memory beyond ``h`` and ``c`` is the padded buffer and one
     slab.  With gradients on, the gates, ``tanh(c)`` and the padded buffer
     are kept for the backward.
@@ -871,7 +898,7 @@ def _encode_sample(x0, x1, w, bias, keep):
                                  c_out=None if keep else c)
     saved = (cell1, cell2, c) if keep else None
     del c, c2  # the pool reads only h
-    pooled, idx = _pool2(h)
+    pooled, idx = _pool2(h, keep)
     return pooled, (saved + (idx,) if keep else None)
 
 
@@ -888,11 +915,13 @@ def encode(frames0, frames1, kernel, bias):
 
     The op runs one sample at a time, so no batch-sized full-resolution
     state exists.  Under ``no_grad`` a sample's memory is one ``h`` and one
-    ``c`` buffer, shared by both steps, and the second step's padded input.
-    With gradients on it keeps, per sample, what the two cell backwards need
-    and the pool's argmax (uint8).  It is one graph node, whose backward
-    runs, per sample, the pool's backward and the two cell backwards, and
-    sums the kernel and bias gradients over the samples.
+    ``c`` buffer, shared by both steps, and the second step's padded input;
+    the pool takes its maxima straight from strided views of ``h`` and
+    computes no argmax.  With gradients on it keeps, per sample, what the
+    two cell backwards need and the pool's argmax (uint8).  It is one graph
+    node, whose backward runs, per sample, the pool's backward and the two
+    cell backwards, and sums the kernel and bias gradients over the
+    samples.
     """
     x0 = np.asarray(frames0, dtype=np.float64)
     x1 = np.asarray(frames1, dtype=np.float64)

@@ -160,7 +160,7 @@ def _roi_mean(vol: Volume3D, sel: np.ndarray, roi: RoiDefinition) -> float:
 def load_roi(path) -> RoiDefinition:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"ROI file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "name" not in doc or "labels" not in doc:

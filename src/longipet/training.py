@@ -134,7 +134,7 @@ def save_folds(folds: FoldAssignment, path) -> Path:
             for r in folds.rounds
         ],
     }
-    with atomic_open(path, "w") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -142,7 +142,7 @@ def save_folds(folds: FoldAssignment, path) -> Path:
 def load_folds(path) -> FoldAssignment:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"fold file {path} is not valid JSON: {exc}") from exc
     try:
@@ -292,7 +292,7 @@ def write_train_report(report: TrainReport, path) -> Path:
     lines = ["epoch,train_loss,val_mae,is_best"]
     for i, (tl, vm) in enumerate(zip(report.train_loss, report.val_mae)):
         lines.append(f"{i + 1},{tl!r},{vm!r},{1 if i + 1 == report.best_epoch else 0}")
-    with atomic_open(path, "w") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
 

@@ -11,7 +11,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from longipet import autodiff as ad
 from longipet.errors import ShapeError
@@ -34,9 +33,10 @@ def whole_tensor_convlstm_step(x, h_prev, c_prev, kernel, bias):
     k = w.shape[0]
     act = ad._corr3d(ad._pad(z, k), w)
     act += bias.data
-    expit(act[..., : 2 * nf], out=act[..., : 2 * nf])
-    np.tanh(act[..., 2 * nf : 3 * nf], out=act[..., 2 * nf : 3 * nf])
-    expit(act[..., 3 * nf :], out=act[..., 3 * nf :])
+    with np.errstate(over="ignore"):
+        act[..., : 2 * nf] = 1 / (1 + np.exp(-act[..., : 2 * nf]))
+        np.tanh(act[..., 2 * nf : 3 * nf], out=act[..., 2 * nf : 3 * nf])
+        act[..., 3 * nf :] = 1 / (1 + np.exp(-act[..., 3 * nf :]))
     i, f, g, o = (act[..., j * nf : (j + 1) * nf] for j in range(4))
     c_data = i * g
     if state:

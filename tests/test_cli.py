@@ -4,6 +4,10 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,6 +441,43 @@ def test_undecodable_text_file_raises_the_readers_error(tmp_path, reader, err):
     path.write_bytes(UNDECODABLE)
     with pytest.raises(err):
         reader(path)
+
+
+# Loads a hand-written UTF-8 manifest, fold file and ROI file in a process
+# whose locale encoding is not UTF-8; prints that encoding, then what it read.
+_READ_UNDER_LOCALE = """
+import locale, sys
+from longipet.metrics import load_roi
+from longipet.training import load_folds
+from longipet.volume_io import load_manifest
+print(locale.getpreferredencoding(False))
+d = sys.argv[1]
+print(ascii(load_manifest(d + "/manifest.json").entries[0].subject_id))
+print(ascii(sorted(load_folds(d + "/folds.json").fold_of)))
+print(ascii(load_roi(d + "/roi.json").name))
+"""
+
+
+def test_text_readers_decode_utf8_under_a_non_utf8_locale(tmp_path):
+    sid = "M\u00fcller"
+    volume_io.write_volume(volume_io.Volume3D(np.ones((2, 2, 2))), tmp_path / "m_y0.vol")
+    docs = {
+        "manifest.json": {"subjects": [{"id": sid, "group": "CN", "scans": {"0": "m_y0.vol"}}]},
+        "folds.json": {"version": 1, "seed": 0, "n_folds": 2, "fold_of": {sid: 0},
+                       "rounds": [{"index": 0, "test": [sid], "val": [], "train": []}]},
+        "roi.json": {"name": sid, "labels": [1]},
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUTF8="0", LC_ALL="C")
+    run = subprocess.run([sys.executable, "-c", _READ_UNDER_LOCALE, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr[-2000:]
+    encoding, *read = run.stdout.splitlines()
+    if encoding.lower().replace("-", "") == "utf8":
+        pytest.skip("the C locale decodes UTF-8 on this platform")
+    assert read == [ascii(sid), ascii([sid]), ascii(sid)]
 
 
 def test_undecodable_inputs_exit_with_their_documented_codes(tmp_path, capsys):
