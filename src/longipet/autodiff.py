@@ -398,27 +398,13 @@ def _slabs(lead, row_bytes):
 def _corr3d(xp, w):
     # Same-padding stride-1 correlation of the input already zero-padded by
     # k // 2 (_pad): xp (n, a+2p, b+2p, c+2p, ci), w (k,k,k,ci,co), output
-    # (n, a, b, c, co).  Wide outputs run one GEMM per slab of im2col rows,
-    # written straight into the output, so beyond the padded input the extra
-    # memory is one slab's columns (_SLAB_BYTES).  Narrow outputs (the
-    # x-gradients of training and the 1x1x1 head's few output channels) add
-    # one GEMM per kernel offset over the whole padded input into the output
-    # at that offset's shift; no input patch is copied.
+    # (n, a, b, c, co).  One GEMM per slab of im2col rows, written straight
+    # into the output, so beyond the padded input the extra memory is one
+    # slab's columns (_SLAB_BYTES).
     k = w.shape[0]
     ci, co = w.shape[3:]
     n = xp.shape[0]
     a, b, c = (d - (k - 1) for d in xp.shape[1:4])
-    if co < ci:
-        flat = xp.reshape(-1, ci)
-        y = np.empty((flat.shape[0], co))
-        shifted = y.reshape(xp.shape[:4] + (co,))
-        out = np.zeros((n, a, b, c, co))
-        for i in range(k):
-            for j in range(k):
-                for l in range(k):
-                    np.matmul(flat, w[i, j, l], out=y)
-                    out += shifted[:, i : i + a, j : j + b, l : l + c]
-        return out
     cols = _columns(xp, k)
     width = k ** 3 * ci
     w2 = w.reshape(width, co)
@@ -1130,6 +1116,9 @@ def load_params(path):
         header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path} has an unreadable tensor index: {exc}") from exc
+    if not (isinstance(header, dict) and isinstance(header.get("tensors", []), list)
+            and isinstance(header.get("meta", {}), dict)):
+        raise FormatError(f"{path} tensor index is not an object with a 'tensors' list and 'meta'")
     if header.get("format") != _CONTAINER_FORMAT:
         raise FormatError(
             f"{path} has unknown format tag {header.get('format')!r}, "
@@ -1137,18 +1126,19 @@ def load_params(path):
         )
     body = blob[12 + header_len :]
     out = ParameterSet()
-    for entry in header.get("tensors", []):
-        name = entry["name"]
-        shape = tuple(int(d) for d in entry["shape"])
-        nbytes = int(entry["nbytes"])
-        offset = int(entry["offset"])
+    for i, entry in enumerate(header.get("tensors", [])):
+        if not _is_entry(entry):
+            raise FormatError(f"{path} tensor index entry {i} does not follow the schema "
+                              "save_params writes")
+        name, shape = entry["name"], tuple(entry["shape"])
+        nbytes, offset = entry["nbytes"], entry["offset"]
         count = int(np.prod(shape)) if shape else 1
         if nbytes != 4 * count:
             raise FormatError(
                 f"{path} tensor {name!r}: blob holds {nbytes} bytes, "
                 f"shape {shape} needs {4 * count}"
             )
-        if offset < 0 or offset + nbytes > len(body):
+        if offset + nbytes > len(body):
             raise FormatError(f"{path} tensor {name!r}: blob extends past end of file")
         arr = np.frombuffer(body, dtype="<f4", count=count, offset=offset)
         arr = arr.astype(np.float64).reshape(shape)
@@ -1157,3 +1147,12 @@ def load_params(path):
         else:
             out.add(name, arr)
     return out, header.get("meta", {})
+
+
+def _is_entry(e):
+    # A tensor index entry as save_params writes it: a string name, and a
+    # shape list, offset and nbytes of non-negative integers.
+    if not (isinstance(e, dict) and isinstance(e.get("name"), str)
+            and isinstance(e.get("shape"), list)):
+        return False
+    return all(type(v) is int and v >= 0 for v in e["shape"] + [e.get("offset"), e.get("nbytes")])

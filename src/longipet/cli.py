@@ -58,7 +58,7 @@ from .forecast import forecast_cohort, plan_from_folds, save_plan
 from .metrics import load_roi
 from .model import I2IModelConfig, forward, load_model
 from .phantom import PhantomConfig, generate_cohort, write_cohort
-from .preprocess import preprocess_chain
+from .preprocess import check_order, preprocess_chain
 from .report import (
     TESTS,
     compare,
@@ -144,22 +144,23 @@ def _cmd_phantom(args) -> Written:
 
 def _cmd_preprocess(args) -> Written:
     manifest = load_manifest(args.manifest)
-    ref = read_volume(args.ref_mask) if args.ref_mask else None
-    brain = read_volume(args.brain_mask) if args.brain_mask else None
     if args.steps is not None:
         order = tuple(s for s in args.steps.split(",") if s)
     else:
         order = tuple(
             step
             for step, present in (
-                ("suvr", ref is not None),
-                ("mask", brain is not None),
+                ("suvr", args.ref_mask),
+                ("mask", args.brain_mask),
                 ("smooth", args.fwhm is not None),
             )
             if present
         )
     if not order:
         raise ParameterError("no preprocessing steps selected")
+    check_order(order, args.ref_mask or None, args.brain_mask or None)
+    ref = read_volume(args.ref_mask) if args.ref_mask else None
+    brain = read_volume(args.brain_mask) if args.brain_mask else None
     fwhm = args.fwhm if args.fwhm is not None else 4.0
 
     def scans(entry):

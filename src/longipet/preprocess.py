@@ -95,6 +95,20 @@ def gaussian_smooth(vol: Volume3D, fwhm=(4.0, 4.0, 4.0)) -> Volume3D:
     return Volume3D(_filter3(vol.data, *bands), vol.affine.copy())
 
 
+def check_order(order, reference_mask, brain_mask) -> None:
+    """Raise ParameterError unless every step of ``order`` is known and has
+    its input: ``suvr`` a reference mask, ``mask`` a brain mask.  A mask
+    counts as given when it is not None, so a caller can check the step list
+    against mask paths before it reads any volume."""
+    for step in order:
+        if step not in DEFAULT_ORDER:
+            raise ParameterError(f"unknown preprocessing step {step!r}")
+        if step == "suvr" and reference_mask is None:
+            raise ParameterError("order includes 'suvr' but no reference mask given")
+        if step == "mask" and brain_mask is None:
+            raise ParameterError("order includes 'mask' but no brain mask given")
+
+
 def preprocess_chain(
     vol: Volume3D,
     reference_mask: Volume3D = None,
@@ -104,19 +118,14 @@ def preprocess_chain(
 ) -> Volume3D:
     """Apply the named steps in order.  Steps whose inputs were not supplied
     are skipped only if absent from ``order``; naming a step without its
-    input is an error."""
+    input is an error (``check_order``)."""
+    check_order(order, reference_mask, brain_mask)
     out = vol
     for step in order:
         if step == "suvr":
-            if reference_mask is None:
-                raise ParameterError("order includes 'suvr' but no reference mask given")
             out = suvr_normalize(out, reference_mask)
         elif step == "mask":
-            if brain_mask is None:
-                raise ParameterError("order includes 'mask' but no brain mask given")
             out = apply_brain_mask(out, brain_mask)
-        elif step == "smooth":
-            out = gaussian_smooth(out, fwhm)
         else:
-            raise ParameterError(f"unknown preprocessing step {step!r}")
+            out = gaussian_smooth(out, fwhm)
     return out

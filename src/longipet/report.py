@@ -167,6 +167,17 @@ def write_gaps(gaps: Sequence[str], path) -> Path:
     return path
 
 
+def _optional_float(cell: str) -> Optional[float]:
+    return float(cell) if cell != "" else None
+
+
+# How each metrics CSV column parses; region_<label> cells are optional floats.
+_CSV_PARSERS = {
+    "subject_id": str, "year": int, "predictor": str, "mae": float, "ssim": float, "group": str,
+    "meta_roi_suvr_pred": _optional_float, "meta_roi_suvr_true": _optional_float,
+}
+
+
 def read_metrics_csv(path) -> List[EvalRow]:
     path = Path(path)
     try:
@@ -188,27 +199,19 @@ def read_metrics_csv(path) -> List[EvalRow]:
                 labels.append(int(name[len("region_"):]))
             except ValueError as exc:
                 raise FormatError(f"{path} has bad region column {name!r}") from exc
+        fixed = len(CSV_FIXED_COLUMNS)
         rows = []
-        for i, cells in enumerate(reader):
+        for row, cells in enumerate(reader, start=2):
             if len(cells) != len(header):
-                raise FormatError(f"{path} row {i + 2} has {len(cells)} cells, want {len(header)}")
-            regional = {}
-            for label, cell in zip(labels, cells[len(CSV_FIXED_COLUMNS):]):
-                if cell != "":
-                    regional[label] = float(cell)
-            rows.append(
-                EvalRow(
-                    subject_id=cells[0],
-                    group=cells[5],
-                    year=int(cells[1]),
-                    predictor=cells[2],
-                    mae=float(cells[3]),
-                    ssim=float(cells[4]),
-                    meta_roi_suvr_pred=float(cells[6]) if cells[6] != "" else None,
-                    meta_roi_suvr_true=float(cells[7]) if cells[7] != "" else None,
-                    regional=regional,
-                )
-            )
+                raise FormatError(f"{path} row {row} has {len(cells)} cells, want {len(header)}")
+            values = []
+            for name, cell in zip(header, cells):
+                try:
+                    values.append(_CSV_PARSERS.get(name, _optional_float)(cell))
+                except ValueError as exc:
+                    raise FormatError(f"{path} row {row} column {name!r}: cannot read {cell!r}") from exc
+            regional = {label: v for label, v in zip(labels, values[fixed:]) if v is not None}
+            rows.append(EvalRow(**dict(zip(CSV_FIXED_COLUMNS, values)), regional=regional))
     return rows
 
 

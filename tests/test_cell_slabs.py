@@ -250,10 +250,10 @@ def test_c_gradient_excludes_h_contribution():
 
 def test_grad_step_backward_holds_the_gradient_once():
     # The backward's peak is h's gradient, the zero-bordered pre-activation
-    # gradient dpad, the narrow conv's buffers (a product over the padded
-    # volume and the output), c_prev's gradient, and one slab's im2col
-    # columns and gate buffer.  The whole-tensor backward also held the
-    # unpadded pre-activation gradient, which dpad now replaces.
+    # gradient dpad, the hidden-state gradient conv's output and one slab of
+    # its im2col columns (over dpad), c_prev's gradient, and one slab's
+    # im2col columns and gate buffer.  The whole-tensor backward also held
+    # the unpadded pre-activation gradient, which dpad now replaces.
     d, cin, nf, k = 24, 1, 16, 3
     r = np.random.default_rng(7)
     x = r.normal(size=(1, d, d, d, cin))
@@ -269,9 +269,12 @@ def test_grad_step_backward_holds_the_gradient_once():
                     for sel in ad._slabs((1, d, d), d * width * 8))
     state_grad = d ** 3 * nf * 8
     dpad = (d + 2) ** 3 * 4 * nf * 8
-    narrow = (d + 2) ** 3 * nf * 8 + state_grad
+    conv_width = k ** 3 * 4 * nf
+    conv_rows = max(np.empty((1, d, d, d))[sel].size
+                    for sel in ad._slabs((1, d, d), d * conv_width * 8))
+    h_conv = state_grad + conv_rows * conv_width * 8
     slab = slab_rows * (width + 4 * nf) * 8
-    bound = 2 * state_grad + dpad + narrow + slab + (64 << 10)
+    bound = 2 * state_grad + dpad + h_conv + slab + (64 << 10)
     tracemalloc.start()
     try:
         loss.backward()

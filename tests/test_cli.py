@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from longipet import cli, volume_io
+from longipet.autodiff import load_params
 from longipet.cli import main
 from longipet.errors import (
     DegenerateDataError,
@@ -23,6 +25,7 @@ from longipet.errors import (
 )
 from longipet.metrics import load_roi
 from longipet.report import (
+    CSV_FIXED_COLUMNS,
     STATS_COLUMNS,
     TESTS,
     EvalRow,
@@ -443,6 +446,71 @@ def test_undecodable_text_file_raises_the_readers_error(tmp_path, reader, err):
         reader(path)
 
 
+# A metrics CSV with one region column; each case breaks one cell of row 3.
+_METRICS_HEADER = ",".join(CSV_FIXED_COLUMNS) + ",region_1\n"
+_METRICS_ROW = "s1,2,i2i,0.1,0.9,CN,1.1,1.2,0.3\n"
+
+
+def _metrics_csv(path, column, value):
+    cells = _METRICS_ROW.strip().split(",")
+    cells[(CSV_FIXED_COLUMNS + ("region_1",)).index(column)] = value
+    path.write_text(_METRICS_HEADER + _METRICS_ROW + ",".join(cells) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("column,value", [
+    ("year", "two"), ("year", "2.0"), ("mae", "x"), ("ssim", ""),
+    ("meta_roi_suvr_pred", "high"), ("region_1", "-"),
+])
+def test_malformed_metrics_cell_raises_format_error_naming_row_and_column(
+        tmp_path, column, value):
+    with pytest.raises(FormatError, match=f"row 3 column '{column}'"):
+        read_metrics_csv(_metrics_csv(tmp_path / "m.csv", column, value))
+
+
+def _container(path, header, payload=b"\0" * 8):
+    doc = json.dumps(header).encode("utf-8")
+    path.write_bytes(b"LPC1" + struct.pack("<Q", len(doc)) + doc + payload)
+    return path
+
+
+_ENTRY = {"name": "w", "role": "param", "shape": [2], "offset": 0, "nbytes": 8}
+
+
+@pytest.mark.parametrize("header", [
+    [],
+    "longipet-tensors/1",
+    {"format": "longipet-tensors/1", "tensors": {"w": _ENTRY}, "meta": {}},
+    {"format": "longipet-tensors/1", "tensors": [], "meta": []},
+    {"format": "longipet-tensors/1", "tensors": ["w"], "meta": {}},
+    *({"format": "longipet-tensors/1", "meta": {},
+       "tensors": [{k: v for k, v in _ENTRY.items() if k != drop}]}
+      for drop in ("name", "shape", "offset", "nbytes")),
+    *({"format": "longipet-tensors/1", "meta": {}, "tensors": [dict(_ENTRY, **bad)]}
+      for bad in ({"name": 3}, {"shape": "2"}, {"shape": [2.0]}, {"shape": [-2]},
+                  {"offset": "0"}, {"offset": -1}, {"nbytes": True}, {"nbytes": None})),
+])
+def test_tensor_index_breaking_the_schema_raises_format_error(tmp_path, header):
+    with pytest.raises(FormatError):
+        load_params(_container(tmp_path / "m.bin", header))
+
+
+def test_malformed_values_exit_3(tmp_path, capsys):
+    bad = _metrics_csv(tmp_path / "m.csv", "year", "two")
+    assert main(["stats", "--metrics", str(bad), "--out", str(tmp_path / "s.csv"),
+                 "--test", "wilcoxon"]) == 3
+    assert main(["report", "--metrics", str(bad), "--out", str(tmp_path / "r.svg")]) == 3
+    for header in ([], {"format": "longipet-tensors/1", "meta": {},
+                        "tensors": [{k: v for k, v in _ENTRY.items() if k != "shape"}]}):
+        model = _container(tmp_path / "m.bin", header)
+        assert main(["predict", "--model", str(model), "--baseline", str(tmp_path / "a.vol"),
+                     "--followup", str(tmp_path / "b.vol"), "--out", str(tmp_path / "c.vol")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("row 3 column 'year'") == 2
+    assert err.count("tensor index") == 2
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "r.svg").exists()
+
+
 # Loads a hand-written UTF-8 manifest, fold file and ROI file in a process
 # whose locale encoding is not UTF-8; prints that encoding, then what it read.
 _READ_UNDER_LOCALE = """
@@ -496,6 +564,9 @@ def test_undecodable_inputs_exit_with_their_documented_codes(tmp_path, capsys):
     ("forecast", ["--predictor", "linear", "--to-year", "1"], 5),
     ("evaluate", ["--roi", "{phantom}/meta_roi.json",
                   "--predictions", "{forecast}/volumes"], 5),
+    ("preprocess", ["--steps", "suvr,bogus", "--ref-mask", "{phantom}/reference_mask.vol"], 5),
+    ("preprocess", ["--steps", "mask", "--ref-mask", "{phantom}/reference_mask.vol"], 5),
+    ("preprocess", ["--steps", "suvr,smooth", "--brain-mask", "{phantom}/brain_mask.vol"], 5),
 ])
 def test_bad_flag_combination_fails_before_any_volume_is_read(
         pipeline, monkeypatch, tmp_path, command, flags, code):

@@ -1,11 +1,13 @@
-"""Equivalence of the convolution engine with the per-offset loop it
-replaced: the slab-chunked im2col GEMM for wide outputs, and for narrow
-outputs one GEMM per offset over the padded input, added at a shift.
+"""Equivalence of the convolution engine, the slab-chunked im2col GEMM that
+runs every correlation, with the per-offset loop it replaced, and the
+memory that engine holds.
 
 The oracle below is the original implementation: one matmul per kernel
 offset over a copied input patch.  The GEMMs may sum in another order, so
 the comparison uses a tolerance rather than equality.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,9 +69,10 @@ def _set_budget(monkeypatch, budget, shape, k):
     monkeypatch.setattr(ad, "_SLAB_BYTES", rows * c * k ** 3 * ci * 8)
 
 
-# (shape, k, c_out): both branches (c_out >= c_in and c_out < c_in), k in
-# {1, 3, 5}, batches of 3 with a = 5 x-planes.  The last case is the 1x1x1
-# head's many-to-one channel map, scaled down.
+# (shape, k, c_out): outputs wider and narrower than the input (c_out >=
+# c_in and c_out < c_in; both run the one im2col path), k in {1, 3, 5},
+# batches of 3 with a = 5 x-planes.  The last case is the 1x1x1 head's
+# many-to-one channel map, scaled down.
 CASES = [
     ((3, 5, 4, 3, 2), 3, 5),
     ((3, 5, 4, 3, 2), 3, 2),
@@ -104,6 +107,26 @@ def test_corr3d_grad_w_matches_per_offset_loop(monkeypatch, shape, k, co, budget
     got = ad._corr3d_grad_w(ad._pad(x, k), gy, k)
     assert got.shape == (k, k, k, shape[4], co)
     np.testing.assert_allclose(got, corr3d_grad_w_per_offset(x, gy, k), rtol=0, atol=TOL)
+
+
+def test_narrow_corr3d_holds_its_output_and_one_slab_of_columns(monkeypatch):
+    # The ConvLSTM hidden-state gradient's 64 -> 16 map, scaled down to a
+    # 16^3 output, with a slab of one y-row.  Beyond the padded input the
+    # correlation holds its output and that slab's im2col columns: nothing
+    # the size of the padded volume.
+    r = np.random.default_rng(79)
+    xp = r.normal(size=(1, 18, 18, 18, 64))
+    w = r.normal(size=(3, 3, 3, 64, 16))
+    row = 16 * 27 * 64 * 8
+    monkeypatch.setattr(ad, "_SLAB_BYTES", row)
+    tracemalloc.start()
+    try:
+        out = ad._corr3d(xp, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = out.nbytes + row + (64 << 10)
+    assert peak <= bound, f"peak {peak} B over the bound {bound} B"
 
 
 @pytest.mark.parametrize("lead", [(3, 5, 4), (1, 7, 3), (2, 1, 1)])
