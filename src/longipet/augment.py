@@ -9,7 +9,6 @@ subject share one transform so longitudinal structure is preserved.
 """
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -18,7 +17,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from .errors import InputError, ParameterError
-from .volume_io import SubjectRecord, Volume3D, atomic_open
+from .volume_io import SubjectRecord, Volume3D, write_json
 
 ROTATION_RANGE = (-math.pi / 18.0, math.pi / 18.0)
 ZOOM_RANGE = (0.95, 1.05)
@@ -133,6 +132,5 @@ def write_transforms(records: Sequence[SubjectRecord], path) -> int:
     """Write each augmented record's source and transform as JSON; returns how many."""
     doc = {r.subject_id: {"source_id": r.source_id, "transform": r.transform.to_dict()}
            for r in records if r.transform is not None}
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
     return len(doc)

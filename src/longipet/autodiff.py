@@ -444,26 +444,35 @@ def _add_bias(out, bias, filters):
     return bias
 
 
+def _conv(x, kernel, bias, adjoint):
+    # The body of conv3d and, with adjoint, of conv_transpose3d: the same
+    # correlation with the kernel flipped and channel-swapped (_flip_swap),
+    # whose kernel gradient is the _flip_swap of the plain one.
+    x, kernel = _const(x), _const(kernel)
+    k = _check_conv_args(x, kernel, 4 if adjoint else 3)
+    orient = _flip_swap if adjoint else (lambda w: w)
+    w = orient(kernel.data)  # (k,k,k,ci,co), ready for plain correlation
+    xp = _pad(x.data, k)
+    out_data = _corr3d(xp, w)
+    bias = _add_bias(out_data, bias, w.shape[4])
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+
+    def backward(g):
+        x._accumulate(_corr3d(_pad(g, k), _flip_swap(w)))
+        kernel._accumulate(orient(_corr3d_grad_w(xp, g, k)))
+        if bias is not None:
+            bias._accumulate(g.sum(axis=(0, 1, 2, 3)))
+
+    return _node(out_data, parents, backward)
+
+
 def conv3d(x, kernel, bias=None):
     """Stride-1 same-padding 3D correlation.
 
     ``x`` is (n, x, y, z, c_in), ``kernel`` is (k, k, k, c_in, c_out) with k
     odd, ``bias`` is (c_out,) or None.  Output keeps the spatial dims.
     """
-    x, kernel = _const(x), _const(kernel)
-    k = _check_conv_args(x, kernel, 3)
-    xp = _pad(x.data, k)
-    out_data = _corr3d(xp, kernel.data)
-    bias = _add_bias(out_data, bias, kernel.data.shape[4])
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-
-    def backward(g):
-        x._accumulate(_corr3d(_pad(g, k), _flip_swap(kernel.data)))
-        kernel._accumulate(_corr3d_grad_w(xp, g, k))
-        if bias is not None:
-            bias._accumulate(g.sum(axis=(0, 1, 2, 3)))
-
-    return _node(out_data, parents, backward)
+    return _conv(x, kernel, bias, adjoint=False)
 
 
 def conv_transpose3d(x, kernel, bias=None):
@@ -473,21 +482,7 @@ def conv_transpose3d(x, kernel, bias=None):
     vector-Jacobian product of a conv3d that maps c_out channels to c_in
     channels with the same kernel.
     """
-    x, kernel = _const(x), _const(kernel)
-    k = _check_conv_args(x, kernel, 4)
-    wt = _flip_swap(kernel.data)  # (k,k,k,ci,co), ready for plain correlation
-    xp = _pad(x.data, k)
-    out_data = _corr3d(xp, wt)
-    bias = _add_bias(out_data, bias, kernel.data.shape[3])
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-
-    def backward(g):
-        x._accumulate(_corr3d(_pad(g, k), kernel.data))
-        kernel._accumulate(_flip_swap(_corr3d_grad_w(xp, g, k)))
-        if bias is not None:
-            bias._accumulate(g.sum(axis=(0, 1, 2, 3)))
-
-    return _node(out_data, parents, backward)
+    return _conv(x, kernel, bias, adjoint=True)
 
 
 # ---------------------------------------------------------------------------

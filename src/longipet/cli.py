@@ -32,7 +32,6 @@ with that BLAS thread count.  Every other command runs in one process.
 
 import argparse
 import hashlib
-import json
 import re
 import sys
 from dataclasses import fields
@@ -58,7 +57,7 @@ from .forecast import forecast_cohort, plan_from_folds, save_plan
 from .metrics import load_roi
 from .model import I2IModelConfig, forward, load_model
 from .phantom import PhantomConfig, generate_cohort, write_cohort
-from .preprocess import check_order, preprocess_chain
+from .preprocess import check_order, gaussian_kernel_1d, preprocess_chain
 from .report import (
     TESTS,
     compare,
@@ -73,11 +72,11 @@ from .stats import WILCOXON_METHODS
 from .training import Hyper, cross_validate, load_folds
 from .volume_io import (
     Volume3D,
-    atomic_open,
     load_manifest,
     read_header,
     read_volume,
     write_cohort_scans,
+    write_json,
     write_volume,
 )
 
@@ -106,14 +105,12 @@ def _write_run_manifest(args: argparse.Namespace, target: Path,
         except ValueError:
             rel = str(p)
         entries.append({"bytes": p.stat().st_size, "path": rel, "sha256": _sha256(p)})
-    doc = {
+    write_json(target, {
         "arguments": {k: v for k, v in vars(args).items() if k != "func"},
         "artifacts": entries,
         "command": args.command,
         "version": __version__,
-    }
-    with atomic_open(target, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    })
 
 
 # What a command wrote: its run-manifest path and its artifacts.
@@ -159,9 +156,11 @@ def _cmd_preprocess(args) -> Written:
     if not order:
         raise ParameterError("no preprocessing steps selected")
     check_order(order, args.ref_mask or None, args.brain_mask or None)
+    fwhm = args.fwhm if args.fwhm is not None else 4.0
+    if "smooth" in order:
+        gaussian_kernel_1d(fwhm)  # rejects a bad fwhm before any volume is read
     ref = read_volume(args.ref_mask) if args.ref_mask else None
     brain = read_volume(args.brain_mask) if args.brain_mask else None
-    fwhm = args.fwhm if args.fwhm is not None else 4.0
 
     def scans(entry):
         for year in entry.years:
@@ -227,7 +226,7 @@ def _cmd_predict(args) -> Written:
     params, config = load_model(args.model)
     baseline = read_volume(args.baseline)
     followup = read_volume(args.followup)
-    pred = forward(params, baseline, followup, config, mode="infer")
+    pred = forward(params, baseline, followup, config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_volume(pred, out)

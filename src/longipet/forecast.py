@@ -8,7 +8,6 @@ model weights never saw that subject during training or validation.  The
 audit verifies exactly that and refuses to predict when it fails.
 """
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -17,7 +16,7 @@ from .errors import InputError, ParameterError, PlanError
 from .linear import predict_linear
 from .model import forward, load_model
 from .training import FoldAssignment
-from .volume_io import SubjectRecord, Volume3D, atomic_open
+from .volume_io import SubjectRecord, Volume3D, write_json
 
 PREDICTORS = ("linear", "i2i")
 
@@ -151,7 +150,7 @@ def forecast_recursive(
         params, config = models[key] if models and key in models else _load_model(key)
 
         def step(a: Volume3D, b: Volume3D) -> Volume3D:
-            return forward(params, a, b, config, mode="infer")
+            return forward(params, a, b, config)
 
     else:
 
@@ -206,8 +205,7 @@ def forecast_cohort(
 
 
 def save_plan(plan: ForecastPlan, path) -> Path:
-    path = Path(path)
-    doc = {
+    return write_json(path, {
         "version": 1,
         "to_year": plan.to_year,
         "entries": {
@@ -218,7 +216,4 @@ def save_plan(plan: ForecastPlan, path) -> Path:
             }
             for sid, e in sorted(plan.entries.items())
         },
-    }
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    })

@@ -13,7 +13,6 @@ Per-label means index the rounded atlas labels once (``AtlasIndex``); each
 volume pair then costs one ``np.bincount``.
 """
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import FormatError, ParameterError, ShapeError
 from .preprocess import _band, _filter3
-from .volume_io import Volume3D, atomic_open
+from .volume_io import Volume3D, read_json, write_json
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -159,10 +158,7 @@ def _roi_mean(vol: Volume3D, sel: np.ndarray, roi: RoiDefinition) -> float:
 
 def load_roi(path) -> RoiDefinition:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"ROI file {path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, FormatError, "ROI file")
     if not isinstance(doc, dict) or "name" not in doc or "labels" not in doc:
         raise FormatError(f"ROI file {path} must contain 'name' and 'labels'")
     try:
@@ -173,7 +169,4 @@ def load_roi(path) -> RoiDefinition:
 
 
 def save_roi(roi: RoiDefinition, path) -> Path:
-    path = Path(path)
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"name": roi.name, "labels": list(roi.labels)}, indent=2) + "\n")
-    return path
+    return write_json(path, {"name": roi.name, "labels": list(roi.labels)})

@@ -165,19 +165,13 @@ def forward(
     baseline: Volume3D,
     year1: Volume3D,
     config: I2IModelConfig,
-    mode: str = "infer",
 ) -> Volume3D:
-    """Predict the next annual volume from two consecutive annual scans."""
+    """Predict the next annual volume from two consecutive annual scans, in
+    inference mode."""
     if baseline.dims != year1.dims:
         raise ShapeError(f"input dims differ: {baseline.dims} vs {year1.dims}")
     with ad.no_grad():
-        pred = forward_batch(
-            params,
-            baseline.data[None, ...],
-            year1.data[None, ...],
-            config,
-            mode=mode,
-        )
+        pred = forward_batch(params, baseline.data[None, ...], year1.data[None, ...], config)
     return Volume3D(pred.data[0, ..., 0], baseline.affine.copy())
 
 

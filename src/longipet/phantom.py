@@ -16,7 +16,7 @@ linear forecasting to year k accumulates |error| = k*(k-1)*gamma.
 """
 
 import hashlib
-import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -25,13 +25,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .metrics import RoiDefinition, save_roi
-from .volume_io import (
-    SubjectRecord,
-    Volume3D,
-    atomic_open,
-    write_cohort_scans,
-    write_volume,
-)
+from .volume_io import SubjectRecord, Volume3D, write_cohort_scans, write_json, write_volume
 
 META_ROI_LABELS = (2, 5, 7)
 REFERENCE_LABEL = 1
@@ -75,6 +69,9 @@ class PhantomConfig:
             raise ParameterError(f"years must be nonnegative, got {self.years!r}")
         if len(set(self.years)) != len(self.years):
             raise ParameterError(f"years must be distinct, got {self.years!r}")
+        for name in ("noise_sigma", "decline_linear", "decline_quadratic", "blob_amplitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sigma < 0:
             raise ParameterError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
         if self.n_blobs < 0:
@@ -206,6 +203,5 @@ def write_cohort(cohort: PhantomCohort, out_dir: str) -> str:
     write_volume(cohort.brain_mask, out / "brain_mask.vol")
     write_volume(cohort.reference_mask, out / "reference_mask.vol")
     save_roi(cohort.roi, out / "meta_roi.json")
-    with atomic_open(out / "phantom_config.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(asdict(cohort.config), indent=2, sort_keys=True) + "\n")
+    write_json(out / "phantom_config.json", asdict(cohort.config))
     return str(manifest_path)

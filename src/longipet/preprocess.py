@@ -55,9 +55,10 @@ def apply_brain_mask(vol: Volume3D, brain_mask: Volume3D) -> Volume3D:
 
 def gaussian_kernel_1d(fwhm: float) -> np.ndarray:
     """Discrete Gaussian for one axis: sigma = fwhm / sqrt(8 ln 2), radius
-    ceil(3 sigma), renormalized so the truncated kernel sums to exactly 1."""
-    if fwhm <= 0:
-        raise ParameterError(f"fwhm must be positive, got {fwhm}")
+    ceil(3 sigma), renormalized so the truncated kernel sums to exactly 1.
+    A non-finite or non-positive ``fwhm`` raises ParameterError."""
+    if not (math.isfinite(fwhm) and fwhm > 0):
+        raise ParameterError(f"fwhm must be finite and positive, got {fwhm}")
     sigma = fwhm * _FWHM_TO_SIGMA
     radius = int(math.ceil(3.0 * sigma))
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)

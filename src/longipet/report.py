@@ -18,8 +18,9 @@ The SVG report is a pure function of the rows: same rows, same bytes.  It
 draws two bar panels (MAE and SSIM), one bar group per year, one bar per
 predictor.  No plotting library is used.
 
-Every file is written through ``volume_io.atomic_open``, so a failed write
-leaves no partial file.
+The gap list and the SVG are written by ``volume_io.write_text`` and the CSV
+files through ``volume_io.atomic_open``, so a failed write leaves no partial
+file.
 """
 
 import csv
@@ -44,7 +45,7 @@ from .stats import (
     WILCOXON_METHODS,
     wilcoxon_signed_rank,
 )
-from .volume_io import SubjectRecord, Volume3D, atomic_open
+from .volume_io import SubjectRecord, Volume3D, atomic_open, write_text
 
 CSV_FIXED_COLUMNS = (
     "subject_id",
@@ -161,10 +162,7 @@ def write_metrics_csv(rows: Sequence[EvalRow], path) -> Path:
 
 def write_gaps(gaps: Sequence[str], path) -> Path:
     """Write the gap list of an ``EvalReport``, one line per gap."""
-    path = Path(path)
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(line + "\n" for line in gaps))
-    return path
+    return write_text(path, "".join(line + "\n" for line in gaps))
 
 
 def _optional_float(cell: str) -> Optional[float]:
@@ -521,7 +519,4 @@ def render_report_svg(rows: Sequence[EvalRow], title: str = "Forecast evaluation
 
 
 def write_report_svg(rows: Sequence[EvalRow], path, title: str = "Forecast evaluation") -> Path:
-    path = Path(path)
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_report_svg(rows, title=title))
-    return path
+    return write_text(path, render_report_svg(rows, title=title))

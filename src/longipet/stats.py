@@ -98,20 +98,12 @@ def _f_sf(f: float, df1: float, df2: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    next_rank = 1
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        avg = (2 * next_rank + (j - i)) / 2.0
-        ranks[order[i : j + 1]] = avg
-        next_rank += j - i + 1
-        i = j + 1
-    return ranks
+    # 1-based ranks, ties sharing their mean rank: a run of c equal values
+    # ending at rank r gets r - (c - 1) / 2.  NaNs never tie, so each NaN
+    # gets a rank of its own.
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True,
+                                   equal_nan=False)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def _wilcoxon_exact_tail(ranks: np.ndarray, w_obs: float) -> float:

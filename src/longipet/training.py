@@ -12,7 +12,6 @@ so ``cross_validate`` runs them in parallel worker processes, one OpenBLAS
 thread each, and its outputs equal a serial run's.
 """
 
-import json
 import math
 import multiprocessing
 import os
@@ -28,7 +27,9 @@ from . import parallel
 from .augment import augment_cohort
 from .errors import DivergenceError, FormatError, InputError, ParameterError, ShapeError
 from .model import I2IModelConfig, forward_batch, init_model, save_model
-from .volume_io import GROUPS, CohortManifest, SubjectRecord, Volume3D, atomic_open
+from .volume_io import (
+    GROUPS, CohortManifest, SubjectRecord, Volume3D, read_json, write_json, write_text,
+)
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,7 @@ def make_folds(manifest: CohortManifest, seed: int, n_folds: int = 5) -> FoldAss
 
 
 def save_folds(folds: FoldAssignment, path) -> Path:
-    path = Path(path)
-    doc = {
+    return write_json(path, {
         "version": 1,
         "seed": folds.seed,
         "n_folds": folds.n_folds,
@@ -133,18 +133,12 @@ def save_folds(folds: FoldAssignment, path) -> Path:
             {"index": r.index, "test": r.test, "val": r.val, "train": r.train}
             for r in folds.rounds
         ],
-    }
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    })
 
 
 def load_folds(path) -> FoldAssignment:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"fold file {path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, FormatError, "fold file")
     try:
         rounds = [
             FoldRound(int(r["index"]), list(r["test"]), list(r["val"]), list(r["train"]))
@@ -288,13 +282,10 @@ def _train_round(
 
 
 def write_train_report(report: TrainReport, path) -> Path:
-    path = Path(path)
     lines = ["epoch,train_loss,val_mae,is_best"]
     for i, (tl, vm) in enumerate(zip(report.train_loss, report.val_mae)):
         lines.append(f"{i + 1},{tl!r},{vm!r},{1 if i + 1 == report.best_epoch else 0}")
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return write_text(path, "\n".join(lines) + "\n")
 
 
 @dataclass

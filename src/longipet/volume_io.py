@@ -12,6 +12,11 @@ float32 sform, and replaces the file atomically.
 Voxel data is float64 in memory and float32 at rest.  A cohort manifest is a
 JSON file ``{"subjects": [{"id": ..., "group": ..., "scans": {"0": path,
 ...}}]}`` with scan paths resolved relative to the manifest's directory.
+
+Every JSON artifact of the pipeline is UTF-8 JSON with indent 2, sorted keys
+and one trailing newline, written by ``write_json`` and read by ``read_json``;
+plain-text artifacts are UTF-8, written by ``write_text``.  Both writers
+replace the file atomically.
 """
 
 import json
@@ -302,6 +307,29 @@ def atomic_open(path, mode: str = "wb", **kwargs):
         tmp.unlink(missing_ok=True)
 
 
+def write_text(path, text: str) -> Path:
+    """Write ``text`` to ``path`` as UTF-8, replacing the file atomically."""
+    path = Path(path)
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+def write_json(path, doc) -> Path:
+    """Write ``doc`` as a JSON artifact (see the module docstring)."""
+    return write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def read_json(path, error, what: str):
+    """Parse the UTF-8 JSON file ``path``; a file that does not decode or
+    parse raises ``error`` naming it as ``what``."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def _checked_suffix(path: Path) -> Path:
     if path.suffix not in _SUFFIXES:
         raise FormatError(f"unrecognized volume extension {path.suffix!r} for {path}")
@@ -373,10 +401,7 @@ def load_manifest(path) -> CohortManifest:
     values raises ``CorruptionError`` when the volume is read.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, ManifestError, "manifest")
     if not isinstance(doc, dict) or not isinstance(doc.get("subjects"), list):
         raise ManifestError(f"manifest {path} must be an object with a 'subjects' list")
     base = path.parent
@@ -445,9 +470,7 @@ def write_manifest(entries, path) -> Path:
                 rel = p
             scans[str(year)] = str(rel)
         subjects.append({"id": e.subject_id, "group": e.group, "scans": scans})
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"subjects": subjects}, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(path, {"subjects": subjects})
 
 
 def write_cohort_scans(subjects, out_dir) -> Path:

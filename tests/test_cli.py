@@ -567,6 +567,8 @@ def test_undecodable_inputs_exit_with_their_documented_codes(tmp_path, capsys):
     ("preprocess", ["--steps", "suvr,bogus", "--ref-mask", "{phantom}/reference_mask.vol"], 5),
     ("preprocess", ["--steps", "mask", "--ref-mask", "{phantom}/reference_mask.vol"], 5),
     ("preprocess", ["--steps", "suvr,smooth", "--brain-mask", "{phantom}/brain_mask.vol"], 5),
+    ("preprocess", ["--fwhm", "nan"], 5),
+    ("preprocess", ["--fwhm", "inf"], 5),
 ])
 def test_bad_flag_combination_fails_before_any_volume_is_read(
         pipeline, monkeypatch, tmp_path, command, flags, code):

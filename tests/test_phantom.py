@@ -62,6 +62,10 @@ def test_config_rejects_bad_cohort():
         PhantomConfig(years=(-1, 0))
     with pytest.raises(ParameterError):
         PhantomConfig(noise_sigma=-0.1)
+    for name in ("noise_sigma", "decline_linear", "decline_quadratic", "blob_amplitude"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ParameterError, match=f"{name} must be finite"):
+                PhantomConfig(**{name: value})
 
 
 def test_config_rejects_range_overflow():

@@ -131,10 +131,9 @@ def test_kernel_radius_covers_three_sigma():
 
 
 def test_kernel_rejects_bad_fwhm():
-    with pytest.raises(ParameterError):
-        gaussian_kernel_1d(0.0)
-    with pytest.raises(ParameterError):
-        gaussian_kernel_1d(-1.0)
+    for fwhm in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            gaussian_kernel_1d(fwhm)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from longipet.stats import (
     paired_t,
     student_t_cdf,
     wilcoxon_signed_rank,
+    _average_ranks,
 )
 
 
@@ -171,6 +172,15 @@ def _rankdata_avg(values):
         ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
         i = j + 1
     return ranks
+
+
+def test_average_ranks_match_the_loop_on_many_ties():
+    rng = np.random.default_rng(5)
+    for trial in range(2000):
+        n = int(rng.integers(1, 30))
+        values = rng.integers(0, max(1, n // 3), size=n) * rng.choice([1.0, 0.5, 0.1])
+        values[rng.random(n) < 0.1] = np.inf
+        np.testing.assert_array_equal(_average_ranks(values), _rankdata_avg(values))
 
 
 def _wilcoxon_brute(x, y):

@@ -29,7 +29,9 @@ from longipet.volume_io import (
     Volume3D,
     load_manifest,
     pad_to_even,
+    read_json,
     read_volume,
+    write_json,
     write_manifest,
     write_volume,
 )
@@ -538,8 +540,20 @@ def test_manifest_bad_year(tmp_path):
 def test_manifest_not_json(tmp_path):
     p = tmp_path / "m.json"
     p.write_text("{nope")
-    with pytest.raises(ManifestError):
+    with pytest.raises(ManifestError, match=f"^manifest {p} is not valid JSON: "):
         load_manifest(p)
+
+
+# ---------------------------------------------------------------------------
+# artifact codec
+# ---------------------------------------------------------------------------
+
+def test_write_json_sorts_keys_and_indents_two(tmp_path):
+    p = write_json(tmp_path / "doc.json", {"name": "M\u00fcller", "labels": [2, 5]})
+    assert p == tmp_path / "doc.json"
+    assert p.read_bytes() == (
+        '{\n  "labels": [\n    2,\n    5\n  ],\n  "name": "M\\u00fcller"\n}\n'.encode("utf-8"))
+    assert read_json(p, FormatError, "doc") == {"labels": [2, 5], "name": "M\u00fcller"}
 
 
 def test_subject_record_dim_consistency():
