@@ -635,74 +635,81 @@ def batchnorm(
 # convolutional LSTM step
 # ---------------------------------------------------------------------------
 
-def _cell_forward(x, h_prev, c_prev, w, bias, keep, h_out=None, c_out=None):
-    # One ConvLSTM step on plain arrays; h_prev and c_prev are None for the
-    # zero state, w is the gate kernel's (x, h) part.  x and h_prev are
-    # written once into one zero-bordered buffer zp.  Each slab of im2col
-    # rows (the _corr3d grid) then runs its GEMM, bias and activations and
-    # writes its rows of c, tanh(c) and h while its gates are still in cache.
-    # So h_out may be h_prev itself, which zp already holds, and c_out may be
-    # c_prev, whose rows each slab reads before it writes them; by default
-    # both are new arrays.
+def _gate_input(x, k, nf):
+    # A cell's zero-bordered conv input: x in channels :cin, then nf hidden
+    # channels left zero for the caller to fill.  Returns the buffer and its
+    # interior (a strided view).
+    n, a, b, c, cin = x.shape
+    p = k // 2
+    zp = np.zeros((n, a + 2 * p, b + 2 * p, c + 2 * p, cin + nf))
+    inner = zp[:, p : p + a, p : p + b, p : p + c]
+    inner[..., :cin] = x
+    return zp, inner
+
+
+def _cell_forward(zp, c_prev, w, bias, keep, h_out, c_out=None):
+    # One ConvLSTM step on plain arrays.  zp is the zero-bordered conv input
+    # the caller built (_gate_input): x, then the previous h unless c_prev is
+    # None, the zero state.  w is the gate kernel's part for zp's channels.
+    # Each slab of im2col rows (the _corr3d grid) runs its GEMM, bias and
+    # activations and writes its rows of h while its gates are still in
+    # cache.  h goes into h_out through views of the slab's own shape, never
+    # through a reshape, which on a strided view would write into a copy: so
+    # h_out may be the hidden channels of the next step's padded input, or
+    # c_prev itself, whose rows each slab reads before it writes them.  c
+    # goes into c_out (C-contiguous), or, when c_out is None, into a slab
+    # buffer and is dropped.
     # The logistic runs over the whole contiguous slab at once, candidate
     # columns included: their pre-activations are first copied to the slab's
-    # tanh(c) rows, still free then, and their tanh is written back over the
-    # logistic.  So the gates need no buffer beyond the slab.
+    # tanh(c) rows, still free then, and their tanh is taken there (with
+    # keep, written back over the logistic for the backward).  So the gates
+    # need no buffer beyond the slab.
     # Past the GEMM every element goes through the same expressions whatever
     # the grid, but the GEMM's last bits can depend on the slab's row count,
     # and a slab can be as small as one y-row of z voxels.  With OpenBLAS
     # 0.3.31, products of up to 34 rows at width 459 (cell 2 at 16 filters),
     # and of one row at widths 27 and 162, differed from the same rows of a
     # 20000-row product; 35 rows and more agreed.
-    # With keep the gates and tanh(c) are kept whole for the backward and
-    # returned with zp as (zp, act, tc); otherwise one slab-sized buffer of
-    # each is reused and the third result is None.
-    n, a, b, c, cin = x.shape
+    # With keep the gates are kept whole for the backward and returned with
+    # zp as (zp, act, tc), tc being tanh(c) when there is a c_prev and None
+    # for the zero state, whose c = i*g the backward recomputes from the
+    # gates.  Otherwise one slab-sized buffer of each is reused and the
+    # result is None.
+    n, a, b, c, nf = h_out.shape
     k = w.shape[0]
-    p = k // 2
     cz, gates = w.shape[3:]
-    nf = gates // 4
-    zp = np.zeros((n, a + 2 * p, b + 2 * p, c + 2 * p, cz))
-    inner = zp[:, p : p + a, p : p + b, p : p + c]
-    inner[..., :cin] = x
-    if h_prev is not None:
-        inner[..., cin:] = h_prev
     cols = _columns(zp, k)
     width = k ** 3 * cz
     w2 = w.reshape(width, gates)
-    if h_out is None:
-        h_out = np.empty((n, a, b, c, nf))
-    if c_out is None:
-        c_out = np.empty((n, a, b, c, nf))
     slabs = list(_slabs((n, a, b), c * width * zp.itemsize))
+    rows = max(h_out[sel].size for sel in slabs) // nf
     if keep:
         act = np.empty((n, a, b, c, gates))
-        tc = np.empty((n, a, b, c, nf))
     else:
-        rows = max(h_out[sel].size for sel in slabs) // nf
         gate_buf = np.empty((rows, gates))
-        tc_buf = np.empty((rows, nf))
+    tc = np.empty((n, a, b, c, nf)) if keep and c_prev is not None else None
+    ts_buf = np.empty((rows, nf)) if tc is None else None
+    c_buf = np.empty((rows, nf)) if c_out is None else None
     for sel in slabs:
-        hs = h_out[sel].reshape(-1, nf)
-        cs = c_out[sel].reshape(-1, nf)
-        m = hs.shape[0]
+        hs = h_out[sel]
+        m = hs.size // nf
         gs = act[sel].reshape(-1, gates) if keep else gate_buf[:m]
-        ts = tc[sel].reshape(-1, nf) if keep else tc_buf[:m]
+        ts = ts_buf[:m] if tc is None else tc[sel].reshape(-1, nf)
+        cs = c_buf[:m] if c_out is None else c_out[sel].reshape(-1, nf)
         np.matmul(cols[sel].reshape(-1, width), w2, out=gs)
         gs += bias
         i, f, g, o = (gs[:, j * nf : (j + 1) * nf] for j in range(4))
         np.copyto(ts, g)
         _sigmoid(gs)
-        np.tanh(ts, out=g)
-        if c_prev is None:
-            np.multiply(i, g, out=cs)
-        else:
+        cand = g if keep else ts
+        np.tanh(ts, out=cand)
+        np.multiply(i, cand, out=cs)
+        if c_prev is not None:
             np.multiply(f, c_prev[sel].reshape(-1, nf), out=ts)
-            np.multiply(i, g, out=cs)
             cs += ts
         np.tanh(cs, out=ts)
-        np.multiply(o, ts, out=hs)
-    return h_out, c_out, ((zp, act, tc) if keep else None)
+        np.multiply(o.reshape(hs.shape), ts.reshape(hs.shape), out=hs)
+    return (zp, act, tc) if keep else None
 
 
 def _cell_backward(gh, gc, saved, c_prev, w, lo):
@@ -717,9 +724,12 @@ def _cell_backward(gh, gc, saved, c_prev, w, lo):
     # carries the running bias sum, so summing it with each slab adds the
     # rows in the order dpre.sum(axis=(0, 1, 2, 3)) would.  Every element
     # goes through the whole-tensor backward's expressions, so the result is
-    # bit-identical to it on any slab grid.  Returns (gz, gc_prev, gw, gb):
-    # gz is the gradient of zp's channels lo: (None when lo == cz), gc_prev
-    # c_prev's (None without state), gw of w and gb of the bias.
+    # bit-identical to it on any slab grid.  A zero-state step's tanh(c) is
+    # not kept (tc None): a slab that needs it recomputes tanh(i*g) from the
+    # gates with the forward's ufuncs, so it is bit-identical too.  Returns
+    # (gz, gc_prev, gw, gb): gz is the gradient of zp's channels lo: (None
+    # when lo == cz), gc_prev c_prev's (None without state), gw of w and gb
+    # of the bias.
     zp, act, tc = saved
     n, a, b, c, gates = act.shape
     nf = gates // 4
@@ -733,21 +743,27 @@ def _cell_backward(gh, gc, saved, c_prev, w, lo):
     cols = _columns(zp, k)
     width = k ** 3 * cz
     slabs = list(_slabs((n, a, b), c * width * zp.itemsize))
-    rows = max(tc[sel].size for sel in slabs) // nf
+    rows = max(act[sel].size for sel in slabs) // gates
     buf = np.zeros((rows + 1, gates))
+    ts_buf = np.empty((rows, nf)) if tc is None and gh is not None else None
     gw = np.zeros((width, gates))
     gc_prev = None if c_prev is None else np.empty(c_prev.shape)
     for sel in slabs:
         acts = act[sel].reshape(-1, gates)
         i, f, g, o = (acts[:, j * nf : (j + 1) * nf] for j in range(4))
-        ts = tc[sel].reshape(-1, nf)
-        m = ts.shape[0]
+        m = acts.shape[0]
         d = buf[1 : m + 1]
         di, df, dg, do = (d[:, j * nf : (j + 1) * nf] for j in range(4))
         if gh is None:
             do[...] = 0.0
             gct = gc[sel].reshape(-1, nf)
         else:
+            if tc is None:
+                ts = ts_buf[:m]
+                np.multiply(i, g, out=ts)
+                np.tanh(ts, out=ts)
+            else:
+                ts = tc[sel].reshape(-1, nf)
             ghs = gh[sel].reshape(-1, nf)
             np.multiply(ghs * ts, o * (1.0 - o), out=do)
             gct = ghs * o * (1.0 - ts * ts)
@@ -799,11 +815,13 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
     hidden state are written once into one zero-padded buffer, and the gates
     are computed one slab of voxels at a time, each slab's GEMM followed at
     once by its gate arithmetic: one vectorized logistic pass over the whole
-    slab, then the candidate's tanh from a copy of its pre-activations made
+    slab, then the candidate's tanh on a copy of its pre-activations made
     in the slab's ``tanh(c)`` rows.  Under ``no_grad`` the step keeps no gate
     tensor: its memory beyond ``h`` and ``c`` is the padded buffer and one
-    slab.  With gradients on, the gates, ``tanh(c)`` and the padded buffer
-    are kept for the backward.
+    slab.  With gradients on, the gates and the padded buffer are kept for
+    the backward, and ``tanh(c)`` too when there is a previous state; from
+    the zero state ``c = i*g``, so the backward recomputes ``tanh(c)`` from
+    the kept gates one slab at a time, bit for bit.
 
     The backward makes one pass over the same slabs.  Each slab's gate
     gradient is computed in one reused slab buffer, feeds the kernel and
@@ -830,9 +848,13 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
     cz = cin + nf if state else cin
     w = kernel.data[..., :cz, :]
     keep = grad_enabled()
-    h_data, c_data, saved = _cell_forward(
-        xd, h_prev.data if state else None, c_prev.data if state else None,
-        w, bias.data, keep)
+    zp, inner = _gate_input(xd, w.shape[0], cz - cin)
+    if state:
+        inner[..., cin:] = h_prev.data
+    h_data = np.empty(xd.shape[:-1] + (nf,))
+    c_data = np.empty(h_data.shape)
+    saved = _cell_forward(zp, c_prev.data if state else None, w, bias.data, keep,
+                          h_data, c_data)
     if not keep:
         return Tensor(h_data), Tensor(c_data)
     # conv input channels that need a gradient: x only when it is a Tensor
@@ -868,19 +890,24 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
 
 
 def _encode_sample(x0, x1, w, bias, keep):
-    # Both cells and the pool for one sample.  Cell 2 reads cell 1's h only
-    # through its padded input, so it writes its own h over it; without
-    # gradients it writes its c over cell 1's c too.  Returns the pooled
-    # state and, with keep, what the backward needs: (cell 1's saved, cell
-    # 2's saved, cell 1's c, the pool's argmax).
-    cin = x0.shape[-1]
-    h, c, cell1 = _cell_forward(x0, None, None, w[..., :cin, :], bias, keep)
-    h, c2, cell2 = _cell_forward(x1, h, c, w, bias, keep, h_out=h,
-                                 c_out=None if keep else c)
-    saved = (cell1, cell2, c) if keep else None
-    del c, c2  # the pool reads only h
-    pooled, idx = _pool2(h, keep)
-    return pooled, (saved + (idx,) if keep else None)
+    # Both cells and the pool for one sample, whose full-resolution memory
+    # is cell 2's padded input zp2 and one state buffer s.  Cell 1 writes its
+    # c into s and its h straight into zp2's hidden channels; cell 2 reads
+    # its c_prev from s and writes its h over each slab's rows of s once it
+    # has read them, and the pool reads h from s.  Returns the pooled state
+    # and, with keep, what the backward needs: (cell 1's saved, cell 2's
+    # saved, the pool's argmax).  Neither cell 1's c nor its tanh is kept:
+    # from the zero state c1 = i1*g1, which the backward recomputes.
+    cin, nf, k = x0.shape[-1], w.shape[-1] // 4, w.shape[0]
+    zp2, inner = _gate_input(x1, k, nf)
+    s = np.empty(x0.shape[:-1] + (nf,))
+    cell1 = _cell_forward(_gate_input(x0, k, 0)[0], None, w[..., :cin, :], bias, keep,
+                          inner[..., cin:], s)
+    del inner
+    cell2 = _cell_forward(zp2, s, w, bias, keep, s)
+    del zp2  # under no_grad, freed before the pool allocates its output
+    pooled, idx = _pool2(s, keep)
+    return pooled, ((cell1, cell2, idx) if keep else None)
 
 
 def encode(frames0, frames1, kernel, bias):
@@ -895,14 +922,18 @@ def encode(frames0, frames1, kernel, bias):
     return.
 
     The op runs one sample at a time, so no batch-sized full-resolution
-    state exists.  Under ``no_grad`` a sample's memory is one ``h`` and one
-    ``c`` buffer, shared by both steps, and the second step's padded input;
-    the pool takes its maxima straight from strided views of ``h`` and
-    computes no argmax.  With gradients on it keeps, per sample, what the
-    two cell backwards need and the pool's argmax (uint8).  It is one graph
-    node, whose backward runs, per sample, the pool's backward and the two
-    cell backwards, and sums the kernel and bias gradients over the
-    samples.
+    state exists.  A sample's full-resolution memory is the second step's
+    padded input and one ``filters``-channel state buffer: the first step
+    writes its ``h`` straight into that padded input and its ``c`` into the
+    buffer, and the second step writes its ``h`` over the buffer, slab by
+    slab, once it has read those rows of ``c``.  Under ``no_grad`` the pool
+    takes its maxima straight from strided views of that ``h`` and computes
+    no argmax.  With gradients on it keeps, per sample, the two steps' gates
+    and padded inputs, the second step's ``tanh(c)`` and the pool's argmax
+    (uint8); the first step's ``c = i*g`` and its tanh are recomputed from
+    its gates in the backward.  It is one graph node, whose backward runs,
+    per sample, the pool's backward and the two cell backwards, and sums the
+    kernel and bias gradients over the samples.
     """
     x0 = np.asarray(frames0, dtype=np.float64)
     x1 = np.asarray(frames1, dtype=np.float64)
@@ -925,9 +956,12 @@ def encode(frames0, frames1, kernel, bias):
 
     def backward(g):
         gk, gb = np.zeros(kernel.shape), np.zeros(bias.shape)
-        for s, (cell1, cell2, c1, idx) in enumerate(saved):
+        for s, (cell1, cell2, idx) in enumerate(saved):
+            act1 = cell1[1]
+            c1 = act1[..., :nf] * act1[..., 2 * nf : 3 * nf]
             gh, gc, gw, gbs = _cell_backward(
                 _unpool2(g[s : s + 1], idx), None, cell2, c1, w, cin)
+            del c1
             gk += gw
             gb += gbs
             _, _, gw, gbs = _cell_backward(gh, gc, cell1, None, w[..., :cin, :], cin)

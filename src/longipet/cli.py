@@ -140,6 +140,8 @@ def _cmd_phantom(args) -> Written:
 
 
 def _cmd_preprocess(args) -> Written:
+    if args.fwhm is not None:
+        gaussian_kernel_1d(args.fwhm)  # rejects a bad fwhm before anything is read
     manifest = load_manifest(args.manifest)
     if args.steps is not None:
         order = tuple(s for s in args.steps.split(",") if s)
@@ -157,8 +159,6 @@ def _cmd_preprocess(args) -> Written:
         raise ParameterError("no preprocessing steps selected")
     check_order(order, args.ref_mask or None, args.brain_mask or None)
     fwhm = args.fwhm if args.fwhm is not None else 4.0
-    if "smooth" in order:
-        gaussian_kernel_1d(fwhm)  # rejects a bad fwhm before any volume is read
     ref = read_volume(args.ref_mask) if args.ref_mask else None
     brain = read_volume(args.brain_mask) if args.brain_mask else None
 

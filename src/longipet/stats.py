@@ -7,7 +7,8 @@ corrections beyond), the paired t-test, one-way ANOVA, the chi-square
 independence test, and a two-factor mixed (split-plot) ANOVA with one
 between-subject factor and one within-subject factor.  The t, F and
 chi-square tail probabilities come from scipy's regularized incomplete beta
-and gamma functions.
+and gamma functions.  The signed-rank, t and ANOVA tests raise InputError on
+any non-finite sample value.
 """
 
 import math
@@ -93,6 +94,12 @@ def _f_sf(f: float, df1: float, df2: float) -> float:
     return betainc_reg(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * f))
 
 
+def _check_finite(*arrays) -> None:
+    # A NaN would otherwise pass silently: counted in n but in no statistic.
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise InputError("samples hold non-finite values; no imputation is done")
+
+
 # ---------------------------------------------------------------------------
 # rank helpers
 # ---------------------------------------------------------------------------
@@ -133,6 +140,7 @@ def wilcoxon_signed_rank(x, y, method: str = "auto") -> TestResult:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise InputError(f"paired samples must be equal-length 1D, got {x.shape}, {y.shape}")
+    _check_finite(x, y)
     d = x - y
     d = d[d != 0.0]
     n = d.size
@@ -169,6 +177,7 @@ def paired_t(x, y) -> TestResult:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise InputError(f"paired samples must be equal-length 1D, got {x.shape}, {y.shape}")
+    _check_finite(x, y)
     d = x - y
     n = d.size
     if n < 2:
@@ -187,6 +196,7 @@ def one_way_anova(groups: Sequence[np.ndarray]) -> TestResult:
         raise InputError(f"need at least 2 groups, got {len(arrays)}")
     if any(a.size == 0 for a in arrays):
         raise InputError("every group needs at least one observation")
+    _check_finite(*arrays)
     n_total = sum(a.size for a in arrays)
     k = len(arrays)
     if n_total - k < 1:

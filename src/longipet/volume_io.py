@@ -13,10 +13,10 @@ Voxel data is float64 in memory and float32 at rest.  A cohort manifest is a
 JSON file ``{"subjects": [{"id": ..., "group": ..., "scans": {"0": path,
 ...}}]}`` with scan paths resolved relative to the manifest's directory.
 
-Every JSON artifact of the pipeline is UTF-8 JSON with indent 2, sorted keys
-and one trailing newline, written by ``write_json`` and read by ``read_json``;
-plain-text artifacts are UTF-8, written by ``write_text``.  Both writers
-replace the file atomically.
+Every JSON artifact of the pipeline is strict UTF-8 JSON (no NaN or
+Infinity) with indent 2, sorted keys and one trailing newline, written by
+``write_json`` and read by ``read_json``; plain-text artifacts are UTF-8,
+written by ``write_text``.  Both writers replace the file atomically.
 """
 
 import json
@@ -316,8 +316,10 @@ def write_text(path, text: str) -> Path:
 
 
 def write_json(path, doc) -> Path:
-    """Write ``doc`` as a JSON artifact (see the module docstring)."""
-    return write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Write ``doc`` as a JSON artifact (see the module docstring).  A
+    non-finite float, which strict JSON cannot hold, raises ValueError before
+    anything is written."""
+    return write_text(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def read_json(path, error, what: str):

@@ -231,6 +231,20 @@ def test_stats_rejects_alpha_outside_unit_interval(pipeline, tmp_path, capsys, a
                             for s in statuses)
 
 
+@pytest.mark.parametrize("test_name", ["wilcoxon", "anova"])  # the tests that read mae
+def test_stats_rejects_a_nan_metric_cell(pipeline, tmp_path, capsys, test_name):
+    rows = read_metrics_csv(pipeline["metrics"])
+    first = next(i for i, r in enumerate(rows) if r.predictor == "linear")
+    rows[first] = dataclasses.replace(rows[first], mae=float("nan"))
+    metrics = write_metrics_csv(rows, tmp_path / "metrics.csv")
+    assert ",nan," in metrics.read_text()
+    out = tmp_path / "stats.csv"
+    assert main(["stats", "--metrics", str(metrics), "--out", str(out),
+                 "--test", test_name]) == 5
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stats_chi2_needs_two_years(pipeline):
     out = pipeline["root"] / "stats_chi2.csv"
     assert main([
@@ -569,6 +583,8 @@ def test_undecodable_inputs_exit_with_their_documented_codes(tmp_path, capsys):
     ("preprocess", ["--steps", "suvr,smooth", "--brain-mask", "{phantom}/brain_mask.vol"], 5),
     ("preprocess", ["--fwhm", "nan"], 5),
     ("preprocess", ["--fwhm", "inf"], 5),
+    ("preprocess", ["--steps", "suvr", "--ref-mask", "{phantom}/reference_mask.vol",
+                    "--fwhm", "nan"], 5),
 ])
 def test_bad_flag_combination_fails_before_any_volume_is_read(
         pipeline, monkeypatch, tmp_path, command, flags, code):

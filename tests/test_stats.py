@@ -306,6 +306,22 @@ def test_paired_t_degenerate_and_validation():
         paired_t([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("test", ["wilcoxon", "paired_t", "anova"])
+def test_non_finite_samples_are_rejected(test, bad):
+    # a NaN difference used to be counted in n but in neither W+ nor W-:
+    # these inputs gave n = 5, p = 0.125
+    x = np.array([bad, 1.0, 2.0, 3.0, -0.5])
+    y = np.zeros(5)
+    with pytest.raises(InputError, match="non-finite"):
+        if test == "wilcoxon":
+            wilcoxon_signed_rank(x, y)
+        elif test == "paired_t":
+            paired_t(y, x)
+        else:
+            one_way_anova([y, x])
+
+
 # ---------------------------------------------------------------------------
 # one-way ANOVA
 # ---------------------------------------------------------------------------

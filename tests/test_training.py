@@ -259,6 +259,7 @@ def test_train_fold_wrong_dims(tmp_path):
         train_fold(m, folds, 0, big, Hyper(epochs=1, n_copies=0), seed=0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_train_fold_diverges_on_absurd_lr(tmp_path):
     # linear activations let the blown-up magnitudes reach the loss instead
     # of being silenced by a dead relu
@@ -397,6 +398,7 @@ def test_cross_validate_without_out_dir(tmp_path):
     assert sorted(res.predictions) == sorted(m.subject_ids)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_cross_validate_raises_a_round_divergence(tmp_path):
     cfg = I2IModelConfig(
         dims=(4, 4, 4), lstm_filters=1, decoder_filters=1, kernel_size=1,

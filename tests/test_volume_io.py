@@ -556,6 +556,20 @@ def test_write_json_sorts_keys_and_indents_two(tmp_path):
     assert read_json(p, FormatError, "doc") == {"labels": [2, 5], "name": "M\u00fcller"}
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_non_finite_floats(tmp_path, value):
+    # strict JSON has no NaN or Infinity: nothing is written, an earlier
+    # file stays as it was
+    p = write_json(tmp_path / "doc.json", {"fwhm": 4.0})
+    before = p.read_bytes()
+    with pytest.raises(ValueError):
+        write_json(p, {"fwhm": value})
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "new.json", {"nested": [1.0, value]})
+    assert p.read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["doc.json"]
+
+
 def test_subject_record_dim_consistency():
     with pytest.raises(ShapeError):
         SubjectRecord(
