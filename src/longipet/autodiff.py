@@ -647,34 +647,49 @@ def _gate_input(x, k, nf):
     return zp, inner
 
 
+def _slab_gates(cols, w2, bias, gs, ts, keep):
+    # One slab's gates from its im2col rows cols, in the order both the
+    # forward and a backward that recomputes them run: the GEMM into gs, the
+    # bias, then the logistic over the whole contiguous slab at once,
+    # candidate columns included, their pre-activations first copied into
+    # ts.  The candidate's tanh is taken from ts back over gs's candidate
+    # columns with keep, else in ts itself.  Returns the column views
+    # (i, f, g, o), g being the candidate's tanh wherever it went.
+    nf = ts.shape[1]
+    np.matmul(cols, w2, out=gs)
+    gs += bias
+    i, f, g, o = (gs[:, j * nf : (j + 1) * nf] for j in range(4))
+    np.copyto(ts, g)
+    _sigmoid(gs)
+    if not keep:
+        g = ts
+    np.tanh(ts, out=g)
+    return i, f, g, o
+
+
 def _cell_forward(zp, c_prev, w, bias, keep, h_out, c_out=None):
     # One ConvLSTM step on plain arrays.  zp is the zero-bordered conv input
     # the caller built (_gate_input): x, then the previous h unless c_prev is
     # None, the zero state.  w is the gate kernel's part for zp's channels.
-    # Each slab of im2col rows (the _corr3d grid) runs its GEMM, bias and
-    # activations and writes its rows of h while its gates are still in
-    # cache.  h goes into h_out through views of the slab's own shape, never
+    # Each slab of im2col rows (the _corr3d grid) runs its gates
+    # (_slab_gates) and writes its rows of h while they are still in cache.
+    # h goes into h_out through views of the slab's own shape, never
     # through a reshape, which on a strided view would write into a copy: so
     # h_out may be the hidden channels of the next step's padded input, or
     # c_prev itself, whose rows each slab reads before it writes them.  c
     # goes into c_out (C-contiguous), or, when c_out is None, into a slab
-    # buffer and is dropped.
-    # The logistic runs over the whole contiguous slab at once, candidate
-    # columns included: their pre-activations are first copied to the slab's
-    # tanh(c) rows, still free then, and their tanh is taken there (with
-    # keep, written back over the logistic for the backward).  So the gates
-    # need no buffer beyond the slab.
+    # buffer and is dropped.  tanh(c) is never kept: it goes into the slab
+    # buffer that held the candidate's pre-activations.
     # Past the GEMM every element goes through the same expressions whatever
     # the grid, but the GEMM's last bits can depend on the slab's row count,
     # and a slab can be as small as one y-row of z voxels.  With OpenBLAS
     # 0.3.31, products of up to 34 rows at width 459 (cell 2 at 16 filters),
     # and of one row at widths 27 and 162, differed from the same rows of a
-    # 20000-row product; 35 rows and more agreed.
+    # 20000-row product; 35 rows and more agreed.  So a backward that
+    # recomputes the gates runs them on this same grid.
     # With keep the gates are kept whole for the backward and returned with
-    # zp as (zp, act, tc), tc being tanh(c) when there is a c_prev and None
-    # for the zero state, whose c = i*g the backward recomputes from the
-    # gates.  Otherwise one slab-sized buffer of each is reused and the
-    # result is None.
+    # zp as (zp, act).  Otherwise one slab-sized gate buffer is reused and
+    # the result is None.
     n, a, b, c, nf = h_out.shape
     k = w.shape[0]
     cz, gates = w.shape[3:]
@@ -687,83 +702,84 @@ def _cell_forward(zp, c_prev, w, bias, keep, h_out, c_out=None):
         act = np.empty((n, a, b, c, gates))
     else:
         gate_buf = np.empty((rows, gates))
-    tc = np.empty((n, a, b, c, nf)) if keep and c_prev is not None else None
-    ts_buf = np.empty((rows, nf)) if tc is None else None
+    ts_buf = np.empty((rows, nf))
     c_buf = np.empty((rows, nf)) if c_out is None else None
     for sel in slabs:
         hs = h_out[sel]
         m = hs.size // nf
         gs = act[sel].reshape(-1, gates) if keep else gate_buf[:m]
-        ts = ts_buf[:m] if tc is None else tc[sel].reshape(-1, nf)
+        ts = ts_buf[:m]
         cs = c_buf[:m] if c_out is None else c_out[sel].reshape(-1, nf)
-        np.matmul(cols[sel].reshape(-1, width), w2, out=gs)
-        gs += bias
-        i, f, g, o = (gs[:, j * nf : (j + 1) * nf] for j in range(4))
-        np.copyto(ts, g)
-        _sigmoid(gs)
-        cand = g if keep else ts
-        np.tanh(ts, out=cand)
-        np.multiply(i, cand, out=cs)
+        i, f, g, o = _slab_gates(cols[sel].reshape(-1, width), w2, bias, gs, ts, keep)
+        np.multiply(i, g, out=cs)
         if c_prev is not None:
             np.multiply(f, c_prev[sel].reshape(-1, nf), out=ts)
             cs += ts
         np.tanh(cs, out=ts)
         np.multiply(o.reshape(hs.shape), ts.reshape(hs.shape), out=hs)
-    return (zp, act, tc) if keep else None
+    return (zp, act) if keep else None
 
 
-def _cell_backward(gh, gc, saved, c_prev, w, lo):
+def _cell_backward(gh, gc, saved, c_prev, w, bias, lo):
     # The backward of _cell_forward on plain arrays.  gh and gc are the
     # gradients of h and c (either may be None), saved is the forward's
-    # (zp, act, tc), lo the first conv input channel that needs a gradient
-    # (lo == cz: none).  One pass over the forward's slab grid: each slab's
-    # gate pre-activation gradient goes into one reused slab buffer, feeds
-    # the weight-gradient GEMM (the _corr3d_grad_w grid and order) and is
-    # copied into the interior of one zero-bordered buffer dpad, which the
-    # x/h gradient conv reads without padding it again.  The buffer's row 0
-    # carries the running bias sum, so summing it with each slab adds the
-    # rows in the order dpre.sum(axis=(0, 1, 2, 3)) would.  Every element
-    # goes through the whole-tensor backward's expressions, so the result is
-    # bit-identical to it on any slab grid.  A zero-state step's tanh(c) is
-    # not kept (tc None): a slab that needs it recomputes tanh(i*g) from the
-    # gates with the forward's ufuncs, so it is bit-identical too.  Returns
-    # (gz, gc_prev, gw, gb): gz is the gradient of zp's channels lo: (None
-    # when lo == cz), gc_prev c_prev's (None without state), gw of w and gb
-    # of the bias.
-    zp, act, tc = saved
-    n, a, b, c, gates = act.shape
-    nf = gates // 4
+    # (zp, act), or (zp, None) for a forward that kept no gates, bias the
+    # gate bias that forward added, lo the first conv input channel that
+    # needs a gradient (lo == cz: none).  One pass over the forward's slab
+    # grid: each slab's im2col copy of zp feeds the weight-gradient GEMM
+    # (the _corr3d_grad_w grid and order) and, without kept gates, first
+    # recomputes the slab's gates with the forward's _slab_gates, so no
+    # whole gate tensor exists.  tanh(c) is recomputed per slab with the
+    # forward's ufuncs in its order: i*g, then += f*c_prev, then tanh.  Each
+    # slab's gate pre-activation gradient goes into one reused slab buffer
+    # and is copied into the interior of one zero-bordered buffer dpad,
+    # which the x/h gradient conv reads without padding it again.  The
+    # buffer's row 0 carries the running bias sum, so summing it with each
+    # slab adds the rows in the order dpre.sum(axis=(0, 1, 2, 3)) would.
+    # Every element goes through the whole-tensor backward's expressions, so
+    # the result is bit-identical to it on any slab grid.  Returns (gz,
+    # gc_prev, gw, gb): gz is the gradient of zp's channels lo: (None when
+    # lo == cz), gc_prev c_prev's (None without state), gw of w and gb of
+    # the bias.
+    zp, act = saved
     k = w.shape[0]
     p = k // 2
-    cz = w.shape[3]
+    cz, gates = w.shape[3:]
+    nf = gates // 4
+    cols = _columns(zp, k)
+    n, a, b, c = cols.shape[:4]
     dpad = inner = None
     if lo < cz:
         dpad = np.zeros((n, a + 2 * p, b + 2 * p, c + 2 * p, gates))
         inner = dpad[:, p : p + a, p : p + b, p : p + c]
-    cols = _columns(zp, k)
     width = k ** 3 * cz
+    w2 = w.reshape(width, gates)
     slabs = list(_slabs((n, a, b), c * width * zp.itemsize))
-    rows = max(act[sel].size for sel in slabs) // gates
+    rows = max(cols[sel].size for sel in slabs) // width
     buf = np.zeros((rows + 1, gates))
-    ts_buf = np.empty((rows, nf)) if tc is None and gh is not None else None
+    gate_buf = np.empty((rows, gates)) if act is None else None
+    ts_buf = np.empty((rows, nf)) if act is None or gh is not None else None
     gw = np.zeros((width, gates))
     gc_prev = None if c_prev is None else np.empty(c_prev.shape)
     for sel in slabs:
-        acts = act[sel].reshape(-1, gates)
-        i, f, g, o = (acts[:, j * nf : (j + 1) * nf] for j in range(4))
-        m = acts.shape[0]
+        rows_in = cols[sel].reshape(-1, width)
+        m = rows_in.shape[0]
+        if act is None:
+            i, f, g, o = _slab_gates(rows_in, w2, bias, gate_buf[:m], ts_buf[:m], True)
+        else:
+            acts = act[sel].reshape(-1, gates)
+            i, f, g, o = (acts[:, j * nf : (j + 1) * nf] for j in range(4))
         d = buf[1 : m + 1]
         di, df, dg, do = (d[:, j * nf : (j + 1) * nf] for j in range(4))
         if gh is None:
             do[...] = 0.0
             gct = gc[sel].reshape(-1, nf)
         else:
-            if tc is None:
-                ts = ts_buf[:m]
-                np.multiply(i, g, out=ts)
-                np.tanh(ts, out=ts)
-            else:
-                ts = tc[sel].reshape(-1, nf)
+            ts = ts_buf[:m]
+            np.multiply(i, g, out=ts)
+            if c_prev is not None:
+                ts += f * c_prev[sel].reshape(-1, nf)
+            np.tanh(ts, out=ts)
             ghs = gh[sel].reshape(-1, nf)
             np.multiply(ghs * ts, o * (1.0 - o), out=do)
             gct = ghs * o * (1.0 - ts * ts)
@@ -776,7 +792,7 @@ def _cell_backward(gh, gc, saved, c_prev, w, lo):
         else:
             np.multiply(gct * c_prev[sel].reshape(-1, nf), f * (1.0 - f), out=df)
             np.multiply(gct, f, out=gc_prev[sel].reshape(-1, nf))
-        gw += cols[sel].reshape(-1, width).T @ d
+        gw += rows_in.T @ d
         buf[0] = buf[: m + 1].sum(axis=0)
         if dpad is not None:
             inner[sel] = d.reshape(inner[sel].shape)
@@ -816,12 +832,11 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
     are computed one slab of voxels at a time, each slab's GEMM followed at
     once by its gate arithmetic: one vectorized logistic pass over the whole
     slab, then the candidate's tanh on a copy of its pre-activations made
-    in the slab's ``tanh(c)`` rows.  Under ``no_grad`` the step keeps no gate
-    tensor: its memory beyond ``h`` and ``c`` is the padded buffer and one
-    slab.  With gradients on, the gates and the padded buffer are kept for
-    the backward, and ``tanh(c)`` too when there is a previous state; from
-    the zero state ``c = i*g``, so the backward recomputes ``tanh(c)`` from
-    the kept gates one slab at a time, bit for bit.
+    in a slab buffer.  Under ``no_grad`` the step keeps no gate tensor: its
+    memory beyond ``h`` and ``c`` is the padded buffer and one slab.  With
+    gradients on, the gates and the padded buffer are kept for the
+    backward, never ``tanh(c)``: the backward recomputes it one slab at a
+    time with the forward's ufuncs in the forward's order, bit for bit.
 
     The backward makes one pass over the same slabs.  Each slab's gate
     gradient is computed in one reused slab buffer, feeds the kernel and
@@ -867,7 +882,8 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
 
     def c_backward(gc):
         gz, gc_prev, gw, gb = _cell_backward(
-            pending.pop("gh", None), gc, saved, c_prev.data if state else None, w, lo)
+            pending.pop("gh", None), gc, saved, c_prev.data if state else None, w, bias.data,
+            lo)
         if state:
             c_prev._accumulate(gc_prev)
         bias._accumulate(gb)
@@ -890,24 +906,26 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
 
 
 def _encode_sample(x0, x1, w, bias, keep):
-    # Both cells and the pool for one sample, whose full-resolution memory
-    # is cell 2's padded input zp2 and one state buffer s.  Cell 1 writes its
-    # c into s and its h straight into zp2's hidden channels; cell 2 reads
-    # its c_prev from s and writes its h over each slab's rows of s once it
-    # has read them, and the pool reads h from s.  Returns the pooled state
-    # and, with keep, what the backward needs: (cell 1's saved, cell 2's
-    # saved, the pool's argmax).  Neither cell 1's c nor its tanh is kept:
-    # from the zero state c1 = i1*g1, which the backward recomputes.
+    # Both cells and the pool for one sample.  Cell 1 writes its h straight
+    # into cell 2's padded input zp2 and its c into c1; cell 2 reads its
+    # c_prev from c1 and writes its h into the state buffer s, and the pool
+    # reads h from s.  Under no_grad c1 is s itself: cell 2 writes its h
+    # over each slab's rows of s once it has read them, so a sample's
+    # full-resolution memory is zp2 and one state buffer.  With keep, cell 1
+    # keeps no gates (its backward recomputes them from the frame), and the
+    # result holds what the backward needs: (cell 2's saved, c1, the pool's
+    # argmax).
     cin, nf, k = x0.shape[-1], w.shape[-1] // 4, w.shape[0]
     zp2, inner = _gate_input(x1, k, nf)
     s = np.empty(x0.shape[:-1] + (nf,))
-    cell1 = _cell_forward(_gate_input(x0, k, 0)[0], None, w[..., :cin, :], bias, keep,
-                          inner[..., cin:], s)
+    c1 = np.empty(s.shape) if keep else s
+    _cell_forward(_gate_input(x0, k, 0)[0], None, w[..., :cin, :], bias, False,
+                  inner[..., cin:], c1)
     del inner
-    cell2 = _cell_forward(zp2, s, w, bias, keep, s)
+    cell2 = _cell_forward(zp2, c1, w, bias, keep, s)
     del zp2  # under no_grad, freed before the pool allocates its output
     pooled, idx = _pool2(s, keep)
-    return pooled, ((cell1, cell2, idx) if keep else None)
+    return pooled, ((cell2, c1, idx) if keep else None)
 
 
 def encode(frames0, frames1, kernel, bias):
@@ -922,18 +940,21 @@ def encode(frames0, frames1, kernel, bias):
     return.
 
     The op runs one sample at a time, so no batch-sized full-resolution
-    state exists.  A sample's full-resolution memory is the second step's
-    padded input and one ``filters``-channel state buffer: the first step
-    writes its ``h`` straight into that padded input and its ``c`` into the
-    buffer, and the second step writes its ``h`` over the buffer, slab by
-    slab, once it has read those rows of ``c``.  Under ``no_grad`` the pool
-    takes its maxima straight from strided views of that ``h`` and computes
-    no argmax.  With gradients on it keeps, per sample, the two steps' gates
-    and padded inputs, the second step's ``tanh(c)`` and the pool's argmax
-    (uint8); the first step's ``c = i*g`` and its tanh are recomputed from
-    its gates in the backward.  It is one graph node, whose backward runs,
-    per sample, the pool's backward and the two cell backwards, and sums the
-    kernel and bias gradients over the samples.
+    state exists.  The first step writes its ``h`` straight into the second
+    step's padded input.  Under ``no_grad`` a sample's full-resolution
+    memory is that padded input and one ``filters``-channel state buffer:
+    the first step writes its ``c`` into the buffer, and the second step
+    writes its ``h`` over the buffer, slab by slab, once it has read those
+    rows of ``c``; the pool takes its maxima straight from strided views of
+    that ``h`` and computes no argmax.  With gradients on the first step
+    keeps no gates, and its ``c`` goes into a buffer of its own.  A sample
+    then keeps the second step's gates and padded input, the first step's
+    ``c`` and the pool's argmax (uint8).  It is one graph node, whose
+    backward runs, per sample, the pool's backward, the second step's
+    backward, then the first step's, which recomputes that step's gates
+    from the frame one slab at a time (its conv reads one channel, so this
+    is the cheap step to recompute); the kernel and bias gradients are
+    summed over the samples.
     """
     x0 = np.asarray(frames0, dtype=np.float64)
     x1 = np.asarray(frames1, dtype=np.float64)
@@ -945,10 +966,9 @@ def encode(frames0, frames1, kernel, bias):
     if any(d % 2 for d in x0.shape[1:4]):
         raise ShapeError(f"spatial dims must be even for 2x pooling, got {x0.shape[1:4]}")
     n = x0.shape[0]
-    w = kernel.data
+    w, b = kernel.data, bias.data
     keep = grad_enabled()
-    parts = [_encode_sample(x0[s : s + 1], x1[s : s + 1], w, bias.data, keep)
-             for s in range(n)]
+    parts = [_encode_sample(x0[s : s + 1], x1[s : s + 1], w, b, keep) for s in range(n)]
     pooled = np.concatenate([part for part, _ in parts])
     if not keep:
         return Tensor(pooled)
@@ -956,15 +976,14 @@ def encode(frames0, frames1, kernel, bias):
 
     def backward(g):
         gk, gb = np.zeros(kernel.shape), np.zeros(bias.shape)
-        for s, (cell1, cell2, idx) in enumerate(saved):
-            act1 = cell1[1]
-            c1 = act1[..., :nf] * act1[..., 2 * nf : 3 * nf]
+        for s, (cell2, c1, idx) in enumerate(saved):
             gh, gc, gw, gbs = _cell_backward(
-                _unpool2(g[s : s + 1], idx), None, cell2, c1, w, cin)
-            del c1
+                _unpool2(g[s : s + 1], idx), None, cell2, c1, w, b, cin)
             gk += gw
             gb += gbs
-            _, _, gw, gbs = _cell_backward(gh, gc, cell1, None, w[..., :cin, :], cin)
+            zp1 = _gate_input(x0[s : s + 1], w.shape[0], 0)[0]
+            _, _, gw, gbs = _cell_backward(gh, gc, (zp1, None), None, w[..., :cin, :], b, cin)
+            del gh, gc  # freed before the next sample's backward allocates its own
             gk[..., :cin, :] += gw
             gb += gbs
         kernel._accumulate(gk)
@@ -1145,7 +1164,7 @@ def load_params(path):
         header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path} has an unreadable tensor index: {exc}") from exc
-    if not (isinstance(header, dict) and isinstance(header.get("tensors", []), list)
+    if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
             and isinstance(header.get("meta", {}), dict)):
         raise FormatError(f"{path} tensor index is not an object with a 'tensors' list and 'meta'")
     if header.get("format") != _CONTAINER_FORMAT:
@@ -1155,7 +1174,7 @@ def load_params(path):
         )
     body = blob[12 + header_len :]
     out = ParameterSet()
-    for i, entry in enumerate(header.get("tensors", [])):
+    for i, entry in enumerate(header["tensors"]):
         if not _is_entry(entry):
             raise FormatError(f"{path} tensor index entry {i} does not follow the schema "
                               "save_params writes")
@@ -1169,9 +1188,12 @@ def load_params(path):
             )
         if offset + nbytes > len(body):
             raise FormatError(f"{path} tensor {name!r}: blob extends past end of file")
+        stat = entry.get("role") == "stat"
+        if name in (out.stats if stat else out.params):
+            raise FormatError(f"{path} tensor index names {name!r} twice")
         arr = np.frombuffer(body, dtype="<f4", count=count, offset=offset)
         arr = arr.astype(np.float64).reshape(shape)
-        if entry.get("role") == "stat":
+        if stat:
             out.stats[name] = arr
         else:
             out.add(name, arr)

@@ -176,8 +176,9 @@ def forecast_cohort(
 
     ``folds`` may be omitted only when no subject uses the learned
     predictor; an audit failure is a hard error naming the subjects.  Every
-    model is loaded before the first subject is forecast, so a missing
-    model file fails the call before any forward pass runs.
+    model file is checked to exist, then loaded, before the first subject is
+    forecast, so a missing model file (PlanError) or one that does not match
+    its config (FormatError) fails the call before any forward pass runs.
     """
     uses_i2i = any(e.predictor == "i2i" for e in plan.entries.values())
     if uses_i2i:
@@ -190,11 +191,12 @@ def forecast_cohort(
             )
             raise PlanError(f"leakage audit failed: {names}")
     planned = [r for r in records if r.subject_id in plan.entries]
-    models = {}
-    for record in planned:
-        entry = plan.entries[record.subject_id]
-        if entry.predictor == "i2i" and str(entry.model_path) not in models:
-            models[str(entry.model_path)] = _load_model(entry.model_path)
+    paths = dict.fromkeys(str(plan.entries[r.subject_id].model_path) for r in planned
+                          if plan.entries[r.subject_id].predictor == "i2i")
+    for path in paths:
+        if not Path(path).exists():
+            raise PlanError(f"model file {path} does not exist")
+    models = {path: load_model(path) for path in paths}
     return {
         r.subject_id: forecast_recursive(
             r, plan.entries[r.subject_id], plan.to_year, models,

@@ -181,8 +181,30 @@ def save_model(params: ad.ParameterSet, config: I2IModelConfig, path):
 
 
 def load_model(path):
-    """Load a model file; returns (ParameterSet, I2IModelConfig)."""
+    """Load a model file; returns (ParameterSet, I2IModelConfig).
+
+    The file must hold exactly the parameters ``init_model`` builds for its
+    embedded config, each of the same shape, and the batch-norm running
+    statistics ``bn.mean`` and ``bn.var`` with one value per LSTM filter.
+    Anything else raises FormatError, before any forward pass runs."""
     params, meta = ad.load_params(path)
     if "config" not in meta:
         raise FormatError(f"{path} has no embedded model config")
-    return params, I2IModelConfig.from_dict(meta["config"])
+    config = I2IModelConfig.from_dict(meta["config"])
+    _check_tensors(path, "parameter", {n: t.shape for n, t in params.params.items()},
+                   {n: t.shape for n, t in init_model(config, seed=0).params.items()})
+    _check_tensors(path, "statistic", {n: a.shape for n, a in params.stats.items()},
+                   {n: (config.lstm_filters,) for n in ("bn.mean", "bn.var")})
+    return params, config
+
+
+def _check_tensors(path, kind, got, want):
+    # got and want map tensor names to shapes; any difference is a FormatError.
+    for name in sorted(want.keys() | got.keys()):
+        if name not in got:
+            raise FormatError(f"{path} lacks the {kind} {name!r} its config needs")
+        if name not in want:
+            raise FormatError(f"{path} has a {kind} {name!r} its config does not use")
+        if got[name] != want[name]:
+            raise FormatError(f"{path} {kind} {name!r} has shape {got[name]}, "
+                              f"its config needs {want[name]}")

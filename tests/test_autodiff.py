@@ -663,6 +663,29 @@ def test_load_rejects_size_mismatch(tmp_path):
         ad.load_params(p)
 
 
+def _write_index(path, header, payload=b"\x00" * 8):
+    import json as _json
+    import struct as _struct
+
+    doc = _json.dumps(header).encode()
+    path.write_bytes(b"LPC1" + _struct.pack("<Q", len(doc)) + doc + payload)
+    return path
+
+
+@pytest.mark.parametrize("role", ["param", "stat"])
+def test_load_rejects_a_duplicate_tensor_name(tmp_path, role):
+    entry = {"name": "w", "role": role, "shape": [2], "offset": 0, "nbytes": 8}
+    header = {"format": "longipet-tensors/1", "tensors": [entry, entry], "meta": {}}
+    with pytest.raises(FormatError, match="'w' twice"):
+        ad.load_params(_write_index(tmp_path / "dup.bin", header))
+
+
+def test_load_rejects_an_index_without_a_tensors_list(tmp_path):
+    header = {"format": "longipet-tensors/1", "meta": {}}
+    with pytest.raises(FormatError, match="'tensors' list"):
+        ad.load_params(_write_index(tmp_path / "none.bin", header, b""))
+
+
 def test_duplicate_parameter_name_raises():
     ps = ad.ParameterSet()
     ps.add("w", np.zeros(1))

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from longipet import cli, volume_io
-from longipet.autodiff import load_params
+from longipet.autodiff import load_params, save_params
 from longipet.cli import main
 from longipet.errors import (
     DegenerateDataError,
@@ -36,6 +37,8 @@ from longipet.report import (
 )
 from longipet.training import load_folds
 from longipet.volume_io import ManifestEntry, load_manifest, read_volume, write_manifest
+
+from test_model import BROKEN_MODELS, break_model
 
 
 @pytest.fixture(scope="module")
@@ -523,6 +526,47 @@ def test_malformed_values_exit_3(tmp_path, capsys):
     assert err.count("row 3 column 'year'") == 2
     assert err.count("tensor index") == 2
     assert not (tmp_path / "s.csv").exists() and not (tmp_path / "r.svg").exists()
+
+
+def _predict_args(pipeline, model, out):
+    vols = pipeline["prep"] / "volumes"
+    return ["predict", "--model", str(model), "--baseline", str(vols / "CN_000_y0.vol"),
+            "--followup", str(vols / "CN_000_y1.vol"), "--out", str(out)]
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_MODELS))
+def test_model_file_not_matching_its_config_exits_3(pipeline, tmp_path, capsys, case):
+    # predict and forecast both fail at load, before any volume is written
+    train = pipeline["train"]
+    models = tmp_path / "models"
+    models.mkdir()
+    params, meta = load_params(train / "model_0.bin")
+    save_params(break_model(params, case), models / "model_0.bin", meta)
+    shutil.copyfile(train / "model_1.bin", models / "model_1.bin")
+    assert main(_predict_args(pipeline, models / "model_0.bin", tmp_path / "p.vol")) == 3
+    assert main([
+        "forecast", "--manifest", str(pipeline["prep"] / "manifest.json"),
+        "--out", str(tmp_path / "fc"), "--predictor", "i2i",
+        "--folds", str(train / "folds.json"), "--models", str(models), "--to-year", "3",
+    ]) == 3
+    assert not (tmp_path / "p.vol").exists() and not list((tmp_path / "fc").rglob("*.vol"))
+    assert capsys.readouterr().err.count(BROKEN_MODELS[case]) == 2
+
+
+_META = {"model": "i2i", "config": {"dims": [12, 12, 12], "lstm_filters": 1,
+                                      "decoder_filters": 1, "kernel_size": 1}}
+
+
+@pytest.mark.parametrize("header, message", [
+    ({"format": "longipet-tensors/1", "tensors": [_ENTRY, _ENTRY], "meta": _META}, "twice"),
+    ({"format": "longipet-tensors/1", "meta": _META}, "'tensors' list"),
+])
+def test_tensor_index_with_a_duplicate_or_no_tensors_exits_3(pipeline, tmp_path, capsys,
+                                                             header, message):
+    model = _container(tmp_path / "m.bin", header)
+    assert main(_predict_args(pipeline, model, tmp_path / "p.vol")) == 3
+    assert not (tmp_path / "p.vol").exists()
+    assert message in capsys.readouterr().err
 
 
 # Loads a hand-written UTF-8 manifest, fold file and ROI file in a process

@@ -3,12 +3,14 @@
 The oracle below is ``encode`` as it was before the two steps shared their
 buffers.  It gave each step its own padded input, kept separate ``h`` and
 ``c`` buffers, copied ``h`` into the second step's padded input, and with
-gradients on kept the first step's ``c`` and ``tanh(c)`` for the backward.
-The current ``encode`` runs the same ufuncs on the same values, so its
-predictions and gradients must match the oracle's bit for bit, on any slab
-grid, while it holds less: per sample, the second step's padded input and
-one state buffer under ``no_grad``, and no kept first-step cell state with
-gradients on.
+gradients on kept both steps' gates, padded inputs and ``tanh(c)`` and the
+first step's ``c`` for the backward.  The current ``encode`` runs the same
+ufuncs on the same values, so its predictions and gradients must match the
+oracle's bit for bit, on any slab grid, while it holds less: per sample,
+the second step's padded input and one state buffer under ``no_grad``;
+with gradients on, the second step's padded input and gates, the first
+step's ``c`` and the pool's argmax, the first step's gates and every
+``tanh(c)`` being recomputed in the backward.
 """
 
 import tracemalloc
@@ -285,3 +287,102 @@ def test_no_grad_forward_holds_one_state_buffer_and_one_padded_input():
         else:
             assert peak > bound + vox * nf * 4, "the control no longer holds a separate h"
         del out
+
+
+def test_grad_forward_keeps_step_two_gates_c1_and_the_argmax():
+    # What a sample keeps for the backward: the second step's padded input
+    # and gates, the first step's c and the pool's uint8 argmax.  The first
+    # step's gates are recomputed in the backward; the oracle kept them, and
+    # its padded input, both steps' tanh(c) and c1 too.
+    dims, cin, nf, k = (40, 48, 40), 1, 16, 3
+    x0, x1 = _frames(dims, 1, 7)
+    kernel, bias = _gate_params(k, cin, nf, 8)
+    vox = int(np.prod(dims))
+    gates = vox * 4 * nf * 8
+    kept = _padded_bytes(dims, k, cin + nf) + gates + vox * nf * 8 + vox // 8 * nf
+    bound = kept + vox // 8 * nf * 8 + (256 << 10)  # plus the pooled output
+    for encode in (ad.encode, old_encode):
+        out, held, _ = _traced(lambda: encode(x0, x1, kernel, bias))
+        if encode is ad.encode:
+            assert held <= bound, f"holds {held} B over the bound {bound} B"
+        else:
+            assert held > bound + gates, "the control no longer keeps the first step's gates"
+        del out
+
+
+def _cell_case(dims, cin, nf, k, state, seed):
+    # A cell's padded input, c_prev (None for the zero state), kernel part
+    # and bias, and the gradients of its h and c.
+    r = np.random.default_rng((61, seed))
+    shape = (2,) + dims
+    kernel, bias = _gate_params(k, cin, nf, seed)
+    zp, inner = ad._gate_input(r.uniform(0.5, 1.5, size=shape + (cin,)), k, nf if state else 0)
+    c_prev = None
+    if state:
+        inner[..., cin:] = r.normal(size=shape + (nf,))
+        c_prev = r.normal(size=shape + (nf,))
+    w = kernel.data[..., : cin + (nf if state else 0), :]
+    grads = [r.normal(size=shape + (nf,)) for _ in range(2)]
+    return zp, c_prev, w, bias.data, grads
+
+
+# The slab budgets of test_small_slabs_are_bit_identical_to_the_previous_encode.
+@pytest.mark.parametrize("state", [False, True])
+@pytest.mark.parametrize("rows", [1, 3, 12])
+def test_cell_backward_recomputes_the_gates_bit_for_bit(monkeypatch, rows, state):
+    dims, cin, nf, k = (4, 6, 4), 2, 3, 3
+    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * dims[2] * k ** 3 * cin * 8)
+    zp, c_prev, w, bias, (gh, gc) = _cell_case(dims, cin, nf, k, state, rows)
+    h = np.empty((2,) + dims + (nf,))
+    saved = ad._cell_forward(zp, c_prev, w, bias, True, h, np.empty(h.shape))
+    for lo in (0, cin):
+        kept = ad._cell_backward(gh, gc, saved, c_prev, w, bias, lo)
+        recomputed = ad._cell_backward(gh, gc, (zp, None), c_prev, w, bias, lo)
+        for a, b in zip(kept, recomputed):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("with_gh", [False, True])
+@pytest.mark.parametrize("rows", [1, 3, 12])
+def test_state_step_tanh_c_recompute_matches_a_kept_tanh_c(monkeypatch, rows, with_gh):
+    # The oracle's backward reads the tanh(c) its forward kept; the current
+    # one recomputes it per slab from the gates and c_prev.
+    dims, cin, nf, k = (4, 6, 4), 2, 3, 3
+    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * dims[2] * k ** 3 * (cin + nf) * 8)
+    zp, c_prev, w, bias, (gh, gc) = _cell_case(dims, cin, nf, k, True, rows)
+    x, h_prev = zp[:, 1:-1, 1:-1, 1:-1, :cin], zp[:, 1:-1, 1:-1, 1:-1, cin:]
+    *_, saved = old_cell_forward(x, h_prev, c_prev, w, bias, True)
+    gh = gh if with_gh else None
+    want = old_cell_backward(gh, gc, saved, c_prev, w, 0)
+    got = ad._cell_backward(gh, gc, saved[:2], c_prev, w, bias, 0)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_training_step_peak_is_two_samples_kept_plus_one_backward(monkeypatch):
+    # One 40x48x40 batch-2 training step at 16/32 filters.  Its peak comes in
+    # a sample's second-step backward: both samples' kept bytes, the pooled
+    # output and its gradient, and that sample's transient, which is its
+    # unpooled gradient, the zero-bordered gate gradient dpad, the gradients
+    # of the step's h and c inputs, and the hidden-state gradient conv's
+    # im2col slab.  _model_run's frames and target are made while traced.
+    # The oracle keeps more per sample, so its step breaks the bound.
+    dims, filters = (40, 48, 40), (16, 32)
+    nf, k = filters[0], 3
+    vox = int(np.prod(dims))
+    kept = (_padded_bytes(dims, k, 1 + nf) + vox * 4 * nf * 8 + vox * nf * 8
+            + vox // 8 * nf)
+    pooled = 2 * vox // 8 * nf * 8
+    transient = _padded_bytes(dims, k, 4 * nf) + 3 * vox * nf * 8 + ad._SLAB_BYTES
+    frames = 3 * 2 * vox * 8
+    bound = 2 * kept + 2 * pooled + transient + frames + (8 << 20)  # the decoder and loss
+    peaks = []
+    for encode in (ad.encode, old_encode):
+        tracemalloc.start()
+        try:
+            _model_run(monkeypatch, encode, dims, filters, 2, k, True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= bound, f"peak {peaks[0]} B over the bound {bound} B"
+    assert peaks[1] > bound, "the control no longer breaks the bound"

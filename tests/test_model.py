@@ -290,6 +290,51 @@ def test_loaded_model_predicts_like_float32_original(tmp_path):
     np.testing.assert_array_equal(pa, pb)
 
 
+# Each case breaks one thing load_model checks against the embedded config;
+# the value is the tensor name its error message gives.
+BROKEN_MODELS = {
+    "missing parameter": "head.bias",
+    "misshaped parameter": "deconv.kernel",
+    "extra parameter": "head.scale",
+    "missing statistic": "bn.var",
+    "misshaped statistic": "bn.mean",
+}
+
+
+def break_model(ps, case):
+    if case == "missing parameter":
+        del ps.params["head.bias"]
+    elif case == "misshaped parameter":
+        ps.params["deconv.kernel"] = ad.Tensor(ps.params["deconv.kernel"].data[:-1])
+    elif case == "extra parameter":
+        ps.add("head.scale", np.ones(1))
+    elif case == "missing statistic":
+        del ps.stats["bn.var"]
+    else:
+        ps.stats["bn.mean"] = np.zeros(ps.stats["bn.mean"].size + 1)
+    return ps
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_MODELS))
+def test_load_model_rejects_a_file_that_does_not_match_its_config(tmp_path, case):
+    ps = init_model(SMALL, seed=11)
+    f0, f1 = _frames(2, SMALL.dims, 9)
+    with ad.no_grad():
+        forward_batch(ps, f0, f1, SMALL, mode="train")
+    p = tmp_path / "model.bin"
+    save_model(break_model(ps, case), SMALL, p)
+    with pytest.raises(FormatError, match=BROKEN_MODELS[case]):
+        load_model(p)
+
+
+def test_load_model_rejects_an_untrained_model(tmp_path):
+    # init_model makes no batch-norm statistics; only a training step does
+    p = tmp_path / "model.bin"
+    save_model(init_model(SMALL, seed=0), SMALL, p)
+    with pytest.raises(FormatError, match="bn.mean"):
+        load_model(p)
+
+
 def test_load_model_requires_config(tmp_path):
     ps = init_model(SMALL, seed=0)
     p = tmp_path / "plain.bin"
