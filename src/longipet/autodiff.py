@@ -20,13 +20,14 @@ gradient for an input frame given as a plain array.  Its forward and its
 backward run one slab of voxels at a time, in plain functions
 (``_cell_forward``, ``_cell_backward``), so neither holds a whole-volume
 temporary of the 4 * filters gate channels beyond the gates it keeps for
-the backward and one gradient buffer.  ``encode``, the forecaster's
-encoder, is one fused op over the same functions and the pool's
-(``_pool2``, ``_unpool2``): two LSTM steps from the zero state and the 2x
-max pool, one sample at a time, so no batch-sized full-resolution state
-exists.  Tensors are laid out
-``(batch, x, y, z, channel)``; convolutions use stride 1 with same-padding
-and odd cubic kernels.
+the backward.  Every input gradient of a convolution, the LSTM step's
+included, is scattered slab by slab into a zero-bordered accumulator of
+the input's channels (col2im, ``_Corr3dAdjoint``).  ``encode``, the
+forecaster's encoder, is one fused op over the same functions and the
+pool's (``_pool2``, ``_unpool2``): two LSTM steps from the zero state and
+the 2x max pool, one sample at a time, so no batch-sized full-resolution
+state exists.  Tensors are laid out ``(batch, x, y, z, channel)``;
+convolutions use stride 1 with same-padding and odd cubic kernels.
 """
 
 import json
@@ -73,9 +74,15 @@ class Tensor:
 
     # -- graph plumbing ----------------------------------------------------
 
-    def _accumulate(self, g):
-        # An owned copy first: no two tensors ever share a grad buffer.
+    def _accumulate(self, g, fresh=False):
+        # No two tensors ever share a grad buffer: the first gradient is
+        # copied into one of this tensor's own, unless fresh says g is a new
+        # array of this tensor's shape that nothing else holds, which is
+        # then taken as the buffer without a copy.
         if self.grad is None:
+            if fresh:
+                self.grad = g
+                return
             self.grad = np.empty_like(self.data)
             self.grad[...] = g
         else:
@@ -239,7 +246,7 @@ def relu(a):
     out_data = np.maximum(a.data, 0.0)
 
     def backward(g):
-        a._accumulate(g * (a.data > 0.0))
+        a._accumulate(g * (a.data > 0.0), fresh=True)
 
     return _node(out_data, (a,), backward)
 
@@ -381,18 +388,21 @@ def _columns(xp, k):
 
 
 def _slabs(lead, row_bytes):
-    # Index tuples over the leading axes lead = (n, a, b).  Each selects a
-    # C-contiguous block of an (n, a, b, ...) array, so out[sel].reshape(-1,
-    # co) is a view; together they cover every (item, x, y) once.
+    # Index tuples over the leading axes lead = (n, a, b), one slice with
+    # explicit bounds per axis.  Each selects a C-contiguous block of an
+    # (n, a, b, ...) array, so out[sel].reshape(-1, co) is a view; together
+    # they cover every (item, x, y) once.
     rows = max(1, _SLAB_BYTES // row_bytes)
     d, inner = len(lead) - 1, 1
     while d > 0 and inner * lead[d] <= rows:
         inner *= lead[d]
         d -= 1
     step = max(1, rows // inner)
+    whole = tuple(slice(0, m) for m in lead[d + 1 :])
     for outer in np.ndindex(*lead[:d]):
+        head = tuple(slice(i, i + 1) for i in outer)
         for i0 in range(0, lead[d], step):
-            yield outer + (slice(i0, i0 + step),)
+            yield head + (slice(i0, min(i0 + step, lead[d])),) + whole
 
 
 def _corr3d(xp, w):
@@ -428,6 +438,46 @@ def _corr3d_grad_w(xp, gy, k):
     return gw.reshape(k, k, k, ci, co)
 
 
+class _Corr3dAdjoint:
+    # The adjoint of _corr3d with kernel w (k,k,k,ci,co) over outputs of
+    # leading shape lead = (n, a, b, c), by col2im.  add(sel, d) takes the
+    # output gradient of one _slabs block, d (the block's rows, co wide),
+    # and adds its image into a zero-bordered channel-first accumulator
+    # (n, ci, a+2p, b+2p, c+2p): one GEMM w2 @ d.T gives every row's k^3 * ci
+    # columns grouped by kernel offset, and each offset's block is added at
+    # that offset, each add moving contiguous z-rows.  So beyond the
+    # accumulator the extra memory is one slab's columns, whatever co is.
+    # result() returns the accumulator's interior once, channel-last
+    # (n, a, b, c, ci), and drops the accumulator.  A voxel's terms are
+    # summed in slab order, then offset order, so the bits depend on the
+    # slab grid the caller runs.
+    __slots__ = ("w2", "k", "lead", "acc")
+
+    def __init__(self, w, lead):
+        k = w.shape[0]
+        p = k // 2
+        n, a, b, c = lead
+        self.w2 = w.reshape(-1, w.shape[4])
+        self.k, self.lead = k, lead
+        self.acc = np.zeros((n, w.shape[3], a + 2 * p, b + 2 * p, c + 2 * p))
+
+    def add(self, sel, d):
+        sn, sx, sy = sel
+        k, ci, c = self.k, self.acc.shape[1], self.lead[3]
+        block = (sn.stop - sn.start, sx.stop - sx.start, sy.stop - sy.start, c)
+        cols = (self.w2 @ d.T).reshape((k, k, k, ci) + block)
+        for i, j, l in np.ndindex(k, k, k):
+            dst = self.acc[sn, :, sx.start + i : sx.stop + i, sy.start + j : sy.stop + j, l : l + c]
+            dst += cols[i, j, l].swapaxes(0, 1)
+
+    def result(self):
+        n, a, b, c = self.lead
+        p = self.k // 2
+        inner = self.acc[:, :, p : p + a, p : p + b, p : p + c]
+        self.acc = None
+        return np.ascontiguousarray(inner.transpose(0, 2, 3, 4, 1))
+
+
 def _flip_swap(w):
     # Spatial flip plus channel transpose: the kernel of the adjoint map.
     return np.ascontiguousarray(np.flip(w, axis=(0, 1, 2)).transpose(0, 1, 2, 4, 3))
@@ -447,7 +497,10 @@ def _add_bias(out, bias, filters):
 def _conv(x, kernel, bias, adjoint):
     # The body of conv3d and, with adjoint, of conv_transpose3d: the same
     # correlation with the kernel flipped and channel-swapped (_flip_swap),
-    # whose kernel gradient is the _flip_swap of the plain one.
+    # whose kernel gradient is the _flip_swap of the plain one.  The input
+    # gradient of either is the correlation's adjoint with the kernel it
+    # ran, scattered one slab of g at a time (_Corr3dAdjoint), so g is
+    # never padded.
     x, kernel = _const(x), _const(kernel)
     k = _check_conv_args(x, kernel, 4 if adjoint else 3)
     orient = _flip_swap if adjoint else (lambda w: w)
@@ -458,7 +511,11 @@ def _conv(x, kernel, bias, adjoint):
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def backward(g):
-        x._accumulate(_corr3d(_pad(g, k), _flip_swap(w)))
+        ci, co = w.shape[3:]
+        adjoint_x = _Corr3dAdjoint(w, g.shape[:4])
+        for sel in _slabs(g.shape[:3], g.shape[3] * k ** 3 * ci * g.itemsize):
+            adjoint_x.add(sel, g[sel].reshape(-1, co))
+        x._accumulate(adjoint_x.result(), fresh=True)
         kernel._accumulate(orient(_corr3d_grad_w(xp, g, k)))
         if bias is not None:
             bias._accumulate(g.sum(axis=(0, 1, 2, 3)))
@@ -626,7 +683,7 @@ def batchnorm(
                 axis=axes, keepdims=True
             )
         gx /= std
-        x._accumulate(gx)
+        x._accumulate(gx, fresh=True)
 
     return _node(out_data, (x, gamma, beta), backward)
 
@@ -731,27 +788,24 @@ def _cell_backward(gh, gc, saved, c_prev, w, bias, lo):
     # recomputes the slab's gates with the forward's _slab_gates, so no
     # whole gate tensor exists.  tanh(c) is recomputed per slab with the
     # forward's ufuncs in its order: i*g, then += f*c_prev, then tanh.  Each
-    # slab's gate pre-activation gradient goes into one reused slab buffer
-    # and is copied into the interior of one zero-bordered buffer dpad,
-    # which the x/h gradient conv reads without padding it again.  The
-    # buffer's row 0 carries the running bias sum, so summing it with each
-    # slab adds the rows in the order dpre.sum(axis=(0, 1, 2, 3)) would.
-    # Every element goes through the whole-tensor backward's expressions, so
-    # the result is bit-identical to it on any slab grid.  Returns (gz,
-    # gc_prev, gw, gb): gz is the gradient of zp's channels lo: (None when
-    # lo == cz), gc_prev c_prev's (None without state), gw of w and gb of
-    # the bias.
+    # slab's gate pre-activation gradient goes into one reused slab buffer,
+    # and while it is in cache the x/h gradient scatters it (_Corr3dAdjoint)
+    # into a zero-bordered accumulator of the lo: channels only, so no
+    # whole-volume gate gradient exists.  The buffer's row 0 carries the
+    # running bias sum, so summing it with each slab adds the rows in the
+    # order dpre.sum(axis=(0, 1, 2, 3)) would.  Every element goes through
+    # the whole-tensor backward's expressions, so the result is bit-identical
+    # to it on any slab grid, if that backward runs its adjoint on the same
+    # grid.  Returns (gz, gc_prev, gw, gb): gz is the gradient of zp's
+    # channels lo: (None when lo == cz), gc_prev c_prev's (None without
+    # state), gw of w and gb of the bias.
     zp, act = saved
     k = w.shape[0]
-    p = k // 2
     cz, gates = w.shape[3:]
     nf = gates // 4
     cols = _columns(zp, k)
     n, a, b, c = cols.shape[:4]
-    dpad = inner = None
-    if lo < cz:
-        dpad = np.zeros((n, a + 2 * p, b + 2 * p, c + 2 * p, gates))
-        inner = dpad[:, p : p + a, p : p + b, p : p + c]
+    adjoint_z = _Corr3dAdjoint(w[..., lo:, :], (n, a, b, c)) if lo < cz else None
     width = k ** 3 * cz
     w2 = w.reshape(width, gates)
     slabs = list(_slabs((n, a, b), c * width * zp.itemsize))
@@ -793,10 +847,10 @@ def _cell_backward(gh, gc, saved, c_prev, w, bias, lo):
             np.multiply(gct * c_prev[sel].reshape(-1, nf), f * (1.0 - f), out=df)
             np.multiply(gct, f, out=gc_prev[sel].reshape(-1, nf))
         gw += rows_in.T @ d
+        if adjoint_z is not None:
+            adjoint_z.add(sel, d)
         buf[0] = buf[: m + 1].sum(axis=0)
-        if dpad is not None:
-            inner[sel] = d.reshape(inner[sel].shape)
-    gz = _corr3d(dpad, _flip_swap(w[..., lo:, :])) if lo < cz else None
+    gz = None if adjoint_z is None else adjoint_z.result()
     return gz, gc_prev, gw.reshape(k, k, k, cz, gates), buf[0].copy()
 
 
@@ -840,11 +894,12 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
 
     The backward makes one pass over the same slabs.  Each slab's gate
     gradient is computed in one reused slab buffer, feeds the kernel and
-    bias gradients, and is copied into one zero-bordered buffer from which
-    the input and hidden-state gradients are convolved; no unpadded
-    whole-volume gate gradient exists.  ``h``'s backward only hands its
-    gradient to ``c``'s, which does all the work, so ``c.grad`` holds only
-    the gradient that reaches ``c`` directly, never ``h``'s contribution.
+    bias gradients, and, while still in cache, is mapped by one GEMM to its
+    input and hidden-state columns, which are added into a zero-bordered
+    accumulator of those channels only; no whole-volume gate gradient
+    exists.  ``h``'s backward only hands its gradient to ``c``'s, which
+    does all the work, so ``c.grad`` holds only the gradient that reaches
+    ``c`` directly, never ``h``'s contribution.
     """
     if (h_prev is None) != (c_prev is None):
         raise ParameterError("h_prev and c_prev must both be given or both be None")

@@ -1,9 +1,11 @@
-"""Numeric gradient checking shared by the test modules.
+"""Numeric gradient checking, and memory tracing, shared by the test modules.
 
 Central differences with h=1e-5 in float64, compared with a guarded
 relative error: |a - b| / max(floor, |a| + |b|).  The floor keeps the
 ratio meaningful when both gradients are near zero.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -69,3 +71,15 @@ def check_op(build, arrays, h=H, tol=TOL):
 def weighted_sum(t, weights):
     """Deterministic non-uniform scalarization of a tensor output."""
     return ad.tensor_sum(ad.mul(t, ad.Tensor(weights)))
+
+
+def traced(fn):
+    """Run ``fn()`` under tracemalloc: (its result, bytes held after it,
+    peak bytes during it), counted from the start of the call."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak

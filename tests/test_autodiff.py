@@ -11,7 +11,7 @@ import pytest
 from longipet import autodiff as ad
 from longipet.errors import FormatError, ParameterError, ShapeError, StateError
 
-from gradcheck import check_op, max_rel_err, numeric_gradient, weighted_sum
+from gradcheck import check_op, max_rel_err, numeric_gradient, traced, weighted_sum
 
 
 def rng_for(tag: int) -> np.random.Generator:
@@ -493,6 +493,49 @@ def test_first_gradient_is_an_owned_copy_at_the_tensor_shape():
     s._accumulate(np.float64(4.0))
     assert s.grad.shape == (2, 3) and s.grad.dtype == np.float64
     np.testing.assert_array_equal(s.grad, 4.0)
+
+
+def _fed(y, g):
+    # A scalar node whose backward gives y the gradient g.
+    return ad._node(np.zeros(()), (y,), lambda _: y._accumulate(g))
+
+
+@pytest.mark.parametrize("op", ["relu", "batchnorm"])
+def test_fresh_input_gradient_is_taken_without_a_copy(op):
+    # relu's g * (a > 0) and batchnorm's gx are new arrays, so the input's
+    # first gradient takes them as its buffer: the backward holds the
+    # output's gradient and that array, never a third copy; the slack is
+    # relu's one-byte mask and ufunc casting buffers.  batchnorm runs in
+    # infer mode, whose backward has no larger temporary.
+    r = rng_for(30)
+    shape = (2, 16, 16, 16, 8)
+    x = ad.Tensor(r.normal(size=shape))
+    g = r.normal(size=shape)
+    if op == "relu":
+        y = ad.relu(x)
+        want = g * (x.data > 0.0)
+    else:
+        stats = {"bn.mean": r.normal(size=8), "bn.var": r.uniform(0.5, 2.0, size=8)}
+        gamma = ad.Tensor(r.uniform(0.5, 1.5, size=8))
+        y = ad.batchnorm(x, gamma, ad.Tensor(np.zeros(8)), stats, mode="infer")
+        want = g * gamma.data / np.sqrt(stats["bn.var"] + 1e-3)
+    _, held, peak = traced(_fed(y, g).backward)
+    assert np.array_equal(x.grad, want)
+    assert held <= g.nbytes + (16 << 10)
+    assert peak <= 2 * g.nbytes + (256 << 10), f"peak {peak} B for {g.nbytes} B gradients"
+
+
+def test_a_taken_gradient_still_sums_and_is_shared_by_no_one():
+    # x feeds two relus: its first gradient is the first relu's product, and
+    # the second's is added into it, not into anything the walk still holds.
+    r = rng_for(31)
+    x = ad.Tensor(r.normal(size=(3, 4)))
+    g1, g2 = r.normal(size=(3, 4)), r.normal(size=(3, 4))
+    y1, y2 = ad.relu(x), ad.relu(x)
+    loss = ad._node(np.zeros(()), (y1, y2), lambda _: (y1._accumulate(g1), y2._accumulate(g2)))
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, g1 * (x.data > 0) + g2 * (x.data > 0))
+    assert y1.grad is None and y2.grad is None
 
 
 def test_diamond_graph_gradient():

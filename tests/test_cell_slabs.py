@@ -5,9 +5,11 @@ the hidden state, run ``_corr3d`` over the whole batch, then the gate
 arithmetic on full-tensor views, with the same hand-derived backward.  The
 fused step runs the same expressions on every element, one slab at a time,
 so values and gradients must match bit for bit, whatever the slab grid.
+The one exception is the input gradient's col2im adjoint, whose bits
+depend on the slab grid: the oracle runs it through the same helper on the
+fused step's grid, and test_conv_engine pins that helper against the padded
+correlation the oracle used to run.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ import pytest
 from longipet import autodiff as ad
 from longipet.errors import ShapeError
 
-from gradcheck import weighted_sum
-from test_conv_engine import _set_budget
+from gradcheck import traced, weighted_sum
+from test_conv_engine import DpadAdjoint, _set_budget
 
 
 def whole_tensor_convlstm_step(x, h_prev, c_prev, kernel, bias):
@@ -63,7 +65,10 @@ def whole_tensor_convlstm_step(x, h_prev, c_prev, kernel, bias):
         kernel._accumulate(gw)
         lo = 0 if x_in is not None else cin
         if lo < z.shape[-1]:
-            gz = ad._corr3d(ad._pad(dpre, k), ad._flip_swap(w[..., lo:, :]))
+            adjoint = ad._Corr3dAdjoint(w[..., lo:, :], dpre.shape[:4])
+            for sel in ad._slabs(dpre.shape[:3], dpre.shape[3] * k ** 3 * z.shape[-1] * 8):
+                adjoint.add(sel, dpre[sel].reshape(-1, 4 * nf))
+            gz = adjoint.result()
             if x_in is not None:
                 x_in._accumulate(gz[..., :cin])
             if state:
@@ -166,13 +171,8 @@ def test_no_grad_step_keeps_no_gate_tensor():
     gate_slab = slab_rows * 4 * nf * 8
     columns = slab_rows * width * 8
     bound = zp + hc + 2 * gate_slab + columns + (64 << 10)
-    tracemalloc.start()
-    try:
-        with ad.no_grad():
-            out = ad.convlstm3d_step(x, h, c, kernel, bias)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with ad.no_grad():
+        out, _, peak = traced(lambda: ad.convlstm3d_step(x, h, c, kernel, bias))
     assert out[0].shape == out[1].shape == (1, d, d, d, nf)
     assert peak <= bound, f"peak {peak} B over the bound {bound} B"
     assert bound < peak + d ** 3 * 4 * nf * 8  # a whole gate tensor would not fit
@@ -198,13 +198,12 @@ def _bad_step_args(case):
 def test_bad_step_raises_before_allocating(case):
     x, h, c, kernel = _bad_step_args(case)
     padded = 14 ** 3 * 3 * 8
-    tracemalloc.start()
-    try:
+
+    def bad_step():
         with pytest.raises(ShapeError):
             ad.convlstm3d_step(x, h, c, kernel, np.zeros(8))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    peak = traced(bad_step)[2]
     assert peak < padded // 4
 
 
@@ -248,13 +247,9 @@ def test_c_gradient_excludes_h_contribution():
     assert kernel.grad is not None and bias.grad is not None
 
 
-def test_grad_step_backward_holds_the_gradient_once():
-    # The backward's peak is h's gradient, the zero-bordered pre-activation
-    # gradient dpad, the hidden-state gradient conv's output and one slab of
-    # its im2col columns (over dpad), c_prev's gradient, and one slab's
-    # im2col columns and gate buffer.  The whole-tensor backward also held
-    # the unpadded pre-activation gradient, which dpad now replaces.
-    d, cin, nf, k = 24, 1, 16, 3
+def _step_backward_peak(d, cin, nf, k):
+    # The peak of one state step's backward from a loss on h, and the
+    # gradients of h_prev and c_prev.
     r = np.random.default_rng(7)
     x = r.normal(size=(1, d, d, d, cin))
     h = ad.Tensor(r.normal(size=(1, d, d, d, nf)))
@@ -264,23 +259,28 @@ def test_grad_step_backward_holds_the_gradient_once():
     wh = r.normal(size=(1, d, d, d, nf))
     h1, _ = ad.convlstm3d_step(x, h, c, kernel, bias)
     loss = ad._node(np.zeros(()), (h1,), lambda g: h1._accumulate(wh))
+    return traced(loss.backward)[2], h.grad, c.grad
+
+
+def test_grad_step_backward_holds_the_gradient_once(monkeypatch):
+    # The backward's peak is h's gradient, the hidden-state gradient's
+    # zero-bordered nf-channel accumulator and its channel-last copy,
+    # c_prev's gradient, and one slab's im2col columns, gate buffer and
+    # adjoint columns (k^3 * nf per row).  The whole-tensor backward also
+    # held the unpadded pre-activation gradient; the previous fused one
+    # copied it into a zero-bordered 4 * nf-channel buffer (dpad) and
+    # convolved that, which breaks the bound.
+    d, cin, nf, k = 24, 1, 16, 3
     width = k ** 3 * (cin + nf)
     slab_rows = max(np.empty((1, d, d, d))[sel].size
                     for sel in ad._slabs((1, d, d), d * width * 8))
     state_grad = d ** 3 * nf * 8
-    dpad = (d + 2) ** 3 * 4 * nf * 8
-    conv_width = k ** 3 * 4 * nf
-    conv_rows = max(np.empty((1, d, d, d))[sel].size
-                    for sel in ad._slabs((1, d, d), d * conv_width * 8))
-    h_conv = state_grad + conv_rows * conv_width * 8
-    slab = slab_rows * (width + 4 * nf) * 8
-    bound = 2 * state_grad + dpad + h_conv + slab + (64 << 10)
-    tracemalloc.start()
-    try:
-        loss.backward()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert h.grad.shape == c.grad.shape == (1, d, d, d, nf)
+    accumulator = (d + 2) ** 3 * nf * 8
+    slab = slab_rows * (width + 4 * nf + k ** 3 * nf) * 8
+    bound = 3 * state_grad + accumulator + slab + (64 << 10)
+    peak, gh, gc = _step_backward_peak(d, cin, nf, k)
+    assert gh.shape == gc.shape == (1, d, d, d, nf)
     assert peak <= bound, f"peak {peak} B over the bound {bound} B"
     assert bound < peak + d ** 3 * 4 * nf * 8  # an unpadded gradient copy would not fit
+    monkeypatch.setattr(ad, "_Corr3dAdjoint", DpadAdjoint)
+    assert _step_backward_peak(d, cin, nf, k)[0] > bound, "the dpad control fits the bound"

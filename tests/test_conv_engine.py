@@ -1,18 +1,19 @@
 """Equivalence of the convolution engine, the slab-chunked im2col GEMM that
-runs every correlation, with the per-offset loop it replaced, and the
-memory that engine holds.
+runs every correlation, with the per-offset loop it replaced, of the col2im
+adjoint that computes every input gradient with the padded correlation it
+replaced, and the memory that engine holds.
 
 The oracle below is the original implementation: one matmul per kernel
 offset over a copied input patch.  The GEMMs may sum in another order, so
 the comparison uses a tolerance rather than equality.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from longipet import autodiff as ad
+
+from gradcheck import traced
 
 TOL = 1e-12
 
@@ -119,14 +120,62 @@ def test_narrow_corr3d_holds_its_output_and_one_slab_of_columns(monkeypatch):
     w = r.normal(size=(3, 3, 3, 64, 16))
     row = 16 * 27 * 64 * 8
     monkeypatch.setattr(ad, "_SLAB_BYTES", row)
-    tracemalloc.start()
-    try:
-        out = ad._corr3d(xp, w)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, _, peak = traced(lambda: ad._corr3d(xp, w))
     bound = out.nbytes + row + (64 << 10)
     assert peak <= bound, f"peak {peak} B over the bound {bound} B"
+
+
+class DpadAdjoint:
+    """The input gradient as it ran before col2im, behind _Corr3dAdjoint's
+    interface: each slab's output gradient is copied into a zero-bordered
+    buffer of its c_out channels (dpad), which is then correlated with the
+    flipped, channel-swapped kernel."""
+
+    def __init__(self, w, lead):
+        p = w.shape[0] // 2
+        n, a, b, c = lead
+        self.w = w
+        self.dpad = np.zeros((n, a + 2 * p, b + 2 * p, c + 2 * p, w.shape[4]))
+        self.inner = self.dpad[:, p : p + a, p : p + b, p : p + c]
+
+    def add(self, sel, d):
+        self.inner[sel] = d.reshape(self.inner[sel].shape)
+
+    def result(self):
+        return ad._corr3d(self.dpad, ad._flip_swap(self.w))
+
+
+# Slab budgets in y-rows of the adjoint's columns over (n, 5, 5, 4) outputs:
+# 1 row, 3 rows (3 + 2 per plane) and 12 rows (2 + 2 + 1 planes), the last
+# two ragged.
+@pytest.mark.parametrize("rows", [1, 3, 12])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("op", ["conv3d", "conv_transpose3d"])
+def test_input_gradient_matches_the_padded_flipped_correlation(monkeypatch, op, k, n, rows):
+    # The input gradient of either op against the correlation of the padded
+    # output gradient with the flipped, channel-swapped kernel the forward
+    # ran (w): the adjoint sums each voxel's terms in another order.
+    ci, co = 2, 3
+    r = np.random.default_rng((80, k, n, rows))
+    x = ad.Tensor(r.normal(size=(n, 5, 5, 4, ci)))
+    if op == "conv3d":
+        kernel = r.normal(size=(k, k, k, ci, co))
+        w = kernel
+    else:
+        kernel = r.normal(size=(k, k, k, co, ci))
+        w = ad._flip_swap(kernel)
+    g = r.normal(size=(n, 5, 5, 4, co))
+    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * 4 * k ** 3 * ci * 8)
+    y = getattr(ad, op)(x, ad.Tensor(kernel))
+    ad._node(np.zeros(()), (y,), lambda _: y._accumulate(g)).backward()
+    want = ad._corr3d(ad._pad(g, k), ad._flip_swap(w))
+    assert x.grad.shape == want.shape
+    np.testing.assert_allclose(x.grad, want, rtol=0, atol=TOL * np.abs(want).max())
+    adjoint = DpadAdjoint(w, g.shape[:4])
+    for sel in ad._slabs(g.shape[:3], 4 * k ** 3 * ci * 8):
+        adjoint.add(sel, g[sel].reshape(-1, co))
+    assert np.array_equal(adjoint.result(), want)
 
 
 @pytest.mark.parametrize("lead", [(3, 5, 4), (1, 7, 3), (2, 1, 1)])

@@ -7,8 +7,6 @@ and bias gradients over the samples, so with more than one sample they may
 differ in the last bits.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,7 @@ from longipet import autodiff as ad
 from longipet.errors import ShapeError
 from longipet.model import I2IModelConfig, forward_batch, init_model
 
-from gradcheck import check_op, weighted_sum
+from gradcheck import check_op, traced, weighted_sum
 
 DIMS = (4, 6, 2)
 CIN, FILTERS = 1, 3
@@ -103,12 +101,7 @@ def test_maxpool_keeps_only_the_argmax_for_its_backward():
     # What a grad-mode pool holds after its forward is its output and one
     # uint8 argmax per output element: 9/64 of the input's bytes.
     x = ad.Tensor(np.random.default_rng(3).normal(size=(2, 16, 16, 16, 4)))
-    tracemalloc.start()
-    try:
-        out = ad.maxpool3d(x)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    out, held, _ = traced(lambda: ad.maxpool3d(x))
     assert held <= x.data.nbytes * 9 // 64 + (16 << 10)
     ad.tensor_sum(out).backward()
     assert x.grad.sum() == out.size
@@ -117,13 +110,9 @@ def test_maxpool_keeps_only_the_argmax_for_its_backward():
 def _no_grad_peak(config, params, n):
     r = np.random.default_rng(n)
     f0, f1 = (r.uniform(0.5, 1.5, size=(n,) + config.dims) for _ in range(2))
-    tracemalloc.start()
-    try:
-        with ad.no_grad():
-            forward_batch(params, f0, f1, config, mode="train")
-        return tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
+    with ad.no_grad():
+        peak = traced(lambda: forward_batch(params, f0, f1, config, mode="train"))[2]
+    return peak / 2 ** 20
 
 
 def test_no_grad_forward_peak_does_not_grow_with_the_batch():

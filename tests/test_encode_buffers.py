@@ -10,10 +10,11 @@ oracle's bit for bit, on any slab grid, while it holds less: per sample,
 the second step's padded input and one state buffer under ``no_grad``;
 with gradients on, the second step's padded input and gates, the first
 step's ``c`` and the pool's argmax, the first step's gates and every
-``tanh(c)`` being recomputed in the backward.
+``tanh(c)`` being recomputed in the backward.  The oracle's input gradient
+runs through the current col2im adjoint (``_Corr3dAdjoint``) on the same
+slab grid, since its bits depend on the grid; it is pinned against the
+padded correlation it replaced in test_conv_engine.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ import pytest
 from longipet import autodiff as ad
 from longipet.model import I2IModelConfig, forward_batch, init_model
 
-from gradcheck import weighted_sum
+from gradcheck import traced, weighted_sum
+from test_conv_engine import DpadAdjoint
 
 
 def old_cell_forward(x, h_prev, c_prev, w, bias, keep, h_out=None, c_out=None):
@@ -78,12 +80,8 @@ def old_cell_backward(gh, gc, saved, c_prev, w, lo):
     n, a, b, c, gates = act.shape
     nf = gates // 4
     k = w.shape[0]
-    p = k // 2
     cz = w.shape[3]
-    dpad = inner = None
-    if lo < cz:
-        dpad = np.zeros((n, a + 2 * p, b + 2 * p, c + 2 * p, gates))
-        inner = dpad[:, p : p + a, p : p + b, p : p + c]
+    adjoint = ad._Corr3dAdjoint(w[..., lo:, :], (n, a, b, c)) if lo < cz else None
     cols = ad._columns(zp, k)
     width = k ** 3 * cz
     slabs = list(ad._slabs((n, a, b), c * width * zp.itemsize))
@@ -116,9 +114,9 @@ def old_cell_backward(gh, gc, saved, c_prev, w, lo):
             np.multiply(gct, f, out=gc_prev[sel].reshape(-1, nf))
         gw += cols[sel].reshape(-1, width).T @ d
         buf[0] = buf[: m + 1].sum(axis=0)
-        if dpad is not None:
-            inner[sel] = d.reshape(inner[sel].shape)
-    gz = ad._corr3d(dpad, ad._flip_swap(w[..., lo:, :])) if lo < cz else None
+        if adjoint is not None:
+            adjoint.add(sel, d)
+    gz = None if adjoint is None else adjoint.result()
     return gz, gc_prev, gw.reshape(k, k, k, cz, gates), buf[0].copy()
 
 
@@ -229,26 +227,18 @@ def test_small_slabs_are_bit_identical_to_the_previous_encode(monkeypatch, rows,
         assert np.array_equal(a, b)
 
 
-def _traced(fn):
-    # (bytes held after fn, peak bytes during it) by tracemalloc
-    tracemalloc.start()
-    try:
-        out = fn()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return out, held, peak
-
-
 def _padded_bytes(dims, k, channels):
     p = k // 2
     return int(np.prod([d + 2 * p for d in dims])) * channels * 8
 
 
 def test_grad_forward_keeps_no_first_step_cell_state():
-    # What a sample keeps for the backward: both steps' padded inputs and
-    # gates, the second step's tanh(c) and the pool's uint8 argmax.  The
-    # previous encode also kept the first step's c and tanh(c).
+    # A looser, older bound on what a sample keeps for the backward: both
+    # steps' padded inputs and gates, the second step's tanh(c) and the
+    # pool's uint8 argmax.  encode keeps less (see
+    # test_grad_forward_keeps_step_two_gates_c1_and_the_argmax, whose c1
+    # this test's name predates); the oracle keeps all of it plus the first
+    # step's c and tanh(c).
     dims, cin, nf, k = (40, 48, 40), 1, 16, 3
     x0, x1 = _frames(dims, 1, 7)
     kernel, bias = _gate_params(k, cin, nf, 8)
@@ -257,7 +247,7 @@ def test_grad_forward_keeps_no_first_step_cell_state():
             + 2 * vox * 4 * nf * 8 + vox * nf * 8 + vox // 8 * nf)
     bound = kept + vox // 8 * nf * 8 + (256 << 10)  # plus the pooled output
     for encode in (ad.encode, old_encode):
-        out, held, _ = _traced(lambda: encode(x0, x1, kernel, bias))
+        out, held, _ = traced(lambda: encode(x0, x1, kernel, bias))
         if encode is ad.encode:
             assert held <= bound, f"holds {held} B over the bound {bound} B"
         else:
@@ -281,7 +271,7 @@ def test_no_grad_forward_holds_one_state_buffer_and_one_padded_input():
     bound = _padded_bytes(dims, k, cin + nf) + vox * nf * 8 + step1 + (256 << 10)
     for encode in (ad.encode, old_encode):
         with ad.no_grad():
-            out, _, peak = _traced(lambda: encode(x0, x1, kernel, bias))
+            out, _, peak = traced(lambda: encode(x0, x1, kernel, bias))
         if encode is ad.encode:
             assert peak <= bound, f"peak {peak} B over the bound {bound} B"
         else:
@@ -302,7 +292,7 @@ def test_grad_forward_keeps_step_two_gates_c1_and_the_argmax():
     kept = _padded_bytes(dims, k, cin + nf) + gates + vox * nf * 8 + vox // 8 * nf
     bound = kept + vox // 8 * nf * 8 + (256 << 10)  # plus the pooled output
     for encode in (ad.encode, old_encode):
-        out, held, _ = _traced(lambda: encode(x0, x1, kernel, bias))
+        out, held, _ = traced(lambda: encode(x0, x1, kernel, bias))
         if encode is ad.encode:
             assert held <= bound, f"holds {held} B over the bound {bound} B"
         else:
@@ -363,26 +353,26 @@ def test_training_step_peak_is_two_samples_kept_plus_one_backward(monkeypatch):
     # One 40x48x40 batch-2 training step at 16/32 filters.  Its peak comes in
     # a sample's second-step backward: both samples' kept bytes, the pooled
     # output and its gradient, and that sample's transient, which is its
-    # unpooled gradient, the zero-bordered gate gradient dpad, the gradients
-    # of the step's h and c inputs, and the hidden-state gradient conv's
-    # im2col slab.  _model_run's frames and target are made while traced.
-    # The oracle keeps more per sample, so its step breaks the bound.
+    # unpooled gradient, the hidden-state gradient's zero-bordered
+    # nf-channel accumulator, the gradients of the step's h and c inputs,
+    # and one slab.  _model_run's frames and target are made while traced.
+    # The oracle keeps more per sample, and the previous adjoint's
+    # zero-bordered 4 * nf-channel gate gradient (dpad) adds more than the
+    # accumulator saves, so both steps break the bound.
     dims, filters = (40, 48, 40), (16, 32)
     nf, k = filters[0], 3
     vox = int(np.prod(dims))
     kept = (_padded_bytes(dims, k, 1 + nf) + vox * 4 * nf * 8 + vox * nf * 8
             + vox // 8 * nf)
     pooled = 2 * vox // 8 * nf * 8
-    transient = _padded_bytes(dims, k, 4 * nf) + 3 * vox * nf * 8 + ad._SLAB_BYTES
+    transient = _padded_bytes(dims, k, nf) + 3 * vox * nf * 8 + ad._SLAB_BYTES
     frames = 3 * 2 * vox * 8
     bound = 2 * kept + 2 * pooled + transient + frames + (8 << 20)  # the decoder and loss
-    peaks = []
-    for encode in (ad.encode, old_encode):
-        tracemalloc.start()
-        try:
-            _model_run(monkeypatch, encode, dims, filters, 2, k, True)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [traced(lambda: _model_run(monkeypatch, encode, dims, filters, 2, k, True))[2]
+             for encode in (ad.encode, old_encode)]
+    monkeypatch.setattr(ad, "_Corr3dAdjoint", DpadAdjoint)
+    peaks.append(traced(lambda: _model_run(monkeypatch, ad.encode, dims, filters, 2, k,
+                                           True))[2])
     assert peaks[0] <= bound, f"peak {peaks[0]} B over the bound {bound} B"
     assert peaks[1] > bound, "the control no longer breaks the bound"
+    assert peaks[2] > bound, "the dpad control no longer breaks the bound"

@@ -2,14 +2,14 @@
 the whole graph, a second backward through a released node refused, and the
 memory a training step holds after its backward and across two steps."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from longipet import autodiff as ad
 from longipet.errors import StateError
 from longipet.model import I2IModelConfig, forward_batch, init_model
+
+from gradcheck import traced
 
 SLACK = 64 << 10
 
@@ -157,24 +157,14 @@ def _fresh(walk, batch=2):
 
 def _held_after_backward(walk):
     params, frames = _fresh(walk)
-    tracemalloc.start()
-    try:
-        pred, loss = _train_steps(params, frames, 1, walk)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    (pred, loss), held, _ = traced(lambda: _train_steps(params, frames, 1, walk))
     grads = sum(t.grad.nbytes for t in params.params.values())
     return held, grads + pred.data.nbytes + loss.data.nbytes + SLACK
 
 
 def _peak(walk, n, batch=2):
     params, frames = _fresh(walk, batch)
-    tracemalloc.start()
-    try:
-        _train_steps(params, frames, n, walk)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced(lambda: _train_steps(params, frames, n, walk))[2]
 
 
 def test_step_holds_only_leaf_gradients_pred_and_loss_after_backward():
