@@ -11,7 +11,7 @@ subject share one transform so longitudinal structure is preserved.
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 from scipy.ndimage import map_coordinates
@@ -106,26 +106,34 @@ def augment_record(record: SubjectRecord, aug: AffineAugmentation, copy_index: i
     )
 
 
+def check_copies(n_subjects: int, n_copies: int) -> None:
+    """Reject a negative copy count or an empty cohort before any work."""
+    if n_copies < 0:
+        raise ParameterError(f"n_copies must be >= 0, got {n_copies}")
+    if n_subjects == 0:
+        raise InputError("no subject records to augment")
+
+
+def augment_copies(record: SubjectRecord, seed: int, n_copies: int) -> Iterator[SubjectRecord]:
+    """The ``n_copies`` transformed copies of one subject, one at a time.
+
+    Each (subject, copy) pair draws from its own ``subject_stream``, so a
+    copy does not depend on which other subjects are augmented or in what
+    order.
+    """
+    for copy_index in range(1, n_copies + 1):
+        rng = subject_stream(seed, record.subject_id, copy_index)
+        yield augment_record(record, sample_augmentation(rng), copy_index)
+
+
 def augment_cohort(
     records: List[SubjectRecord], seed: int, n_copies: int = 2
 ) -> List[SubjectRecord]:
-    """Originals plus ``n_copies`` transformed copies per subject.
-
-    Each (subject, copy) pair draws from its own derived stream, so the
-    output is independent of iteration order and stable under cohort
-    membership changes.
-    """
-    if n_copies < 0:
-        raise ParameterError(f"n_copies must be >= 0, got {n_copies}")
-    if not records:
-        raise InputError("no subject records to augment")
-    out = list(records)
-    for record in records:
-        for copy_index in range(1, n_copies + 1):
-            rng = subject_stream(seed, record.subject_id, copy_index)
-            aug = sample_augmentation(rng)
-            out.append(augment_record(record, aug, copy_index))
-    return out
+    """Originals plus ``n_copies`` transformed copies per subject
+    (``augment_copies``), so the output is independent of iteration order
+    and stable under cohort membership changes."""
+    check_copies(len(records), n_copies)
+    return list(records) + [c for r in records for c in augment_copies(r, seed, n_copies)]
 
 
 def write_transforms(records: Sequence[SubjectRecord], path) -> int:

@@ -28,18 +28,27 @@ Exit codes:
 ``train`` runs its cross-validation rounds in up to one worker process per
 core, each with a one-thread OpenBLAS pool; its outputs equal a serial run
 with that BLAS thread count.  Every other command runs in one process.
+
+``preprocess``, ``augment``, ``forecast`` and ``evaluate`` hold one subject's
+volumes at a time, and each volume is written whole or not at all.
+``forecast`` runs its leakage audit and checks and loads every model file
+before it reads a scan, so those failures write no volume.  A scan that
+cannot be read (exit 3, for example one with non-finite voxels) stops a
+per-subject command at that subject: the volumes of the subjects before it
+stay written and whole, and no run manifest is written.
 """
 
 import argparse
 import hashlib
 import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
+from itertools import chain
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 from . import __version__
-from .augment import augment_cohort, write_transforms
+from .augment import augment_copies, check_copies, write_transforms
 from .errors import (
     DegenerateDataError,
     DivergenceError,
@@ -53,7 +62,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .forecast import forecast_cohort, plan_from_folds, save_plan
+from .forecast import checked_forecaster, plan_from_folds, save_plan
 from .metrics import load_roi
 from .model import I2IModelConfig, forward, load_model
 from .phantom import PhantomConfig, generate_cohort, write_cohort
@@ -71,7 +80,7 @@ from .report import (
 from .stats import WILCOXON_METHODS
 from .training import Hyper, cross_validate, load_folds
 from .volume_io import (
-    Volume3D,
+    SubjectRecord,
     load_manifest,
     read_header,
     read_volume,
@@ -177,13 +186,27 @@ def _cmd_preprocess(args) -> Written:
 
 def _cmd_augment(args) -> Written:
     manifest = load_manifest(args.manifest)
-    records = manifest.load_records()
-    augmented = augment_cohort(records, seed=args.seed, n_copies=args.copies)
+    check_copies(len(manifest.entries), args.copies)
+    copies: List[SubjectRecord] = []  # each copy's transform, without its scans
+
+    def originals():
+        for e in manifest.entries:
+            scans = sorted(e.scan_paths.items())
+            yield e.subject_id, e.group, ((y, read_volume(p)) for y, p in scans)
+
+    def augmented():
+        # The manifest lists the originals first, so each subject is read a
+        # second time here rather than held.
+        for sid in manifest.subject_ids:
+            for copy in augment_copies(manifest.load_record(sid), args.seed, args.copies):
+                copies.append(replace(copy, scans={}))
+                yield copy.subject_id, copy.group, sorted(copy.scans.items())
+
     out_dir = Path(args.out)
-    manifest_path = write_cohort_scans(
-        ((r.subject_id, r.group, sorted(r.scans.items())) for r in augmented), out_dir)
-    n_augmented = write_transforms(augmented, out_dir / "transforms.json")
-    print(f"wrote {len(augmented)} records ({n_augmented} augmented) to {manifest_path}")
+    manifest_path = write_cohort_scans(chain(originals(), augmented()), out_dir)
+    n_augmented = write_transforms(copies, out_dir / "transforms.json")
+    print(f"wrote {len(manifest.entries) + n_augmented} records ({n_augmented} augmented) "
+          f"to {manifest_path}")
     return _in_dir(out_dir)
 
 
@@ -249,34 +272,38 @@ def _cmd_forecast(args) -> Written:
                                    subject_ids=ids, to_year=args.to_year)
         for predictor in predictors
     }
-    records = [manifest.load_record(sid, years=(0, 1)) for sid in ids]
+    # Audits and model files are checked before any scan is read.
+    forecasters = {predictor: checked_forecaster(plan, folds, clamp_nonnegative=args.clamp)
+                   for predictor, plan in plans.items()}
     out_dir = Path(args.out)
     (out_dir / "volumes").mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
     for predictor, plan in plans.items():
-        results = forecast_cohort(records, plan, folds=folds, clamp_nonnegative=args.clamp)
         save_plan(plan, out_dir / f"plan_{predictor}.json")
-        for sid in sorted(results):
-            for year in sorted(results[sid]):
-                p = out_dir / "volumes" / f"{sid}__{predictor}__y{year}.vol"
-                write_volume(results[sid][year], p)
-                written.append(p)
+    written = 0
+    for sid in ids:
+        record = manifest.load_record(sid, years=(0, 1))
+        for predictor, forecast in forecasters.items():
+            for year, vol in forecast(record).items():
+                write_volume(vol, out_dir / "volumes" / f"{sid}__{predictor}__y{year}.vol")
+                written += 1
     print(
-        f"forecast {len(records)} subjects x {len(predictors)} predictor(s) "
-        f"to year {args.to_year}; wrote {len(written)} volumes to {out_dir}"
+        f"forecast {len(ids)} subjects x {len(predictors)} predictor(s) "
+        f"to year {args.to_year}; wrote {written} volumes to {out_dir}"
     )
     return _in_dir(out_dir)
 
 
-def _load_predictions(pred_dir: Path) -> Dict[str, Dict[str, Dict[int, Volume3D]]]:
-    out: Dict[str, Dict[str, Dict[int, Volume3D]]] = {}
+def _load_predictions(pred_dir: Path) -> Dict[str, Dict[str, Dict[int, Path]]]:
+    """Index the prediction files under ``pred_dir`` by predictor, subject
+    and year; no voxel is read here."""
+    out: Dict[str, Dict[str, Dict[int, Path]]] = {}
     candidates = sorted(pred_dir.rglob("*.vol"))
     for p in candidates:
         m = _PREDICTION_NAME.match(p.name)
         if not m:
             continue
         sid, predictor, year = m.group("sid"), m.group("predictor"), int(m.group("year"))
-        out.setdefault(predictor, {}).setdefault(sid, {})[year] = read_volume(p)
+        out.setdefault(predictor, {}).setdefault(sid, {})[year] = p
     if not out:
         raise InputError(
             f"no prediction volumes matching <subject>__<predictor>__y<year>.vol "
@@ -290,16 +317,16 @@ def _cmd_evaluate(args) -> Written:
         raise ParameterError("--roi requires --atlas")
     manifest = load_manifest(args.manifest)
     forecasts = _load_predictions(Path(args.predictions))
-    # Only the ground truth of predicted years is read.
+    # Only the ground truth of predicted years is read, one subject at a time.
     wanted: Dict[str, set] = {}
     for by_subject in forecasts.values():
         for sid, by_year in by_subject.items():
             wanted.setdefault(sid, set()).update(by_year)
-    records = [
+    records = (
         manifest.load_record(sid, years=wanted[sid])
         for sid in manifest.subject_ids
         if sid in wanted
-    ]
+    )
     atlas = read_volume(args.atlas) if args.atlas else None
     roi = load_roi(args.roi) if args.roi else None
     mask = read_volume(args.mask) if args.mask else None

@@ -10,7 +10,7 @@ audit verifies exactly that and refuses to predict when it fails.
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from .errors import InputError, ParameterError, PlanError
 from .linear import predict_linear
@@ -166,19 +166,20 @@ def forecast_recursive(
     return out
 
 
-def forecast_cohort(
-    records: List[SubjectRecord],
+def checked_forecaster(
     plan: ForecastPlan,
     folds: Optional[FoldAssignment] = None,
     clamp_nonnegative: bool = False,
-) -> Dict[str, Dict[int, Volume3D]]:
-    """Forecast every planned subject after a mandatory leakage audit.
+) -> Callable[[SubjectRecord], Dict[int, Volume3D]]:
+    """Check ``plan`` and return a function that forecasts one planned
+    subject's record to ``{year: Volume3D}``.
 
-    ``folds`` may be omitted only when no subject uses the learned
-    predictor; an audit failure is a hard error naming the subjects.  Every
-    model file is checked to exist, then loaded, before the first subject is
-    forecast, so a missing model file (PlanError) or one that does not match
-    its config (FormatError) fails the call before any forward pass runs.
+    The checks run here, before any record is read: the mandatory leakage
+    audit, then every model file the plan names is checked to exist and is
+    loaded.  ``folds`` may be omitted only when no subject uses the learned
+    predictor.  An audit failure or a missing model file raises PlanError
+    naming the subjects or the file; a model file that does not match its
+    config raises FormatError.
     """
     uses_i2i = any(e.predictor == "i2i" for e in plan.entries.values())
     if uses_i2i:
@@ -190,20 +191,36 @@ def forecast_cohort(
                 f"{item.subject_id} ({item.detail})" for item in report.failures()
             )
             raise PlanError(f"leakage audit failed: {names}")
-    planned = [r for r in records if r.subject_id in plan.entries]
-    paths = dict.fromkeys(str(plan.entries[r.subject_id].model_path) for r in planned
-                          if plan.entries[r.subject_id].predictor == "i2i")
+    paths = dict.fromkeys(str(e.model_path) for e in plan.entries.values()
+                          if e.predictor == "i2i")
     for path in paths:
         if not Path(path).exists():
             raise PlanError(f"model file {path} does not exist")
     models = {path: load_model(path) for path in paths}
-    return {
-        r.subject_id: forecast_recursive(
-            r, plan.entries[r.subject_id], plan.to_year, models,
-            clamp_nonnegative=clamp_nonnegative,
-        )
-        for r in planned
-    }
+
+    def forecast(record: SubjectRecord) -> Dict[int, Volume3D]:
+        return forecast_recursive(record, plan.entries[record.subject_id], plan.to_year,
+                                  models, clamp_nonnegative=clamp_nonnegative)
+
+    return forecast
+
+
+def forecast_cohort(
+    records: Iterable[SubjectRecord],
+    plan: ForecastPlan,
+    folds: Optional[FoldAssignment] = None,
+    clamp_nonnegative: bool = False,
+) -> Dict[str, Dict[int, Volume3D]]:
+    """Forecast every planned subject after a mandatory leakage audit.
+
+    ``records`` may be any iterable; it is read once, after the checks of
+    ``checked_forecaster``, so an audit failure, a missing model file
+    (PlanError) or one that does not match its config (FormatError) fails
+    the call before any record is drawn or any forward pass runs.  Records
+    of subjects the plan does not name are skipped.
+    """
+    forecast = checked_forecaster(plan, folds, clamp_nonnegative)
+    return {r.subject_id: forecast(r) for r in records if r.subject_id in plan.entries}
 
 
 def save_plan(plan: ForecastPlan, path) -> Path:

@@ -6,8 +6,9 @@ k1=0.01 / k2=0.03, and a dynamic range estimated from the joint min/max of
 the two volumes unless given; the mean is taken over the interior map where
 the window fits entirely.  Only that interior is computed: four maps (the
 two means, ``E[a^2 + b^2]`` and ``E[ab]``; the formula needs the variances
-only as their sum) are stacked and filtered by banded GEMMs whose rows are
-the interior positions.
+only as their sum) are filtered one at a time by banded GEMMs whose rows are
+the interior positions.  ``_Ssim`` holds the band matrices and buffers of one
+volume size, so a caller scoring many pairs allocates them once.
 
 Per-label means index the rounded atlas labels once (``AtlasIndex``); each
 volume pair then costs one ``np.bincount``.
@@ -20,7 +21,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .errors import FormatError, ParameterError, ShapeError
-from .preprocess import _band, _filter3
+from .preprocess import _band
 from .volume_io import Volume3D, read_json, write_json
 
 SSIM_WINDOW = 11
@@ -38,14 +39,19 @@ def _as_pair(a: Volume3D, b: Volume3D) -> Tuple[np.ndarray, np.ndarray]:
 def mae(a: Volume3D, b: Volume3D, mask: Optional[Volume3D] = None) -> float:
     """Mean absolute error, optionally restricted to a nonempty mask."""
     da, db = _as_pair(a, b)
+    return _mean_error(np.abs(da - db), mask)
+
+
+def _mean_error(err: np.ndarray, mask: Optional[Volume3D] = None) -> float:
+    """Mean of the absolute-error map ``err``, optionally over a nonempty mask."""
     if mask is None:
-        return float(np.mean(np.abs(da - db)))
-    if mask.dims != a.dims:
-        raise ShapeError(f"mask dims {mask.dims} do not match volume dims {a.dims}")
+        return float(np.mean(err))
+    if mask.dims != err.shape:
+        raise ShapeError(f"mask dims {mask.dims} do not match volume dims {err.shape}")
     sel = mask.data != 0
     if not sel.any():
         raise ParameterError("mask is empty")
-    return float(np.mean(np.abs(da[sel] - db[sel])))
+    return float(np.mean(err[sel]))
 
 
 def _ssim_window() -> np.ndarray:
@@ -57,37 +63,78 @@ def _ssim_window() -> np.ndarray:
 
 def ssim3d(a: Volume3D, b: Volume3D, dynamic_range: Optional[float] = None) -> float:
     """Mean structural similarity over the interior of the SSIM map."""
-    da, db = _as_pair(a, b)
-    if min(a.dims) < SSIM_WINDOW:
-        raise ShapeError(
-            f"volume dims {a.dims} are smaller than the SSIM window {SSIM_WINDOW}"
-        )
-    if dynamic_range is None:
-        lo = min(da.min(), db.min())
-        hi = max(da.max(), db.max())
-        dynamic_range = float(hi - lo)
-    if dynamic_range <= 0:
-        if np.array_equal(da, db):
-            return 1.0
-        raise ParameterError(
-            "dynamic range is 0 for volumes that are not identical"
-        )
-    c1 = (SSIM_K1 * dynamic_range) ** 2
-    c2 = (SSIM_K2 * dynamic_range) ** 2
-    # Only the interior has full window support under zero padding, so the
-    # band matrices keep only its rows.
-    w, r = _ssim_window(), SSIM_WINDOW // 2
-    bands = [_band(n, w)[r : n - r] for n in a.dims]
-    stack = np.stack([da, db, da * da + db * db, da * db])
-    mu_a, mu_b, e_sq, e_ab = _filter3(stack, *bands)
-    # Written symmetrically in a and b, so ssim3d(a, b) == ssim3d(b, a)
-    # exactly and ssim3d(a, a) == 1.
-    mu_ab = mu_a * mu_b
-    mu_sq = mu_a * mu_a + mu_b * mu_b
-    ssim_map = ((2 * mu_ab + c1) * (2 * (e_ab - mu_ab) + c2)) / (
-        (mu_sq + c1) * (e_sq - mu_sq + c2)
-    )
-    return float(ssim_map.mean())
+    _as_pair(a, b)
+    return _Ssim(a.dims)(a, b, dynamic_range)
+
+
+class _Ssim:
+    """SSIM of volume pairs of one size: the interior band matrices and every
+    buffer of the computation, allocated once and overwritten by each pair."""
+
+    def __init__(self, dims: Tuple[int, int, int]):
+        if min(dims) < SSIM_WINDOW:
+            raise ShapeError(
+                f"volume dims {dims} are smaller than the SSIM window {SSIM_WINDOW}"
+            )
+        # Only the interior has full window support under zero padding, so the
+        # band matrices keep only its rows.
+        w, r = _ssim_window(), SSIM_WINDOW // 2
+        self.dims = dims
+        self.bx, self.by, self.bz = (_band(n, w)[r : n - r] for n in dims)
+        (nx, ny, _), (mx, my, mz) = dims, (n - 2 * r for n in dims)
+        self.prod, self.tmp = np.empty(dims), np.empty(dims)
+        self.z_pass, self.y_pass = np.empty((nx * ny, mz)), np.empty((nx, my, mz))
+        self.maps = np.empty((5, mx, my, mz))
+
+    def _filter(self, x: np.ndarray, out: np.ndarray) -> None:
+        # preprocess._filter3 on one map, GEMM for GEMM, into ``out``.
+        nx, ny, nz = self.dims
+        np.matmul(x.reshape(-1, nz), self.bz.T, out=self.z_pass)
+        np.matmul(self.by, self.z_pass.reshape(nx, ny, -1), out=self.y_pass)
+        np.matmul(self.bx, self.y_pass.reshape(nx, -1), out=out.reshape(len(self.bx), -1))
+
+    def __call__(self, a: Volume3D, b: Volume3D,
+                 dynamic_range: Optional[float] = None) -> float:
+        da, db = _as_pair(a, b)
+        if a.dims != self.dims:
+            raise ShapeError(f"volume dims {a.dims} do not match SSIM dims {self.dims}")
+        if dynamic_range is None:
+            lo = min(da.min(), db.min())
+            hi = max(da.max(), db.max())
+            dynamic_range = float(hi - lo)
+        if dynamic_range <= 0:
+            if np.array_equal(da, db):
+                return 1.0
+            raise ParameterError(
+                "dynamic range is 0 for volumes that are not identical"
+            )
+        c1 = (SSIM_K1 * dynamic_range) ** 2
+        c2 = (SSIM_K2 * dynamic_range) ** 2
+        mu_a, mu_b, e_sq, e_ab, t = self.maps
+        self._filter(da, mu_a)
+        self._filter(db, mu_b)
+        np.multiply(da, da, out=self.prod)
+        np.add(self.prod, np.multiply(db, db, out=self.tmp), out=self.prod)
+        self._filter(self.prod, e_sq)
+        self._filter(np.multiply(da, db, out=self.prod), e_ab)
+        # Symmetric in a and b, so _Ssim(a, b) == _Ssim(b, a) exactly and
+        # _Ssim(a, a) == 1.  The map is
+        # ((2 mu_ab + c1) (2 (e_ab - mu_ab) + c2)) / ((mu_sq + c1) (e_sq - mu_sq + c2))
+        # with mu_ab = mu_a mu_b and mu_sq = mu_a^2 + mu_b^2, built in place.
+        np.multiply(mu_a, mu_b, out=t)
+        np.add(np.multiply(mu_a, mu_a, out=mu_a), np.multiply(mu_b, mu_b, out=mu_b), out=mu_a)
+        e_ab -= t
+        e_ab *= 2
+        e_ab += c2
+        t *= 2
+        t += c1
+        t *= e_ab
+        e_sq -= mu_a
+        e_sq += c2
+        mu_a += c1
+        mu_a *= e_sq
+        t /= mu_a
+        return float(t.mean())
 
 
 class AtlasIndex:
@@ -105,10 +152,15 @@ class AtlasIndex:
     def regional_mae(self, a: Volume3D, b: Volume3D) -> Dict[int, float]:
         """Per-label MAE of ``a`` against ``b``; label 0 is background."""
         da, db = _as_pair(a, b)
-        if self.dims != a.dims:
-            raise ShapeError(f"atlas dims {self.dims} do not match volume dims {a.dims}")
+        return self.regional_error(np.abs(da - db))
+
+    def regional_error(self, err: np.ndarray) -> Dict[int, float]:
+        """Per-label mean of the absolute-error map ``err``; label 0 is
+        background."""
+        if self.dims != err.shape:
+            raise ShapeError(f"atlas dims {self.dims} do not match volume dims {err.shape}")
         sums = np.bincount(
-            self.inverse, weights=np.abs(da - db).ravel(), minlength=self.labels.size
+            self.inverse, weights=err.ravel(), minlength=self.labels.size
         )
         return {
             int(label): float(s / n)

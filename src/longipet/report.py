@@ -28,12 +28,12 @@ import io
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import DegenerateDataError, FormatError, InputError, ParameterError
-from .metrics import AtlasIndex, RoiDefinition, _roi_mean, mae, ssim3d
+from .metrics import AtlasIndex, RoiDefinition, _as_pair, _mean_error, _roi_mean, _Ssim
 from .stats import (
     MixedAnovaResult,
     TestResult,
@@ -45,7 +45,7 @@ from .stats import (
     WILCOXON_METHODS,
     wilcoxon_signed_rank,
 )
-from .volume_io import SubjectRecord, Volume3D, atomic_open, write_text
+from .volume_io import SubjectRecord, Volume3D, atomic_open, read_volume, write_text
 
 CSV_FIXED_COLUMNS = (
     "subject_id",
@@ -79,36 +79,50 @@ class EvalReport:
 
 
 def evaluate_forecasts(
-    records: Sequence[SubjectRecord],
-    forecasts: Dict[str, Dict[str, Dict[int, Volume3D]]],
+    records: Iterable[SubjectRecord],
+    forecasts: Dict[str, Dict[str, Dict[int, Union[Volume3D, str, Path]]]],
     atlas: Optional[Volume3D] = None,
     roi: Optional[RoiDefinition] = None,
     mask: Optional[Volume3D] = None,
 ) -> EvalReport:
     """Score ``forecasts[predictor][subject][year]`` against ground truth.
 
-    Predictions without a matching ground-truth scan are listed in
-    ``gaps`` instead of being scored.  Regional and ROI columns appear
-    only when an atlas (and ROI) are supplied.  Rows and gaps come in
-    predictor, then subject, then year order.  The atlas labels and the
-    ROI mask are indexed once per call.
+    ``records`` may be any iterable, such as a generator that reads one
+    subject at a time; it is read once, and its subject ids must be
+    distinct.  A prediction is a ``Volume3D`` or the path of one, read only
+    when its row is scored.  Subjects are scored one at a time, so only one
+    record and one prediction are held.  Predictions without a matching
+    ground-truth scan are listed in ``gaps`` instead of being scored.
+    Regional and ROI columns appear only when an atlas (and ROI) are
+    supplied.  Rows and gaps come in predictor, then subject, then year
+    order, whatever the order of ``records``.  The atlas labels, the ROI
+    mask and the SSIM buffers are built once per call.
     """
-    rec_map = {r.subject_id: r for r in records}
     index = AtlasIndex(atlas) if atlas is not None else None
     roi_sel = roi.mask(atlas) if atlas is not None and roi is not None else None
+    ssim = None
     rows: List[EvalRow] = []
-    gaps: List[str] = []
-    for predictor in sorted(forecasts):
-        for sid in sorted(forecasts[predictor]):
-            if sid not in rec_map:
-                gaps.append(f"{predictor}: subject {sid} has predictions but no record")
-                continue
-            rec = rec_map[sid]
-            for year, pred in sorted(forecasts[predictor][sid].items()):
+    gaps: List[Tuple[str, str, int, str]] = []  # (predictor, subject, year, text)
+    seen = set()
+    for rec in records:
+        sid = rec.subject_id
+        if sid in seen:
+            raise InputError(f"subject {sid!r} has more than one record")
+        seen.add(sid)
+        for predictor, by_subject in forecasts.items():
+            for year, pred in by_subject.get(sid, {}).items():
                 if year not in rec.scans:
-                    gaps.append(f"{predictor}: subject {sid} year {year} has no ground-truth scan")
+                    gaps.append((predictor, sid, year, f"{predictor}: subject {sid} year "
+                                 f"{year} has no ground-truth scan"))
                     continue
+                if not isinstance(pred, Volume3D):
+                    pred = read_volume(pred)
                 true = rec.scans[year]
+                # One |pred - true| map serves the MAE and the regional means.
+                da, dt = _as_pair(pred, true)
+                err = np.abs(da - dt)
+                if ssim is None or ssim.dims != true.dims:
+                    ssim = _Ssim(true.dims)
                 suvr_p = suvr_t = None
                 if roi_sel is not None:
                     suvr_p = _roi_mean(pred, roi_sel, roi)
@@ -119,14 +133,18 @@ def evaluate_forecasts(
                         group=rec.group,
                         year=year,
                         predictor=predictor,
-                        mae=mae(pred, true, mask=mask),
-                        ssim=ssim3d(pred, true),
+                        mae=_mean_error(err, mask),
+                        ssim=ssim(pred, true),
                         meta_roi_suvr_pred=suvr_p,
                         meta_roi_suvr_true=suvr_t,
-                        regional=index.regional_mae(pred, true) if index is not None else {},
+                        regional=index.regional_error(err) if index is not None else {},
                     )
                 )
-    return EvalReport(rows, gaps)
+    for predictor, by_subject in forecasts.items():
+        gaps += [(predictor, sid, -1, f"{predictor}: subject {sid} has predictions but no record")
+                 for sid in by_subject if sid not in seen]
+    rows.sort(key=lambda r: (r.predictor, r.subject_id, r.year))
+    return EvalReport(rows, [text for *_, text in sorted(gaps)])
 
 
 # ---------------------------------------------------------------------------

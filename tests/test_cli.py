@@ -9,12 +9,14 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from longipet import cli, volume_io
+from longipet.augment import augment_cohort, write_transforms
 from longipet.autodiff import load_params, save_params
 from longipet.cli import main
 from longipet.errors import (
@@ -302,6 +304,86 @@ def test_augment_command(pipeline, tmp_path):
     any_entry = transforms["CN_000__aug1"]
     assert any_entry["source_id"] == "CN_000"
     assert {"rotations", "shifts", "zoom"} <= set(any_entry["transform"])
+
+
+def test_streamed_augment_writes_what_the_library_writes(pipeline, tmp_path):
+    # The command holds one subject at a time; its bytes equal augment_cohort's
+    # records written in one go (originals first, then each subject's copies).
+    phantom = pipeline["phantom"]
+    assert main([
+        "augment", "--manifest", str(phantom / "manifest.json"),
+        "--out", str(tmp_path / "cli"), "--copies", "2", "--seed", "4",
+    ]) == 0
+    records = augment_cohort(load_manifest(phantom / "manifest.json").load_records(),
+                             seed=4, n_copies=2)
+    lib = tmp_path / "lib"
+    volume_io.write_cohort_scans(
+        ((r.subject_id, r.group, sorted(r.scans.items())) for r in records), lib)
+    write_transforms(records, lib / "transforms.json")
+    files = sorted(p.relative_to(lib) for p in lib.rglob("*") if p.is_file())
+    assert sorted(p.relative_to(tmp_path / "cli") for p in (tmp_path / "cli").rglob("*")
+                  if p.is_file() and p.name != "run_manifest.json") == files
+    for f in files:
+        assert (tmp_path / "cli" / f).read_bytes() == (lib / f).read_bytes(), f
+
+
+def _cohort_peaks(root, n_per_group):
+    """tracemalloc peaks of ``forecast`` and ``evaluate`` on a 24^3 phantom
+    of 2 * n_per_group subjects with years 0-4."""
+    ph = root / "phantom"
+    assert main([
+        "phantom", "--out", str(ph), "--dims", "24", "24", "24",
+        "--n-stable", str(n_per_group), "--n-converter", str(n_per_group),
+        "--n-decliner", "0", "--years", "0", "1", "2", "3", "4", "--seed", "2",
+    ]) == 0
+    peaks = []
+    for argv in (
+        ["forecast", "--manifest", str(ph / "manifest.json"), "--out", str(root / "fc"),
+         "--predictor", "linear", "--to-year", "4"],
+        ["evaluate", "--manifest", str(ph / "manifest.json"),
+         "--predictions", str(root / "fc" / "volumes"), "--out", str(root / "m.csv"),
+         "--atlas", str(ph / "atlas.vol"), "--roi", str(ph / "meta_roi.json")],
+    ):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_forecast_and_evaluate_memory_grows_with_one_subject_not_the_cohort(tmp_path):
+    one_subject = 5 * 24 ** 3 * 8  # years 0-4 in float64
+    small = _cohort_peaks(tmp_path / "small", 1)
+    large = _cohort_peaks(tmp_path / "large", 4)
+    for command, a, b in zip(("forecast", "evaluate"), small, large):
+        assert b - a < one_subject, (command, a, b)
+
+
+def test_a_bad_scan_of_a_later_subject_stops_forecast_with_whole_volumes(tmp_path):
+    ph, fc = tmp_path / "phantom", tmp_path / "forecast"
+    assert main([
+        "phantom", "--out", str(ph), "--dims", "12", "12", "12",
+        "--n-stable", "2", "--n-converter", "1", "--n-decliner", "0", "--seed", "5",
+    ]) == 0
+    manifest = load_manifest(ph / "manifest.json")
+    *done, last = manifest.entries
+    p = last.scan_paths[1]
+    blob = p.read_bytes()  # NaN voxels behind the same header
+    p.write_bytes(blob[:352] + np.full((len(blob) - 352) // 4, np.nan, "<f4").tobytes())
+    assert main([
+        "forecast", "--manifest", str(ph / "manifest.json"), "--out", str(fc),
+        "--predictor", "linear", "--to-year", "3",
+    ]) == 3
+    assert not (fc / "run_manifest.json").exists()
+    assert sorted(p.name for p in (fc / "volumes").iterdir()) == sorted(
+        f"{e.subject_id}__linear__y{year}.vol" for e in done for year in (2, 3))
+    for e in done:
+        rec = manifest.load_record(e.subject_id)
+        y2 = read_volume(fc / "volumes" / f"{e.subject_id}__linear__y2.vol")
+        want = 2.0 * rec.scans[1].data - rec.scans[0].data
+        np.testing.assert_array_equal(y2.data, want.astype(np.float32))
 
 
 # ---------------------------------------------------------------------------

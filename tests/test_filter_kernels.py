@@ -5,6 +5,10 @@ The oracles below are the previous implementations: SSIM and smoothing by
 ``scipy.ndimage.convolve1d`` along each axis with zero padding (SSIM over the
 whole map, then cut to the interior), and regional MAE by one mask per label.
 The GEMMs sum in another order, so values are compared with a tolerance.
+
+``stacked_ssim3d`` is the banded-GEMM SSIM before ``metrics._Ssim``: its four
+maps stacked into one array and filtered together.  ``_Ssim`` runs the same
+GEMMs and ufuncs one map at a time in reused buffers, so it must be equal.
 """
 
 import numpy as np
@@ -16,11 +20,13 @@ from longipet.metrics import (
     SSIM_K2,
     SSIM_WINDOW,
     AtlasIndex,
+    _Ssim,
     _ssim_window,
     regional_mae,
     ssim3d,
 )
-from longipet.preprocess import _band, gaussian_kernel_1d, gaussian_smooth
+from longipet.preprocess import _band, _filter3, gaussian_kernel_1d, gaussian_smooth
+from longipet.errors import ShapeError
 from longipet.volume_io import Volume3D
 
 TOL = 1e-13
@@ -55,6 +61,23 @@ def convolve_ssim3d(da, db, dynamic_range=None):
     )
     r = SSIM_WINDOW // 2
     return float(ssim_map[r:-r, r:-r, r:-r].mean())
+
+
+def stacked_ssim3d(da, db, dynamic_range=None):
+    if dynamic_range is None:
+        dynamic_range = float(max(da.max(), db.max()) - min(da.min(), db.min()))
+    c1 = (SSIM_K1 * dynamic_range) ** 2
+    c2 = (SSIM_K2 * dynamic_range) ** 2
+    w, r = _ssim_window(), SSIM_WINDOW // 2
+    bands = [_band(n, w)[r : n - r] for n in da.shape]
+    stack = np.stack([da, db, da * da + db * db, da * db])
+    mu_a, mu_b, e_sq, e_ab = _filter3(stack, *bands)
+    mu_ab = mu_a * mu_b
+    mu_sq = mu_a * mu_a + mu_b * mu_b
+    ssim_map = ((2 * mu_ab + c1) * (2 * (e_ab - mu_ab) + c2)) / (
+        (mu_sq + c1) * (e_sq - mu_sq + c2)
+    )
+    return float(ssim_map.mean())
 
 
 def convolve_smooth(data, fwhm):
@@ -123,6 +146,27 @@ def test_ssim_symmetric_and_self_similar_exactly(dims):
     assert ssim3d(a, b) == ssim3d(b, a)
     assert ssim3d(a, a) == 1.0
     assert ssim3d(b, Volume3D(db.copy())) == 1.0
+
+
+@pytest.mark.parametrize("dims", [(13, 17, 19), (24, 24, 24), (80, 96, 80)])
+def test_ssim_equals_stacked_oracle_exactly(dims):
+    da, db = _pair(dims, sum(dims))
+    a, b = Volume3D(da), Volume3D(db)
+    assert ssim3d(a, b) == stacked_ssim3d(da, db)
+    assert ssim3d(a, b, dynamic_range=3.0) == stacked_ssim3d(da, db, 3.0)
+    assert ssim3d(b, a) == ssim3d(a, b)
+
+
+def test_reused_ssim_buffers_score_each_pair_alone():
+    # One _Ssim scores a run of pairs: nothing of one pair leaks into the next.
+    dims = (13, 17, 19)
+    ssim = _Ssim(dims)
+    for seed, noise in enumerate((0.2, 0.0, 1.0, 0.05)):
+        da, db = _pair(dims, seed, noise)
+        assert ssim(Volume3D(da), Volume3D(db)) == stacked_ssim3d(da, db)
+        assert ssim(Volume3D(db), Volume3D(da)) == stacked_ssim3d(da, db)
+    with pytest.raises(ShapeError):
+        ssim(Volume3D(np.ones((13, 19, 17))), Volume3D(np.ones((13, 19, 17))))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from longipet import report
 from longipet.errors import FormatError, InputError, ParameterError
 from longipet.metrics import RoiDefinition, mae, meta_roi_suvr, regional_mae, ssim3d
 from longipet.report import (
@@ -17,7 +18,7 @@ from longipet.report import (
     write_report_svg,
     write_stats_csv,
 )
-from longipet.volume_io import SubjectRecord, Volume3D
+from longipet.volume_io import SubjectRecord, Volume3D, read_volume, write_volume
 
 DIMS = (12, 12, 12)
 
@@ -125,6 +126,34 @@ def test_mask_restricts_mae():
     rec = next(r for r in records if r.subject_id == row.subject_id)
     pred = forecasts[row.predictor][row.subject_id][row.year]
     assert row.mae == pytest.approx(mae(pred, rec.scans[row.year], mask=mask), abs=1e-15)
+
+
+def test_one_pass_records_and_path_predictions_score_as_volumes(tmp_path, monkeypatch):
+    records = _records()
+    forecasts = _forecasts(records, years=(2, 5))  # year 5 has no ground truth
+    forecasts["linear"]["GHOST"] = {2: _vol(0)}
+    paths, volumes = {}, {}
+    for predictor, by_subject in forecasts.items():
+        for sid, by_year in by_subject.items():
+            for year, vol in by_year.items():
+                p = write_volume(vol, tmp_path / f"{sid}__{predictor}__y{year}.vol")
+                paths.setdefault(predictor, {}).setdefault(sid, {})[year] = p
+                volumes.setdefault(predictor, {}).setdefault(sid, {})[year] = read_volume(p)
+    kwargs = dict(atlas=_atlas(), roi=RoiDefinition("half", (2,)))
+    want = evaluate_forecasts(records, volumes, **kwargs)
+    reads = []
+    monkeypatch.setattr(report, "read_volume", lambda p: reads.append(p) or read_volume(p))
+    shuffled = (records[i] for i in (2, 0, 1))  # a generator can be read only once
+    got = evaluate_forecasts(shuffled, paths, **kwargs)
+    assert got.rows == want.rows and got.gaps == want.gaps
+    assert len(got.rows) == 6 and len(got.gaps) == 7
+    assert sorted(reads) == sorted(paths[r.predictor][r.subject_id][r.year] for r in got.rows)
+
+
+def test_a_subject_with_two_records_is_refused():
+    records = _records()
+    with pytest.raises(InputError, match="MCI_000"):
+        evaluate_forecasts(records + records[1:2], _forecasts(records))
 
 
 # ---------------------------------------------------------------------------
