@@ -26,8 +26,10 @@ the input's channels (col2im, ``_Corr3dAdjoint``).  ``encode``, the
 forecaster's encoder, is one fused op over the same functions and the
 pool's (``_pool2``, ``_unpool2``): two LSTM steps from the zero state and
 the 2x max pool, one sample at a time, so no batch-sized full-resolution
-state exists.  Tensors are laid out ``(batch, x, y, z, channel)``;
-convolutions use stride 1 with same-padding and odd cubic kernels.
+state exists; under ``no_grad`` they run as a wavefront over x-planes, so
+no full-resolution state exists at all.  Tensors are laid out
+``(batch, x, y, z, channel)``; convolutions use stride 1 with same-padding
+and odd cubic kernels.
 """
 
 import json
@@ -724,6 +726,21 @@ def _slab_gates(cols, w2, bias, gs, ts, keep):
     return i, f, g, o
 
 
+def _cell_slabs(lead, c, w):
+    # The slab grid of _cell_forward and _cell_backward over lead = (n, a, b)
+    # for rows of c voxels and the gate kernel part w.
+    return list(_slabs(lead, c * w[..., 0].size * 8))
+
+
+def _x_chunks(a, b, c, w):
+    # The x-ranges [x0, x1) of one item's _cell_slabs grid, in order: single
+    # planes when its slabs are y-blocks, else its multi-plane spans, or the
+    # whole item.  _cell_forward on any one of them as a sub-volume runs the
+    # same slabs, row counts included, as on the whole item.
+    grid = _cell_slabs((1, a, b), c, w)
+    return list(dict.fromkeys((sel[1].start, sel[1].stop) for sel in grid))
+
+
 def _cell_forward(zp, c_prev, w, bias, keep, h_out, c_out=None):
     # One ConvLSTM step on plain arrays.  zp is the zero-bordered conv input
     # the caller built (_gate_input): x, then the previous h unless c_prev is
@@ -753,7 +770,7 @@ def _cell_forward(zp, c_prev, w, bias, keep, h_out, c_out=None):
     cols = _columns(zp, k)
     width = k ** 3 * cz
     w2 = w.reshape(width, gates)
-    slabs = list(_slabs((n, a, b), c * width * zp.itemsize))
+    slabs = _cell_slabs((n, a, b), c, w)
     rows = max(h_out[sel].size for sel in slabs) // nf
     if keep:
         act = np.empty((n, a, b, c, gates))
@@ -808,7 +825,7 @@ def _cell_backward(gh, gc, saved, c_prev, w, bias, lo):
     adjoint_z = _Corr3dAdjoint(w[..., lo:, :], (n, a, b, c)) if lo < cz else None
     width = k ** 3 * cz
     w2 = w.reshape(width, gates)
-    slabs = list(_slabs((n, a, b), c * width * zp.itemsize))
+    slabs = _cell_slabs((n, a, b), c, w)
     rows = max(cols[sel].size for sel in slabs) // width
     buf = np.zeros((rows + 1, gates))
     gate_buf = np.empty((rows, gates)) if act is None else None
@@ -960,27 +977,67 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
     return _node(h_data, (c,), h_backward), c
 
 
-def _encode_sample(x0, x1, w, bias, keep):
-    # Both cells and the pool for one sample.  Cell 1 writes its h straight
-    # into cell 2's padded input zp2 and its c into c1; cell 2 reads its
-    # c_prev from c1 and writes its h into the state buffer s, and the pool
-    # reads h from s.  Under no_grad c1 is s itself: cell 2 writes its h
-    # over each slab's rows of s once it has read them, so a sample's
-    # full-resolution memory is zp2 and one state buffer.  With keep, cell 1
-    # keeps no gates (its backward recomputes them from the frame), and the
-    # result holds what the backward needs: (cell 2's saved, c1, the pool's
-    # argmax).
+def _encode_sample(x0, x1, w, bias, out):
+    # Both cells and the pool for one sample, with keep; the pooled h goes
+    # into out.  Cell 1 writes its h straight into cell 2's padded input zp2
+    # and its c into c1; cell 2 reads its c_prev from c1 and writes its h
+    # into s, which the pool reads.  Cell 1 keeps no gates (its backward
+    # recomputes them from the frame), and the result holds what the
+    # backward needs: (cell 2's saved, c1, the pool's argmax).
     cin, nf, k = x0.shape[-1], w.shape[-1] // 4, w.shape[0]
     zp2, inner = _gate_input(x1, k, nf)
     s = np.empty(x0.shape[:-1] + (nf,))
-    c1 = np.empty(s.shape) if keep else s
+    c1 = np.empty(s.shape)
     _cell_forward(_gate_input(x0, k, 0)[0], None, w[..., :cin, :], bias, False,
                   inner[..., cin:], c1)
     del inner
-    cell2 = _cell_forward(zp2, c1, w, bias, keep, s)
-    del zp2  # under no_grad, freed before the pool allocates its output
-    pooled, idx = _pool2(s, keep)
-    return pooled, ((cell2, c1, idx) if keep else None)
+    cell2 = _cell_forward(zp2, c1, w, bias, True, s)
+    out[...], idx = _pool2(s, True)
+    return cell2, c1, idx
+
+
+def _encode_wavefront(x0, x1, w, bias, out):
+    # _encode_sample under no_grad, as a wavefront over x-planes: every step
+    # is local in x, so for each x-chunk of cell 2 (_x_chunks) cell 1 runs
+    # its own chunks until its h covers the chunk's halo, cell 2 runs on the
+    # chunk, and every finished pair of planes is pooled into out.  Each
+    # chunk runs the whole volume's slabs, so the result is bit-identical.
+    # zp2 (cell 2's padded input) and s (cell 1's c, then cell 2's h) are
+    # windows: zp2[:, j] is padded plane o + j and s[:, j] plane o + j.  When
+    # cell 1 would write past zp2's end, the live planes, from the first
+    # unpooled one on, move to the front; they never span more than the two
+    # cells' longest chunks plus 3p, which sizes the windows, capped at the
+    # volume's own.
+    _, a, b, c, cin = x0.shape
+    nf, k = w.shape[-1] // 4, w.shape[0]
+    p = k // 2
+    w1 = w[..., :cin, :]
+    zp1 = _gate_input(x0, k, 0)[0]
+    chunks1, chunks2 = _x_chunks(a, b, c, w1), _x_chunks(a, b, c, w)
+    span = sum(max(hi - lo for lo, hi in ch) for ch in (chunks1, chunks2)) + 3 * p
+    zp2 = np.zeros((1, min(span, a + 2 * p), b + 2 * p, c + 2 * p, cin + nf))
+    s = np.empty((1, min(span, a), b, c, nf))
+    chunks1 = iter(chunks1)
+    o = done = pooled = 0  # window origin, planes of cell 1's h, planes pooled
+    for xs, xe in chunks2:
+        while done < min(xe + p, a):
+            u0, u1 = next(chunks1)
+            top = u1 + (2 * p if u1 == a else p)  # the last chunk: the far border too
+            if top - o > zp2.shape[1]:
+                zp2[:, : done + p - pooled] = zp2[:, pooled - o : done + p - o]
+                s[:, : done - pooled] = s[:, pooled - o : done - o]
+                o = pooled
+            zi = zp2[:, u0 + p - o : u1 + p - o, p : p + b, p : p + c]
+            zi[..., :cin] = x1[:, u0:u1]
+            zp2[:, u1 + p - o : top - o] = 0.0
+            _cell_forward(zp1[:, u0 : u1 + 2 * p], None, w1, bias, False, zi[..., cin:],
+                          s[:, u0 - o : u1 - o])
+            done = u1
+        cs = s[:, xs - o : xe - o]
+        _cell_forward(zp2[:, xs - o : xe + 2 * p - o], cs, w, bias, False, cs)
+        end = xe - xe % 2
+        out[:, pooled // 2 : end // 2] = _pool2(s[:, pooled - o : end - o], False)[0]
+        pooled = end
 
 
 def encode(frames0, frames1, kernel, bias):
@@ -996,15 +1053,21 @@ def encode(frames0, frames1, kernel, bias):
 
     The op runs one sample at a time, so no batch-sized full-resolution
     state exists.  The first step writes its ``h`` straight into the second
-    step's padded input.  Under ``no_grad`` a sample's full-resolution
-    memory is that padded input and one ``filters``-channel state buffer:
-    the first step writes its ``c`` into the buffer, and the second step
-    writes its ``h`` over the buffer, slab by slab, once it has read those
-    rows of ``c``; the pool takes its maxima straight from strided views of
-    that ``h`` and computes no argmax.  With gradients on the first step
-    keeps no gates, and its ``c`` goes into a buffer of its own.  A sample
-    then keeps the second step's gates and padded input, the first step's
-    ``c`` and the pool's argmax (uint8).  It is one graph node, whose
+    step's padded input, and its ``c`` into a state buffer; the second step
+    writes its ``h`` over that buffer, slab by slab, once it has read those
+    rows of ``c``.  Under ``no_grad`` no full-resolution state exists at
+    all: every step is local in x, so the two steps and the pool run as a
+    wavefront over x-planes.  For each x-chunk of the second step's slab
+    grid, the first step runs its own chunks until its ``h`` covers the
+    chunk's halo, the second step runs on the chunk, and the pool takes its
+    maxima, with no argmax, from every finished pair of planes.  The padded
+    input and the state buffer are then windows of a few planes, so beyond
+    the first step's padded frame and the pooled output the memory does not
+    grow with x.  Each chunk runs the same slabs as the whole volume would,
+    so the result is bit-identical.  With gradients on the first step keeps
+    no gates, and its ``c`` goes into a buffer of its own.  A sample then
+    keeps the second step's gates and padded input, the first step's ``c``
+    and the pool's argmax (uint8).  It is one graph node, whose
     backward runs, per sample, the pool's backward, the second step's
     backward, then the first step's, which recomputes that step's gates
     from the frame one slab at a time (its conv reads one channel, so this
@@ -1023,11 +1086,11 @@ def encode(frames0, frames1, kernel, bias):
     n = x0.shape[0]
     w, b = kernel.data, bias.data
     keep = grad_enabled()
-    parts = [_encode_sample(x0[s : s + 1], x1[s : s + 1], w, b, keep) for s in range(n)]
-    pooled = np.concatenate([part for part, _ in parts])
+    pooled = np.empty((n,) + tuple(d // 2 for d in x0.shape[1:4]) + (nf,))
+    sample = _encode_sample if keep else _encode_wavefront
+    saved = [sample(x0[s : s + 1], x1[s : s + 1], w, b, pooled[s : s + 1]) for s in range(n)]
     if not keep:
         return Tensor(pooled)
-    saved = [kept for _, kept in parts]
 
     def backward(g):
         gk, gb = np.zeros(kernel.shape), np.zeros(bias.shape)

@@ -123,6 +123,8 @@ def evaluate_forecasts(
                 err = np.abs(da - dt)
                 if ssim is None or ssim.dims != true.dims:
                     ssim = _Ssim(true.dims)
+                # Also checks the atlas's dims, before any ROI mean is taken.
+                regional = index.regional_error(err) if index is not None else {}
                 suvr_p = suvr_t = None
                 if roi_sel is not None:
                     suvr_p = _roi_mean(pred, roi_sel, roi)
@@ -137,7 +139,7 @@ def evaluate_forecasts(
                         ssim=ssim(pred, true),
                         meta_roi_suvr_pred=suvr_p,
                         meta_roi_suvr_true=suvr_t,
-                        regional=index.regional_error(err) if index is not None else {},
+                        regional=regional,
                     )
                 )
     for predictor, by_subject in forecasts.items():

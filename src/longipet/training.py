@@ -389,8 +389,14 @@ def cross_validate(
     Every eligible subject is read once, before the rounds start.  The
     rounds run in up to one worker process per core, each with a
     one-thread OpenBLAS pool; outputs are identical to a serial run with the
-    same BLAS thread count.  An error in a round is raised here with its
-    type and message, and no later round starts after it.
+    same BLAS thread count.  Other thread counts can change the last bits:
+    with OpenBLAS 0.3.31 at 1 and 2 threads, the predictions of
+    ``forward_batch`` and the gradients of one training step are
+    bit-identical at 16^3 with 2/4 filters, but at 16 filters (16^3 and
+    40x48x40) the gate GEMM, 459 columns to 64, splits its sums over the
+    threads, and predictions move by up to 2.2e-15 and gradients by up to
+    1.1e-16.  An error in a round is raised here with its type and message,
+    and no later round starts after it.
 
     Predictions always come from the serialized (float32) parameters so
     in-memory results match what a later load of the model file produces.

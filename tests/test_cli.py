@@ -507,6 +507,23 @@ def test_parameter_error_exits_5(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_atlas_of_other_dims_exits_5_before_any_roi_mean(pipeline, tmp_path, capsys):
+    # A 12x12x13 atlas against 12^3 forecasts: the ROI mean would index the
+    # volume with the atlas's mask, so the dims are checked first.
+    atlas = tmp_path / "atlas.vol"
+    volume_io.write_volume(volume_io.Volume3D(np.full((12, 12, 13), 2.0)), atlas)
+    metrics = tmp_path / "metrics.csv"
+    code = main([
+        "evaluate", "--manifest", str(pipeline["prep"] / "manifest.json"),
+        "--predictions", str(pipeline["forecast"] / "volumes"), "--out", str(metrics),
+        "--atlas", str(atlas), "--roi", str(pipeline["phantom"] / "meta_roi.json"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert "atlas dims" in err and "Traceback" not in err
+    assert not metrics.exists()
+
+
 def test_missing_file_exits_3(tmp_path):
     assert main([
         "preprocess", "--manifest", str(tmp_path / "nope.json"),

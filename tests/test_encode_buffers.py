@@ -6,11 +6,12 @@ buffers.  It gave each step its own padded input, kept separate ``h`` and
 gradients on kept both steps' gates, padded inputs and ``tanh(c)`` and the
 first step's ``c`` for the backward.  The current ``encode`` runs the same
 ufuncs on the same values, so its predictions and gradients must match the
-oracle's bit for bit, on any slab grid, while it holds less: per sample,
-the second step's padded input and one state buffer under ``no_grad``;
-with gradients on, the second step's padded input and gates, the first
-step's ``c`` and the pool's argmax, the first step's gates and every
-``tanh(c)`` being recomputed in the backward.  The oracle's input gradient
+oracle's bit for bit, on any slab grid, while it holds less: under
+``no_grad`` no full-resolution state, the two steps and the pool running
+as a wavefront over x-planes; with gradients on, per sample, the second
+step's padded input and gates, the first step's ``c`` and the pool's
+argmax, the first step's gates and every ``tanh(c)`` being recomputed in
+the backward.  The oracle's input gradient
 runs through the current col2im adjoint (``_Corr3dAdjoint``) on the same
 slab grid, since its bits depend on the grid; it is pinned against the
 padded correlation it replaced in test_conv_engine.
@@ -255,28 +256,67 @@ def test_grad_forward_keeps_no_first_step_cell_state():
         del out
 
 
-def test_no_grad_forward_holds_one_state_buffer_and_one_padded_input():
-    # At 64^3 the 16-channel state outweighs the slab buffers: the peak is
-    # the second step's padded input zp2, the state buffer s, and, during
-    # the first step, its own padded input and one slab of its columns,
-    # gates and tanh(c).  The previous encode also held a separate h.
-    dims, cin, nf, k = (64, 64, 64), 1, 16, 3
-    x0, x1 = _frames(dims, 1, 9)
+def test_no_grad_peak_grows_with_x_by_the_frame_and_the_output_only():
+    # Under no_grad the two steps run chunk by chunk over x, in windows of
+    # planes sized by the chunks.  At (10, 48, 40) and (40, 48, 40) both have
+    # the same chunks, 5 planes for the first step and 1 for the second, so
+    # from one x to the other the peak may grow only by the first step's
+    # padded frame and the pooled output.  The oracle holds the second
+    # step's whole padded input and state.
+    cin, nf, k = 1, 16, 3
     kernel, bias = _gate_params(k, cin, nf, 10)
-    vox = int(np.prod(dims))
-    width = k ** 3 * cin
-    slab_rows = max(np.empty((1,) + dims)[sel].size
-                    for sel in ad._slabs((1,) + dims[:2], dims[2] * width * 8))
-    step1 = _padded_bytes(dims, k, cin) + slab_rows * (width + 4 * nf + nf) * 8
-    bound = _padded_bytes(dims, k, cin + nf) + vox * nf * 8 + step1 + (256 << 10)
-    for encode in (ad.encode, old_encode):
+    small, large = (10, 48, 40), (40, 48, 40)
+    for dims in (small, large):
+        for part, span in ((kernel.data[..., :cin, :], 5), (kernel.data, 1)):
+            assert {hi - lo for lo, hi in ad._x_chunks(*dims, part)} == {span}
+
+    def peak(encode, dims):
+        x0, x1 = _frames(dims, 1, 9)
         with ad.no_grad():
-            out, _, peak = traced(lambda: encode(x0, x1, kernel, bias))
+            return traced(lambda: encode(x0, x1, kernel, bias))[2]
+
+    def grows(dims):
+        return _padded_bytes(dims, k, cin) + int(np.prod(dims)) // 8 * nf * 8
+
+    bound = grows(large) - grows(small) + (256 << 10)
+    state = (large[0] - small[0]) * large[1] * large[2] * nf * 8
+    for encode in (ad.encode, old_encode):
+        growth = peak(encode, large) - peak(encode, small)
         if encode is ad.encode:
-            assert peak <= bound, f"peak {peak} B over the bound {bound} B"
+            assert growth <= bound, f"grew {growth} B over the bound {bound} B"
         else:
-            assert peak > bound + vox * nf * 4, "the control no longer holds a separate h"
-        del out
+            assert growth > bound + state, "the control no longer holds a whole state buffer"
+
+
+# Slab budgets in y-rows of the second step's columns, and the x-chunk spans
+# (_x_chunks) they give the first and the second step.  They cover second-
+# step slabs that are y-blocks within single planes (2 and 3 rows of 6);
+# multi-plane first-step chunks feeding single-plane second-step chunks;
+# second-step chunks of an odd span, so that pool pairs straddle chunk
+# borders; windows that shift (30 planes); and x = 2 at batch 3.
+@pytest.mark.parametrize("dims, n, rows, spans", [
+    ((10, 6, 4), 2, 2, ({1}, {1})),
+    ((10, 6, 4), 2, 3, ({2}, {1})),
+    ((10, 6, 4), 2, 9, ({6, 4}, {1})),
+    ((10, 6, 4), 2, 18, ({10}, {3, 1})),
+    ((30, 6, 4), 2, 18, ({12, 6}, {3})),
+    ((30, 6, 4), 2, 30, ({20, 10}, {5})),
+    ((2, 6, 4), 3, 2, ({1}, {1})),
+    ((2, 6, 4), 3, 9, ({2}, {1})),
+])
+@pytest.mark.parametrize("k", [1, 3])
+def test_no_grad_wavefront_is_bit_identical_to_the_previous_encode(monkeypatch, dims, n,
+                                                                   rows, spans, k):
+    cin, nf = 1, 3
+    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * dims[2] * k ** 3 * (cin + nf) * 8)
+    kernel, bias = _gate_params(k, cin, nf, rows)
+    got = tuple({hi - lo for lo, hi in ad._x_chunks(*dims, part)}
+                for part in (kernel.data[..., :cin, :], kernel.data))
+    assert got == spans
+    x0, x1 = _frames(dims, n, rows)
+    with ad.no_grad():
+        want = old_encode(x0, x1, kernel, bias).data
+        assert np.array_equal(ad.encode(x0, x1, kernel, bias).data, want)
 
 
 def test_grad_forward_keeps_step_two_gates_c1_and_the_argmax():

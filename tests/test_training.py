@@ -481,6 +481,37 @@ def test_round_pool_size_and_worker_blas_threads(monkeypatch):
     assert sizes == [2, 2]
 
 
+def test_one_and_two_blas_threads_agree_at_small_filter_counts():
+    # cross_validate's docstring: at 16^3 with 2/4 filters the predictions and
+    # one training step's gradients do not depend on the BLAS thread count.
+    if parallel.blas_threads() is None:
+        pytest.skip("numpy's OpenBLAS thread pool cannot be reached")
+    config = I2IModelConfig(dims=(16, 16, 16), lstm_filters=2, decoder_filters=4)
+    r = np.random.default_rng(11)
+    x0, x1, y = (r.uniform(0.5, 1.5, size=(2, 16, 16, 16)) for _ in range(3))
+
+    def run():
+        params = init_model(config, seed=3)
+        with ad.no_grad():
+            out = [forward_batch(params, x0, x1, config, mode="train").data,
+                   forward_batch(params, x0, x1, config).data]
+        pred = forward_batch(params, x0, x1, config, mode="train")
+        ad.mae_loss(pred, y[..., None]).backward()
+        return out + [pred.data] + [t.grad for t in params.params.values()]
+
+    threads = parallel.blas_threads()
+    try:
+        runs = []
+        for n in (1, 2):
+            parallel.set_blas_threads(n)
+            runs.append(run())
+    finally:
+        parallel.set_blas_threads(threads)
+    assert len(runs[0]) == 11
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
+
+
 def test_failed_round_stops_the_pool(tmp_path, monkeypatch):
     if parallel.blas_threads() is None:
         pytest.skip("numpy's OpenBLAS thread pool cannot be reached; rounds run inline")
