@@ -25,9 +25,9 @@ included, is scattered slab by slab into a zero-bordered accumulator of
 the input's channels (col2im, ``_Corr3dAdjoint``).  ``encode``, the
 forecaster's encoder, is one fused op over the same functions and the
 pool's (``_pool2``, ``_unpool2``): two LSTM steps from the zero state and
-the 2x max pool, one sample at a time, so no batch-sized full-resolution
-state exists; under ``no_grad`` they run as a wavefront over x-planes, so
-no full-resolution state exists at all.  Tensors are laid out
+the 2x max pool, one sample at a time as one wavefront over x-planes,
+which under ``no_grad`` holds windows of a few planes, not the volume,
+wherever they are smaller.  Tensors are laid out
 ``(batch, x, y, z, channel)``; convolutions use stride 1 with same-padding
 and odd cubic kernels.
 """
@@ -426,20 +426,6 @@ def _corr3d(xp, w):
     return out
 
 
-def _corr3d_grad_w(xp, gy, k):
-    # Kernel gradient: im2col(x).T @ gy, summed over slabs, from the input
-    # already zero-padded by k // 2 (_pad), so a caller that keeps its padded
-    # input never pads it again.
-    n, a, b, c, co = gy.shape
-    ci = xp.shape[4]
-    cols = _columns(xp, k)
-    width = k ** 3 * ci
-    gw = np.zeros((width, co))
-    for sel in _slabs((n, a, b), c * width * xp.itemsize):
-        gw += cols[sel].reshape(-1, width).T @ gy[sel].reshape(-1, co)
-    return gw.reshape(k, k, k, ci, co)
-
-
 class _Corr3dAdjoint:
     # The adjoint of _corr3d with kernel w (k,k,k,ci,co) over outputs of
     # leading shape lead = (n, a, b, c), by col2im.  add(sel, d) takes the
@@ -499,10 +485,10 @@ def _add_bias(out, bias, filters):
 def _conv(x, kernel, bias, adjoint):
     # The body of conv3d and, with adjoint, of conv_transpose3d: the same
     # correlation with the kernel flipped and channel-swapped (_flip_swap),
-    # whose kernel gradient is the _flip_swap of the plain one.  The input
-    # gradient of either is the correlation's adjoint with the kernel it
-    # ran, scattered one slab of g at a time (_Corr3dAdjoint), so g is
-    # never padded.
+    # whose kernel gradient is the _flip_swap of the plain one.  The backward
+    # makes one pass over g's slabs: each is scattered into the input
+    # gradient (_Corr3dAdjoint with the kernel that ran, so g is never
+    # padded) and feeds the kernel gradient, im2col(x).T @ g in slab order.
     x, kernel = _const(x), _const(kernel)
     k = _check_conv_args(x, kernel, 4 if adjoint else 3)
     orient = _flip_swap if adjoint else (lambda w: w)
@@ -513,12 +499,15 @@ def _conv(x, kernel, bias, adjoint):
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def backward(g):
-        ci, co = w.shape[3:]
+        width, co = k ** 3 * w.shape[3], w.shape[4]
+        cols, gw = _columns(xp, k), np.zeros((width, co))
         adjoint_x = _Corr3dAdjoint(w, g.shape[:4])
-        for sel in _slabs(g.shape[:3], g.shape[3] * k ** 3 * ci * g.itemsize):
-            adjoint_x.add(sel, g[sel].reshape(-1, co))
+        for sel in _slabs(g.shape[:3], g.shape[3] * width * g.itemsize):
+            d = g[sel].reshape(-1, co)
+            adjoint_x.add(sel, d)
+            gw += cols[sel].reshape(-1, width).T @ d
         x._accumulate(adjoint_x.result(), fresh=True)
-        kernel._accumulate(orient(_corr3d_grad_w(xp, g, k)))
+        kernel._accumulate(orient(gw.reshape(w.shape)))
         if bias is not None:
             bias._accumulate(g.sum(axis=(0, 1, 2, 3)))
 
@@ -801,7 +790,7 @@ def _cell_backward(gh, gc, saved, c_prev, w, bias, lo):
     # gate bias that forward added, lo the first conv input channel that
     # needs a gradient (lo == cz: none).  One pass over the forward's slab
     # grid: each slab's im2col copy of zp feeds the weight-gradient GEMM
-    # (the _corr3d_grad_w grid and order) and, without kept gates, first
+    # (the grid and order of _conv's backward) and, without kept gates, first
     # recomputes the slab's gates with the forward's _slab_gates, so no
     # whole gate tensor exists.  tanh(c) is recomputed per slab with the
     # forward's ufuncs in its order: i*g, then += f*c_prev, then tanh.  Each
@@ -977,49 +966,38 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
     return _node(h_data, (c,), h_backward), c
 
 
-def _encode_sample(x0, x1, w, bias, out):
-    # Both cells and the pool for one sample, with keep; the pooled h goes
-    # into out.  Cell 1 writes its h straight into cell 2's padded input zp2
-    # and its c into c1; cell 2 reads its c_prev from c1 and writes its h
-    # into s, which the pool reads.  Cell 1 keeps no gates (its backward
-    # recomputes them from the frame), and the result holds what the
-    # backward needs: (cell 2's saved, c1, the pool's argmax).
-    cin, nf, k = x0.shape[-1], w.shape[-1] // 4, w.shape[0]
-    zp2, inner = _gate_input(x1, k, nf)
-    s = np.empty(x0.shape[:-1] + (nf,))
-    c1 = np.empty(s.shape)
-    _cell_forward(_gate_input(x0, k, 0)[0], None, w[..., :cin, :], bias, False,
-                  inner[..., cin:], c1)
-    del inner
-    cell2 = _cell_forward(zp2, c1, w, bias, True, s)
-    out[...], idx = _pool2(s, True)
-    return cell2, c1, idx
-
-
-def _encode_wavefront(x0, x1, w, bias, out):
-    # _encode_sample under no_grad, as a wavefront over x-planes: every step
-    # is local in x, so for each x-chunk of cell 2 (_x_chunks) cell 1 runs
-    # its own chunks until its h covers the chunk's halo, cell 2 runs on the
-    # chunk, and every finished pair of planes is pooled into out.  Each
-    # chunk runs the whole volume's slabs, so the result is bit-identical.
-    # zp2 (cell 2's padded input) and s (cell 1's c, then cell 2's h) are
-    # windows: zp2[:, j] is padded plane o + j and s[:, j] plane o + j.  When
-    # cell 1 would write past zp2's end, the live planes, from the first
-    # unpooled one on, move to the front; they never span more than the two
-    # cells' longest chunks plus 3p, which sizes the windows, capped at the
-    # volume's own.
+def _encode_sample(x0, x1, w, bias, out, keep):
+    # Both cells and the pool for one sample, the pooled h into out, as a
+    # wavefront over x-planes: for each x-chunk of cell 2 (_x_chunks) cell 1
+    # runs its chunks until its h covers the chunk's halo, cell 2 runs on
+    # the chunk, and every finished pair of planes is pooled.  Each chunk
+    # runs the whole volume's slabs, so the bits do not depend on the chunks.
+    # Cell 1 writes its h into cell 2's padded input zp2 and its c into s,
+    # which cell 2 reads as c_prev and overwrites with its h.  zp2[:, j] and
+    # s[:, j] hold plane o + j: windows whose live planes, from the first
+    # unpooled one on, move to the front when cell 1 would write past zp2's
+    # end.  They never span more than both cells' longest chunks plus 3p,
+    # which sizes the windows; where that covers the volume, and always with
+    # keep, each cell runs as one chunk.  With keep cell 2 keeps its gates
+    # and writes its h into a buffer of its own, so the result holds what
+    # the backward needs: (cell 2's saved, cell 1's c in s, the pool's
+    # argmax); cell 1 keeps no gates (its backward recomputes them).  Cell
+    # 1's padded frame is freed after its last chunk.
     _, a, b, c, cin = x0.shape
     nf, k = w.shape[-1] // 4, w.shape[0]
     p = k // 2
     w1 = w[..., :cin, :]
     zp1 = _gate_input(x0, k, 0)[0]
-    chunks1, chunks2 = _x_chunks(a, b, c, w1), _x_chunks(a, b, c, w)
-    span = sum(max(hi - lo for lo, hi in ch) for ch in (chunks1, chunks2)) + 3 * p
+    chunks = [[(0, a)] if keep else _x_chunks(a, b, c, part) for part in (w1, w)]
+    span = sum(max(hi - lo for lo, hi in ch) for ch in chunks) + 3 * p
+    if span >= a:  # always with keep
+        chunks, span = [[(0, a)]] * 2, a + 2 * p
     zp2 = np.zeros((1, min(span, a + 2 * p), b + 2 * p, c + 2 * p, cin + nf))
     s = np.empty((1, min(span, a), b, c, nf))
-    chunks1 = iter(chunks1)
+    h = np.empty(s.shape) if keep else s
+    chunks1 = iter(chunks[0])
     o = done = pooled = 0  # window origin, planes of cell 1's h, planes pooled
-    for xs, xe in chunks2:
+    for xs, xe in chunks[1]:
         while done < min(xe + p, a):
             u0, u1 = next(chunks1)
             top = u1 + (2 * p if u1 == a else p)  # the last chunk: the far border too
@@ -1033,11 +1011,14 @@ def _encode_wavefront(x0, x1, w, bias, out):
             _cell_forward(zp1[:, u0 : u1 + 2 * p], None, w1, bias, False, zi[..., cin:],
                           s[:, u0 - o : u1 - o])
             done = u1
-        cs = s[:, xs - o : xe - o]
-        _cell_forward(zp2[:, xs - o : xe + 2 * p - o], cs, w, bias, False, cs)
+        if done == a:
+            zp1 = None
+        cell2 = _cell_forward(zp2[:, xs - o : xe + 2 * p - o], s[:, xs - o : xe - o], w, bias,
+                              keep, h[:, xs - o : xe - o])
         end = xe - xe % 2
-        out[:, pooled // 2 : end // 2] = _pool2(s[:, pooled - o : end - o], False)[0]
+        out[:, pooled // 2 : end // 2], idx = _pool2(h[:, pooled - o : end - o], keep)
         pooled = end
+    return (cell2, s, idx) if keep else None
 
 
 def encode(frames0, frames1, kernel, bias):
@@ -1052,27 +1033,26 @@ def encode(frames0, frames1, kernel, bias):
     return.
 
     The op runs one sample at a time, so no batch-sized full-resolution
-    state exists.  The first step writes its ``h`` straight into the second
-    step's padded input, and its ``c`` into a state buffer; the second step
-    writes its ``h`` over that buffer, slab by slab, once it has read those
-    rows of ``c``.  Under ``no_grad`` no full-resolution state exists at
-    all: every step is local in x, so the two steps and the pool run as a
-    wavefront over x-planes.  For each x-chunk of the second step's slab
-    grid, the first step runs its own chunks until its ``h`` covers the
+    state exists.  Every step is local in x, so the two steps and the pool
+    run as a wavefront over x-planes: for each x-chunk of the second step's
+    slab grid, the first step runs its own chunks until its ``h`` covers the
     chunk's halo, the second step runs on the chunk, and the pool takes its
-    maxima, with no argmax, from every finished pair of planes.  The padded
-    input and the state buffer are then windows of a few planes, so beyond
-    the first step's padded frame and the pooled output the memory does not
-    grow with x.  Each chunk runs the same slabs as the whole volume would,
-    so the result is bit-identical.  With gradients on the first step keeps
-    no gates, and its ``c`` goes into a buffer of its own.  A sample then
-    keeps the second step's gates and padded input, the first step's ``c``
-    and the pool's argmax (uint8).  It is one graph node, whose
-    backward runs, per sample, the pool's backward, the second step's
-    backward, then the first step's, which recomputes that step's gates
-    from the frame one slab at a time (its conv reads one channel, so this
-    is the cheap step to recompute); the kernel and bias gradients are
-    summed over the samples.
+    maxima from every finished pair of planes.  The first step writes its
+    ``h`` straight into the second step's padded input and its ``c`` into a
+    state buffer, which the second step's ``h`` overwrites slab by slab once
+    it has read those rows.  Under ``no_grad`` both are windows of a few
+    planes, so beyond the first step's padded frame and the pooled output
+    the memory does not grow with x; when the windows would cover the volume
+    anyway, and always with gradients on, each step runs as one chunk.  Each
+    chunk runs the same slabs as the whole volume would, so the result is
+    bit-identical.  With gradients on the first step keeps no gates and the
+    second writes its ``h`` into a buffer of its own, so a sample keeps the
+    second step's gates and padded input, the first step's ``c`` and the
+    pool's argmax (uint8).  It is one graph node, whose backward runs, per
+    sample, the pool's backward, the second step's backward, then the first
+    step's, which recomputes that step's gates from the frame one slab at a
+    time (its conv reads one channel, so this is the cheap step to
+    recompute); the kernel and bias gradients are summed over the samples.
     """
     x0 = np.asarray(frames0, dtype=np.float64)
     x1 = np.asarray(frames1, dtype=np.float64)
@@ -1087,8 +1067,8 @@ def encode(frames0, frames1, kernel, bias):
     w, b = kernel.data, bias.data
     keep = grad_enabled()
     pooled = np.empty((n,) + tuple(d // 2 for d in x0.shape[1:4]) + (nf,))
-    sample = _encode_sample if keep else _encode_wavefront
-    saved = [sample(x0[s : s + 1], x1[s : s + 1], w, b, pooled[s : s + 1]) for s in range(n)]
+    saved = [_encode_sample(x0[s : s + 1], x1[s : s + 1], w, b, pooled[s : s + 1], keep)
+             for s in range(n)]
     if not keep:
         return Tensor(pooled)
 

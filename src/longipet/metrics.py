@@ -213,11 +213,10 @@ def load_roi(path) -> RoiDefinition:
     doc = read_json(path, FormatError, "ROI file")
     if not isinstance(doc, dict) or "name" not in doc or "labels" not in doc:
         raise FormatError(f"ROI file {path} must contain 'name' and 'labels'")
-    try:
-        labels = tuple(int(v) for v in doc["labels"])
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"ROI file {path} labels must be integers: {exc}") from exc
-    return RoiDefinition(str(doc["name"]), labels)
+    labels = doc["labels"]
+    if not (isinstance(labels, list) and all(type(v) is int for v in labels)):
+        raise FormatError(f"ROI file {path} labels must be a list of integers, got {labels!r}")
+    return RoiDefinition(str(doc["name"]), tuple(labels))
 
 
 def save_roi(roi: RoiDefinition, path) -> Path:

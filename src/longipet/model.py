@@ -109,6 +109,11 @@ def forward_batch(
 
     ``frames0`` and ``frames1`` are (n, x, y, z) arrays for the earlier and
     later input years.  Returns the prediction Tensor (n, x, y, z, 1).
+    ``mode`` is the batch norm's: "train" normalizes by the batch's
+    statistics and updates the running ones, "infer" uses the running ones;
+    the graph is recorded unless the call runs under ``autodiff.no_grad``.
+    A ``trace`` dict receives the shape of each stage's output by name, and
+    as ``lstm_hidden`` the shape the encoder's hidden state would have.
     """
     if mode not in ("train", "infer"):
         raise ParameterError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -126,7 +131,7 @@ def forward_batch(
     pooled = ad.encode(frames0[..., None], frames1[..., None],
                        params.params["convlstm.kernel"], params.params["convlstm.bias"])
     if trace is not None:
-        # encode runs the ConvLSTM one sample at a time at full resolution
+        # encode never holds this whole: it runs one sample at a time
         trace["lstm_hidden"] = frames0.shape + (config.lstm_filters,)
         trace["pooled"] = pooled.shape
     normed = ad.batchnorm(

@@ -137,21 +137,32 @@ def save_folds(folds: FoldAssignment, path) -> Path:
 
 
 def load_folds(path) -> FoldAssignment:
+    """Read a fold file.  Each round's test, val and train are lists of
+    subject ids, the rounds are indexed 0..n_folds-1 in order (forecasts
+    route by position), and fold_of maps exactly the rounds' test subjects
+    to their round; anything else raises FormatError."""
     path = Path(path)
     doc = read_json(path, FormatError, "fold file")
     try:
-        rounds = [
-            FoldRound(int(r["index"]), list(r["test"]), list(r["val"]), list(r["train"]))
-            for r in doc["rounds"]
-        ]
-        return FoldAssignment(
-            int(doc["seed"]),
-            int(doc["n_folds"]),
-            {str(k): int(v) for k, v in doc["fold_of"].items()},
-            rounds,
-        )
+        rounds = [FoldRound(r["index"], *(_ids(r[key]) for key in ("test", "val", "train")))
+                  for r in doc["rounds"]]
+        seed, n_folds = int(doc["seed"]), int(doc["n_folds"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"fold file {path} violates its schema: {exc}") from exc
+    index = [r.index for r in rounds]
+    if index != list(range(n_folds)) or any(type(i) is not int for i in index):
+        raise FormatError(f"fold file {path} does not index its rounds 0..n_folds-1 in order")
+    fold_of = {sid: r.index for r in rounds for sid in r.test}
+    if doc.get("fold_of") != fold_of:
+        raise FormatError(f"fold file {path} fold_of does not match the rounds' test lists")
+    return FoldAssignment(seed, n_folds, fold_of, rounds)
+
+
+def _ids(value):
+    # A round's subject list as a fold file must hold it: a list of strings.
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise TypeError(f"expected a list of subject ids, got {value!r}")
+    return value
 
 
 def _stack_triplets(records: List[SubjectRecord], dims):

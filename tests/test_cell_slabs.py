@@ -18,7 +18,7 @@ from longipet import autodiff as ad
 from longipet.errors import ShapeError
 
 from gradcheck import traced, weighted_sum
-from test_conv_engine import DpadAdjoint, _set_budget
+from test_conv_engine import DpadAdjoint, _set_budget, corr3d_grad_w
 
 
 def whole_tensor_convlstm_step(x, h_prev, c_prev, kernel, bias):
@@ -61,7 +61,7 @@ def whole_tensor_convlstm_step(x, h_prev, c_prev, kernel, bias):
             df[...] = 0.0
         bias._accumulate(dpre.sum(axis=(0, 1, 2, 3)))
         gw = np.zeros(kernel.shape)
-        gw[..., : z.shape[-1], :] = ad._corr3d_grad_w(ad._pad(z, k), dpre, k)
+        gw[..., : z.shape[-1], :] = corr3d_grad_w(ad._pad(z, k), dpre, k)
         kernel._accumulate(gw)
         lo = 0 if x_in is not None else cin
         if lo < z.shape[-1]:

@@ -689,7 +689,8 @@ def test_text_readers_decode_utf8_under_a_non_utf8_locale(tmp_path):
     docs = {
         "manifest.json": {"subjects": [{"id": sid, "group": "CN", "scans": {"0": "m_y0.vol"}}]},
         "folds.json": {"version": 1, "seed": 0, "n_folds": 2, "fold_of": {sid: 0},
-                       "rounds": [{"index": 0, "test": [sid], "val": [], "train": []}]},
+                       "rounds": [{"index": 0, "test": [sid], "val": [], "train": []},
+                                  {"index": 1, "test": [], "val": [sid], "train": []}]},
         "roi.json": {"name": sid, "labels": [1]},
     }
     for name, doc in docs.items():

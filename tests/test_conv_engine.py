@@ -54,6 +54,21 @@ def corr3d_grad_w_per_offset(x, gy, k):
     return gw
 
 
+def corr3d_grad_w(xp, gy, k):
+    # The slab-order reference for the whole-tensor step in test_cell_slabs.
+    # Kernel gradient: im2col(x).T @ gy, summed over slabs, from the input
+    # already zero-padded by k // 2 (_pad), so a caller that keeps its padded
+    # input never pads it again.
+    n, a, b, c, co = gy.shape
+    ci = xp.shape[4]
+    cols = ad._columns(xp, k)
+    width = k ** 3 * ci
+    gw = np.zeros((width, co))
+    for sel in ad._slabs((n, a, b), c * width * xp.itemsize):
+        gw += cols[sel].reshape(-1, width).T @ gy[sel].reshape(-1, co)
+    return gw.reshape(k, k, k, ci, co)
+
+
 # Slab budgets, in y-rows of im2col columns of the input shape.  None keeps
 # the module default (the whole batch in one GEMM at these sizes).  1 and 2
 # cut single planes into rows (2 leaves a ragged last slab when b = 3);
@@ -101,13 +116,26 @@ def test_corr3d_matches_per_offset_loop(monkeypatch, shape, k, co, budget):
 @pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("shape,k,co", CASES)
 def test_corr3d_grad_w_matches_per_offset_loop(monkeypatch, shape, k, co, budget):
+    # The kernel gradient that conv3d's and conv_transpose3d's backward
+    # compute, given the output gradient gy: conv3d's is the slab-order
+    # reference's bit for bit, and conv_transpose3d's, whose kernel is
+    # (k, k, k, c_out, c_in), is that one flipped and channel-swapped.
     r = np.random.default_rng((78, k, co, shape[4]))
     x = r.normal(size=shape)
     gy = r.normal(size=shape[:4] + (co,))
     _set_budget(monkeypatch, budget, shape, k)
-    got = ad._corr3d_grad_w(ad._pad(x, k), gy, k)
-    assert got.shape == (k, k, k, shape[4], co)
-    np.testing.assert_allclose(got, corr3d_grad_w_per_offset(x, gy, k), rtol=0, atol=TOL)
+    want = corr3d_grad_w_per_offset(x, gy, k)
+    for op, kernel_shape, oriented in (
+            (ad.conv3d, (k, k, k, shape[4], co), want),
+            (ad.conv_transpose3d, (k, k, k, co, shape[4]),
+             np.flip(want, axis=(0, 1, 2)).transpose(0, 1, 2, 4, 3))):
+        kernel = ad.Tensor(r.normal(size=kernel_shape))
+        y = op(x, kernel)
+        ad._node(np.zeros(()), (y,), lambda _, y=y: y._accumulate(gy)).backward()
+        assert kernel.grad.shape == kernel_shape
+        np.testing.assert_allclose(kernel.grad, oriented, rtol=0, atol=TOL)
+        if op is ad.conv3d:
+            assert np.array_equal(kernel.grad, corr3d_grad_w(ad._pad(x, k), gy, k))
 
 
 def test_narrow_corr3d_holds_its_output_and_one_slab_of_columns(monkeypatch):

@@ -7,8 +7,9 @@ gradients on kept both steps' gates, padded inputs and ``tanh(c)`` and the
 first step's ``c`` for the backward.  The current ``encode`` runs the same
 ufuncs on the same values, so its predictions and gradients must match the
 oracle's bit for bit, on any slab grid, while it holds less: under
-``no_grad`` no full-resolution state, the two steps and the pool running
-as a wavefront over x-planes; with gradients on, per sample, the second
+``no_grad`` no full-resolution state wherever the windows of its
+wavefront over x-planes are shorter than x; with gradients on, per
+sample, the second
 step's padded input and gates, the first step's ``c`` and the pool's
 argmax, the first step's gates and every ``tanh(c)`` being recomputed in
 the backward.  The oracle's input gradient
@@ -288,25 +289,42 @@ def test_no_grad_peak_grows_with_x_by_the_frame_and_the_output_only():
             assert growth > bound + state, "the control no longer holds a whole state buffer"
 
 
-# Slab budgets in y-rows of the second step's columns, and the x-chunk spans
-# (_x_chunks) they give the first and the second step.  They cover second-
-# step slabs that are y-blocks within single planes (2 and 3 rows of 6);
-# multi-plane first-step chunks feeding single-plane second-step chunks;
-# second-step chunks of an odd span, so that pool pairs straddle chunk
-# borders; windows that shift (30 planes); and x = 2 at batch 3.
-@pytest.mark.parametrize("dims, n, rows, spans", [
-    ((10, 6, 4), 2, 2, ({1}, {1})),
-    ((10, 6, 4), 2, 3, ({2}, {1})),
-    ((10, 6, 4), 2, 9, ({6, 4}, {1})),
-    ((10, 6, 4), 2, 18, ({10}, {3, 1})),
-    ((30, 6, 4), 2, 18, ({12, 6}, {3})),
-    ((30, 6, 4), 2, 30, ({20, 10}, {5})),
-    ((2, 6, 4), 3, 2, ({1}, {1})),
-    ((2, 6, 4), 3, 9, ({2}, {1})),
+def _count_cell_calls(monkeypatch, cin):
+    # [first step, second step]: the _cell_forward calls each makes, told
+    # apart by the channels of the gate kernel part they run.
+    calls = [0, 0]
+    run = ad._cell_forward
+
+    def counted(zp, c_prev, w, *args):
+        calls[w.shape[3] > cin] += 1
+        return run(zp, c_prev, w, *args)
+
+    monkeypatch.setattr(ad, "_cell_forward", counted)
+    return calls
+
+
+# Slab budgets in y-rows of the second step's columns, the x-chunk spans
+# (_x_chunks) they give the first and the second step, and the second
+# step's calls over the batch, one per chunk per sample.  Every case runs
+# windowed: its windows (both steps' longest chunks plus 3p) are shorter
+# than x.  They cover second-step slabs that are y-blocks within single
+# planes (2 and 3 rows of 6); multi-plane first-step chunks feeding
+# single-plane second-step chunks; second-step chunks of an odd span, so
+# that pool pairs straddle chunk borders, with a ragged last chunk (40
+# planes); windows that shift (30 planes); and batch 3.
+@pytest.mark.parametrize("dims, n, rows, spans, calls", [
+    ((10, 6, 4), 2, 2, ({1}, {1}), 20),
+    ((10, 6, 4), 2, 3, ({2}, {1}), 20),
+    ((40, 6, 4), 2, 9, ({6, 4}, {1}), 80),
+    ((40, 6, 4), 2, 18, ({12, 4}, {3, 1}), 28),
+    ((30, 6, 4), 2, 18, ({12, 6}, {3}), 20),
+    ((30, 6, 4), 2, 30, ({20, 10}, {5}), 12),
+    ((30, 6, 4), 3, 2, ({1}, {1}), 90),
+    ((30, 6, 4), 3, 9, ({6}, {1}), 90),
 ])
 @pytest.mark.parametrize("k", [1, 3])
 def test_no_grad_wavefront_is_bit_identical_to_the_previous_encode(monkeypatch, dims, n,
-                                                                   rows, spans, k):
+                                                                   rows, spans, calls, k):
     cin, nf = 1, 3
     monkeypatch.setattr(ad, "_SLAB_BYTES", rows * dims[2] * k ** 3 * (cin + nf) * 8)
     kernel, bias = _gate_params(k, cin, nf, rows)
@@ -314,9 +332,33 @@ def test_no_grad_wavefront_is_bit_identical_to_the_previous_encode(monkeypatch, 
                 for part in (kernel.data[..., :cin, :], kernel.data))
     assert got == spans
     x0, x1 = _frames(dims, n, rows)
+    counts = _count_cell_calls(monkeypatch, cin)
     with ad.no_grad():
-        want = old_encode(x0, x1, kernel, bias).data
-        assert np.array_equal(ad.encode(x0, x1, kernel, bias).data, want)
+        out = ad.encode(x0, x1, kernel, bias).data
+        assert counts[1] == calls
+        assert np.array_equal(out, old_encode(x0, x1, kernel, bias).data)
+
+
+@pytest.mark.parametrize("dims, filters, n, grad", [
+    ((16, 16, 16), 2, 4, False),
+    ((16, 16, 16), 4, 4, False),
+    ((40, 48, 40), 16, 2, True),
+])
+def test_encode_runs_each_step_once_per_sample_where_windows_cover_x(monkeypatch, dims,
+                                                                     filters, n, grad):
+    # At 16^3 with 2 or 4 filters the windows would span 31 and 26 planes,
+    # so a no_grad encode runs each step on the whole volume, as training
+    # always does, not in the second step's 2 or 3 chunks.
+    cin = 1
+    kernel, bias = _gate_params(3, cin, filters, 11)
+    x0, x1 = _frames(dims, n, 12)
+    counts = _count_cell_calls(monkeypatch, cin)
+    if grad:
+        ad.encode(x0, x1, kernel, bias)
+    else:
+        with ad.no_grad():
+            ad.encode(x0, x1, kernel, bias)
+    assert counts == [n, n]
 
 
 def test_grad_forward_keeps_step_two_gates_c1_and_the_argmax():

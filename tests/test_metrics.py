@@ -284,3 +284,12 @@ def test_roi_json_validation(tmp_path):
     p.write_text('{"name": "x", "labels": ["a"]}')
     with pytest.raises(FormatError):
         load_roi(p)
+
+
+@pytest.mark.parametrize("labels", ['"12"', '[1.7, true]', '[2, true]', '[2.0]', '["2"]'])
+def test_roi_labels_must_be_a_list_of_integers(tmp_path, labels):
+    # "12" would load as (1, 2) and [1.7, true] as (1, 1)
+    p = tmp_path / "roi.json"
+    p.write_text('{"name": "x", "labels": %s}' % labels)
+    with pytest.raises(FormatError, match="list of integers"):
+        load_roi(p)

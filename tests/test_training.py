@@ -3,6 +3,7 @@ determinism, divergence detection, and round-trip of fold files."""
 
 import argparse
 import builtins
+import json
 import os
 import time
 import weakref
@@ -212,6 +213,40 @@ def test_load_folds_rejects_garbage(tmp_path):
     p.write_text('{"seed": 1}')
     with pytest.raises(FormatError):
         load_folds(p)
+
+
+def _edited_fold_file(tmp_path, edit):
+    # A 2-fold file as save_folds writes it, changed by edit(doc).
+    p = save_folds(make_folds(fake_manifest((4, 4, 4)), seed=3, n_folds=2),
+                   tmp_path / "folds.json")
+    doc = json.loads(p.read_text())
+    edit(doc)
+    p.write_text(json.dumps(doc))
+    return p
+
+
+def test_load_folds_rejects_a_round_list_that_is_not_a_list_of_ids(tmp_path):
+    # a string would load as its characters
+    p = _edited_fold_file(tmp_path, lambda doc: doc["rounds"][0].update(test="CN_000"))
+    with pytest.raises(FormatError, match="list of subject ids"):
+        load_folds(p)
+
+
+@pytest.mark.parametrize("index", [5, True])
+def test_load_folds_rejects_rounds_not_indexed_by_position(tmp_path, index):
+    # forecasts route a subject to folds.rounds[k], so index 5 would be
+    # audited against another round than the one it names; true is no index
+    p = _edited_fold_file(tmp_path, lambda doc: doc["rounds"][1].update(index=index))
+    with pytest.raises(FormatError, match="index"):
+        load_folds(p)
+
+
+def test_load_folds_rejects_fold_of_that_disagrees_with_the_test_lists(tmp_path):
+    def edit(doc):
+        doc["fold_of"][sorted(doc["fold_of"])[0]] = 7
+
+    with pytest.raises(FormatError, match="fold_of"):
+        load_folds(_edited_fold_file(tmp_path, edit))
 
 
 # ---------------------------------------------------------------------------
