@@ -26,14 +26,16 @@ the input's channels (col2im, ``_Corr3dAdjoint``).  ``encode``, the
 forecaster's encoder, is one fused op over the same functions and the
 pool's (``_pool2``, ``_unpool2``): two LSTM steps from the zero state and
 the 2x max pool, one sample at a time as one wavefront over x-planes,
-which under ``no_grad`` holds windows of a few planes, not the volume,
-wherever they are smaller.  Tensors are laid out
+which holds windows of a few planes, not the volume, wherever they are
+smaller; its backward runs the same wavefront again, recomputing the
+steps, so training keeps only the pool's argmax.  Tensors are laid out
 ``(batch, x, y, z, channel)``; convolutions use stride 1 with same-padding
 and odd cubic kernels.
 """
 
 import json
 import struct
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -431,39 +433,48 @@ class _Corr3dAdjoint:
     # leading shape lead = (n, a, b, c), by col2im.  add(sel, d) takes the
     # output gradient of one _slabs block, d (the block's rows, co wide),
     # and adds its image into a zero-bordered channel-first accumulator
-    # (n, ci, a+2p, b+2p, c+2p): one GEMM w2 @ d.T gives every row's k^3 * ci
-    # columns grouped by kernel offset, and each offset's block is added at
-    # that offset, each add moving contiguous z-rows.  So beyond the
-    # accumulator the extra memory is one slab's columns, whatever co is.
+    # (n, ci, a+2p, b+2p, c+2p), indexed through its (n, a+2p, ci, b+2p,
+    # c+2p) view: one GEMM w2 @ d.T gives every row's k^3 * ci columns
+    # grouped by kernel offset, and each offset's block is added at that
+    # offset, each add moving contiguous z-rows.  So beyond the accumulator
+    # the extra memory is one slab's columns, whatever co is.  acc, if
+    # given, is that view to add into (a window of a larger one, say), else
+    # a zeroed one is made.  The columns go into buf, if given, a
+    # C-contiguous array with room for them that the caller has done with.
     # result() returns the accumulator's interior once, channel-last
     # (n, a, b, c, ci), and drops the accumulator.  A voxel's terms are
     # summed in slab order, then offset order, so the bits depend on the
     # slab grid the caller runs.
     __slots__ = ("w2", "k", "lead", "acc")
 
-    def __init__(self, w, lead):
+    def __init__(self, w, lead, acc=None):
         k = w.shape[0]
         p = k // 2
         n, a, b, c = lead
         self.w2 = w.reshape(-1, w.shape[4])
         self.k, self.lead = k, lead
-        self.acc = np.zeros((n, w.shape[3], a + 2 * p, b + 2 * p, c + 2 * p))
+        if acc is None:
+            acc = np.zeros((n, w.shape[3], a + 2 * p, b + 2 * p, c + 2 * p))
+            acc = acc.transpose(0, 2, 1, 3, 4)
+        self.acc = acc
 
-    def add(self, sel, d):
+    def add(self, sel, d, buf=None):
         sn, sx, sy = sel
-        k, ci, c = self.k, self.acc.shape[1], self.lead[3]
+        k, ci, c = self.k, self.acc.shape[2], self.lead[3]
         block = (sn.stop - sn.start, sx.stop - sx.start, sy.stop - sy.start, c)
-        cols = (self.w2 @ d.T).reshape((k, k, k, ci) + block)
+        shape = (self.w2.shape[0], d.shape[0])
+        out = None if buf is None else buf.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
+        cols = np.matmul(self.w2, d.T, out=out).reshape((k, k, k, ci) + block)
         for i, j, l in np.ndindex(k, k, k):
-            dst = self.acc[sn, :, sx.start + i : sx.stop + i, sy.start + j : sy.stop + j, l : l + c]
-            dst += cols[i, j, l].swapaxes(0, 1)
+            dst = self.acc[sn, sx.start + i : sx.stop + i, :, sy.start + j : sy.stop + j, l : l + c]
+            dst += cols[i, j, l].transpose(1, 2, 0, 3, 4)
 
     def result(self):
         n, a, b, c = self.lead
         p = self.k // 2
-        inner = self.acc[:, :, p : p + a, p : p + b, p : p + c]
+        inner = self.acc[:, p : p + a, :, p : p + b, p : p + c]
         self.acc = None
-        return np.ascontiguousarray(inner.transpose(0, 2, 3, 4, 1))
+        return np.ascontiguousarray(inner.transpose(0, 1, 3, 4, 2))
 
 
 def _flip_swap(w):
@@ -721,6 +732,32 @@ def _cell_slabs(lead, c, w):
     return list(_slabs(lead, c * w[..., 0].size * 8))
 
 
+def _scratch(bufs, name, shape):
+    # A float64 buffer of the given shape for slab work: a fresh one when
+    # bufs is None, else a view of bufs[name], a flat buffer grown to the
+    # largest size asked for.  So the many calls of one encoder pass (its
+    # chunks and samples) share their slab buffers instead of allocating
+    # them each time; a sample's allocations then stay small, and glibc
+    # keeps its heap instead of trimming it and faulting it back in.
+    size = int(np.prod(shape))
+    if bufs is None:
+        return np.empty(shape)
+    buf = bufs.get(name)
+    if buf is None or buf.size < size:
+        buf = bufs[name] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _im2col(cols, sel, buf):
+    # The im2col rows of the slab sel of the patch view cols (_columns),
+    # copied into the front of buf, which one call reuses for all its slabs;
+    # returns those rows.
+    block = cols[sel]
+    rows = buf[: block.size // buf.shape[1]]
+    np.copyto(rows.reshape(block.shape), block)
+    return rows
+
+
 def _x_chunks(a, b, c, w):
     # The x-ranges [x0, x1) of one item's _cell_slabs grid, in order: single
     # planes when its slabs are y-blocks, else its multi-plane spans, or the
@@ -730,7 +767,7 @@ def _x_chunks(a, b, c, w):
     return list(dict.fromkeys((sel[1].start, sel[1].stop) for sel in grid))
 
 
-def _cell_forward(zp, c_prev, w, bias, keep, h_out, c_out=None):
+def _cell_forward(zp, c_prev, w, bias, act, h_out, c_out=None, bufs=None):
     # One ConvLSTM step on plain arrays.  zp is the zero-bordered conv input
     # the caller built (_gate_input): x, then the previous h unless c_prev is
     # None, the zero state.  w is the gate kernel's part for zp's channels.
@@ -750,9 +787,9 @@ def _cell_forward(zp, c_prev, w, bias, keep, h_out, c_out=None):
     # and of one row at widths 27 and 162, differed from the same rows of a
     # 20000-row product; 35 rows and more agreed.  So a backward that
     # recomputes the gates runs them on this same grid.
-    # With keep the gates are kept whole for the backward and returned with
-    # zp as (zp, act).  Otherwise one slab-sized gate buffer is reused and
-    # the result is None.
+    # act, if given, is where the gates are kept for the backward, of
+    # h_out's leading shape (C-contiguous).  Otherwise one slab-sized gate
+    # buffer is reused.  The slab buffers come from bufs (_scratch).
     n, a, b, c, nf = h_out.shape
     k = w.shape[0]
     cz, gates = w.shape[3:]
@@ -761,68 +798,67 @@ def _cell_forward(zp, c_prev, w, bias, keep, h_out, c_out=None):
     w2 = w.reshape(width, gates)
     slabs = _cell_slabs((n, a, b), c, w)
     rows = max(h_out[sel].size for sel in slabs) // nf
-    if keep:
-        act = np.empty((n, a, b, c, gates))
-    else:
-        gate_buf = np.empty((rows, gates))
-    ts_buf = np.empty((rows, nf))
-    c_buf = np.empty((rows, nf)) if c_out is None else None
+    keep = act is not None
+    gate_buf = None if keep else _scratch(bufs, "gates", (rows, gates))
+    ts_buf = _scratch(bufs, "ts", (rows, nf))
+    c_buf = _scratch(bufs, "c", (rows, nf)) if c_out is None else None
+    rows_buf = _scratch(bufs, "rows", (rows, width))
     for sel in slabs:
         hs = h_out[sel]
         m = hs.size // nf
         gs = act[sel].reshape(-1, gates) if keep else gate_buf[:m]
         ts = ts_buf[:m]
         cs = c_buf[:m] if c_out is None else c_out[sel].reshape(-1, nf)
-        i, f, g, o = _slab_gates(cols[sel].reshape(-1, width), w2, bias, gs, ts, keep)
+        i, f, g, o = _slab_gates(_im2col(cols, sel, rows_buf), w2, bias, gs, ts, keep)
         np.multiply(i, g, out=cs)
         if c_prev is not None:
             np.multiply(f, c_prev[sel].reshape(-1, nf), out=ts)
             cs += ts
         np.tanh(cs, out=ts)
         np.multiply(o.reshape(hs.shape), ts.reshape(hs.shape), out=hs)
-    return (zp, act) if keep else None
 
 
-def _cell_backward(gh, gc, saved, c_prev, w, bias, lo):
+def _cell_backward(gh, gc, saved, c_prev, gc_prev, w, bias, gw, gb, adjoint, bufs=None):
     # The backward of _cell_forward on plain arrays.  gh and gc are the
     # gradients of h and c (either may be None), saved is the forward's
     # (zp, act), or (zp, None) for a forward that kept no gates, bias the
-    # gate bias that forward added, lo the first conv input channel that
-    # needs a gradient (lo == cz: none).  One pass over the forward's slab
-    # grid: each slab's im2col copy of zp feeds the weight-gradient GEMM
-    # (the grid and order of _conv's backward) and, without kept gates, first
+    # gate bias that forward added.  The gradients are summed into what the
+    # caller passes: c_prev's into gc_prev (None without state), w's into
+    # gw (C-contiguous, w's shape), the bias's into gb, and those of the
+    # conv input channels that need one into adjoint (a _Corr3dAdjoint over
+    # zp's interior for their part of w, or None), so a caller that runs a
+    # volume as x-chunks carries the sums across them.  The slab buffers
+    # come from bufs (_scratch).  One pass over the forward's slab grid:
+    # each slab's im2col copy of zp feeds the weight-gradient GEMM (the grid
+    # and order of _conv's backward) and, without kept gates, first
     # recomputes the slab's gates with the forward's _slab_gates, so no
-    # whole gate tensor exists.  tanh(c) is recomputed per slab with the
-    # forward's ufuncs in its order: i*g, then += f*c_prev, then tanh.  Each
-    # slab's gate pre-activation gradient goes into one reused slab buffer,
-    # and while it is in cache the x/h gradient scatters it (_Corr3dAdjoint)
-    # into a zero-bordered accumulator of the lo: channels only, so no
-    # whole-volume gate gradient exists.  The buffer's row 0 carries the
-    # running bias sum, so summing it with each slab adds the rows in the
-    # order dpre.sum(axis=(0, 1, 2, 3)) would.  Every element goes through
-    # the whole-tensor backward's expressions, so the result is bit-identical
-    # to it on any slab grid, if that backward runs its adjoint on the same
-    # grid.  Returns (gz, gc_prev, gw, gb): gz is the gradient of zp's
-    # channels lo: (None when lo == cz), gc_prev c_prev's (None without
-    # state), gw of w and gb of the bias.
+    # whole gate tensor exists.  tanh(c) is
+    # recomputed per slab with the forward's ufuncs in its order: i*g, then
+    # += f*c_prev, then tanh.  Each slab's gate pre-activation gradient goes
+    # into one reused slab buffer, and while it is in cache adjoint scatters
+    # it, so no whole-volume gate gradient exists.  The buffer's row 0
+    # carries the running bias sum, gb on entry, so summing it with each slab
+    # adds the rows in the order dpre.sum(axis=(0, 1, 2, 3)) would.  Every
+    # element goes through the whole-tensor backward's expressions, so the
+    # result is bit-identical to it on any slab grid, if that backward runs
+    # its adjoint on the same grid.
     zp, act = saved
     k = w.shape[0]
     cz, gates = w.shape[3:]
     nf = gates // 4
     cols = _columns(zp, k)
     n, a, b, c = cols.shape[:4]
-    adjoint_z = _Corr3dAdjoint(w[..., lo:, :], (n, a, b, c)) if lo < cz else None
     width = k ** 3 * cz
-    w2 = w.reshape(width, gates)
+    w2, gw2 = w.reshape(width, gates), gw.reshape(width, gates)
     slabs = _cell_slabs((n, a, b), c, w)
     rows = max(cols[sel].size for sel in slabs) // width
-    buf = np.zeros((rows + 1, gates))
-    gate_buf = np.empty((rows, gates)) if act is None else None
-    ts_buf = np.empty((rows, nf)) if act is None or gh is not None else None
-    gw = np.zeros((width, gates))
-    gc_prev = None if c_prev is None else np.empty(c_prev.shape)
+    buf = _scratch(bufs, "d", (rows + 1, gates))
+    buf[0] = gb
+    gate_buf = _scratch(bufs, "gates", (rows, gates)) if act is None else None
+    ts_buf = _scratch(bufs, "ts", (rows, nf)) if act is None or gh is not None else None
+    rows_buf = _scratch(bufs, "rows", (rows, width))
     for sel in slabs:
-        rows_in = cols[sel].reshape(-1, width)
+        rows_in = _im2col(cols, sel, rows_buf)
         m = rows_in.shape[0]
         if act is None:
             i, f, g, o = _slab_gates(rows_in, w2, bias, gate_buf[:m], ts_buf[:m], True)
@@ -852,12 +888,11 @@ def _cell_backward(gh, gc, saved, c_prev, w, bias, lo):
         else:
             np.multiply(gct * c_prev[sel].reshape(-1, nf), f * (1.0 - f), out=df)
             np.multiply(gct, f, out=gc_prev[sel].reshape(-1, nf))
-        gw += rows_in.T @ d
-        if adjoint_z is not None:
-            adjoint_z.add(sel, d)
+        gw2 += rows_in.T @ d
+        if adjoint is not None:
+            adjoint.add(sel, d, rows_buf)  # done with this slab's rows
         buf[0] = buf[: m + 1].sum(axis=0)
-    gz = None if adjoint_z is None else adjoint_z.result()
-    return gz, gc_prev, gw.reshape(k, k, k, cz, gates), buf[0].copy()
+    gb[...] = buf[0]
 
 
 def _check_gate_args(x, nf, kernel, bias):
@@ -923,16 +958,16 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
     cin = _check_gate_args(xd, nf, kernel, bias)
     cz = cin + nf if state else cin
     w = kernel.data[..., :cz, :]
-    keep = grad_enabled()
     zp, inner = _gate_input(xd, w.shape[0], cz - cin)
     if state:
         inner[..., cin:] = h_prev.data
     h_data = np.empty(xd.shape[:-1] + (nf,))
     c_data = np.empty(h_data.shape)
-    saved = _cell_forward(zp, c_prev.data if state else None, w, bias.data, keep,
-                          h_data, c_data)
-    if not keep:
+    act = np.empty(h_data.shape[:-1] + (4 * nf,)) if grad_enabled() else None
+    _cell_forward(zp, c_prev.data if state else None, w, bias.data, act, h_data, c_data)
+    if act is None:
         return Tensor(h_data), Tensor(c_data)
+    saved = zp, act
     # conv input channels that need a gradient: x only when it is a Tensor
     lo = 0 if x_in is not None else cin
 
@@ -942,16 +977,19 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
     pending = {}
 
     def c_backward(gc):
-        gz, gc_prev, gw, gb = _cell_backward(
-            pending.pop("gh", None), gc, saved, c_prev.data if state else None, w, bias.data,
-            lo)
+        gw, gb = np.zeros(w.shape), np.zeros(bias.shape)
+        adjoint = _Corr3dAdjoint(w[..., lo:, :], c_data.shape[:4]) if lo < cz else None
+        gc_prev = np.empty(c_data.shape) if state else None
+        _cell_backward(pending.pop("gh", None), gc, saved, c_prev.data if state else None,
+                       gc_prev, w, bias.data, gw, gb, adjoint)
         if state:
             c_prev._accumulate(gc_prev)
         bias._accumulate(gb)
         gk = np.zeros(kernel.shape)
         gk[..., :cz, :] = gw
         kernel._accumulate(gk)
-        if gz is not None:
+        if adjoint is not None:
+            gz = adjoint.result()
             if x_in is not None:
                 x_in._accumulate(gz[..., :cin])
             if state:
@@ -966,59 +1004,167 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
     return _node(h_data, (c,), h_backward), c
 
 
-def _encode_sample(x0, x1, w, bias, out, keep):
-    # Both cells and the pool for one sample, the pooled h into out, as a
-    # wavefront over x-planes: for each x-chunk of cell 2 (_x_chunks) cell 1
-    # runs its chunks until its h covers the chunk's halo, cell 2 runs on
-    # the chunk, and every finished pair of planes is pooled.  Each chunk
-    # runs the whole volume's slabs, so the bits do not depend on the chunks.
-    # Cell 1 writes its h into cell 2's padded input zp2 and its c into s,
-    # which cell 2 reads as c_prev and overwrites with its h.  zp2[:, j] and
-    # s[:, j] hold plane o + j: windows whose live planes, from the first
-    # unpooled one on, move to the front when cell 1 would write past zp2's
-    # end.  They never span more than both cells' longest chunks plus 3p,
-    # which sizes the windows; where that covers the volume, and always with
-    # keep, each cell runs as one chunk.  With keep cell 2 keeps its gates
-    # and writes its h into a buffer of its own, so the result holds what
-    # the backward needs: (cell 2's saved, cell 1's c in s, the pool's
-    # argmax); cell 1 keeps no gates (its backward recomputes them).  Cell
-    # 1's padded frame is freed after its last chunk.
-    _, a, b, c, cin = x0.shape
-    nf, k = w.shape[-1] // 4, w.shape[0]
-    p = k // 2
-    w1 = w[..., :cin, :]
-    zp1 = _gate_input(x0, k, 0)[0]
-    chunks = [[(0, a)] if keep else _x_chunks(a, b, c, part) for part in (w1, w)]
-    span = sum(max(hi - lo for lo, hi in ch) for ch in chunks) + 3 * p
-    if span >= a:  # always with keep
-        chunks, span = [[(0, a)]] * 2, a + 2 * p
-    zp2 = np.zeros((1, min(span, a + 2 * p), b + 2 * p, c + 2 * p, cin + nf))
-    s = np.empty((1, min(span, a), b, c, nf))
-    h = np.empty(s.shape) if keep else s
-    chunks1 = iter(chunks[0])
-    o = done = pooled = 0  # window origin, planes of cell 1's h, planes pooled
-    for xs, xe in chunks[1]:
-        while done < min(xe + p, a):
-            u0, u1 = next(chunks1)
-            top = u1 + (2 * p if u1 == a else p)  # the last chunk: the far border too
-            if top - o > zp2.shape[1]:
-                zp2[:, : done + p - pooled] = zp2[:, pooled - o : done + p - o]
-                s[:, : done - pooled] = s[:, pooled - o : done - o]
-                o = pooled
-            zi = zp2[:, u0 + p - o : u1 + p - o, p : p + b, p : p + c]
-            zi[..., :cin] = x1[:, u0:u1]
-            zp2[:, u1 + p - o : top - o] = 0.0
-            _cell_forward(zp1[:, u0 : u1 + 2 * p], None, w1, bias, False, zi[..., cin:],
-                          s[:, u0 - o : u1 - o])
-            done = u1
-        if done == a:
-            zp1 = None
-        cell2 = _cell_forward(zp2[:, xs - o : xe + 2 * p - o], s[:, xs - o : xe - o], w, bias,
-                              keep, h[:, xs - o : xe - o])
+class _Window:
+    # Planes [o, o + len) of axis 1 of a (1, x, ...) volume, in buf, for a
+    # wavefront over x.  at(x0, x1) is planes [x0, x1) as a view of buf.
+    # When x1 would pass buf's end, the planes from lo, the first one the
+    # caller still needs, up to hi, the end of those at() has handed out,
+    # first move to buf's front; so lo must only grow, and a view is good
+    # until the next at() call.  A plane handed out for the first time holds
+    # zeros if fresh, else whatever buf held.  reset() starts a new volume.
+    __slots__ = ("buf", "fresh", "o", "lo", "hi")
+
+    def __init__(self, buf, fresh=False):
+        self.buf, self.fresh = buf, fresh
+        self.reset()
+
+    def reset(self):
+        self.o = self.lo = self.hi = 0
+
+    def at(self, x0, x1):
+        if x1 - self.o > self.buf.shape[1]:
+            self.buf[:, : self.hi - self.lo] = self.buf[:, self.lo - self.o : self.hi - self.o]
+            self.o = self.lo
+        if x1 > self.hi:
+            if self.fresh:
+                self.buf[:, self.hi - self.o : x1 - self.o] = 0.0
+            self.hi = x1
+        return self.buf[:, x0 - self.o : x1 - self.o]
+
+
+class _Front:
+    # The first step of the encoder's wavefront, run ahead of the second,
+    # for the samples of one shape (n, a, b, c, cin) in turn, and what the
+    # steps of one pass share across its samples: the first step's padded
+    # frame zp1, the windows (_Window) zp2, the second step's padded input,
+    # and s, and the slab buffers bufs (_scratch).  chunks are both steps'
+    # x-chunks (_x_chunks), or the whole volume for both where windows of
+    # their longest chunks plus 3p would cover it.  start(x0, x1) begins a
+    # sample.  advance(x, act) then runs the first step's chunks in order
+    # until its h covers planes [0, min(x, a)): it writes h into zp2, whose
+    # frame channels it fills as it goes, c into s, and, if act (a window
+    # of gates) is given, its gates into act; it returns the chunks it ran.
+    def __init__(self, shape, w, bias):
+        _, a, b, c, cin = shape
+        nf, self.p = w.shape[-1] // 4, w.shape[0] // 2
+        p = self.p
+        self.w1, self.bias = w[..., :cin, :], bias
+        self.chunks = [_x_chunks(a, b, c, part) for part in (self.w1, w)]
+        self.spans = [max(hi - lo for lo, hi in ch) for ch in self.chunks]
+        span = sum(self.spans) + 3 * p
+        if span >= a:
+            self.chunks, self.spans, span = [[(0, a)]] * 2, [a, a], a + 2 * p
+        self.zp1 = np.zeros((1, a + 2 * p, b + 2 * p, c + 2 * p, cin))
+        self.zp2 = _Window(np.zeros((1, min(span, a + 2 * p), b + 2 * p, c + 2 * p, cin + nf)))
+        self.s = _Window(np.empty((1, min(span, a), b, c, nf)))
+        self.bufs = {}
+
+    def gradient_windows(self):
+        # The backward's windows (_encode_sample_backward): the first step's
+        # gates, which its backward reads at most 2 * span1 + span2 + 2p - 2
+        # planes behind its rerun, its c's gradient, and its h's, by col2im
+        # into a zero-bordered accumulator.
+        (_, _, b, c, nf), p = self.s.buf.shape, self.p
+        span1, span2 = self.spans
+        gates = min(2 * span1 + span2 + 2 * p - 2, self.zp1.shape[1] - 2 * p)
+        acc = np.zeros((1, nf, self.zp2.buf.shape[1], b + 2 * p, c + 2 * p))
+        return (_Window(np.empty((1, gates, b, c, 4 * nf))), _Window(np.empty(self.s.buf.shape)),
+                _Window(acc.transpose(0, 2, 1, 3, 4), fresh=True))
+
+    def start(self, x0, x1):
+        p, (a, b, c) = self.p, x0.shape[1:4]
+        self.zp1[:, p : p + a, p : p + b, p : p + c] = x0
+        self.x1, self.todo, self.done = x1, iter(self.chunks[0]), 0  # done: planes of h written
+        self.zp2.reset()
+        self.s.reset()
+        self.zp2.buf[:, :p] = 0.0  # the near border; an earlier sample's planes moved there
+
+    def advance(self, x, act=None):
+        p, (a, b, c, cin) = self.p, self.x1.shape[1:]
+        ran = []
+        while self.done < min(x, a):
+            u0, u1 = next(self.todo)
+            planes = self.zp2.at(u0 + p, u1 + (2 * p if u1 == a else p))
+            planes[:, u1 - u0 :] = 0.0  # the far border, after the last chunk
+            zi = planes[:, : u1 - u0, p : p + b, p : p + c]
+            zi[..., :cin] = self.x1[:, u0:u1]
+            _cell_forward(self.zp1[:, u0 : u1 + 2 * p], None, self.w1, self.bias,
+                          None if act is None else act.at(u0, u1), zi[..., cin:],
+                          self.s.at(u0, u1), self.bufs)
+            ran.append((u0, u1))
+            self.done = u1
+        return ran
+
+
+def _encode_sample(front, x0, x1, w, bias, out, idx):
+    # Both steps and the pool for one sample, the pooled h into out and, if
+    # idx is given, the pool's argmax into idx: for each x-chunk of the
+    # second step, the first runs ahead until its h covers the chunk's halo
+    # (front, a _Front), the second runs on the chunk, reading the first
+    # step's c from s as c_prev and overwriting it with its h, and every
+    # finished pair of planes is pooled.  Each chunk runs the whole volume's
+    # slabs, so the bits do not depend on the chunks.  zp2 is live from the
+    # next chunk on, s from the first unpooled plane, each window with its
+    # own origin, so a shift moves only live planes.
+    front.start(x0, x1)
+    p, pooled = front.p, 0
+    for xs, xe in front.chunks[1]:
+        front.advance(xe + p)
+        h = front.s.at(xs, xe)
+        _cell_forward(front.zp2.at(xs, xe + 2 * p), h, w, bias, None, h, None, front.bufs)
+        front.zp2.lo = xe
         end = xe - xe % 2
-        out[:, pooled // 2 : end // 2], idx = _pool2(h[:, pooled - o : end - o], keep)
-        pooled = end
-    return (cell2, s, idx) if keep else None
+        out[:, pooled // 2 : end // 2], kept = _pool2(front.s.at(pooled, end), idx is not None)
+        if idx is not None:
+            idx[:, pooled // 2 : end // 2] = kept
+        pooled = front.s.lo = end
+
+
+def _encode_sample_backward(front, grads, x0, x1, w, bias, g, idx, gk, gb):
+    # The backward of _encode_sample for one sample, given the pooled h's
+    # gradient g and the pool's argmax idx, summed into gk and gb.  It runs
+    # the forward's wavefront again (front, the same chunks): the first
+    # step reruns a chunk ahead, keeping its gates in a window for its own
+    # backward; the second step's backward runs per chunk on the unpooled
+    # gradient of the chunk's planes, recomputing its gates, and writes the
+    # first step's c and h gradients into windows, h's by col2im into a
+    # zero-bordered accumulator (_Corr3dAdjoint); and the first step's
+    # backward runs each of its chunks once the second step's chunks cover
+    # it plus p, which finishes its h gradient.  grads holds those three
+    # windows (gates, c's and h's gradients).  Each step's kernel and bias
+    # sums are carried across the chunks, so every sum runs in the whole
+    # volume's order, and are added to gk and gb per sample, as whole-volume
+    # backwards would be.
+    _, a, b, c, cin = x0.shape
+    front.start(x0, x1)
+    acts, gc1, gh1 = grads
+    for win in grads:
+        win.reset()
+    p, w1, wh, bufs = front.p, front.w1, np.ascontiguousarray(w[..., cin:, :]), front.bufs
+    gw2, gw1 = np.zeros(w.shape), np.zeros(w1.shape)
+    gb2, gb1 = np.zeros(gb.shape), np.zeros(gb.shape)
+    ahead = deque()
+    for xs, xe in front.chunks[1]:
+        ahead.extend(front.advance(xe + p, acts))
+        q0, q1 = xs // 2, (xe + 1) // 2
+        gh = _unpool2(g[:, q0:q1], idx[:, q0:q1])[:, xs - 2 * q0 : xe - 2 * q0]
+        adjoint = _Corr3dAdjoint(wh, (1, xe - xs, b, c), gh1.at(xs, xe + 2 * p))
+        _cell_backward(gh, None, (front.zp2.at(xs, xe + 2 * p), None), front.s.at(xs, xe),
+                       gc1.at(xs, xe), w, bias, gw2, gb2, adjoint, bufs)
+        front.zp2.lo = front.s.lo = xe
+        while ahead and (ahead[0][1] + p <= xe or xe == a):
+            u0, u1 = ahead.popleft()
+            gh = _scratch(bufs, "gh", (1, u1 - u0, b, c, gh1.buf.shape[2]))
+            planes = gh1.at(u0 + p, u1 + p)[..., p : p + b, p : p + c]
+            np.copyto(gh, planes.transpose(0, 1, 3, 4, 2))
+            _cell_backward(gh, gc1.at(u0, u1), (front.zp1[:, u0 : u1 + 2 * p], acts.at(u0, u1)),
+                           None, None, w1, bias, gw1, gb1, None, bufs)
+        first = ahead[0][0] if ahead else front.done  # the first plane still to run
+        acts.lo, gc1.lo, gh1.lo = first, min(first, xe), min(first + p, xe)
+    gk += gw2
+    gb += gb2
+    gk[..., :cin, :] += gw1
+    gb += gb1
 
 
 def encode(frames0, frames1, kernel, bias):
@@ -1040,19 +1186,24 @@ def encode(frames0, frames1, kernel, bias):
     maxima from every finished pair of planes.  The first step writes its
     ``h`` straight into the second step's padded input and its ``c`` into a
     state buffer, which the second step's ``h`` overwrites slab by slab once
-    it has read those rows.  Under ``no_grad`` both are windows of a few
-    planes, so beyond the first step's padded frame and the pooled output
-    the memory does not grow with x; when the windows would cover the volume
-    anyway, and always with gradients on, each step runs as one chunk.  Each
-    chunk runs the same slabs as the whole volume would, so the result is
-    bit-identical.  With gradients on the first step keeps no gates and the
-    second writes its ``h`` into a buffer of its own, so a sample keeps the
-    second step's gates and padded input, the first step's ``c`` and the
-    pool's argmax (uint8).  It is one graph node, whose backward runs, per
-    sample, the pool's backward, the second step's backward, then the first
-    step's, which recomputes that step's gates from the frame one slab at a
-    time (its conv reads one channel, so this is the cheap step to
-    recompute); the kernel and bias gradients are summed over the samples.
+    it has read those rows.  Both are windows of a few planes, so beyond the
+    first step's padded frame and the pooled output the memory does not
+    grow with x; when the windows would cover the volume anyway, each step
+    runs as one chunk.  Each chunk runs the same slabs as the whole volume
+    would, so the result is bit-identical.  Both modes run this one pass;
+    with gradients on, a sample keeps only the pool's argmax (uint8).
+
+    It is one graph node.  Its backward runs, per sample, the same
+    wavefront again (Chen et al. 2016's recompute): the first step reruns
+    its forward a chunk ahead, keeping that chunk's gates until its own
+    backward; the second step's backward runs per chunk on the pool's
+    backward of the chunk's planes, recomputing the second step's gates
+    slab by slab, and scatters the first step's ``h`` and ``c`` gradients
+    into windows; the first step's backward runs each of its chunks once
+    those gradients are final there.  No full-resolution state exists in
+    the backward either.  Every sum runs in the whole volume's order, with
+    the kernel and bias sums carried across the chunks and added up per
+    sample, so the gradients are bit-identical to whole-volume backwards.
     """
     x0 = np.asarray(frames0, dtype=np.float64)
     x1 = np.asarray(frames1, dtype=np.float64)
@@ -1060,30 +1211,27 @@ def encode(frames0, frames1, kernel, bias):
     if x0.shape != x1.shape:
         raise ShapeError(f"frames must share one shape, got {x0.shape} and {x1.shape}")
     nf = kernel.shape[-1] // 4
-    cin = _check_gate_args(x0, nf, kernel, bias)
+    _check_gate_args(x0, nf, kernel, bias)
     if any(d % 2 for d in x0.shape[1:4]):
         raise ShapeError(f"spatial dims must be even for 2x pooling, got {x0.shape[1:4]}")
     n = x0.shape[0]
     w, b = kernel.data, bias.data
-    keep = grad_enabled()
     pooled = np.empty((n,) + tuple(d // 2 for d in x0.shape[1:4]) + (nf,))
-    saved = [_encode_sample(x0[s : s + 1], x1[s : s + 1], w, b, pooled[s : s + 1], keep)
-             for s in range(n)]
-    if not keep:
+    idx = np.empty(pooled.shape, np.uint8) if grad_enabled() else None
+    front = _Front(x0.shape, w, b)
+    for s in range(n):
+        _encode_sample(front, x0[s : s + 1], x1[s : s + 1], w, b, pooled[s : s + 1],
+                       None if idx is None else idx[s : s + 1])
+    if idx is None:
         return Tensor(pooled)
 
     def backward(g):
         gk, gb = np.zeros(kernel.shape), np.zeros(bias.shape)
-        for s, (cell2, c1, idx) in enumerate(saved):
-            gh, gc, gw, gbs = _cell_backward(
-                _unpool2(g[s : s + 1], idx), None, cell2, c1, w, b, cin)
-            gk += gw
-            gb += gbs
-            zp1 = _gate_input(x0[s : s + 1], w.shape[0], 0)[0]
-            _, _, gw, gbs = _cell_backward(gh, gc, (zp1, None), None, w[..., :cin, :], b, cin)
-            del gh, gc  # freed before the next sample's backward allocates its own
-            gk[..., :cin, :] += gw
-            gb += gbs
+        front = _Front(x0.shape, w, b)
+        grads = front.gradient_windows()
+        for s in range(n):
+            _encode_sample_backward(front, grads, x0[s : s + 1], x1[s : s + 1], w, b,
+                                    g[s : s + 1], idx[s : s + 1], gk, gb)
         kernel._accumulate(gk)
         bias._accumulate(gb)
 

@@ -146,7 +146,7 @@ def load_folds(path) -> FoldAssignment:
     try:
         rounds = [FoldRound(r["index"], *(_ids(r[key]) for key in ("test", "val", "train")))
                   for r in doc["rounds"]]
-        seed, n_folds = int(doc["seed"]), int(doc["n_folds"])
+        seed, n_folds = (_integer(doc[key], key) for key in ("seed", "n_folds"))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"fold file {path} violates its schema: {exc}") from exc
     index = [r.index for r in rounds]
@@ -156,6 +156,14 @@ def load_folds(path) -> FoldAssignment:
     if doc.get("fold_of") != fold_of:
         raise FormatError(f"fold file {path} fold_of does not match the rounds' test lists")
     return FoldAssignment(seed, n_folds, fold_of, rounds)
+
+
+def _integer(value, key):
+    # A fold file's seed or n_folds: a JSON integer, not a float, string or
+    # boolean that int() would turn into one.
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _ids(value):

@@ -166,7 +166,7 @@ class DpadAdjoint:
         self.dpad = np.zeros((n, a + 2 * p, b + 2 * p, c + 2 * p, w.shape[4]))
         self.inner = self.dpad[:, p : p + a, p : p + b, p : p + c]
 
-    def add(self, sel, d):
+    def add(self, sel, d, buf=None):
         self.inner[sel] = d.reshape(self.inner[sel].shape)
 
     def result(self):

@@ -6,13 +6,11 @@ buffers.  It gave each step its own padded input, kept separate ``h`` and
 gradients on kept both steps' gates, padded inputs and ``tanh(c)`` and the
 first step's ``c`` for the backward.  The current ``encode`` runs the same
 ufuncs on the same values, so its predictions and gradients must match the
-oracle's bit for bit, on any slab grid, while it holds less: under
-``no_grad`` no full-resolution state wherever the windows of its
-wavefront over x-planes are shorter than x; with gradients on, per
-sample, the second
-step's padded input and gates, the first step's ``c`` and the pool's
-argmax, the first step's gates and every ``tanh(c)`` being recomputed in
-the backward.  The oracle's input gradient
+oracle's bit for bit, on any slab grid, while it holds less: no
+full-resolution state wherever the windows of its wavefront over
+x-planes are shorter than x, and with gradients on, per sample, only the
+pool's argmax, the backward running the wavefront again to recompute
+both steps.  The oracle's input gradient
 runs through the current col2im adjoint (``_Corr3dAdjoint``) on the same
 slab grid, since its bits depend on the grid; it is pinned against the
 padded correlation it replaced in test_conv_engine.
@@ -289,17 +287,19 @@ def test_no_grad_peak_grows_with_x_by_the_frame_and_the_output_only():
             assert growth > bound + state, "the control no longer holds a whole state buffer"
 
 
-def _count_cell_calls(monkeypatch, cin):
-    # [first step, second step]: the _cell_forward calls each makes, told
-    # apart by the channels of the gate kernel part they run.
+def _count_cell_calls(monkeypatch, cin, name="_cell_forward"):
+    # [first step, second step]: the calls of name, _cell_forward or
+    # _cell_backward, each makes, told apart by the channels of the gate
+    # kernel part they run.
     calls = [0, 0]
-    run = ad._cell_forward
+    run = getattr(ad, name)
+    at = 2 if name == "_cell_forward" else 5  # w's position
 
-    def counted(zp, c_prev, w, *args):
-        calls[w.shape[3] > cin] += 1
-        return run(zp, c_prev, w, *args)
+    def counted(*args):
+        calls[args[at].shape[3] > cin] += 1
+        return run(*args)
 
-    monkeypatch.setattr(ad, "_cell_forward", counted)
+    monkeypatch.setattr(ad, name, counted)
     return calls
 
 
@@ -312,7 +312,7 @@ def _count_cell_calls(monkeypatch, cin):
 # single-plane second-step chunks; second-step chunks of an odd span, so
 # that pool pairs straddle chunk borders, with a ragged last chunk (40
 # planes); windows that shift (30 planes); and batch 3.
-@pytest.mark.parametrize("dims, n, rows, spans, calls", [
+WINDOWED = [
     ((10, 6, 4), 2, 2, ({1}, {1}), 20),
     ((10, 6, 4), 2, 3, ({2}, {1}), 20),
     ((40, 6, 4), 2, 9, ({6, 4}, {1}), 80),
@@ -321,22 +321,51 @@ def _count_cell_calls(monkeypatch, cin):
     ((30, 6, 4), 2, 30, ({20, 10}, {5}), 12),
     ((30, 6, 4), 3, 2, ({1}, {1}), 90),
     ((30, 6, 4), 3, 9, ({6}, {1}), 90),
-])
-@pytest.mark.parametrize("k", [1, 3])
-def test_no_grad_wavefront_is_bit_identical_to_the_previous_encode(monkeypatch, dims, n,
-                                                                   rows, spans, calls, k):
-    cin, nf = 1, 3
+]
+
+
+def _windowed_grid(monkeypatch, dims, rows, spans, k, cin, nf):
+    # Set the slab budget of a WINDOWED case and check its chunk spans.
     monkeypatch.setattr(ad, "_SLAB_BYTES", rows * dims[2] * k ** 3 * (cin + nf) * 8)
     kernel, bias = _gate_params(k, cin, nf, rows)
     got = tuple({hi - lo for lo, hi in ad._x_chunks(*dims, part)}
                 for part in (kernel.data[..., :cin, :], kernel.data))
     assert got == spans
+    return kernel, bias
+
+
+@pytest.mark.parametrize("dims, n, rows, spans, calls", WINDOWED)
+@pytest.mark.parametrize("k", [1, 3])
+def test_no_grad_wavefront_is_bit_identical_to_the_previous_encode(monkeypatch, dims, n,
+                                                                   rows, spans, calls, k):
+    cin, nf = 1, 3
+    kernel, bias = _windowed_grid(monkeypatch, dims, rows, spans, k, cin, nf)
     x0, x1 = _frames(dims, n, rows)
     counts = _count_cell_calls(monkeypatch, cin)
     with ad.no_grad():
         out = ad.encode(x0, x1, kernel, bias).data
         assert counts[1] == calls
         assert np.array_equal(out, old_encode(x0, x1, kernel, bias).data)
+
+
+# The WINDOWED grid in training, and a 5^3 kernel whose 13-plane windows
+# shift over 30 planes.
+@pytest.mark.parametrize("dims, n, rows, spans, calls, k",
+                         [case + (k,) for k in (1, 3) for case in WINDOWED]
+                         + [((30, 6, 4), 2, 9, ({6}, {1}), 60, 5)])
+def test_grad_wavefront_is_bit_identical_to_the_previous_encode(monkeypatch, dims, n, rows,
+                                                                spans, calls, k):
+    # The model's prediction and its 8 parameter gradients.  The backward
+    # runs the second step once per chunk per sample, as the forward does.
+    cin, nf = 1, 3
+    _windowed_grid(monkeypatch, dims, rows, spans, k, cin, nf)
+    counts = _count_cell_calls(monkeypatch, cin, "_cell_backward")
+    got = _model_run(monkeypatch, ad.encode, dims, (nf, 4), n, k, True)
+    assert counts[1] == calls
+    want = _model_run(monkeypatch, old_encode, dims, (nf, 4), n, k, True)
+    assert len(got) == len(want) == 9
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("dims, filters, n, grad", [
@@ -347,8 +376,11 @@ def test_no_grad_wavefront_is_bit_identical_to_the_previous_encode(monkeypatch, 
 def test_encode_runs_each_step_once_per_sample_where_windows_cover_x(monkeypatch, dims,
                                                                      filters, n, grad):
     # At 16^3 with 2 or 4 filters the windows would span 31 and 26 planes,
-    # so a no_grad encode runs each step on the whole volume, as training
-    # always does, not in the second step's 2 or 3 chunks.
+    # so a no_grad encode runs each step on the whole volume, not in the
+    # second step's 2 or 3 chunks.  At 40x48x40 with 16 filters they span 9
+    # planes, so a training forward, the same pass, runs the wavefront's
+    # chunks: 8 of 5 planes for the first step and 40 of 1 for the second,
+    # per sample.
     cin = 1
     kernel, bias = _gate_params(3, cin, filters, 11)
     x0, x1 = _frames(dims, n, 12)
@@ -358,14 +390,15 @@ def test_encode_runs_each_step_once_per_sample_where_windows_cover_x(monkeypatch
     else:
         with ad.no_grad():
             ad.encode(x0, x1, kernel, bias)
-    assert counts == [n, n]
+    assert counts == ([8 * n, 40 * n] if dims[0] == 40 else [n, n])
 
 
 def test_grad_forward_keeps_step_two_gates_c1_and_the_argmax():
-    # What a sample keeps for the backward: the second step's padded input
-    # and gates, the first step's c and the pool's uint8 argmax.  The first
-    # step's gates are recomputed in the backward; the oracle kept them, and
-    # its padded input, both steps' tanh(c) and c1 too.
+    # An older bound on what a sample keeps for the backward: the second
+    # step's padded input and gates, the first step's c and the pool's uint8
+    # argmax.  encode now keeps only the argmax (see
+    # test_grad_forward_keeps_only_the_argmax); the oracle kept the first
+    # step's gates, its padded input, both steps' tanh(c) and c1 too.
     dims, cin, nf, k = (40, 48, 40), 1, 16, 3
     x0, x1 = _frames(dims, 1, 7)
     kernel, bias = _gate_params(k, cin, nf, 8)
@@ -380,6 +413,57 @@ def test_grad_forward_keeps_step_two_gates_c1_and_the_argmax():
         else:
             assert held > bound + gates, "the control no longer keeps the first step's gates"
         del out
+
+
+def test_grad_forward_keeps_only_the_argmax():
+    # Beyond its pooled output a training forward holds the pool's argmax,
+    # one byte per pooled element, and nothing else: the backward reruns
+    # both steps.  The oracle keeps both steps' gates and padded inputs.
+    dims, cin, nf, k = (40, 48, 40), 1, 16, 3
+    x0, x1 = _frames(dims, 1, 7)
+    kernel, bias = _gate_params(k, cin, nf, 8)
+    pooled = int(np.prod(dims)) // 8 * nf
+    bound = pooled * 8 + pooled + (64 << 10)
+    for encode in (ad.encode, old_encode):
+        out, held, _ = traced(lambda: encode(x0, x1, kernel, bias))
+        if encode is ad.encode:
+            assert held <= bound, f"holds {held} B over the bound {bound} B"
+        else:
+            assert held > bound + 8 * pooled * 4 * nf, "the control keeps no gates"
+        del out
+
+
+def test_training_step_peak_grows_with_x_by_the_frames_and_pooled_tensors_only(monkeypatch):
+    # A batch-2 training step at 16/32 filters, at (10, 48, 40) and
+    # (40, 48, 40).  Both steps run the same chunks at both x (5 and 1
+    # planes), in windows of the same planes, forward and backward alike, so
+    # from one x to the other the peak may grow only by the frames, the
+    # target and the prediction, the first step's padded frame, the pooled
+    # output, its gradient and the argmax, and the window of the first
+    # step's gates, which its backward reads at most 2 * 5 + 1 + 2 - 2
+    # planes behind its rerun, and which x = 10 caps at 10.  The oracle
+    # keeps each sample's gates and padded inputs, so its peak grows by
+    # several whole states.
+    n, filters, k = 2, (16, 32), 3
+    nf = filters[0]
+    small, large = (10, 48, 40), (40, 48, 40)
+
+    def grows(dims):
+        vox = int(np.prod(dims))
+        gates = min(11, dims[0]) * dims[1] * dims[2] * 4 * nf * 8
+        return 4 * n * vox * 8 + _padded_bytes(dims, k, 1) + n * vox // 8 * nf * 17 + gates
+
+    def peak(encode, dims):
+        return traced(lambda: _model_run(monkeypatch, encode, dims, filters, n, k, True))[2]
+
+    bound = grows(large) - grows(small) + (512 << 10)
+    state = n * (large[0] - small[0]) * large[1] * large[2] * nf * 8
+    for encode, control in ((ad.encode, False), (old_encode, True)):
+        growth = peak(encode, large) - peak(encode, small)  # leaves ad.encode patched
+        if not control:
+            assert growth <= bound, f"grew {growth} B over the bound {bound} B"
+        else:
+            assert growth > bound + 4 * state, "the control no longer keeps whole states"
 
 
 def _cell_case(dims, cin, nf, k, state, seed):
@@ -398,6 +482,20 @@ def _cell_case(dims, cin, nf, k, state, seed):
     return zp, c_prev, w, bias.data, grads
 
 
+def cell_backward(gh, gc, saved, c_prev, w, bias, lo):
+    # ad._cell_backward into fresh sums, as a whole-volume backward runs it:
+    # (gz, gc_prev, gw, gb), gz being the gradient of zp's channels lo:
+    # (None when lo is all of them).
+    zp = saved[0]
+    cz, p = w.shape[3], w.shape[0] // 2
+    lead = (zp.shape[0],) + tuple(d - 2 * p for d in zp.shape[1:4])
+    adjoint = ad._Corr3dAdjoint(w[..., lo:, :], lead) if lo < cz else None
+    gc_prev = None if c_prev is None else np.empty(c_prev.shape)
+    gw, gb = np.zeros(w.shape), np.zeros(w.shape[4])
+    ad._cell_backward(gh, gc, saved, c_prev, gc_prev, w, bias, gw, gb, adjoint)
+    return None if adjoint is None else adjoint.result(), gc_prev, gw, gb
+
+
 # The slab budgets of test_small_slabs_are_bit_identical_to_the_previous_encode.
 @pytest.mark.parametrize("state", [False, True])
 @pytest.mark.parametrize("rows", [1, 3, 12])
@@ -406,10 +504,11 @@ def test_cell_backward_recomputes_the_gates_bit_for_bit(monkeypatch, rows, state
     monkeypatch.setattr(ad, "_SLAB_BYTES", rows * dims[2] * k ** 3 * cin * 8)
     zp, c_prev, w, bias, (gh, gc) = _cell_case(dims, cin, nf, k, state, rows)
     h = np.empty((2,) + dims + (nf,))
-    saved = ad._cell_forward(zp, c_prev, w, bias, True, h, np.empty(h.shape))
+    saved = zp, np.empty(h.shape[:-1] + (4 * nf,))
+    ad._cell_forward(zp, c_prev, w, bias, saved[1], h, np.empty(h.shape))
     for lo in (0, cin):
-        kept = ad._cell_backward(gh, gc, saved, c_prev, w, bias, lo)
-        recomputed = ad._cell_backward(gh, gc, (zp, None), c_prev, w, bias, lo)
+        kept = cell_backward(gh, gc, saved, c_prev, w, bias, lo)
+        recomputed = cell_backward(gh, gc, (zp, None), c_prev, w, bias, lo)
         for a, b in zip(kept, recomputed):
             assert (a is None and b is None) or np.array_equal(a, b)
 
@@ -426,15 +525,19 @@ def test_state_step_tanh_c_recompute_matches_a_kept_tanh_c(monkeypatch, rows, wi
     *_, saved = old_cell_forward(x, h_prev, c_prev, w, bias, True)
     gh = gh if with_gh else None
     want = old_cell_backward(gh, gc, saved, c_prev, w, 0)
-    got = ad._cell_backward(gh, gc, saved[:2], c_prev, w, bias, 0)
+    got = cell_backward(gh, gc, saved[:2], c_prev, w, bias, 0)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
 
 def test_training_step_peak_is_two_samples_kept_plus_one_backward(monkeypatch):
-    # One 40x48x40 batch-2 training step at 16/32 filters.  Its peak comes in
-    # a sample's second-step backward: both samples' kept bytes, the pooled
-    # output and its gradient, and that sample's transient, which is its
+    # One 40x48x40 batch-2 training step at 16/32 filters, bounded as when
+    # each sample kept its second step's gates and padded input and its
+    # first step's c (encode now keeps only the argmax and holds windows, so
+    # it stays far below; test_training_step_peak_grows_with_x_... bounds it
+    # tightly).  That peak came in a sample's second-step backward: both
+    # samples' kept bytes, the pooled output and its gradient, and that
+    # sample's transient, which is its
     # unpooled gradient, the hidden-state gradient's zero-bordered
     # nf-channel accumulator, the gradients of the step's h and c inputs,
     # and one slab.  _model_run's frames and target are made while traced.

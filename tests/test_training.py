@@ -241,6 +241,15 @@ def test_load_folds_rejects_rounds_not_indexed_by_position(tmp_path, index):
         load_folds(p)
 
 
+@pytest.mark.parametrize("key, value", [("seed", 2.9), ("seed", "3"), ("seed", True),
+                                        ("n_folds", "2"), ("n_folds", 2.0)])
+def test_load_folds_rejects_a_seed_or_fold_count_that_is_not_an_integer(tmp_path, key, value):
+    # int() would load 2.9 as 2 and "2" as 2
+    p = _edited_fold_file(tmp_path, lambda doc: doc.update({key: value}))
+    with pytest.raises(FormatError, match=f"{key} must be an integer"):
+        load_folds(p)
+
+
 def test_load_folds_rejects_fold_of_that_disagrees_with_the_test_lists(tmp_path):
     def edit(doc):
         doc["fold_of"][sorted(doc["fold_of"])[0]] = 7
