@@ -18,12 +18,13 @@ convolutional LSTM step are fused ops with hand-derived backward passes;
 the LSTM step takes ``None`` for the zero initial state and computes no
 gradient for an input frame given as a plain array.  Its forward and its
 backward run one slab of voxels at a time, in plain functions
-(``_cell_forward``, ``_cell_backward``), so neither holds a whole-volume
-temporary of the 4 * filters gate channels beyond the gates it keeps for
-the backward.  Every input gradient of a convolution, the LSTM step's
-included, is scattered slab by slab into a zero-bordered accumulator of
-the input's channels (col2im, ``_Corr3dAdjoint``).  ``encode``, the
-forecaster's encoder, is one fused op over the same functions and the
+(``_cell_forward``, ``_cell_backward``) over one slab step
+(``_slab_cell``), which the backward reruns to recompute each slab's gates,
+so no whole-volume tensor of the 4 * filters gate channels ever exists.
+Every input gradient of a convolution, the LSTM step's included, is
+scattered slab by slab into a zero-bordered accumulator of the input's
+channels (col2im, ``_Corr3dAdjoint``).  ``encode``, the forecaster's
+encoder, is one fused op over the same functions and the
 pool's (``_pool2``, ``_unpool2``): two LSTM steps from the zero state and
 the 2x max pool, one sample at a time as one wavefront over x-planes,
 which holds windows of a few planes, not the volume, wherever they are
@@ -706,23 +707,27 @@ def _gate_input(x, k, nf):
     return zp, inner
 
 
-def _slab_gates(cols, w2, bias, gs, ts, keep):
-    # One slab's gates from its im2col rows cols, in the order both the
-    # forward and a backward that recomputes them run: the GEMM into gs, the
-    # bias, then the logistic over the whole contiguous slab at once,
-    # candidate columns included, their pre-activations first copied into
-    # ts.  The candidate's tanh is taken from ts back over gs's candidate
-    # columns with keep, else in ts itself.  Returns the column views
-    # (i, f, g, o), g being the candidate's tanh wherever it went.
+def _slab_cell(cols, w2, bias, c_prev, gs, ts, cs):
+    # One slab of a ConvLSTM step from its im2col rows cols, the code both
+    # the forward and every backward run, so a backward's recomputed gates
+    # are the forward's bit for bit.  The GEMM goes into gs, then the bias,
+    # then the logistic over the whole contiguous slab at once, candidate
+    # columns included, their pre-activations first copied into ts and
+    # their tanh taken from ts back over gs's candidate columns.  Then
+    # c = i*g (+ f*c_prev, c_prev being the slab's rows or None) goes into
+    # cs and tanh(c) into ts.  Returns gs's column views (i, f, g, o).
     nf = ts.shape[1]
     np.matmul(cols, w2, out=gs)
     gs += bias
     i, f, g, o = (gs[:, j * nf : (j + 1) * nf] for j in range(4))
     np.copyto(ts, g)
     _sigmoid(gs)
-    if not keep:
-        g = ts
     np.tanh(ts, out=g)
+    np.multiply(i, g, out=cs)
+    if c_prev is not None:
+        np.multiply(f, c_prev, out=ts)
+        cs += ts
+    np.tanh(cs, out=ts)
     return i, f, g, o
 
 
@@ -767,29 +772,26 @@ def _x_chunks(a, b, c, w):
     return list(dict.fromkeys((sel[1].start, sel[1].stop) for sel in grid))
 
 
-def _cell_forward(zp, c_prev, w, bias, act, h_out, c_out=None, bufs=None):
+def _cell_forward(zp, c_prev, w, bias, h_out, c_out=None, bufs=None):
     # One ConvLSTM step on plain arrays.  zp is the zero-bordered conv input
     # the caller built (_gate_input): x, then the previous h unless c_prev is
     # None, the zero state.  w is the gate kernel's part for zp's channels.
-    # Each slab of im2col rows (the _corr3d grid) runs its gates
-    # (_slab_gates) and writes its rows of h while they are still in cache.
+    # Each slab of im2col rows (the _corr3d grid) runs _slab_cell and writes
+    # its rows of h while they are still in cache.
     # h goes into h_out through views of the slab's own shape, never
     # through a reshape, which on a strided view would write into a copy: so
     # h_out may be the hidden channels of the next step's padded input, or
     # c_prev itself, whose rows each slab reads before it writes them.  c
     # goes into c_out (C-contiguous), or, when c_out is None, into a slab
-    # buffer and is dropped.  tanh(c) is never kept: it goes into the slab
-    # buffer that held the candidate's pre-activations.
+    # buffer and is dropped.  The gates and tanh(c) live in slab buffers
+    # only.  The slab buffers come from bufs (_scratch).
     # Past the GEMM every element goes through the same expressions whatever
     # the grid, but the GEMM's last bits can depend on the slab's row count,
     # and a slab can be as small as one y-row of z voxels.  With OpenBLAS
     # 0.3.31, products of up to 34 rows at width 459 (cell 2 at 16 filters),
     # and of one row at widths 27 and 162, differed from the same rows of a
-    # 20000-row product; 35 rows and more agreed.  So a backward that
-    # recomputes the gates runs them on this same grid.
-    # act, if given, is where the gates are kept for the backward, of
-    # h_out's leading shape (C-contiguous).  Otherwise one slab-sized gate
-    # buffer is reused.  The slab buffers come from bufs (_scratch).
+    # 20000-row product; 35 rows and more agreed.  So the backward recomputes
+    # the gates on this same grid.
     n, a, b, c, nf = h_out.shape
     k = w.shape[0]
     cz, gates = w.shape[3:]
@@ -798,51 +800,41 @@ def _cell_forward(zp, c_prev, w, bias, act, h_out, c_out=None, bufs=None):
     w2 = w.reshape(width, gates)
     slabs = _cell_slabs((n, a, b), c, w)
     rows = max(h_out[sel].size for sel in slabs) // nf
-    keep = act is not None
-    gate_buf = None if keep else _scratch(bufs, "gates", (rows, gates))
+    gate_buf = _scratch(bufs, "gates", (rows, gates))
     ts_buf = _scratch(bufs, "ts", (rows, nf))
     c_buf = _scratch(bufs, "c", (rows, nf)) if c_out is None else None
     rows_buf = _scratch(bufs, "rows", (rows, width))
     for sel in slabs:
         hs = h_out[sel]
         m = hs.size // nf
-        gs = act[sel].reshape(-1, gates) if keep else gate_buf[:m]
-        ts = ts_buf[:m]
+        cp = None if c_prev is None else c_prev[sel].reshape(-1, nf)
         cs = c_buf[:m] if c_out is None else c_out[sel].reshape(-1, nf)
-        i, f, g, o = _slab_gates(_im2col(cols, sel, rows_buf), w2, bias, gs, ts, keep)
-        np.multiply(i, g, out=cs)
-        if c_prev is not None:
-            np.multiply(f, c_prev[sel].reshape(-1, nf), out=ts)
-            cs += ts
-        np.tanh(cs, out=ts)
+        ts = ts_buf[:m]  # tanh(c)
+        *_, o = _slab_cell(_im2col(cols, sel, rows_buf), w2, bias, cp, gate_buf[:m], ts, cs)
         np.multiply(o.reshape(hs.shape), ts.reshape(hs.shape), out=hs)
 
 
-def _cell_backward(gh, gc, saved, c_prev, gc_prev, w, bias, gw, gb, adjoint, bufs=None):
+def _cell_backward(gh, gc, zp, c_prev, gc_prev, w, bias, gw, gb, adjoint, bufs=None):
     # The backward of _cell_forward on plain arrays.  gh and gc are the
-    # gradients of h and c (either may be None), saved is the forward's
-    # (zp, act), or (zp, None) for a forward that kept no gates, bias the
-    # gate bias that forward added.  The gradients are summed into what the
+    # gradients of h and c (gc may be None), zp and bias the forward's
+    # padded input and gate bias.  The gradients are summed into what the
     # caller passes: c_prev's into gc_prev (None without state), w's into
     # gw (C-contiguous, w's shape), the bias's into gb, and those of the
     # conv input channels that need one into adjoint (a _Corr3dAdjoint over
     # zp's interior for their part of w, or None), so a caller that runs a
     # volume as x-chunks carries the sums across them.  The slab buffers
     # come from bufs (_scratch).  One pass over the forward's slab grid:
-    # each slab's im2col copy of zp feeds the weight-gradient GEMM (the grid
-    # and order of _conv's backward) and, without kept gates, first
-    # recomputes the slab's gates with the forward's _slab_gates, so no
-    # whole gate tensor exists.  tanh(c) is
-    # recomputed per slab with the forward's ufuncs in its order: i*g, then
-    # += f*c_prev, then tanh.  Each slab's gate pre-activation gradient goes
-    # into one reused slab buffer, and while it is in cache adjoint scatters
-    # it, so no whole-volume gate gradient exists.  The buffer's row 0
-    # carries the running bias sum, gb on entry, so summing it with each slab
-    # adds the rows in the order dpre.sum(axis=(0, 1, 2, 3)) would.  Every
-    # element goes through the whole-tensor backward's expressions, so the
-    # result is bit-identical to it on any slab grid, if that backward runs
-    # its adjoint on the same grid.
-    zp, act = saved
+    # each slab's im2col copy of zp reruns the forward's _slab_cell, so its
+    # gates and tanh(c) are the forward's bit for bit and no whole gate
+    # tensor exists, then feeds the weight-gradient GEMM (the grid and
+    # order of _conv's backward).  Each slab's gate pre-activation gradient
+    # goes into one reused slab buffer, and while it is in cache adjoint
+    # scatters it, so no whole-volume gate gradient exists.  The buffer's
+    # row 0 carries the running bias sum, gb on entry, so summing it with
+    # each slab adds the rows in the order dpre.sum(axis=(0, 1, 2, 3))
+    # would.  Every element goes through the whole-tensor backward's
+    # expressions, so the result is bit-identical to it on any slab grid,
+    # if that backward runs its adjoint on the same grid.
     k = w.shape[0]
     cz, gates = w.shape[3:]
     nf = gates // 4
@@ -854,39 +846,29 @@ def _cell_backward(gh, gc, saved, c_prev, gc_prev, w, bias, gw, gb, adjoint, buf
     rows = max(cols[sel].size for sel in slabs) // width
     buf = _scratch(bufs, "d", (rows + 1, gates))
     buf[0] = gb
-    gate_buf = _scratch(bufs, "gates", (rows, gates)) if act is None else None
-    ts_buf = _scratch(bufs, "ts", (rows, nf)) if act is None or gh is not None else None
+    gate_buf = _scratch(bufs, "gates", (rows, gates))
+    ts_buf = _scratch(bufs, "ts", (rows, nf))
+    c_buf = _scratch(bufs, "c", (rows, nf))
     rows_buf = _scratch(bufs, "rows", (rows, width))
     for sel in slabs:
         rows_in = _im2col(cols, sel, rows_buf)
         m = rows_in.shape[0]
-        if act is None:
-            i, f, g, o = _slab_gates(rows_in, w2, bias, gate_buf[:m], ts_buf[:m], True)
-        else:
-            acts = act[sel].reshape(-1, gates)
-            i, f, g, o = (acts[:, j * nf : (j + 1) * nf] for j in range(4))
+        cp = None if c_prev is None else c_prev[sel].reshape(-1, nf)
+        ts = ts_buf[:m]  # tanh(c)
+        i, f, g, o = _slab_cell(rows_in, w2, bias, cp, gate_buf[:m], ts, c_buf[:m])
         d = buf[1 : m + 1]
         di, df, dg, do = (d[:, j * nf : (j + 1) * nf] for j in range(4))
-        if gh is None:
-            do[...] = 0.0
-            gct = gc[sel].reshape(-1, nf)
-        else:
-            ts = ts_buf[:m]
-            np.multiply(i, g, out=ts)
-            if c_prev is not None:
-                ts += f * c_prev[sel].reshape(-1, nf)
-            np.tanh(ts, out=ts)
-            ghs = gh[sel].reshape(-1, nf)
-            np.multiply(ghs * ts, o * (1.0 - o), out=do)
-            gct = ghs * o * (1.0 - ts * ts)
-            if gc is not None:
-                gct += gc[sel].reshape(-1, nf)
+        ghs = gh[sel].reshape(-1, nf)
+        np.multiply(ghs * ts, o * (1.0 - o), out=do)
+        gct = ghs * o * (1.0 - ts * ts)
+        if gc is not None:
+            gct += gc[sel].reshape(-1, nf)
         np.multiply(gct * g, i * (1.0 - i), out=di)
         np.multiply(gct * i, 1.0 - g * g, out=dg)
-        if c_prev is None:
+        if cp is None:
             df[...] = 0.0
         else:
-            np.multiply(gct * c_prev[sel].reshape(-1, nf), f * (1.0 - f), out=df)
+            np.multiply(gct * cp, f * (1.0 - f), out=df)
             np.multiply(gct, f, out=gc_prev[sel].reshape(-1, nf))
         gw2 += rows_in.T @ d
         if adjoint is not None:
@@ -927,18 +909,17 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
     are computed one slab of voxels at a time, each slab's GEMM followed at
     once by its gate arithmetic: one vectorized logistic pass over the whole
     slab, then the candidate's tanh on a copy of its pre-activations made
-    in a slab buffer.  Under ``no_grad`` the step keeps no gate tensor: its
-    memory beyond ``h`` and ``c`` is the padded buffer and one slab.  With
-    gradients on, the gates and the padded buffer are kept for the
-    backward, never ``tanh(c)``: the backward recomputes it one slab at a
-    time with the forward's ufuncs in the forward's order, bit for bit.
+    in a slab buffer.  No gate tensor is kept: the step's memory beyond
+    ``h`` and ``c`` is the padded buffer and one slab, and with gradients
+    on only the padded buffer is kept for the backward.
 
-    The backward makes one pass over the same slabs.  Each slab's gate
-    gradient is computed in one reused slab buffer, feeds the kernel and
-    bias gradients, and, while still in cache, is mapped by one GEMM to its
-    input and hidden-state columns, which are added into a zero-bordered
-    accumulator of those channels only; no whole-volume gate gradient
-    exists.  ``h``'s backward only hands its gradient to ``c``'s, which
+    The backward makes one pass over the same slabs.  Each slab first
+    reruns the forward's own slab code, so its gates and ``tanh(c)`` are
+    the forward's bit for bit.  Its gate gradient is computed in one reused
+    slab buffer, feeds the kernel and bias gradients, and, while still in
+    cache, is mapped by one GEMM to its input and hidden-state columns,
+    which are added into a zero-bordered accumulator of those channels
+    only; no whole-volume gate gradient exists.  ``h``'s backward only hands its gradient to ``c``'s, which
     does all the work, so ``c.grad`` holds only the gradient that reaches
     ``c`` directly, never ``h``'s contribution.
     """
@@ -963,25 +944,25 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
         inner[..., cin:] = h_prev.data
     h_data = np.empty(xd.shape[:-1] + (nf,))
     c_data = np.empty(h_data.shape)
-    act = np.empty(h_data.shape[:-1] + (4 * nf,)) if grad_enabled() else None
-    _cell_forward(zp, c_prev.data if state else None, w, bias.data, act, h_data, c_data)
-    if act is None:
+    _cell_forward(zp, c_prev.data if state else None, w, bias.data, h_data, c_data)
+    if not grad_enabled():
         return Tensor(h_data), Tensor(c_data)
-    saved = zp, act
     # conv input channels that need a gradient: x only when it is a Tensor
     lo = 0 if x_in is not None else cin
 
     # h's backward only hands its gradient on; c's backward, which always
-    # runs after it, does the whole cell backward in one slab pass.  So c's
-    # own gradient never includes h's contribution.
+    # runs after it, does the whole cell backward in one slab pass, with a
+    # zero gradient for an h that got none.  So c's own gradient never
+    # includes h's contribution.
     pending = {}
 
     def c_backward(gc):
         gw, gb = np.zeros(w.shape), np.zeros(bias.shape)
         adjoint = _Corr3dAdjoint(w[..., lo:, :], c_data.shape[:4]) if lo < cz else None
         gc_prev = np.empty(c_data.shape) if state else None
-        _cell_backward(pending.pop("gh", None), gc, saved, c_prev.data if state else None,
-                       gc_prev, w, bias.data, gw, gb, adjoint)
+        gh = pending.pop("gh") if pending else np.zeros(h_data.shape)
+        _cell_backward(gh, gc, zp, c_prev.data if state else None, gc_prev, w, bias.data,
+                       gw, gb, adjoint)
         if state:
             c_prev._accumulate(gc_prev)
         bias._accumulate(gb)
@@ -1040,20 +1021,19 @@ class _Front:
     # and s, and the slab buffers bufs (_scratch).  chunks are both steps'
     # x-chunks (_x_chunks), or the whole volume for both where windows of
     # their longest chunks plus 3p would cover it.  start(x0, x1) begins a
-    # sample.  advance(x, act) then runs the first step's chunks in order
-    # until its h covers planes [0, min(x, a)): it writes h into zp2, whose
-    # frame channels it fills as it goes, c into s, and, if act (a window
-    # of gates) is given, its gates into act; it returns the chunks it ran.
+    # sample.  advance(x) then runs the first step's chunks in order until
+    # its h covers planes [0, min(x, a)): it writes h into zp2, whose frame
+    # channels it fills as it goes, and c into s; it returns the chunks it
+    # ran.
     def __init__(self, shape, w, bias):
         _, a, b, c, cin = shape
         nf, self.p = w.shape[-1] // 4, w.shape[0] // 2
         p = self.p
         self.w1, self.bias = w[..., :cin, :], bias
         self.chunks = [_x_chunks(a, b, c, part) for part in (self.w1, w)]
-        self.spans = [max(hi - lo for lo, hi in ch) for ch in self.chunks]
-        span = sum(self.spans) + 3 * p
+        span = sum(max(hi - lo for lo, hi in ch) for ch in self.chunks) + 3 * p
         if span >= a:
-            self.chunks, self.spans, span = [[(0, a)]] * 2, [a, a], a + 2 * p
+            self.chunks, span = [[(0, a)]] * 2, a + 2 * p
         self.zp1 = np.zeros((1, a + 2 * p, b + 2 * p, c + 2 * p, cin))
         self.zp2 = _Window(np.zeros((1, min(span, a + 2 * p), b + 2 * p, c + 2 * p, cin + nf)))
         self.s = _Window(np.empty((1, min(span, a), b, c, nf)))
@@ -1061,14 +1041,11 @@ class _Front:
 
     def gradient_windows(self):
         # The backward's windows (_encode_sample_backward): the first step's
-        # gates, which its backward reads at most 2 * span1 + span2 + 2p - 2
-        # planes behind its rerun, its c's gradient, and its h's, by col2im
-        # into a zero-bordered accumulator.
+        # c's gradient, and its h's, by col2im into a zero-bordered
+        # accumulator.
         (_, _, b, c, nf), p = self.s.buf.shape, self.p
-        span1, span2 = self.spans
-        gates = min(2 * span1 + span2 + 2 * p - 2, self.zp1.shape[1] - 2 * p)
         acc = np.zeros((1, nf, self.zp2.buf.shape[1], b + 2 * p, c + 2 * p))
-        return (_Window(np.empty((1, gates, b, c, 4 * nf))), _Window(np.empty(self.s.buf.shape)),
+        return (_Window(np.empty(self.s.buf.shape)),
                 _Window(acc.transpose(0, 2, 1, 3, 4), fresh=True))
 
     def start(self, x0, x1):
@@ -1079,7 +1056,7 @@ class _Front:
         self.s.reset()
         self.zp2.buf[:, :p] = 0.0  # the near border; an earlier sample's planes moved there
 
-    def advance(self, x, act=None):
+    def advance(self, x):
         p, (a, b, c, cin) = self.p, self.x1.shape[1:]
         ran = []
         while self.done < min(x, a):
@@ -1088,8 +1065,7 @@ class _Front:
             planes[:, u1 - u0 :] = 0.0  # the far border, after the last chunk
             zi = planes[:, : u1 - u0, p : p + b, p : p + c]
             zi[..., :cin] = self.x1[:, u0:u1]
-            _cell_forward(self.zp1[:, u0 : u1 + 2 * p], None, self.w1, self.bias,
-                          None if act is None else act.at(u0, u1), zi[..., cin:],
+            _cell_forward(self.zp1[:, u0 : u1 + 2 * p], None, self.w1, self.bias, zi[..., cin:],
                           self.s.at(u0, u1), self.bufs)
             ran.append((u0, u1))
             self.done = u1
@@ -1111,7 +1087,7 @@ def _encode_sample(front, x0, x1, w, bias, out, idx):
     for xs, xe in front.chunks[1]:
         front.advance(xe + p)
         h = front.s.at(xs, xe)
-        _cell_forward(front.zp2.at(xs, xe + 2 * p), h, w, bias, None, h, None, front.bufs)
+        _cell_forward(front.zp2.at(xs, xe + 2 * p), h, w, bias, h, None, front.bufs)
         front.zp2.lo = xe
         end = xe - xe % 2
         out[:, pooled // 2 : end // 2], kept = _pool2(front.s.at(pooled, end), idx is not None)
@@ -1124,20 +1100,20 @@ def _encode_sample_backward(front, grads, x0, x1, w, bias, g, idx, gk, gb):
     # The backward of _encode_sample for one sample, given the pooled h's
     # gradient g and the pool's argmax idx, summed into gk and gb.  It runs
     # the forward's wavefront again (front, the same chunks): the first
-    # step reruns a chunk ahead, keeping its gates in a window for its own
-    # backward; the second step's backward runs per chunk on the unpooled
-    # gradient of the chunk's planes, recomputing its gates, and writes the
-    # first step's c and h gradients into windows, h's by col2im into a
+    # step reruns a chunk ahead; the second step's backward runs per chunk
+    # on the unpooled gradient of the chunk's planes and writes the first
+    # step's c and h gradients into windows, h's by col2im into a
     # zero-bordered accumulator (_Corr3dAdjoint); and the first step's
     # backward runs each of its chunks once the second step's chunks cover
-    # it plus p, which finishes its h gradient.  grads holds those three
-    # windows (gates, c's and h's gradients).  Each step's kernel and bias
+    # it plus p, which finishes its h gradient.  Each cell backward
+    # recomputes its gates slab by slab.  grads holds the two gradient
+    # windows (front.gradient_windows).  Each step's kernel and bias
     # sums are carried across the chunks, so every sum runs in the whole
     # volume's order, and are added to gk and gb per sample, as whole-volume
     # backwards would be.
     _, a, b, c, cin = x0.shape
     front.start(x0, x1)
-    acts, gc1, gh1 = grads
+    gc1, gh1 = grads
     for win in grads:
         win.reset()
     p, w1, wh, bufs = front.p, front.w1, np.ascontiguousarray(w[..., cin:, :]), front.bufs
@@ -1145,11 +1121,11 @@ def _encode_sample_backward(front, grads, x0, x1, w, bias, g, idx, gk, gb):
     gb2, gb1 = np.zeros(gb.shape), np.zeros(gb.shape)
     ahead = deque()
     for xs, xe in front.chunks[1]:
-        ahead.extend(front.advance(xe + p, acts))
+        ahead.extend(front.advance(xe + p))
         q0, q1 = xs // 2, (xe + 1) // 2
         gh = _unpool2(g[:, q0:q1], idx[:, q0:q1])[:, xs - 2 * q0 : xe - 2 * q0]
         adjoint = _Corr3dAdjoint(wh, (1, xe - xs, b, c), gh1.at(xs, xe + 2 * p))
-        _cell_backward(gh, None, (front.zp2.at(xs, xe + 2 * p), None), front.s.at(xs, xe),
+        _cell_backward(gh, None, front.zp2.at(xs, xe + 2 * p), front.s.at(xs, xe),
                        gc1.at(xs, xe), w, bias, gw2, gb2, adjoint, bufs)
         front.zp2.lo = front.s.lo = xe
         while ahead and (ahead[0][1] + p <= xe or xe == a):
@@ -1157,10 +1133,10 @@ def _encode_sample_backward(front, grads, x0, x1, w, bias, g, idx, gk, gb):
             gh = _scratch(bufs, "gh", (1, u1 - u0, b, c, gh1.buf.shape[2]))
             planes = gh1.at(u0 + p, u1 + p)[..., p : p + b, p : p + c]
             np.copyto(gh, planes.transpose(0, 1, 3, 4, 2))
-            _cell_backward(gh, gc1.at(u0, u1), (front.zp1[:, u0 : u1 + 2 * p], acts.at(u0, u1)),
-                           None, None, w1, bias, gw1, gb1, None, bufs)
+            _cell_backward(gh, gc1.at(u0, u1), front.zp1[:, u0 : u1 + 2 * p], None, None, w1,
+                           bias, gw1, gb1, None, bufs)
         first = ahead[0][0] if ahead else front.done  # the first plane still to run
-        acts.lo, gc1.lo, gh1.lo = first, min(first, xe), min(first + p, xe)
+        gc1.lo, gh1.lo = min(first, xe), min(first + p, xe)
     gk += gw2
     gb += gb2
     gk[..., :cin, :] += gw1
@@ -1195,15 +1171,15 @@ def encode(frames0, frames1, kernel, bias):
 
     It is one graph node.  Its backward runs, per sample, the same
     wavefront again (Chen et al. 2016's recompute): the first step reruns
-    its forward a chunk ahead, keeping that chunk's gates until its own
-    backward; the second step's backward runs per chunk on the pool's
-    backward of the chunk's planes, recomputing the second step's gates
-    slab by slab, and scatters the first step's ``h`` and ``c`` gradients
-    into windows; the first step's backward runs each of its chunks once
-    those gradients are final there.  No full-resolution state exists in
-    the backward either.  Every sum runs in the whole volume's order, with
-    the kernel and bias sums carried across the chunks and added up per
-    sample, so the gradients are bit-identical to whole-volume backwards.
+    its forward a chunk ahead; the second step's backward runs per chunk on
+    the pool's backward of the chunk's planes and scatters the first step's
+    ``h`` and ``c`` gradients into windows; the first step's backward runs
+    each of its chunks once those gradients are final there.  Every cell
+    backward recomputes its gates slab by slab with the forward's own slab
+    code.  No full-resolution state exists in the backward either.  Every
+    sum runs in the whole volume's order, with the kernel and bias sums
+    carried across the chunks and added up per sample, so the gradients are
+    bit-identical to whole-volume backwards.
     """
     x0 = np.asarray(frames0, dtype=np.float64)
     x1 = np.asarray(frames1, dtype=np.float64)

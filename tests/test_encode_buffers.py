@@ -23,7 +23,6 @@ from longipet import autodiff as ad
 from longipet.model import I2IModelConfig, forward_batch, init_model
 
 from gradcheck import traced, weighted_sum
-from test_conv_engine import DpadAdjoint
 
 
 def old_cell_forward(x, h_prev, c_prev, w, bias, keep, h_out=None, c_out=None):
@@ -232,29 +231,6 @@ def _padded_bytes(dims, k, channels):
     return int(np.prod([d + 2 * p for d in dims])) * channels * 8
 
 
-def test_grad_forward_keeps_no_first_step_cell_state():
-    # A looser, older bound on what a sample keeps for the backward: both
-    # steps' padded inputs and gates, the second step's tanh(c) and the
-    # pool's uint8 argmax.  encode keeps less (see
-    # test_grad_forward_keeps_step_two_gates_c1_and_the_argmax, whose c1
-    # this test's name predates); the oracle keeps all of it plus the first
-    # step's c and tanh(c).
-    dims, cin, nf, k = (40, 48, 40), 1, 16, 3
-    x0, x1 = _frames(dims, 1, 7)
-    kernel, bias = _gate_params(k, cin, nf, 8)
-    vox = int(np.prod(dims))
-    kept = (_padded_bytes(dims, k, cin) + _padded_bytes(dims, k, cin + nf)
-            + 2 * vox * 4 * nf * 8 + vox * nf * 8 + vox // 8 * nf)
-    bound = kept + vox // 8 * nf * 8 + (256 << 10)  # plus the pooled output
-    for encode in (ad.encode, old_encode):
-        out, held, _ = traced(lambda: encode(x0, x1, kernel, bias))
-        if encode is ad.encode:
-            assert held <= bound, f"holds {held} B over the bound {bound} B"
-        else:
-            assert held > bound + vox * nf * 8, "the control no longer keeps c1 and tanh(c1)"
-        del out
-
-
 def test_no_grad_peak_grows_with_x_by_the_frame_and_the_output_only():
     # Under no_grad the two steps run chunk by chunk over x, in windows of
     # planes sized by the chunks.  At (10, 48, 40) and (40, 48, 40) both have
@@ -393,28 +369,6 @@ def test_encode_runs_each_step_once_per_sample_where_windows_cover_x(monkeypatch
     assert counts == ([8 * n, 40 * n] if dims[0] == 40 else [n, n])
 
 
-def test_grad_forward_keeps_step_two_gates_c1_and_the_argmax():
-    # An older bound on what a sample keeps for the backward: the second
-    # step's padded input and gates, the first step's c and the pool's uint8
-    # argmax.  encode now keeps only the argmax (see
-    # test_grad_forward_keeps_only_the_argmax); the oracle kept the first
-    # step's gates, its padded input, both steps' tanh(c) and c1 too.
-    dims, cin, nf, k = (40, 48, 40), 1, 16, 3
-    x0, x1 = _frames(dims, 1, 7)
-    kernel, bias = _gate_params(k, cin, nf, 8)
-    vox = int(np.prod(dims))
-    gates = vox * 4 * nf * 8
-    kept = _padded_bytes(dims, k, cin + nf) + gates + vox * nf * 8 + vox // 8 * nf
-    bound = kept + vox // 8 * nf * 8 + (256 << 10)  # plus the pooled output
-    for encode in (ad.encode, old_encode):
-        out, held, _ = traced(lambda: encode(x0, x1, kernel, bias))
-        if encode is ad.encode:
-            assert held <= bound, f"holds {held} B over the bound {bound} B"
-        else:
-            assert held > bound + gates, "the control no longer keeps the first step's gates"
-        del out
-
-
 def test_grad_forward_keeps_only_the_argmax():
     # Beyond its pooled output a training forward holds the pool's argmax,
     # one byte per pooled element, and nothing else: the backward reruns
@@ -439,19 +393,16 @@ def test_training_step_peak_grows_with_x_by_the_frames_and_pooled_tensors_only(m
     # planes), in windows of the same planes, forward and backward alike, so
     # from one x to the other the peak may grow only by the frames, the
     # target and the prediction, the first step's padded frame, the pooled
-    # output, its gradient and the argmax, and the window of the first
-    # step's gates, which its backward reads at most 2 * 5 + 1 + 2 - 2
-    # planes behind its rerun, and which x = 10 caps at 10.  The oracle
-    # keeps each sample's gates and padded inputs, so its peak grows by
-    # several whole states.
+    # output, its gradient and the argmax.  No gates outlive a slab: every
+    # cell backward recomputes them.  The oracle keeps each sample's gates
+    # and padded inputs, so its peak grows by several whole states.
     n, filters, k = 2, (16, 32), 3
     nf = filters[0]
     small, large = (10, 48, 40), (40, 48, 40)
 
     def grows(dims):
         vox = int(np.prod(dims))
-        gates = min(11, dims[0]) * dims[1] * dims[2] * 4 * nf * 8
-        return 4 * n * vox * 8 + _padded_bytes(dims, k, 1) + n * vox // 8 * nf * 17 + gates
+        return 4 * n * vox * 8 + _padded_bytes(dims, k, 1) + n * vox // 8 * nf * 17
 
     def peak(encode, dims):
         return traced(lambda: _model_run(monkeypatch, encode, dims, filters, n, k, True))[2]
@@ -482,52 +433,41 @@ def _cell_case(dims, cin, nf, k, state, seed):
     return zp, c_prev, w, bias.data, grads
 
 
-def cell_backward(gh, gc, saved, c_prev, w, bias, lo):
+def cell_backward(gh, gc, zp, c_prev, w, bias, lo):
     # ad._cell_backward into fresh sums, as a whole-volume backward runs it:
     # (gz, gc_prev, gw, gb), gz being the gradient of zp's channels lo:
     # (None when lo is all of them).
-    zp = saved[0]
     cz, p = w.shape[3], w.shape[0] // 2
     lead = (zp.shape[0],) + tuple(d - 2 * p for d in zp.shape[1:4])
     adjoint = ad._Corr3dAdjoint(w[..., lo:, :], lead) if lo < cz else None
     gc_prev = None if c_prev is None else np.empty(c_prev.shape)
     gw, gb = np.zeros(w.shape), np.zeros(w.shape[4])
-    ad._cell_backward(gh, gc, saved, c_prev, gc_prev, w, bias, gw, gb, adjoint)
+    ad._cell_backward(gh, gc, zp, c_prev, gc_prev, w, bias, gw, gb, adjoint)
     return None if adjoint is None else adjoint.result(), gc_prev, gw, gb
 
 
-# The slab budgets of test_small_slabs_are_bit_identical_to_the_previous_encode.
+# The slab budgets of test_small_slabs_are_bit_identical_to_the_previous_encode,
+# in y-rows of the cell's own columns.
 @pytest.mark.parametrize("state", [False, True])
 @pytest.mark.parametrize("rows", [1, 3, 12])
 def test_cell_backward_recomputes_the_gates_bit_for_bit(monkeypatch, rows, state):
+    # The oracle's backward reads the gates and tanh(c) its forward kept;
+    # the current one recomputes both per slab with the forward's own code.
+    # Both run with and without c's gradient, and for the gradients of all
+    # of zp's channels (lo = 0) or of h's only (lo = cin).
     dims, cin, nf, k = (4, 6, 4), 2, 3, 3
-    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * dims[2] * k ** 3 * cin * 8)
+    cz = cin + nf if state else cin
+    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * dims[2] * k ** 3 * cz * 8)
     zp, c_prev, w, bias, (gh, gc) = _cell_case(dims, cin, nf, k, state, rows)
-    h = np.empty((2,) + dims + (nf,))
-    saved = zp, np.empty(h.shape[:-1] + (4 * nf,))
-    ad._cell_forward(zp, c_prev, w, bias, saved[1], h, np.empty(h.shape))
+    inner = zp[:, 1:-1, 1:-1, 1:-1]
+    *_, saved = old_cell_forward(inner[..., :cin], inner[..., cin:] if state else None, c_prev,
+                                 w, bias, True)
     for lo in (0, cin):
-        kept = cell_backward(gh, gc, saved, c_prev, w, bias, lo)
-        recomputed = cell_backward(gh, gc, (zp, None), c_prev, w, bias, lo)
-        for a, b in zip(kept, recomputed):
-            assert (a is None and b is None) or np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("with_gh", [False, True])
-@pytest.mark.parametrize("rows", [1, 3, 12])
-def test_state_step_tanh_c_recompute_matches_a_kept_tanh_c(monkeypatch, rows, with_gh):
-    # The oracle's backward reads the tanh(c) its forward kept; the current
-    # one recomputes it per slab from the gates and c_prev.
-    dims, cin, nf, k = (4, 6, 4), 2, 3, 3
-    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * dims[2] * k ** 3 * (cin + nf) * 8)
-    zp, c_prev, w, bias, (gh, gc) = _cell_case(dims, cin, nf, k, True, rows)
-    x, h_prev = zp[:, 1:-1, 1:-1, 1:-1, :cin], zp[:, 1:-1, 1:-1, 1:-1, cin:]
-    *_, saved = old_cell_forward(x, h_prev, c_prev, w, bias, True)
-    gh = gh if with_gh else None
-    want = old_cell_backward(gh, gc, saved, c_prev, w, 0)
-    got = cell_backward(gh, gc, saved[:2], c_prev, w, bias, 0)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+        for gcs in (gc, None):
+            want = old_cell_backward(gh, gcs, saved, c_prev, w, lo)
+            got = cell_backward(gh, gcs, zp, c_prev, w, bias, lo)
+            for a, b in zip(got, want):
+                assert (a is None and b is None) or np.array_equal(a, b)
 
 
 def test_training_step_peak_is_two_samples_kept_plus_one_backward(monkeypatch):
@@ -541,9 +481,7 @@ def test_training_step_peak_is_two_samples_kept_plus_one_backward(monkeypatch):
     # unpooled gradient, the hidden-state gradient's zero-bordered
     # nf-channel accumulator, the gradients of the step's h and c inputs,
     # and one slab.  _model_run's frames and target are made while traced.
-    # The oracle keeps more per sample, and the previous adjoint's
-    # zero-bordered 4 * nf-channel gate gradient (dpad) adds more than the
-    # accumulator saves, so both steps break the bound.
+    # The oracle keeps more per sample, so it breaks the bound.
     dims, filters = (40, 48, 40), (16, 32)
     nf, k = filters[0], 3
     vox = int(np.prod(dims))
@@ -555,9 +493,5 @@ def test_training_step_peak_is_two_samples_kept_plus_one_backward(monkeypatch):
     bound = 2 * kept + 2 * pooled + transient + frames + (8 << 20)  # the decoder and loss
     peaks = [traced(lambda: _model_run(monkeypatch, encode, dims, filters, 2, k, True))[2]
              for encode in (ad.encode, old_encode)]
-    monkeypatch.setattr(ad, "_Corr3dAdjoint", DpadAdjoint)
-    peaks.append(traced(lambda: _model_run(monkeypatch, ad.encode, dims, filters, 2, k,
-                                           True))[2])
     assert peaks[0] <= bound, f"peak {peaks[0]} B over the bound {bound} B"
     assert peaks[1] > bound, "the control no longer breaks the bound"
-    assert peaks[2] > bound, "the dpad control no longer breaks the bound"

@@ -127,14 +127,23 @@ CELL_CASES = [(k, filters) for k in (1, 3) for filters in (1, 3)]
 # ConvLSTM step
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("k,filters", CELL_CASES)
-def test_cell_matches_composed_with_random_state(k, filters):
+@pytest.mark.parametrize("k,filters,loss_on",
+                         [pytest.param(k, f, "h and c", id=f"{k}-{f}") for k, f in CELL_CASES]
+                         + [pytest.param(k, f, "c", id=f"{k}-{f}-loss-on-c")
+                            for k, f in CELL_CASES])
+def test_cell_matches_composed_with_random_state(k, filters, loss_on):
+    # With the loss on c alone, h gets no gradient, and the fused step's
+    # backward runs on a zero one.
     case = cell_case(1, k, filters)
     ins = {}
     outs = {}
     for name, step in (("fused", ad.convlstm3d_step), ("composed", composed_convlstm_step)):
         ins[name] = [ad.Tensor(case[key].copy()) for key in ("x", "h", "c")]
-        outs[name] = run_cell(step, case, *ins[name])
+        outs[name] = cell = build_cell(step, case, *ins[name])
+        if loss_on == "c":
+            weighted_sum(cell[1], case["wc"]).backward()
+        else:
+            backprop_cell(cell, case)
     for a, b in zip(outs["fused"][:2], outs["composed"][:2]):
         assert_close(a.data, b.data)
     for a, b in zip(ins["fused"] + list(outs["fused"][2:]),

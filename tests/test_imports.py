@@ -1,6 +1,8 @@
 """Every module-level import in the package is read somewhere in its module."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import longipet
@@ -41,8 +43,8 @@ MODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
 
 # Ops that perfbench's tracer looks up by name, in its AUTODIFF_OPS tuples
 # (sub, sqrt and mean through ELEMENTWISE), so deleting them breaks every
-# traced run until the benchmark stops doing so; ROADMAP item 6 deletes them
-# and empties this set.
+# traced run until the benchmark stops doing so (ROADMAP item 8); item 9
+# then deletes them and empties this set.
 TRACER_PINNED = {"mul", "div", "sigmoid", "tensor_sum", "narrow_channels", "concat_channels",
                  "sub", "sqrt", "mean"}
 
@@ -174,3 +176,23 @@ def test_every_definition_has_a_caller():
     assert sorted(f"{m}:{name}" for m, name in dead - pinned) == []
     # an op that gains a caller leaves the list
     assert pinned <= dead
+
+
+def _tracer():
+    # perfbench/tracer.py run as a fresh module from its source, so the
+    # import writes nothing under perfbench/.
+    path = REPO / "perfbench" / "tracer.py"
+    module = types.ModuleType("perfbench_tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_every_name_the_tracer_wraps_exists():
+    # The tracer looks each of these up by name when a traced run installs
+    # it, so without this a deleted op fails only in a traced benchmark run.
+    tracer = _tracer()
+    names = [("autodiff", op) for op in tracer.AUTODIFF_OPS]
+    names += [(module, name) for module, funcs in tracer.LIBRARY.items() for name in funcs]
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"longipet.{module}"), name)]
+    assert names and missing == []
