@@ -470,6 +470,24 @@ def test_cell_backward_recomputes_the_gates_bit_for_bit(monkeypatch, rows, state
                 assert (a is None and b is None) or np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("with_gh", [False, True])
+@pytest.mark.parametrize("rows", [1, 3, 12])
+def test_state_step_tanh_c_recompute_matches_a_kept_tanh_c(monkeypatch, rows, with_gh):
+    # The oracle's backward reads the tanh(c) its forward kept; the current
+    # one recomputes it per slab from the gates and c_prev.  Without h's
+    # gradient the oracle takes None and the current backward a zero one,
+    # as convlstm3d_step hands it.
+    dims, cin, nf, k = (4, 6, 4), 2, 3, 3
+    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * dims[2] * k ** 3 * (cin + nf) * 8)
+    zp, c_prev, w, bias, (gh, gc) = _cell_case(dims, cin, nf, k, True, rows)
+    x, h_prev = zp[:, 1:-1, 1:-1, 1:-1, :cin], zp[:, 1:-1, 1:-1, 1:-1, cin:]
+    *_, saved = old_cell_forward(x, h_prev, c_prev, w, bias, True)
+    want = old_cell_backward(gh if with_gh else None, gc, saved, c_prev, w, 0)
+    got = cell_backward(gh if with_gh else np.zeros(gh.shape), gc, zp, c_prev, w, bias, 0)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
 def test_training_step_peak_is_two_samples_kept_plus_one_backward(monkeypatch):
     # One 40x48x40 batch-2 training step at 16/32 filters, bounded as when
     # each sample kept its second step's gates and padded input and its
