@@ -13,8 +13,9 @@ arrays are constants.
 The operation set is what the image-to-image forecaster needs: elementwise
 arithmetic, relu / tanh / sigmoid, reductions, channel concat/slice, 3D
 convolution and its adjoint, 2x max pooling, nearest-neighbor upsampling,
-mean absolute error, and an Adam update.  Batch normalization and the
-convolutional LSTM step are fused ops with hand-derived backward passes;
+mean absolute error, and an Adam update.  Batch normalization, which
+runs in place, and the convolutional LSTM step are fused ops with
+hand-derived backward passes;
 the LSTM step takes ``None`` for the zero initial state and computes no
 gradient for an input frame given as a plain array.  Its forward and its
 backward run one slab of voxels at a time, in plain functions
@@ -29,7 +30,11 @@ pool's (``_pool2``, ``_unpool2``): two LSTM steps from the zero state and
 the 2x max pool, one sample at a time as one wavefront over x-planes,
 which holds windows of a few planes, not the volume, wherever they are
 smaller; its backward runs the same wavefront again, recomputing the
-steps, so training keeps only the pool's argmax.  Tensors are laid out
+steps, so training keeps only the pool's argmax.  ``decode``, the
+forecaster's decoder, is one fused op too: the transposed convolution, its
+activation and the 1x1x1 head, one slab of the transposed convolution's
+output at a time, so its channels never exist whole; its backward
+recomputes each slab.  Tensors are laid out
 ``(batch, x, y, z, channel)``; convolutions use stride 1 with same-padding
 and odd cubic kernels.
 """
@@ -545,6 +550,102 @@ def conv_transpose3d(x, kernel, bias=None):
     return _conv(x, kernel, bias, adjoint=True)
 
 
+ACTIVATIONS = ("relu", "linear")  # decode's, by name
+
+
+def decode(x, kernel, bias, head_kernel, head_bias, act="relu", out_act="relu"):
+    """The forecaster's decoder as one fused op: ``conv_transpose3d(x,
+    kernel, bias)``, the activation ``act``, the per-voxel head
+    ``conv3d(., head_kernel, head_bias)`` with a 1x1x1 ``head_kernel`` (1, 1,
+    1, filters, c_out), then ``out_act``.  Each activation is "relu" or
+    "linear" (none).  Returns the head's output (n, x, y, z, c_out).
+
+    The transposed conv runs as ``conv_transpose3d`` does, one GEMM per slab
+    of its im2col grid, and each slab then goes through the bias, ``act``
+    and the head's GEMM while it is still in cache, so the ``filters``
+    channels never exist whole: beyond the padded input the op holds one
+    slab and the head's output.  Every element goes through the composed
+    ops' expressions.  The head's GEMM runs per slab of the transposed
+    conv's grid, not its own; with OpenBLAS 0.3.31 such a one-column product
+    gave the whole product's bits on slabs of 100 rows and more (the grids
+    at 16^3 with 2 filters, and at 40x48x40 and 80x96x80 with 16, run 480
+    rows or more), but differed on some of 35 rows or fewer.
+
+    It is one graph node, which keeps only ``x`` (and the output).  Its
+    backward recomputes each slab's ``filters`` channels and ``relu`` masks
+    and, while the slab is in cache, feeds both kernel gradients and scatters
+    the input gradient by col2im (``_Corr3dAdjoint``), in the slab order of
+    ``conv_transpose3d``'s backward.  So every gradient but the head
+    kernel's is bit-identical to the composed ops'; the head kernel's sums
+    run on the transposed conv's slab grid, so its last bits may differ.
+    """
+    x, kernel, bias = _const(x), _const(kernel), _const(bias)
+    head_kernel, head_bias = _const(head_kernel), _const(head_bias)
+    if act not in ACTIVATIONS or out_act not in ACTIVATIONS:
+        raise ParameterError(f"activations must be one of {ACTIVATIONS}, got {act!r}, {out_act!r}")
+    k = _check_conv_args(x, kernel, 4)
+    w = _flip_swap(kernel.data)  # (k,k,k,ci,filters), ready for plain correlation
+    filters = w.shape[4]
+    if head_kernel.shape[:4] != (1, 1, 1, filters):
+        raise ShapeError(f"head kernel must be (1, 1, 1, {filters}, c_out), got {head_kernel.shape}")
+    co = head_kernel.shape[4]
+    for t, m in ((bias, filters), (head_bias, co)):
+        if t.shape != (m,):
+            raise ShapeError(f"bias shape {t.shape} does not match {m} filters")
+    n, a, b, c = x.shape[:4]
+    width = k ** 3 * w.shape[3]
+    w2, hw2 = w.reshape(width, filters), head_kernel.data.reshape(filters, co)
+    out_data = np.empty((n, a, b, c, co))
+    slabs = list(_slabs((n, a, b), c * width * 8))
+    rows = max(out_data[sel].size for sel in slabs) // co
+
+    def conv_pass():
+        # Per slab: its index, its im2col rows and its transposed-conv output
+        # plus bias, before the activation, both in buffers of this pass.
+        cols = _columns(_pad(x.data, k), k)
+        rows_buf, dec_buf = np.empty((rows, width)), np.empty((rows, filters))
+        for sel in slabs:
+            rows_in = _im2col(cols, sel, rows_buf)
+            ds = dec_buf[: rows_in.shape[0]]
+            np.matmul(rows_in, w2, out=ds)
+            ds += bias.data
+            yield sel, rows_in, ds
+
+    for sel, _, ds in conv_pass():
+        if act == "relu":
+            np.maximum(ds, 0.0, out=ds)
+        np.matmul(ds, hw2, out=out_data[sel].reshape(-1, co))
+    out_data += head_bias.data
+    if out_act == "relu":
+        np.maximum(out_data, 0.0, out=out_data)
+
+    def backward(g):
+        gh = g * (out_data > 0.0) if out_act == "relu" else g
+        head_bias._accumulate(gh.sum(axis=(0, 1, 2, 3)))
+        gw, ghw = np.zeros((width, filters)), np.zeros((filters, co))
+        adjoint_x = _Corr3dAdjoint(w, (n, a, b, c))
+        # Row 0 carries the running bias sum, so each slab's sum adds the
+        # rows in the order the whole gradient's sum over (0, 1, 2, 3) would.
+        buf = np.zeros((rows + 1, filters))
+        for sel, rows_in, ds in conv_pass():
+            m = ds.shape[0]
+            d, ghs = buf[1 : m + 1], gh[sel].reshape(-1, co)
+            np.matmul(ghs, hw2.T, out=d)
+            if act == "relu":
+                d *= ds > 0.0
+                np.maximum(ds, 0.0, out=ds)
+            ghw += ds.T @ ghs
+            gw += rows_in.T @ d
+            adjoint_x.add(sel, d, rows_in)  # done with this slab's rows
+            buf[0] = buf[: m + 1].sum(axis=0)
+        x._accumulate(adjoint_x.result(), fresh=True)
+        kernel._accumulate(_flip_swap(gw.reshape(w.shape)))
+        bias._accumulate(buf[0])
+        head_kernel._accumulate(ghw.reshape(head_kernel.shape))
+
+    return _node(out_data, (x, kernel, bias, head_kernel, head_bias), backward)
+
+
 # ---------------------------------------------------------------------------
 # pooling / upsampling
 # ---------------------------------------------------------------------------
@@ -637,6 +738,11 @@ def batchnorm(
     momentum 0.99).  In infer mode the running estimates are used; calling
     infer before any train step raises StateError.  The variance is offset
     by eps = 1e-3.  One graph node, whose backward is derived by hand.
+
+    Whole-tensor steps run in place, in the order of the plain expressions,
+    so the bits are theirs: the centered input becomes ``xhat`` in its own
+    buffer, which under ``no_grad`` becomes the output too, and the
+    backward's temporaries share one buffer.
     """
     x = _const(x)
     gamma, beta = _const(gamma), _const(beta)
@@ -673,18 +779,25 @@ def batchnorm(
         std = np.sqrt(stats[var_key].reshape(1, 1, 1, 1, ch) + _BN_EPS)
     else:
         raise ParameterError(f"mode must be 'train' or 'infer', got {mode!r}")
-    xhat = centered / std
-    out_data = xhat * gamma.data + beta.data
+    xhat = centered  # normalized in place, as is the output under no_grad
+    xhat /= std
+    out_data = np.multiply(xhat, gamma.data, out=None if grad_enabled() else xhat)
+    out_data += beta.data
 
     def backward(g):
-        gamma._accumulate((g * xhat).sum(axis=axes))
+        tmp = g * xhat  # the temporary, reused
+        gamma._accumulate(tmp.sum(axis=axes))
         beta._accumulate(g.sum(axis=axes))
-        gx = g * gamma.data
         if mode == "train":
-            # the batch mean and variance depend on x too
-            gx -= gx.mean(axis=axes, keepdims=True) + xhat * (gx * xhat).mean(
-                axis=axes, keepdims=True
-            )
+            # the batch mean and variance depend on x too: gx -= mean(gx) +
+            # xhat * mean(gx * xhat)
+            gx = g * gamma.data
+            np.multiply(gx, xhat, out=tmp)
+            np.multiply(xhat, tmp.mean(axis=axes, keepdims=True), out=tmp)
+            tmp += gx.mean(axis=axes, keepdims=True)
+            gx -= tmp
+        else:
+            gx = np.multiply(g, gamma.data, out=tmp)
         gx /= std
         x._accumulate(gx, fresh=True)
 
@@ -1101,9 +1214,11 @@ def _encode_sample_backward(front, grads, x0, x1, w, bias, g, idx, gk, gb):
     # gradient g and the pool's argmax idx, summed into gk and gb.  It runs
     # the forward's wavefront again (front, the same chunks): the first
     # step reruns a chunk ahead; the second step's backward runs per chunk
-    # on the unpooled gradient of the chunk's planes and writes the first
-    # step's c and h gradients into windows, h's by col2im into a
-    # zero-bordered accumulator (_Corr3dAdjoint); and the first step's
+    # on the unpooled gradient of the chunk's planes (the pooled planes a
+    # chunk reads are unpooled together and kept until every plane of them
+    # is used, so single-plane chunks unpool each pooled plane once) and
+    # writes the first step's c and h gradients into windows, h's by col2im
+    # into a zero-bordered accumulator (_Corr3dAdjoint); and the first step's
     # backward runs each of its chunks once the second step's chunks cover
     # it plus p, which finishes its h gradient.  Each cell backward
     # recomputes its gates slab by slab.  grads holds the two gradient
@@ -1120,13 +1235,17 @@ def _encode_sample_backward(front, grads, x0, x1, w, bias, g, idx, gk, gb):
     gw2, gw1 = np.zeros(w.shape), np.zeros(w1.shape)
     gb2, gb1 = np.zeros(gb.shape), np.zeros(gb.shape)
     ahead = deque()
+    up0, up1, up = 0, 0, None  # pooled planes [up0, up1) unpooled, into up
     for xs, xe in front.chunks[1]:
         ahead.extend(front.advance(xe + p))
         q0, q1 = xs // 2, (xe + 1) // 2
-        gh = _unpool2(g[:, q0:q1], idx[:, q0:q1])[:, xs - 2 * q0 : xe - 2 * q0]
+        if not up0 <= q0 < q1 <= up1:
+            up0, up1, up = q0, q1, _unpool2(g[:, q0:q1], idx[:, q0:q1])
         adjoint = _Corr3dAdjoint(wh, (1, xe - xs, b, c), gh1.at(xs, xe + 2 * p))
-        _cell_backward(gh, None, front.zp2.at(xs, xe + 2 * p), front.s.at(xs, xe),
-                       gc1.at(xs, xe), w, bias, gw2, gb2, adjoint, bufs)
+        _cell_backward(up[:, xs - 2 * up0 : xe - 2 * up0], None, front.zp2.at(xs, xe + 2 * p),
+                       front.s.at(xs, xe), gc1.at(xs, xe), w, bias, gw2, gb2, adjoint, bufs)
+        if xe >= 2 * up1:
+            up = None  # every plane of it used
         front.zp2.lo = front.s.lo = xe
         while ahead and (ahead[0][1] + p <= xe or xe == a):
             u0, u1 = ahead.popleft()

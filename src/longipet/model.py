@@ -1,7 +1,9 @@
 """Image-to-image forecaster: a ConvLSTM encoder whose final hidden state
 is max-pooled (one fused op, ``autodiff.encode``), a batch-normalized
-bottleneck, a transposed-convolution decoder and a 1x1x1 output projection,
-all at pooled resolution, then a nearest-neighbor upsample to full size.
+bottleneck, a transposed-convolution decoder and a 1x1x1 output projection
+(one fused op, ``autodiff.decode``), all at pooled resolution, then a
+nearest-neighbor upsample to full size.  A training graph has five nodes:
+``encode``, ``batchnorm``, ``decode``, ``upsample_nn`` and the loss.
 
 The network consumes two volumes (the two most recent annual scans) as a
 2-frame sequence and emits the next annual volume.  The output activation is
@@ -16,8 +18,6 @@ import numpy as np
 from . import autodiff as ad
 from .errors import FormatError, ParameterError, ShapeError
 from .volume_io import Volume3D
-
-_ACTIVATIONS = ("relu", "linear")
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,9 @@ class I2IModelConfig:
             raise ParameterError("filter counts must be positive")
         if self.kernel_size % 2 != 1 or self.kernel_size < 1:
             raise ParameterError(f"kernel_size must be odd, got {self.kernel_size}")
-        if self.decoder_activation not in _ACTIVATIONS:
+        if self.decoder_activation not in ad.ACTIVATIONS:
             raise ParameterError(f"unknown decoder activation {self.decoder_activation!r}")
-        if self.output_activation not in _ACTIVATIONS:
+        if self.output_activation not in ad.ACTIVATIONS:
             raise ParameterError(f"unknown output activation {self.output_activation!r}")
 
     def to_dict(self) -> dict:
@@ -93,10 +93,6 @@ def init_model(config: I2IModelConfig, seed: int) -> ad.ParameterSet:
     return ps
 
 
-def _activate(t, name):
-    return ad.relu(t) if name == "relu" else t
-
-
 def forward_batch(
     params: ad.ParameterSet,
     frames0: np.ndarray,
@@ -113,7 +109,8 @@ def forward_batch(
     statistics and updates the running ones, "infer" uses the running ones;
     the graph is recorded unless the call runs under ``autodiff.no_grad``.
     A ``trace`` dict receives the shape of each stage's output by name, and
-    as ``lstm_hidden`` the shape the encoder's hidden state would have.
+    as ``lstm_hidden`` and ``decoded`` the shapes the encoder's hidden state
+    and the transposed conv's output would have.
     """
     if mode not in ("train", "infer"):
         raise ParameterError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -142,21 +139,15 @@ def forward_batch(
         mode=mode,
         key="bn",
     )
-    decoded = _activate(
-        ad.conv_transpose3d(
-            normed, params.params["deconv.kernel"], params.params["deconv.bias"]
-        ),
-        config.decoder_activation,
-    )
-    if trace is not None:
-        trace["decoded"] = decoded.shape
     # The head is per voxel, so it runs before the nearest-neighbor upsample
     # on 1/8 of the voxels and gives the same output.
-    head = _activate(
-        ad.conv3d(decoded, params.params["head.kernel"], params.params["head.bias"]),
-        config.output_activation,
-    )
+    head = ad.decode(normed, params.params["deconv.kernel"], params.params["deconv.bias"],
+                     params.params["head.kernel"], params.params["head.bias"],
+                     config.decoder_activation, config.output_activation)
     if trace is not None:
+        # decode never holds the transposed conv's output whole: it runs one
+        # slab at a time
+        trace["decoded"] = head.shape[:4] + (config.decoder_filters,)
         trace["head"] = head.shape
     out = ad.upsample_nn(head, 2)
     if trace is not None:

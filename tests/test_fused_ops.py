@@ -1,21 +1,25 @@
-"""Equivalence of the fused ConvLSTM step and batch normalization with the
-composed graphs they replaced.
+"""Equivalence of the fused ConvLSTM step, batch normalization and decoder
+with the composed graphs they replaced.
 
 The oracles below are the previous implementations, built from generic
 graph ops (concat, conv3d, narrow, sigmoid, tanh, mul, add for the cell;
-mean, sub, mul, div, sqrt, add for batch normalization).  The fused ops
-differentiate by hand and sum in another order, so values and gradients
-are compared with a tolerance.
+mean, sub, mul, div, sqrt, add for batch normalization;
+conv_transpose3d, relu and conv3d for the decoder).  The fused cell and
+batch normalization differentiate by hand and sum in another order, so
+their values and gradients are compared with a tolerance; the decoder runs
+the composed ops' expressions, so it is compared bit for bit.  The fused
+batch normalization is also pinned bit for bit against its own earlier,
+out-of-place expressions.
 """
 
 import numpy as np
 import pytest
 
 from longipet import autodiff as ad
-from longipet.errors import ParameterError
+from longipet.errors import ParameterError, ShapeError
 from longipet.model import I2IModelConfig, forward_batch, init_model
 
-from gradcheck import weighted_sum
+from gradcheck import check_op, traced, weighted_sum
 
 TOL = 1e-12
 
@@ -58,6 +62,45 @@ def composed_batchnorm(x, gamma, beta, stats, mode="train", eps=1e-3, momentum=0
         rv = stats[var_key].reshape(1, 1, 1, 1, ch)
         xhat = ad.div(ad.sub(x, rm), np.sqrt(rv + eps))
     return ad.add(ad.mul(xhat, gamma), beta)
+
+
+def composed_decode(x, kernel, bias, head_kernel, head_bias, act="relu", out_act="relu"):
+    def activate(t, name):
+        return ad.relu(t) if name == "relu" else t
+
+    decoded = activate(ad.conv_transpose3d(x, kernel, bias), act)
+    return activate(ad.conv3d(decoded, head_kernel, head_bias), out_act)
+
+
+def old_batchnorm(x, gamma, beta, stats, mode, g, key="bn"):
+    """batchnorm's forward and backward as plain arrays, in the out-of-place
+    expressions it used before it normalized in place: (output, gradients
+    of x, gamma and beta); updates stats as it did."""
+    ch = x.shape[4]
+    mean_key, var_key = f"{key}.mean", f"{key}.var"
+    axes = (0, 1, 2, 3)
+    if mode == "train":
+        mu = x.mean(axis=axes, keepdims=True)
+        centered = x - mu
+        var = (centered * centered).mean(axis=axes, keepdims=True)
+        std = np.sqrt(var + 1e-3)
+        if mean_key not in stats:
+            stats[mean_key] = mu.reshape(ch).copy()
+            stats[var_key] = var.reshape(ch).copy()
+        else:
+            stats[mean_key] = 0.99 * stats[mean_key] + (1.0 - 0.99) * mu.reshape(ch)
+            stats[var_key] = 0.99 * stats[var_key] + (1.0 - 0.99) * var.reshape(ch)
+    else:
+        centered = x - stats[mean_key].reshape(1, 1, 1, 1, ch)
+        std = np.sqrt(stats[var_key].reshape(1, 1, 1, 1, ch) + 1e-3)
+    xhat = centered / std
+    out = xhat * gamma + beta
+    ggamma, gbeta = (g * xhat).sum(axis=axes), g.sum(axis=axes)
+    gx = g * gamma
+    if mode == "train":
+        gx -= gx.mean(axis=axes, keepdims=True) + xhat * (gx * xhat).mean(axis=axes, keepdims=True)
+    gx /= std
+    return out, (gx, ggamma, gbeta)
 
 
 def composed_forward_batch(params, frames0, frames1, config, mode):
@@ -291,6 +334,118 @@ def test_batchnorm_is_one_node():
     assert out._parents == tuple(ts)
 
 
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_batchnorm_in_place_is_bit_identical_to_its_old_expressions(mode):
+    # Twice from the same statistics: the first call seeds empty ones in
+    # train mode, the second runs the EMA update.
+    x, gamma, beta, g = bn_case(4)
+    seed = {} if mode == "train" else {"bn.mean": np.array([1.9, 2.1, 2.0]),
+                                       "bn.var": np.array([0.8, 1.1, 1.3])}
+    got_stats, want_stats = dict(seed), dict(seed)
+    for step in range(2):
+        xs = x + step
+        tensors = [ad.Tensor(a.copy()) for a in (xs, gamma, beta)]
+        out = ad.batchnorm(*tensors, got_stats, mode=mode)
+        out.grad = g.copy()
+        out._backward(out.grad)
+        want, grads = old_batchnorm(xs, gamma, beta, want_stats, mode, g)
+        np.testing.assert_array_equal(out.data, want)
+        for t, gw in zip(tensors, grads):
+            np.testing.assert_array_equal(t.grad, gw)
+        for key in ("bn.mean", "bn.var"):
+            np.testing.assert_array_equal(got_stats[key], want_stats[key])
+        with ad.no_grad():
+            frozen = {k: v.copy() for k, v in want_stats.items()}
+            out = ad.batchnorm(ad.Tensor(xs), gamma, beta, frozen, mode=mode)
+        np.testing.assert_array_equal(out.data, old_batchnorm(xs, gamma, beta, dict(want_stats),
+                                                              mode, g)[0])
+
+
+# ---------------------------------------------------------------------------
+# the decoder
+# ---------------------------------------------------------------------------
+
+def decode_case(seed, shape, k, filters, co=1):
+    r = np.random.default_rng((99, seed, k))
+    ci = shape[4]
+    return {
+        "x": r.normal(size=shape),
+        "kernel": 0.4 * r.normal(size=(k, k, k, filters, ci)),
+        "bias": 0.1 * r.normal(size=filters),
+        "head_kernel": 0.5 * r.normal(size=(1, 1, 1, filters, co)),
+        "head_bias": np.array([0.05] * co),
+        "w": r.normal(size=shape[:4] + (co,)),
+    }
+
+
+DECODE_ARGS = ("x", "kernel", "bias", "head_kernel", "head_bias")
+ACTS = [("relu", "relu"), ("linear", "relu"), ("relu", "linear"), ("linear", "linear")]
+
+
+@pytest.mark.parametrize("act,out_act", ACTS)
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_decode_gradients_match_central_differences(n, k, act, out_act):
+    case = decode_case(n, (n, 3, 2, 4, 2), k, 3)
+    check_op(lambda *ts: weighted_sum(ad.decode(*ts, act, out_act), case["w"]),
+             [case[name] for name in DECODE_ARGS])
+
+
+def _decode_run(op, case, act, out_act):
+    ts = [ad.Tensor(case[name].copy()) for name in DECODE_ARGS]
+    out = op(*ts, act, out_act)
+    weighted_sum(out, case["w"]).backward()
+    return out.data, {name: t.grad for name, t in zip(DECODE_ARGS, ts)}
+
+
+@pytest.mark.parametrize("act,out_act", ACTS)
+@pytest.mark.parametrize("k,shape", [(3, (2, 4, 3, 5, 2)), (1, (2, 4, 3, 5, 2)),
+                                     (3, (1, 6, 40, 40, 16))])
+def test_decode_matches_composed_bit_for_bit(k, shape, act, out_act):
+    # (1, 6, 40, 40, 16) with 32 filters at k = 3 runs the transposed conv
+    # as 600-row y-blocks and the composed head as 5-plane slabs, so the
+    # head's GEMM and its kernel's sums run on another grid there.
+    case = decode_case(2, shape, k, 32 if shape[4] == 16 else 3)
+    got, got_grads = _decode_run(ad.decode, case, act, out_act)
+    want, want_grads = _decode_run(composed_decode, case, act, out_act)
+    np.testing.assert_array_equal(got, want)
+    for name in DECODE_ARGS:
+        if name == "head_kernel":
+            want = want_grads[name]
+            np.testing.assert_allclose(got_grads[name], want, rtol=0,
+                                       atol=1e-13 * np.abs(want).max())
+        else:
+            np.testing.assert_array_equal(got_grads[name], want_grads[name])
+
+
+def test_decode_checks_its_arguments():
+    case = decode_case(3, (1, 2, 2, 2, 2), 3, 3)
+    args = [case[name] for name in DECODE_ARGS]
+    with pytest.raises(ParameterError):
+        ad.decode(*args, "tanh")
+    with pytest.raises(ShapeError):
+        ad.decode(args[0], args[1], args[2], np.zeros((3, 3, 3, 3, 1)), args[4])
+    with pytest.raises(ShapeError):
+        ad.decode(*args[:2], np.zeros(2), *args[3:])
+    with pytest.raises(ShapeError):
+        ad.decode(np.zeros((1, 2, 2, 2, 3)), *args[1:])
+
+
+def test_decode_never_holds_a_whole_decoder_tensor():
+    # The decoder of the full-size model (pooled 40x48x40, 16 -> 32 filters)
+    # under no_grad: beyond its input and output it holds the padded input and
+    # one slab, below one whole 32-channel tensor; the composed ops hold two.
+    case = decode_case(4, (1, 40, 48, 40, 16), 3, 32)
+    whole = 40 * 48 * 40 * 32 * 8
+    args = [ad.Tensor(case[name]) for name in DECODE_ARGS]
+    peaks = {}
+    for name, op in (("fused", ad.decode), ("composed", composed_decode)):
+        with ad.no_grad():
+            _, _, peaks[name] = traced(lambda: op(*args))
+    assert peaks["fused"] < whole
+    assert peaks["composed"] > 2 * whole
+
+
 # ---------------------------------------------------------------------------
 # the model
 # ---------------------------------------------------------------------------
@@ -320,16 +475,17 @@ def test_model_train_loss_and_gradients_match_composed():
 
 
 def test_model_forward_nodes():
-    # encode, batchnorm, deconv, relu, head conv, relu, upsample
+    # encode, batchnorm, decode and upsample, then the loss: five nodes in a
+    # training graph
     cfg = I2IModelConfig(dims=(4, 4, 4), lstm_filters=2, decoder_filters=2)
     ps = init_model(cfg, seed=1)
     f0 = np.ones((1, 4, 4, 4))
-    out = forward_batch(ps, f0, f0, cfg, mode="train")
-    seen, stack = set(), [out]
+    loss = ad.mae_loss(forward_batch(ps, f0, f0, cfg, mode="train"), f0[..., None])
+    seen, stack = set(), [loss]
     while stack:
         t = stack.pop()
         if id(t) in seen or not t._parents:
             continue
         seen.add(id(t))
         stack.extend(t._parents)
-    assert len(seen) == 7
+    assert len(seen) == 5
