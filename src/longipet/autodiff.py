@@ -721,6 +721,7 @@ def upsample_nn(x, factor: int = 2):
 
 _BN_EPS = 1e-3
 _BN_MOMENTUM = 0.99
+BN_STATS = ("bn.mean", "bn.var")  # the running statistics, as model files name them
 
 
 def batchnorm(
@@ -729,15 +730,15 @@ def batchnorm(
     beta,
     stats: Dict[str, np.ndarray],
     mode: str = "train",
-    key: str = "bn",
 ):
     """Per-channel batch normalization over the batch and spatial axes.
 
     In train mode the batch statistics normalize the input and update the
-    running estimates in ``stats`` (created on first use, then an EMA with
-    momentum 0.99).  In infer mode the running estimates are used; calling
-    infer before any train step raises StateError.  The variance is offset
-    by eps = 1e-3.  One graph node, whose backward is derived by hand.
+    running estimates ``stats["bn.mean"]`` and ``stats["bn.var"]`` (created
+    on first use, then an EMA with momentum 0.99).  In infer mode the
+    running estimates are used; calling infer before any train step raises
+    StateError.  The variance is offset by eps = 1e-3.  One graph node,
+    whose backward is derived by hand.
 
     Whole-tensor steps run in place, in the order of the plain expressions,
     so the bits are theirs: the centered input becomes ``xhat`` in its own
@@ -753,7 +754,7 @@ def batchnorm(
         raise ShapeError(
             f"gamma/beta must have shape ({ch},), got {gamma.shape} and {beta.shape}"
         )
-    mean_key, var_key = f"{key}.mean", f"{key}.var"
+    mean_key, var_key = BN_STATS
     axes = (0, 1, 2, 3)
     if mode == "train":
         mu = x.data.mean(axis=axes, keepdims=True)

@@ -15,7 +15,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 from .errors import InputError, ParameterError, PlanError
 from .linear import predict_linear
 from .model import forward, load_model
-from .training import FoldAssignment
+from .training import FoldAssignment, model_file
 from .volume_io import SubjectRecord, Volume3D, write_json
 
 PREDICTORS = ("linear", "i2i")
@@ -84,7 +84,7 @@ def plan_from_folds(
         if sid not in folds.fold_of:
             raise PlanError(f"subject {sid!r} has no fold assignment")
         k = folds.fold_of[sid]
-        entries[sid] = PlanEntry(sid, "i2i", k, models_dir / f"model_{k}.bin")
+        entries[sid] = PlanEntry(sid, "i2i", k, model_file(models_dir, k))
     return ForecastPlan(entries, to_year=to_year)
 
 

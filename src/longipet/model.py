@@ -137,7 +137,6 @@ def forward_batch(
         params.params["bn.beta"],
         params.stats,
         mode=mode,
-        key="bn",
     )
     # The head is per voxel, so it runs before the nearest-neighbor upsample
     # on 1/8 of the voxels and gives the same output.
@@ -163,12 +162,12 @@ def forward(
     config: I2IModelConfig,
 ) -> Volume3D:
     """Predict the next annual volume from two consecutive annual scans, in
-    inference mode."""
+    inference mode; it carries the later scan's affine."""
     if baseline.dims != year1.dims:
         raise ShapeError(f"input dims differ: {baseline.dims} vs {year1.dims}")
     with ad.no_grad():
         pred = forward_batch(params, baseline.data[None, ...], year1.data[None, ...], config)
-    return Volume3D(pred.data[0, ..., 0], baseline.affine.copy())
+    return Volume3D(pred.data[0, ..., 0], year1.affine.copy())
 
 
 def save_model(params: ad.ParameterSet, config: I2IModelConfig, path):
@@ -190,7 +189,7 @@ def load_model(path):
     _check_tensors(path, "parameter", {n: t.shape for n, t in params.params.items()},
                    {n: t.shape for n, t in init_model(config, seed=0).params.items()})
     _check_tensors(path, "statistic", {n: a.shape for n, a in params.stats.items()},
-                   {n: (config.lstm_filters,) for n in ("bn.mean", "bn.var")})
+                   {n: (config.lstm_filters,) for n in ad.BN_STATS})
     return params, config
 
 

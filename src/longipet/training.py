@@ -6,6 +6,9 @@ fold out for testing and splits the rest 80/20 into train and validation,
 again stratified by group.  Training minimizes mean absolute error with
 Adam; the checkpoint with the best validation MAE is kept.  Augmented copies
 are created only for the training subjects, never for validation or test.
+A round holds each sample once, as a record; a training batch stacks only
+its own frames, and validation and test subjects are predicted one at a
+time, as ``model.forward`` predicts them.
 
 The rounds are independent and each derives its seeds from (seed, round),
 so ``cross_validate`` runs them in parallel worker processes, one OpenBLAS
@@ -26,7 +29,7 @@ from . import autodiff as ad
 from . import parallel
 from .augment import augment_cohort
 from .errors import DivergenceError, FormatError, InputError, ParameterError, ShapeError
-from .model import I2IModelConfig, forward_batch, init_model, save_model
+from .model import I2IModelConfig, forward, forward_batch, init_model, save_model
 from .volume_io import (
     GROUPS, CohortManifest, SubjectRecord, Volume3D, read_json, write_json, write_text,
 )
@@ -34,6 +37,9 @@ from .volume_io import (
 
 @dataclass(frozen=True)
 class Hyper:
+    """Training settings.  ``batch_size`` sizes training batches only:
+    inference runs one subject at a time."""
+
     batch_size: int = 8
     epochs: int = 70
     n_copies: int = 2
@@ -173,34 +179,13 @@ def _ids(value):
     return value
 
 
-def _stack_triplets(records: List[SubjectRecord], dims):
+def _check_triplets(records: List[SubjectRecord], dims):
     for r in records:
         if not r.has_triplet():
             raise InputError(f"subject {r.subject_id!r} lacks a year 0/1/2 triplet")
         if r.scans[0].dims != tuple(dims):
-            raise ShapeError(
-                f"subject {r.subject_id!r} has dims {r.scans[0].dims}, "
-                f"model expects {tuple(dims)}"
-            )
-    y0 = np.stack([r.scans[0].data for r in records])
-    y1 = np.stack([r.scans[1].data for r in records])
-    y2 = np.stack([r.scans[2].data for r in records])
-    return y0, y1, y2
-
-
-def _infer_batched(params, frames0, frames1, config, batch_size):
-    preds = []
-    with ad.no_grad():
-        for lo in range(0, frames0.shape[0], batch_size):
-            out = forward_batch(
-                params,
-                frames0[lo : lo + batch_size],
-                frames1[lo : lo + batch_size],
-                config,
-                mode="infer",
-            )
-            preds.append(out.data[..., 0])
-    return np.concatenate(preds, axis=0)
+            raise ShapeError(f"subject {r.subject_id!r} has dims {r.scans[0].dims}, "
+                             f"model expects {tuple(dims)}")
 
 
 def train_fold(
@@ -243,34 +228,28 @@ def _train_round(
         if rec.source_id is not None and rec.subject_id in held_out:
             raise InputError(f"augmented copy {rec.subject_id!r} leaked into val/test")
 
-    x0, x1, y2 = _stack_triplets(augmented, config.dims)
-    v0, v1, vy2 = _stack_triplets(val_records, config.dims)
+    _check_triplets(augmented + val_records, config.dims)
 
     init_seed = int(np.random.SeedSequence((int(seed), 307, round_index)).generate_state(1)[0])
     params = init_model(config, seed=init_seed)
     report = TrainReport(round_index=round_index, seed=seed)
-    if hyper.epochs == 0:
-        return params, report
-
     state = None
-    best = None
-    n = x0.shape[0]
+    best = (math.inf, params)
     for epoch in range(hyper.epochs):
         rng = np.random.default_rng((int(seed), 401, round_index, epoch))
-        order = rng.permutation(n)
+        order = rng.permutation(len(augmented))
         losses = []
         weights = []
-        for lo in range(0, n, hyper.batch_size):
-            idx = order[lo : lo + hyper.batch_size]
+        for lo in range(0, len(order), hyper.batch_size):
+            batch = [augmented[i] for i in order[lo : lo + hyper.batch_size]]
+            x0, x1, y2 = (np.stack([r.scans[year].data for r in batch]) for year in range(3))
             params.zero_grad()
-            pred = forward_batch(params, x0[idx], x1[idx], config, mode="train")
-            loss = ad.mae_loss(pred, y2[idx][..., None])
+            pred = forward_batch(params, x0, x1, config, mode="train")
+            loss = ad.mae_loss(pred, y2[..., None])
             loss_value = loss.item()
             if not np.isfinite(loss_value):
-                raise DivergenceError(
-                    f"training diverged: round {round_index}, epoch {epoch + 1}, "
-                    f"batch at {lo}, loss {loss_value}"
-                )
+                raise DivergenceError(f"training diverged: round {round_index}, "
+                                      f"epoch {epoch + 1}, batch at {lo}, loss {loss_value}")
             loss.backward()
             grads = {name: t.grad for name, t in params.params.items()}
             for name, g in grads.items():
@@ -281,19 +260,27 @@ def _train_round(
                     )
             state = ad.adam_step(params, grads, state, lr=hyper.lr)
             losses.append(loss_value)
-            weights.append(len(idx))
+            weights.append(len(batch))
         # loss.backward() releases each batch's graph, so inside the loop only
-        # the last pred's and loss's data live on through the next forward.
-        # Free them before validation; freeing them per batch made small
-        # steps slower (the allocator returns the heap top and the next
-        # forward faults it back in).
-        del pred, loss, grads
+        # the batch's frames and the last pred's and loss's data live on
+        # through the next forward.  Free them before validation; freeing
+        # them per batch made small steps slower (the allocator returns the
+        # heap top and the next forward faults it back in).
+        del x0, x1, y2, pred, loss, grads
         report.train_loss.append(float(np.average(losses, weights=weights)))
 
-        val_pred = _infer_batched(params, v0, v1, config, hyper.batch_size)
-        val_mae = float(np.mean([np.mean(np.abs(val_pred[i] - vy2[i])) for i in range(len(val_records))]))
+        maes = []
+        with ad.no_grad():  # one subject at a time, the call model.forward makes
+            for r in val_records:
+                x0, x1 = r.scans[0].data[None], r.scans[1].data[None]
+                pred = forward_batch(params, x0, x1, config, mode="infer")
+                maes.append(np.mean(np.abs(pred.data[0, ..., 0] - r.scans[2].data)))
+        val_mae = float(np.mean(maes))
+        if not math.isfinite(val_mae):
+            raise DivergenceError(f"training diverged: round {round_index}, "
+                                  f"epoch {epoch + 1}, validation MAE {val_mae}")
         report.val_mae.append(val_mae)
-        if best is None or val_mae < best[0]:
+        if val_mae < best[0]:
             best = (val_mae, params.copy())
             report.best_epoch = epoch + 1
 
@@ -305,6 +292,11 @@ def write_train_report(report: TrainReport, path) -> Path:
     for i, (tl, vm) in enumerate(zip(report.train_loss, report.val_mae)):
         lines.append(f"{i + 1},{tl!r},{vm!r},{1 if i + 1 == report.best_epoch else 0}")
     return write_text(path, "\n".join(lines) + "\n")
+
+
+def model_file(out_dir, round_index: int) -> Path:
+    """The file ``cross_validate`` saves round ``round_index``'s model to."""
+    return Path(out_dir) / f"model_{round_index}.bin"
 
 
 @dataclass
@@ -334,18 +326,12 @@ def _cv_round(job: _CvJob, index: int):
     params, report = _train_round(job.records, job.folds, index, job.config, job.hyper, job.seed)
     model_path = None
     if job.out_dir is not None:
-        model_path = job.out_dir / f"model_{index}.bin"
+        model_path = model_file(job.out_dir, index)
         save_model(params, job.config, model_path)
         write_train_report(report, job.out_dir / f"train_report_{index}.csv")
     params = params.quantize()  # bit-identical to reloading the saved model
-    test_records = [job.records[sid] for sid in job.folds.rounds[index].test]
-    predictions: Dict[str, Volume3D] = {}
-    if test_records:
-        t0 = np.stack([r.scans[0].data for r in test_records])
-        t1 = np.stack([r.scans[1].data for r in test_records])
-        preds = _infer_batched(params, t0, t1, job.config, job.hyper.batch_size)
-        for i, rec in enumerate(test_records):
-            predictions[rec.subject_id] = Volume3D(preds[i], rec.scans[1].affine.copy())
+    tests = [job.records[sid] for sid in job.folds.rounds[index].test]
+    predictions = {r.subject_id: forward(params, r.scans[0], r.scans[1], job.config) for r in tests}
     return report, predictions, model_path
 
 

@@ -147,6 +147,20 @@ def test_forecast_outputs(pipeline):
         assert len(plan["entries"]) == 12
 
 
+def test_train_predicts_held_out_subjects_as_forecast_does(pipeline):
+    train, fc = pipeline["train"], pipeline["root"] / "forecast_i2i_y2"
+    assert main([
+        "forecast", "--manifest", str(pipeline["prep"] / "manifest.json"), "--out", str(fc),
+        "--predictor", "i2i", "--folds", str(train / "folds.json"),
+        "--models", str(train), "--to-year", "2",
+    ]) == 0
+    names = sorted(p.name for p in (train / "predictions").glob("*.vol"))
+    assert len(names) == 12
+    assert names == sorted(p.name for p in (fc / "volumes").glob("*.vol"))
+    for name in names:
+        assert (train / "predictions" / name).read_bytes() == (fc / "volumes" / name).read_bytes()
+
+
 def test_metrics_csv_scores_both_predictors(pipeline):
     rows = read_metrics_csv(pipeline["metrics"])
     # year 3 has no ground truth, so only year 2 is scored

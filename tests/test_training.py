@@ -338,11 +338,23 @@ def test_train_fold_stops_on_non_finite_gradient_before_the_update(tmp_path, mon
     assert updates == []
 
 
+def test_non_finite_validation_mae_stops_the_round(tmp_path, monkeypatch):
+    def nan_in_infer(*args, mode, **kwargs):
+        out = forward_batch(*args, mode=mode, **kwargs)
+        return ad.Tensor(out.data * np.nan) if mode == "infer" else out
+
+    monkeypatch.setattr(training, "forward_batch", nan_in_infer)
+    m = cohort_on_disk(tmp_path)
+    folds = make_folds(m, seed=0)
+    with pytest.raises(DivergenceError, match=r"round 1, epoch 1, validation MAE nan"):
+        train_fold(m, folds, 1, TINY, Hyper(batch_size=4, epochs=2, n_copies=0), seed=0)
+
+
 def test_last_batch_graph_is_freed_before_validation(tmp_path, monkeypatch):
     # Tensor has no weakref slot, so the test watches the loss's and the
     # prediction's data arrays, which only their Tensors hold.
     refs = []
-    real_mae_loss, real_infer = ad.mae_loss, training._infer_batched
+    real_mae_loss, real_forward = ad.mae_loss, training.forward_batch
 
     def watched_loss(pred, target):
         loss = real_mae_loss(pred, target)
@@ -351,16 +363,17 @@ def test_last_batch_graph_is_freed_before_validation(tmp_path, monkeypatch):
 
     calls = []
 
-    def checked_infer(*args, **kwargs):
-        calls.append([r() is None for r in refs])
-        return real_infer(*args, **kwargs)
+    def checked_forward(*args, mode, **kwargs):
+        if mode == "infer":
+            calls.append([r() is None for r in refs])
+        return real_forward(*args, mode=mode, **kwargs)
 
     monkeypatch.setattr(ad, "mae_loss", watched_loss)
-    monkeypatch.setattr(training, "_infer_batched", checked_infer)
+    monkeypatch.setattr(training, "forward_batch", checked_forward)
     m = cohort_on_disk(tmp_path)
     folds = make_folds(m, seed=0)
     train_fold(m, folds, 0, TINY, Hyper(batch_size=4, epochs=2, n_copies=1), seed=0)
-    assert len(calls) == 2  # one validation per epoch
+    assert len(calls) == 2 * len(folds.rounds[0].val)  # each val subject, each epoch
     assert len(refs) > 4  # several batches per epoch
     for dead in calls:
         assert dead and all(dead)
