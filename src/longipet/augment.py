@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .errors import InputError, ParameterError
 from .volume_io import SubjectRecord, Volume3D, write_json
@@ -70,6 +69,9 @@ def sample_augmentation(rng: np.random.Generator) -> AffineAugmentation:
 def apply_affine(vol: Volume3D, aug: AffineAugmentation) -> Volume3D:
     """Resample the volume under the transform, composed about the volume
     center ((n-1)/2 per axis)."""
+    # Imported here, so that importing the package does not load scipy.ndimage.
+    from scipy.ndimage import map_coordinates
+
     dims = vol.dims
     center = (np.array(dims, dtype=np.float64) - 1.0) / 2.0
     m = aug.matrix()

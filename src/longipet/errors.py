@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check every
+settings object and settings file uses.
 
 Every error raised deliberately by this package derives from LongipetError,
 so callers (and the command line driver) can map failure categories to exit
 codes without matching on message strings.
 """
+
+import numpy as np
 
 
 class LongipetError(Exception):
@@ -63,3 +66,11 @@ class PlanError(LongipetError):
 class DegenerateDataError(LongipetError):
     """A statistical test cannot be computed on this data (no nonzero
     differences, zero variance everywhere)."""
+
+
+def check_integer(value, name: str, error=ParameterError) -> int:
+    """``value`` as a Python int if it is a Python or numpy integer; a float,
+    bool or string, which ``int()`` would turn into one, raises ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)

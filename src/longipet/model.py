@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .errors import FormatError, ParameterError, ShapeError
+from .errors import FormatError, ParameterError, ShapeError, check_integer
 from .volume_io import Volume3D
 
 
@@ -30,8 +30,10 @@ class I2IModelConfig:
     output_activation: str = "relu"
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(check_integer(d, "each of dims") for d in self.dims)
         object.__setattr__(self, "dims", dims)
+        for name in ("lstm_filters", "decoder_filters", "kernel_size"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if len(dims) != 3 or min(dims) < 2:
             raise ParameterError(f"dims must be 3 values >= 2, got {dims}")
         if any(d % 2 for d in dims):
@@ -52,16 +54,18 @@ class I2IModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "I2IModelConfig":
+        """The config a model file holds; a missing key, a value of the wrong
+        type or one the constructor rejects raises FormatError."""
         try:
             return cls(
                 dims=tuple(d["dims"]),
-                lstm_filters=int(d["lstm_filters"]),
-                decoder_filters=int(d["decoder_filters"]),
-                kernel_size=int(d.get("kernel_size", 3)),
+                lstm_filters=d["lstm_filters"],
+                decoder_filters=d["decoder_filters"],
+                kernel_size=d.get("kernel_size", 3),
                 decoder_activation=d.get("decoder_activation", "relu"),
                 output_activation=d.get("output_activation", "relu"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ParameterError) as exc:
             raise FormatError(f"bad model config: {exc}") from exc
 
 

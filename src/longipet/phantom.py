@@ -23,7 +23,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_integer
 from .metrics import RoiDefinition, save_roi
 from .volume_io import SubjectRecord, Volume3D, write_cohort_scans, write_json, write_volume
 
@@ -48,7 +48,9 @@ class PhantomConfig:
     seed: int = 0
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        for name in ("margin", "n_stable", "n_converter", "n_decliner", "n_blobs", "seed"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
+        dims = tuple(check_integer(d, "each of dims") for d in self.dims)
         if len(dims) != 3:
             raise ParameterError(f"dims must have 3 entries, got {self.dims!r}")
         if any(d % 2 != 0 for d in dims):
@@ -58,7 +60,8 @@ class PhantomConfig:
                 f"dims {dims} too small for margin {self.margin}; octants would be empty"
             )
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "years", tuple(int(y) for y in self.years))
+        years = tuple(check_integer(y, "each of years") for y in self.years)
+        object.__setattr__(self, "years", years)
         if self.margin < 0:
             raise ParameterError(f"margin must be nonnegative, got {self.margin}")
         if min(self.n_stable, self.n_converter, self.n_decliner) < 0:

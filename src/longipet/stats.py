@@ -7,8 +7,9 @@ corrections beyond), the paired t-test, one-way ANOVA, the chi-square
 independence test, and a two-factor mixed (split-plot) ANOVA with one
 between-subject factor and one within-subject factor.  The t, F and
 chi-square tail probabilities come from scipy's regularized incomplete beta
-and gamma functions.  The signed-rank, t and ANOVA tests raise InputError on
-any non-finite sample value.
+and gamma functions; ``scipy.special`` is imported inside the functions that
+call it, so importing the package does not load it.  The signed-rank, t and
+ANOVA tests raise InputError on any non-finite sample value.
 """
 
 import math
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateDataError, InputError, ParameterError
 
@@ -43,6 +43,8 @@ def betainc_reg(a: float, b: float, x: float) -> float:
         raise ParameterError(f"beta parameters must be positive, got a={a}, b={b}")
     if x < 0.0 or x > 1.0:
         raise ParameterError(f"x must lie in [0, 1], got {x}")
+    from scipy import special
+
     return float(special.betainc(a, b, x))
 
 
@@ -52,6 +54,8 @@ def gammainc_lower(a: float, x: float) -> float:
         raise ParameterError(f"shape must be positive, got {a}")
     if x < 0:
         raise ParameterError(f"x must be nonnegative, got {x}")
+    from scipy import special
+
     return float(special.gammainc(a, x))
 
 
@@ -229,6 +233,8 @@ def chi_square_independence(table) -> TestResult:
     stat = float(((obs - expected) ** 2 / expected).sum())
     df = (obs.shape[0] - 1) * (obs.shape[1] - 1)
     # The upper tail directly: 1 - cdf cancels to 0 for large statistics.
+    from scipy import special
+
     p = float(special.gammaincc(df / 2.0, stat / 2.0))
     return TestResult("chi2", stat, p, (float(df),), int(total))
 

@@ -28,7 +28,9 @@ import numpy as np
 from . import autodiff as ad
 from . import parallel
 from .augment import augment_cohort
-from .errors import DivergenceError, FormatError, InputError, ParameterError, ShapeError
+from .errors import (
+    DivergenceError, FormatError, InputError, ParameterError, ShapeError, check_integer,
+)
 from .model import I2IModelConfig, forward, forward_batch, init_model, save_model
 from .volume_io import (
     GROUPS, CohortManifest, SubjectRecord, Volume3D, read_json, write_json, write_text,
@@ -47,6 +49,8 @@ class Hyper:
     n_folds: int = 5
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "n_copies", "n_folds"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -152,7 +156,7 @@ def load_folds(path) -> FoldAssignment:
     try:
         rounds = [FoldRound(r["index"], *(_ids(r[key]) for key in ("test", "val", "train")))
                   for r in doc["rounds"]]
-        seed, n_folds = (_integer(doc[key], key) for key in ("seed", "n_folds"))
+        seed, n_folds = (check_integer(doc[key], key, TypeError) for key in ("seed", "n_folds"))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"fold file {path} violates its schema: {exc}") from exc
     index = [r.index for r in rounds]
@@ -162,14 +166,6 @@ def load_folds(path) -> FoldAssignment:
     if doc.get("fold_of") != fold_of:
         raise FormatError(f"fold file {path} fold_of does not match the rounds' test lists")
     return FoldAssignment(seed, n_folds, fold_of, rounds)
-
-
-def _integer(value, key):
-    # A fold file's seed or n_folds: a JSON integer, not a float, string or
-    # boolean that int() would turn into one.
-    if type(value) is not int:
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 def _ids(value):
@@ -360,10 +356,15 @@ def _run_rounds(job: _CvJob, n_rounds: int) -> list:
     be pinned, they run inline.  A round is submitted only when a worker is
     free, so after a round fails no further round starts; the error of the
     lowest failing round is raised, as in a serial run.
+
+    Rounds that augment load the augmentation sampler here, before the
+    fork, so the workers share it instead of each importing it.
     """
     workers = min(n_rounds, len(os.sched_getaffinity(0)))
     if workers < 2 or parallel.blas_threads() is None:
         return [_cv_round(job, k) for k in range(n_rounds)]
+    if job.hyper.n_copies > 0:
+        import scipy.ndimage  # noqa: F401 - apply_affine's sampler
     futures = []
     with ProcessPoolExecutor(
         workers,

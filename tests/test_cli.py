@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from longipet import cli, volume_io
+from longipet import autodiff as ad, cli, volume_io
 from longipet.augment import augment_cohort, write_transforms
 from longipet.autodiff import load_params, save_params
 from longipet.cli import main
@@ -27,6 +27,7 @@ from longipet.errors import (
     ManifestError,
 )
 from longipet.metrics import load_roi
+from longipet.model import I2IModelConfig, forward_batch, init_model
 from longipet.report import (
     CSV_FIXED_COLUMNS,
     STATS_COLUMNS,
@@ -680,6 +681,27 @@ def test_tensor_index_with_a_duplicate_or_no_tensors_exits_3(pipeline, tmp_path,
     assert main(_predict_args(pipeline, model, tmp_path / "p.vol")) == 3
     assert not (tmp_path / "p.vol").exists()
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lstm_filters", 1.0), ("kernel_size", "1"), ("dims", [12, 12, 12.0]), ("kernel_size", 2),
+])
+def test_model_config_holding_a_non_integer_or_a_bad_value_exits_3(tmp_path, capsys,
+                                                                  key, value):
+    # The file's tensors fit the config that int() would make of it, so only
+    # the config's own check stands between it and a prediction.
+    config = I2IModelConfig(**_META["config"])
+    params = init_model(config, seed=0)
+    frames = np.ones((1,) + config.dims)
+    with ad.no_grad():
+        forward_batch(params, frames, frames, config, mode="train")  # running statistics
+    model = tmp_path / "m.bin"
+    save_params(params, model, {"model": "i2i", "config": {**config.to_dict(), key: value}})
+    scan = volume_io.write_volume(volume_io.Volume3D(frames[0]), tmp_path / "a.vol")
+    assert main(["predict", "--model", str(model), "--baseline", str(scan),
+                 "--followup", str(scan), "--out", str(tmp_path / "p.vol")]) == 3
+    assert not (tmp_path / "p.vol").exists()
+    assert "bad model config" in capsys.readouterr().err
 
 
 # Loads a hand-written UTF-8 manifest, fold file and ROI file in a process

@@ -1,9 +1,16 @@
-"""Every module-level import in the package is read somewhere in its module."""
+"""Every module-level import in the package is read somewhere in its module,
+and none of them loads scipy."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import longipet
 
@@ -36,6 +43,87 @@ def test_no_unused_module_level_imports():
                 unused += [f"{path.name}:{node.lineno} {name}"
                            for name in _bound_names(node) if name not in read]
     assert unused == []
+
+
+def _import_time_nodes(node):
+    # Every node under ``node`` that runs when its module is imported: all
+    # but the bodies of functions.
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def test_no_module_imports_scipy_at_module_level():
+    # scipy submodules are imported inside the functions that call them, so
+    # `import longipet` loads none of them.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _import_time_nodes(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name == "scipy" or name.startswith("scipy.")]
+    assert found == []
+
+
+# Imports the package, then runs phantom, preprocess, a linear forecast and
+# evaluate through cli.main, noting after each which of scipy.special and
+# scipy.ndimage are loaded; then calls the two functions that use them.
+_SCIPY_FREE_RUN = """
+import contextlib, io, json, sys
+
+def loaded():
+    return [m for m in ("scipy.special", "scipy.ndimage") if m in sys.modules]
+
+import longipet
+seen = {"import": loaded()}
+from longipet import cli
+work = sys.argv[1]
+steps = {
+    "phantom": ["phantom", "--out", f"{work}/cohort", "--dims", "12", "12", "12",
+                "--n-stable", "1", "--n-converter", "1", "--n-decliner", "1"],
+    "preprocess": ["preprocess", "--manifest", f"{work}/cohort/manifest.json",
+                   "--out", f"{work}/prep", "--ref-mask", f"{work}/cohort/reference_mask.vol",
+                   "--fwhm", "2"],
+    "forecast": ["forecast", "--manifest", f"{work}/prep/manifest.json",
+                 "--out", f"{work}/fc", "--predictor", "linear"],
+    "evaluate": ["evaluate", "--manifest", f"{work}/prep/manifest.json",
+                 "--predictions", f"{work}/fc/volumes", "--out", f"{work}/metrics.csv",
+                 "--atlas", f"{work}/cohort/atlas.vol", "--roi", f"{work}/cohort/meta_roi.json"],
+}
+for name, argv in steps.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen[name] = cli.main(argv), loaded()
+
+import numpy as np
+from longipet.augment import AffineAugmentation, apply_affine
+from longipet.stats import betainc_reg
+from longipet.volume_io import Volume3D
+vol = Volume3D(np.arange(64.0).reshape(4, 4, 4))
+same = apply_affine(vol, AffineAugmentation((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 0.0)))
+seen["betainc_reg"] = betainc_reg(2.0, 3.0, 0.4)
+seen["apply_affine"] = bool(np.array_equal(same.data, vol.data))
+print(json.dumps(seen))
+"""
+
+
+def test_import_and_the_scipy_free_commands_leave_scipy_unloaded(tmp_path):
+    # A fresh interpreter: this one has loaded scipy already.
+    run = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path)],
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    seen = json.loads(run.stdout)
+    assert seen.pop("import") == []
+    for step in ("phantom", "preprocess", "forecast", "evaluate"):
+        assert seen.pop(step) == [0, []], step  # exit code, scipy modules loaded
+    # I_0.4(2, 3) = 6 x^2 (1-x)^2 + 4 x^3 (1-x) + x^4
+    assert seen == {"betainc_reg": pytest.approx(0.5248, rel=1e-12), "apply_affine": True}
 
 
 REPO = Path(__file__).resolve().parent.parent

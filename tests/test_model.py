@@ -55,6 +55,23 @@ def test_config_rejects_bad_rank():
         I2IModelConfig(dims=(8, 8))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dims", (16.5, 16, 16)), ("lstm_filters", 2.5), ("decoder_filters", 4.0),
+    ("kernel_size", 3.0),
+])
+def test_config_rejects_a_setting_that_is_not_an_integer(field, value):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        I2IModelConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers_as_python_ints(tmp_path):
+    c = I2IModelConfig(dims=np.array([4, 6, 8]), lstm_filters=np.int64(2),
+                       decoder_filters=np.int32(3), kernel_size=np.uint8(1))
+    assert c == I2IModelConfig(dims=(4, 6, 8), lstm_filters=2, decoder_filters=3, kernel_size=1)
+    assert all(type(v) is int for v in (*c.dims, c.lstm_filters, c.decoder_filters, c.kernel_size))
+    save_model(init_model(c, seed=0), c, tmp_path / "model.bin")  # its config is JSON
+
+
 def test_config_dict_roundtrip():
     c = I2IModelConfig(dims=(4, 6, 8), lstm_filters=3, decoder_filters=5)
     d = c.to_dict()
@@ -72,6 +89,18 @@ def test_config_from_dict_ignores_the_old_pool_key():
 def test_config_from_dict_missing_key():
     with pytest.raises(FormatError):
         I2IModelConfig.from_dict({"dims": [4, 4, 4]})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lstm_filters", 2.5), ("lstm_filters", "16"), ("decoder_filters", True),
+    ("kernel_size", 3.0), ("dims", [4, "6", 8]), ("dims", [4, 6.0, 8]),
+    ("kernel_size", 2), ("lstm_filters", 0), ("output_activation", "tanh"),
+])
+def test_config_from_dict_neither_coerces_nor_lets_a_bad_value_pass(field, value):
+    # what the constructor would reject is a broken file, not a bad argument
+    d = {**I2IModelConfig(dims=(4, 6, 8)).to_dict(), field: value}
+    with pytest.raises(FormatError, match="bad model config"):
+        I2IModelConfig.from_dict(d)
 
 
 # ---------------------------------------------------------------------------

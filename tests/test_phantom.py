@@ -68,6 +68,27 @@ def test_config_rejects_bad_cohort():
                 PhantomConfig(**{name: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dims", (16.5, 16, 16)), ("margin", 2.0), ("n_stable", 2.5), ("n_converter", 1.5),
+    ("n_decliner", True), ("years", (0, 1.5, 2)), ("n_blobs", 3.0), ("seed", 1.5),
+])
+def test_config_rejects_a_setting_that_is_not_an_integer(field, value):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        PhantomConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers_as_python_ints(tmp_path):
+    c = PhantomConfig(dims=np.array([8, 8, 8]), margin=np.int64(1), n_stable=np.int32(1),
+                      n_converter=np.uint8(1), n_decliner=np.int64(0), years=np.arange(2),
+                      n_blobs=np.int16(1), seed=np.int64(5))
+    assert c == PhantomConfig(dims=(8, 8, 8), margin=1, n_stable=1, n_converter=1,
+                              n_decliner=0, years=(0, 1), n_blobs=1, seed=5)
+    ints = (*c.dims, *c.years, c.margin, c.n_stable, c.n_converter, c.n_decliner, c.n_blobs,
+            c.seed)
+    assert all(type(v) is int for v in ints)
+    write_cohort(generate_cohort(c), tmp_path)  # writes the config as JSON
+
+
 def test_config_rejects_range_overflow():
     # 1.1 + 10 * 0.1 = 2.1 > 2.0
     with pytest.raises(ParameterError):

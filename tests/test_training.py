@@ -5,7 +5,10 @@ import argparse
 import builtins
 import json
 import os
+import subprocess
+import sys
 import time
+import types
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -101,6 +104,21 @@ def test_hyper_defaults():
 def test_hyper_rejects_bad_values(bad):
     with pytest.raises(ParameterError, match=next(iter(bad))):
         Hyper(**bad)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("batch_size", 2.5), ("epochs", 1.5), ("n_copies", True), ("n_folds", 2.0),
+])
+def test_hyper_rejects_a_count_that_is_not_an_integer(name, value):
+    with pytest.raises(ParameterError, match=f"{name} must be an integer, got {value!r}"):
+        Hyper(**{name: value})
+
+
+def test_hyper_takes_numpy_integers_as_python_ints():
+    h = Hyper(batch_size=np.int64(2), epochs=np.int32(3), n_copies=np.uint8(1),
+              n_folds=np.int16(4))
+    assert [(type(v), v) for v in (h.batch_size, h.epochs, h.n_copies, h.n_folds)] == [
+        (int, 2), (int, 3), (int, 1), (int, 4)]
 
 
 def test_make_folds_needs_two_folds():
@@ -484,6 +502,10 @@ def _cores(monkeypatch, n):
     monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+# All of a job that _run_rounds reads itself when _cv_round is replaced.
+_NO_COPIES = types.SimpleNamespace(hyper=Hyper(n_copies=0))
+
+
 def test_pooled_cross_validate_equals_one_worker(tmp_path, monkeypatch):
     # At 8^3 with 2/4 filters the BLAS thread count does not change any bit,
     # so the inline run (this process's BLAS pool) and the pooled run (one
@@ -523,7 +545,7 @@ def test_round_pool_size_and_worker_blas_threads(monkeypatch):
                         lambda job, k: (k, os.getpid(), parallel.blas_threads()))
     for cores, rounds in ((2, 5), (4, 2)):
         _cores(monkeypatch, cores)
-        out = training._run_rounds(None, rounds)
+        out = training._run_rounds(_NO_COPIES, rounds)
         assert [k for k, _, _ in out] == list(range(rounds))
         assert {threads for _, _, threads in out} == {1}
         assert os.getpid() not in {pid for _, pid, _ in out}
@@ -533,9 +555,49 @@ def test_round_pool_size_and_worker_blas_threads(monkeypatch):
     for cores, rounds, blas in cases:
         _cores(monkeypatch, cores)
         monkeypatch.setattr(parallel, "blas_threads", lambda: blas)
-        out = training._run_rounds(None, rounds)
+        out = training._run_rounds(_NO_COPIES, rounds)
         assert [(k, pid) for k, pid, _ in out] == [(k, os.getpid()) for k in range(rounds)]
     assert sizes == [2, 2]
+
+
+# Runs cross_validate twice, without and then with augmented copies, with
+# two cores, a reachable BLAS pool and a pool class that only reports whether
+# scipy.ndimage is loaded when it is started.
+_PRE_FORK = """
+import sys
+from longipet import parallel, training
+from longipet.model import I2IModelConfig
+from longipet.volume_io import load_manifest
+
+class Started(Exception):
+    pass
+
+def pool(*args, **kwargs):
+    print("scipy.ndimage" in sys.modules)
+    raise Started
+
+training.ProcessPoolExecutor = pool
+training.os.sched_getaffinity = lambda pid: {0, 1}
+parallel.blas_threads = lambda: 1
+manifest = load_manifest(sys.argv[1])
+config = I2IModelConfig(dims=(4, 4, 4), lstm_filters=1, decoder_filters=1, kernel_size=1)
+for n_copies in (0, 2):
+    try:
+        training.cross_validate(manifest, config, training.Hyper(n_copies=n_copies), seed=0)
+    except Started:
+        pass
+"""
+
+
+def test_rounds_that_augment_load_the_sampler_before_the_pool_forks(tmp_path):
+    # A fresh interpreter: this one has loaded scipy.ndimage already.
+    cohort_on_disk(tmp_path)
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-c", _PRE_FORK, str(tmp_path / "manifest.json")],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.split() == ["False", "True"]
 
 
 def test_one_and_two_blas_threads_agree_at_small_filter_counts():
@@ -586,13 +648,13 @@ def test_failed_round_stops_the_pool(tmp_path, monkeypatch):
     _cores(monkeypatch, 2)
     monkeypatch.setattr(training, "_cv_round", round_(failing={0}, slow={1}))
     with pytest.raises(DivergenceError, match="^training diverged: round 0$"):
-        training._run_rounds(None, 5)
+        training._run_rounds(_NO_COPIES, 5)
     # round 1 was running when round 0 failed; no later round started
     assert sorted(p.name for p in tmp_path.iterdir()) == ["started_0", "started_1"]
     # the lowest failing round wins, as in a serial run, even when it fails last
     monkeypatch.setattr(training, "_cv_round", round_(failing={0, 1}, slow={0}))
     with pytest.raises(DivergenceError, match="^training diverged: round 0$"):
-        training._run_rounds(None, 5)
+        training._run_rounds(_NO_COPIES, 5)
 
 
 # ---------------------------------------------------------------------------
