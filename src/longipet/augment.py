@@ -15,7 +15,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, check_real
 from .volume_io import SubjectRecord, Volume3D, write_json
 
 ROTATION_RANGE = (-math.pi / 18.0, math.pi / 18.0)
@@ -35,8 +35,10 @@ class AffineAugmentation:
     def __post_init__(self):
         if len(self.rotations) != 3 or len(self.shifts) != 3:
             raise ParameterError("rotations and shifts must each have 3 components")
-        if not isinstance(self.zoom, (int, float)) or self.zoom <= 0:
+        zoom = check_real(self.zoom, "zoom")
+        if zoom <= 0:
             raise ParameterError(f"zoom must be a positive number, got {self.zoom!r}")
+        object.__setattr__(self, "zoom", zoom)
 
     def matrix(self) -> np.ndarray:
         """Forward map in voxel coordinates (before recentering): rotate

@@ -376,9 +376,10 @@ def _check_conv_args(x, w, expect_in_axis):
     return k
 
 
-# Byte budget of one im2col column matrix.  A slab is the largest block of
-# whole items, x-planes of one item, or y-rows of one plane that fits; only
-# a single y-row, (z, k, k, k, c_in) columns, may exceed it.
+# Byte budget of one slab buffer (im2col columns, or a ConvLSTM step's gates
+# or gate gradient).  A slab is the largest block of whole items, x-planes of
+# one item, or y-rows of one plane whose widest buffer fits; only a single
+# y-row, z rows of that buffer, may exceed it.
 _SLAB_BYTES = 2 << 20
 
 
@@ -845,10 +846,18 @@ def _slab_cell(cols, w2, bias, c_prev, gs, ts, cs):
     return i, f, g, o
 
 
+def _cell_row_bytes(c, w):
+    # The bytes of one y-row of c voxels in the widest slab buffer of a
+    # ConvLSTM step with the gate kernel part w (k, k, k, cz, 4 * nf): its
+    # im2col columns (k^3 * cz wide) or its gates and gate gradient
+    # (4 * nf wide), whichever is wider.
+    return c * max(w[..., 0].size, w.shape[-1]) * 8
+
+
 def _cell_slabs(lead, c, w):
     # The slab grid of _cell_forward and _cell_backward over lead = (n, a, b)
     # for rows of c voxels and the gate kernel part w.
-    return list(_slabs(lead, c * w[..., 0].size * 8))
+    return list(_slabs(lead, _cell_row_bytes(c, w)))
 
 
 def _scratch(bufs, name, shape):
@@ -890,8 +899,9 @@ def _cell_forward(zp, c_prev, w, bias, h_out, c_out=None, bufs=None):
     # One ConvLSTM step on plain arrays.  zp is the zero-bordered conv input
     # the caller built (_gate_input): x, then the previous h unless c_prev is
     # None, the zero state.  w is the gate kernel's part for zp's channels.
-    # Each slab of im2col rows (the _corr3d grid) runs _slab_cell and writes
-    # its rows of h while they are still in cache.
+    # Each slab of _cell_slabs, whose grid the step's widest slab buffer
+    # sizes (_cell_row_bytes), runs _slab_cell and writes its rows of h while
+    # they are still in cache.
     # h goes into h_out through views of the slab's own shape, never
     # through a reshape, which on a strided view would write into a copy: so
     # h_out may be the hidden channels of the next step's padded input, or

@@ -1,10 +1,12 @@
-"""Exception types shared across the package, and the integer check every
-settings object and settings file uses.
+"""Exception types shared across the package, and the integer and real
+number checks of settings objects, settings files and parameters.
 
 Every error raised deliberately by this package derives from LongipetError,
 so callers (and the command line driver) can map failure categories to exit
 codes without matching on message strings.
 """
+
+import math
 
 import numpy as np
 
@@ -74,3 +76,18 @@ def check_integer(value, name: str, error=ParameterError) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_real(value, name: str, error=ParameterError) -> float:
+    """``value`` as a Python float if it is a finite Python or numpy real
+    number, integers included; a bool, string, NaN or infinity raises
+    ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an int beyond float's range
+        real = math.inf
+    if not math.isfinite(real):
+        raise error(f"{name} must be finite, got {value!r}")
+    return real

@@ -142,6 +142,9 @@ def forward_batch(
         params.stats,
         mode=mode,
     )
+    # Under no_grad nothing else holds the encoder's output; dropped here,
+    # it is freed before decode runs.
+    del pooled
     # The head is per voxel, so it runs before the nearest-neighbor upsample
     # on 1/8 of the voxels and gives the same output.
     head = ad.decode(normed, params.params["deconv.kernel"], params.params["deconv.bias"],

@@ -18,7 +18,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateDataError, InputError, ParameterError
+from .errors import DegenerateDataError, InputError, ParameterError, check_integer, check_real
 
 WILCOXON_EXACT_LIMIT = 25
 WILCOXON_METHODS = ("auto", "exact", "approx")
@@ -341,9 +341,12 @@ def mixed_anova(values, groups: Sequence[str]) -> MixedAnovaResult:
 
 
 def bonferroni(alpha: float, m: int) -> float:
-    """Per-comparison significance level for m comparisons."""
+    """Per-comparison significance level for m comparisons: ``alpha`` a
+    finite real number in (0, 1], ``m`` a positive integer (neither a
+    bool); anything else raises ParameterError."""
+    alpha, m = check_real(alpha, "alpha"), check_integer(m, "m")
     if not (0.0 < alpha <= 1.0):
         raise ParameterError(f"alpha must be in (0, 1], got {alpha}")
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if m < 1:
         raise ParameterError(f"m must be a positive integer, got {m!r}")
     return alpha / m

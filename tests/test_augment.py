@@ -163,6 +163,21 @@ def test_bad_transform_parameters():
         AffineAugmentation((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("zoom", [True, np.nan, np.inf, -np.inf, "1.0"],
+                         ids=["bool", "nan", "inf", "-inf", "string"])
+def test_zoom_that_is_not_a_finite_real_number_is_rejected(zoom):
+    with pytest.raises(ParameterError):
+        AffineAugmentation((0.0, 0.0, 0.0), zoom, (0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("zoom", [np.float32(1.25), np.float64(1.25), np.int64(2), 2],
+                         ids=["float32", "float64", "int64", "int"])
+def test_zoom_takes_a_real_number_of_any_type_as_a_python_float(zoom):
+    aug = AffineAugmentation((0.0, 0.0, 0.0), zoom, (0.0, 0.0, 0.0))
+    assert type(aug.zoom) is float and aug.zoom == float(zoom)
+    np.testing.assert_array_equal(aug.matrix(), float(zoom) * np.eye(3))
+
+
 def test_transform_dict_roundtrip():
     aug = AffineAugmentation((0.01, -0.02, 0.03), 0.97, (1.5, -2.5, 0.0))
     d = aug.to_dict()

@@ -60,13 +60,14 @@ def whole_tensor_convlstm_step(x, h_prev, c_prev, kernel, bias):
         else:
             df[...] = 0.0
         bias._accumulate(dpre.sum(axis=(0, 1, 2, 3)))
+        slabs = ad._cell_slabs(dpre.shape[:3], dpre.shape[3], w)
         gw = np.zeros(kernel.shape)
-        gw[..., : z.shape[-1], :] = corr3d_grad_w(ad._pad(z, k), dpre, k)
+        gw[..., : z.shape[-1], :] = corr3d_grad_w(ad._pad(z, k), dpre, k, slabs)
         kernel._accumulate(gw)
         lo = 0 if x_in is not None else cin
         if lo < z.shape[-1]:
             adjoint = ad._Corr3dAdjoint(w[..., lo:, :], dpre.shape[:4])
-            for sel in ad._slabs(dpre.shape[:3], dpre.shape[3] * k ** 3 * z.shape[-1] * 8):
+            for sel in slabs:
                 adjoint.add(sel, dpre[sel].reshape(-1, 4 * nf))
             gz = adjoint.result()
             if x_in is not None:
@@ -87,9 +88,16 @@ def whole_tensor_convlstm_step(x, h_prev, c_prev, kernel, bias):
 
 # n = 3 items of a = 5 x-planes and b = 3 y-rows: the "items" budget groups
 # two items and leaves one, "planes" cuts 2, 2, 1 planes, 2 y-rows leaves a
-# ragged last row; None keeps the default (one slab at these sizes).
+# ragged last row; None keeps the default (one slab at these sizes).  The
+# budgets count y-rows of the step's widest slab buffer: its im2col columns
+# at k = 3, its 4 * FILTERS gate channels at k = 1.
 SHAPE = (3, 5, 3, 4)
 CIN, FILTERS = 2, 3
+
+
+def _set_cell_budget(monkeypatch, budget, case, cz):
+    w = case["kernel"][..., :cz, :]
+    _set_budget(monkeypatch, budget, SHAPE, ad._cell_row_bytes(SHAPE[3], w))
 
 
 def _case(k, seed):
@@ -128,7 +136,7 @@ def test_fused_step_is_bit_identical_to_whole_tensor_step(monkeypatch, budget, k
                                                           x_tensor, grad):
     case = _case(k, 1)
     cz = CIN + FILTERS if state else CIN
-    _set_budget(monkeypatch, budget, SHAPE + (cz,), k)
+    _set_cell_budget(monkeypatch, budget, case, cz)
     got = _run(ad.convlstm3d_step, case, state, x_tensor, grad)
     want = _run(whole_tensor_convlstm_step, case, state, x_tensor, grad)
     assert len(got) == len(want)
@@ -165,7 +173,7 @@ def test_no_grad_step_keeps_no_gate_tensor():
     bias = r.normal(size=4 * nf)
     cz, width = cin + nf, k ** 3 * (cin + nf)
     slab_rows = max(np.empty((1, d, d, d))[sel].size
-                    for sel in ad._slabs((1, d, d), d * width * 8))
+                    for sel in ad._cell_slabs((1, d, d), d, kernel))
     zp = (d + 2) ** 3 * cz * 8
     hc = 2 * d ** 3 * nf * 8
     gate_slab = slab_rows * 4 * nf * 8
@@ -227,7 +235,7 @@ def _run_one_output(step, case, state, x_tensor, target):
 def test_loss_on_one_output_is_bit_identical(monkeypatch, budget, k, state, x_tensor, target):
     case = _case(k, 4)
     cz = CIN + FILTERS if state else CIN
-    _set_budget(monkeypatch, budget, SHAPE + (cz,), k)
+    _set_cell_budget(monkeypatch, budget, case, cz)
     got = _run_one_output(ad.convlstm3d_step, case, state, x_tensor, target)
     want = _run_one_output(whole_tensor_convlstm_step, case, state, x_tensor, target)
     assert len(got) == len(want)
@@ -272,8 +280,9 @@ def test_grad_step_backward_holds_the_gradient_once(monkeypatch):
     # convolved that, which breaks the bound.
     d, cin, nf, k = 24, 1, 16, 3
     width = k ** 3 * (cin + nf)
+    w = np.zeros((k, k, k, cin + nf, 4 * nf))
     slab_rows = max(np.empty((1, d, d, d))[sel].size
-                    for sel in ad._slabs((1, d, d), d * width * 8))
+                    for sel in ad._cell_slabs((1, d, d), d, w))
     state_grad = d ** 3 * nf * 8
     accumulator = (d + 2) ** 3 * nf * 8
     slab = slab_rows * (width + 4 * nf + k ** 3 * nf) * 8

@@ -54,35 +54,44 @@ def corr3d_grad_w_per_offset(x, gy, k):
     return gw
 
 
-def corr3d_grad_w(xp, gy, k):
+def corr3d_grad_w(xp, gy, k, slabs=None):
     # The slab-order reference for the whole-tensor step in test_cell_slabs.
-    # Kernel gradient: im2col(x).T @ gy, summed over slabs, from the input
-    # already zero-padded by k // 2 (_pad), so a caller that keeps its padded
-    # input never pads it again.
+    # Kernel gradient: im2col(x).T @ gy, summed over slabs (by default the
+    # grid of im2col columns, _corr3d's), from the input already
+    # zero-padded by k // 2 (_pad), so a caller that keeps its padded input
+    # never pads it again.
     n, a, b, c, co = gy.shape
     ci = xp.shape[4]
     cols = ad._columns(xp, k)
     width = k ** 3 * ci
     gw = np.zeros((width, co))
-    for sel in ad._slabs((n, a, b), c * width * xp.itemsize):
+    if slabs is None:
+        slabs = ad._slabs((n, a, b), c * width * xp.itemsize)
+    for sel in slabs:
         gw += cols[sel].reshape(-1, width).T @ gy[sel].reshape(-1, co)
     return gw.reshape(k, k, k, ci, co)
 
 
-# Slab budgets, in y-rows of im2col columns of the input shape.  None keeps
-# the module default (the whole batch in one GEMM at these sizes).  1 and 2
-# cut single planes into rows (2 leaves a ragged last slab when b = 3);
-# "planes" makes slabs of 2, 2, 1 x-planes of a = 5; "items" groups two
-# whole items of n = 3, leaving one alone.
+# Slab budgets, in y-rows of the widest slab buffer (here im2col columns of
+# the input shape).  None keeps the module default (the whole batch in one
+# GEMM at these sizes).  1 and 2 cut single planes into rows (2 leaves a
+# ragged last slab when b = 3); "planes" makes slabs of 2, 2, 1 x-planes of
+# a = 5; "items" groups two whole items of n = 3, leaving one alone.
 BUDGETS = [None, 1, 2, "planes", "items"]
 
 
-def _set_budget(monkeypatch, budget, shape, k):
+def _set_budget(monkeypatch, budget, shape, row_bytes):
+    # row_bytes: one y-row of the slab grid's widest buffer
     if budget is None:
         return
-    _, a, b, c, ci = shape
+    _, a, b = shape[:3]
     rows = {"planes": 2 * b, "items": 2 * a * b}.get(budget, budget)
-    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * c * k ** 3 * ci * 8)
+    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * row_bytes)
+
+
+def _column_row_bytes(shape, k):
+    # one y-row of im2col columns of an input of this shape
+    return shape[3] * k ** 3 * shape[4] * 8
 
 
 # (shape, k, c_out): outputs wider and narrower than the input (c_out >=
@@ -107,7 +116,7 @@ def test_corr3d_matches_per_offset_loop(monkeypatch, shape, k, co, budget):
     r = np.random.default_rng((77, k, co, shape[4]))
     x = r.normal(size=shape)
     w = r.normal(size=(k, k, k, shape[4], co))
-    _set_budget(monkeypatch, budget, shape, k)
+    _set_budget(monkeypatch, budget, shape, _column_row_bytes(shape, k))
     got = ad._corr3d(ad._pad(x, k), w)
     assert got.shape == shape[:4] + (co,)
     np.testing.assert_allclose(got, corr3d_per_offset(x, w), rtol=0, atol=TOL)
@@ -123,7 +132,7 @@ def test_corr3d_grad_w_matches_per_offset_loop(monkeypatch, shape, k, co, budget
     r = np.random.default_rng((78, k, co, shape[4]))
     x = r.normal(size=shape)
     gy = r.normal(size=shape[:4] + (co,))
-    _set_budget(monkeypatch, budget, shape, k)
+    _set_budget(monkeypatch, budget, shape, _column_row_bytes(shape, k))
     want = corr3d_grad_w_per_offset(x, gy, k)
     for op, kernel_shape, oriented in (
             (ad.conv3d, (k, k, k, shape[4], co), want),

@@ -118,12 +118,14 @@ def _no_grad_peak(config, params, n):
 def test_no_grad_forward_peak_does_not_grow_with_the_batch():
     # encode holds one sample's full-resolution state at a time, and the
     # head runs at pooled resolution, so a second sample adds only its
-    # pooled-size tensors.
+    # pooled-size tensors: about 1.2 MiB at 40x48x40.  The growth is bounded
+    # directly, not as a share of the batch-1 peak, which shrinks as the
+    # encoder's slab buffers do.
     config = I2IModelConfig(dims=(40, 48, 40), lstm_filters=16, decoder_filters=32)
     params = init_model(config, seed=0)
     small = I2IModelConfig(dims=(4, 4, 4))
     _no_grad_peak(small, init_model(small, seed=0), 1)  # numpy's lazy set-up
     one = _no_grad_peak(config, params, 1)
     two = _no_grad_peak(config, params, 2)
-    assert two <= 1.1 * one, f"batch 2 peaks at {two:.1f} MiB, batch 1 at {one:.1f} MiB"
-    assert two <= 45.0, f"batch 2 peaks at {two:.1f} MiB"
+    assert two - one <= 1.45, f"batch 2 peaks at {two:.2f} MiB, batch 1 at {one:.2f} MiB"
+    assert two <= 14.0, f"batch 2 peaks at {two:.1f} MiB"

@@ -43,7 +43,7 @@ def old_cell_forward(x, h_prev, c_prev, w, bias, keep, h_out=None, c_out=None):
         h_out = np.empty((n, a, b, c, nf))
     if c_out is None:
         c_out = np.empty((n, a, b, c, nf))
-    slabs = list(ad._slabs((n, a, b), c * width * zp.itemsize))
+    slabs = ad._cell_slabs((n, a, b), c, w)
     if keep:
         act = np.empty((n, a, b, c, gates))
         tc = np.empty((n, a, b, c, nf))
@@ -83,7 +83,7 @@ def old_cell_backward(gh, gc, saved, c_prev, w, lo):
     adjoint = ad._Corr3dAdjoint(w[..., lo:, :], (n, a, b, c)) if lo < cz else None
     cols = ad._columns(zp, k)
     width = k ** 3 * cz
-    slabs = list(ad._slabs((n, a, b), c * width * zp.itemsize))
+    slabs = ad._cell_slabs((n, a, b), c, w)
     rows = max(tc[sel].size for sel in slabs) // nf
     buf = np.zeros((rows + 1, gates))
     gw = np.zeros((width, gates))
@@ -201,15 +201,17 @@ def test_model_is_bit_identical_to_the_previous_encode(monkeypatch, n, k, grad):
         assert np.array_equal(a, b)
 
 
-# Slab budgets, in y-rows of the first step's columns: the first step's h is
-# written into a strided view of the second step's padded input, so these
-# grids make those writes start and stop inside planes, with a ragged last
-# slab (3 rows of 6), and make the second step's slabs single y-rows.
+# Slab budgets, in y-rows of the first step's widest slab buffer (its
+# columns): the first step's h is written into a strided view of the second
+# step's padded input, so these grids make those writes start and stop
+# inside planes, with a ragged last slab (3 rows of 6), and make the second
+# step's slabs single y-rows.
 @pytest.mark.parametrize("rows", [1, 3, 12])
 @pytest.mark.parametrize("grad", [False, True])
 def test_small_slabs_are_bit_identical_to_the_previous_encode(monkeypatch, rows, grad):
     dims, cin, nf, k = (4, 6, 4), 2, 3, 3
-    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * dims[2] * k ** 3 * cin * 8)
+    w1 = _gate_params(k, cin, nf, 6)[0].data[..., :cin, :]
+    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * ad._cell_row_bytes(dims[2], w1))
     x0, x1 = _frames(dims, 2, 3, cin)
     w = np.random.default_rng(4).normal(size=(2,) + tuple(d // 2 for d in dims) + (nf,))
     results = []
@@ -234,7 +236,7 @@ def _padded_bytes(dims, k, channels):
 def test_no_grad_peak_grows_with_x_by_the_frame_and_the_output_only():
     # Under no_grad the two steps run chunk by chunk over x, in windows of
     # planes sized by the chunks.  At (10, 48, 40) and (40, 48, 40) both have
-    # the same chunks, 5 planes for the first step and 1 for the second, so
+    # the same chunks, 2 planes for the first step and 1 for the second, so
     # from one x to the other the peak may grow only by the first step's
     # padded frame and the pooled output.  The oracle holds the second
     # step's whole padded input and state.
@@ -242,7 +244,7 @@ def test_no_grad_peak_grows_with_x_by_the_frame_and_the_output_only():
     kernel, bias = _gate_params(k, cin, nf, 10)
     small, large = (10, 48, 40), (40, 48, 40)
     for dims in (small, large):
-        for part, span in ((kernel.data[..., :cin, :], 5), (kernel.data, 1)):
+        for part, span in ((kernel.data[..., :cin, :], 2), (kernel.data, 1)):
             assert {hi - lo for lo, hi in ad._x_chunks(*dims, part)} == {span}
 
     def peak(encode, dims):
@@ -279,15 +281,17 @@ def _count_cell_calls(monkeypatch, cin, name="_cell_forward"):
     return calls
 
 
-# Slab budgets in y-rows of the second step's columns, the x-chunk spans
-# (_x_chunks) they give the first and the second step, and the second
-# step's calls over the batch, one per chunk per sample.  Every case runs
-# windowed: its windows (both steps' longest chunks plus 3p) are shorter
-# than x.  They cover second-step slabs that are y-blocks within single
-# planes (2 and 3 rows of 6); multi-plane first-step chunks feeding
-# single-plane second-step chunks; second-step chunks of an odd span, so
-# that pool pairs straddle chunk borders, with a ragged last chunk (40
-# planes); windows that shift (30 planes); and batch 3.
+# Slab budgets in y-rows of the second step's widest slab buffer, the
+# x-chunk spans (_x_chunks) they give the first and the second step when the
+# columns are each step's widest buffer (k = 3 and 5; at k = 1 the 12 gate
+# channels are both steps' widest, so the first step runs the second's
+# spans), and the second step's calls over the batch, one per chunk per
+# sample.  Every case runs windowed: its windows (both steps' longest chunks
+# plus 3p) are shorter than x.  They cover second-step slabs that are
+# y-blocks within single planes (2 and 3 rows of 6); multi-plane first-step
+# chunks feeding single-plane second-step chunks; second-step chunks of an
+# odd span, so that pool pairs straddle chunk borders, with a ragged last
+# chunk (40 planes); windows that shift (30 planes); and batch 3.
 WINDOWED = [
     ((10, 6, 4), 2, 2, ({1}, {1}), 20),
     ((10, 6, 4), 2, 3, ({2}, {1}), 20),
@@ -302,11 +306,11 @@ WINDOWED = [
 
 def _windowed_grid(monkeypatch, dims, rows, spans, k, cin, nf):
     # Set the slab budget of a WINDOWED case and check its chunk spans.
-    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * dims[2] * k ** 3 * (cin + nf) * 8)
     kernel, bias = _gate_params(k, cin, nf, rows)
+    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * ad._cell_row_bytes(dims[2], kernel.data))
     got = tuple({hi - lo for lo, hi in ad._x_chunks(*dims, part)}
                 for part in (kernel.data[..., :cin, :], kernel.data))
-    assert got == spans
+    assert got == (spans if k > 1 else (spans[1], spans[1]))
     return kernel, bias
 
 
@@ -353,9 +357,9 @@ def test_encode_runs_each_step_once_per_sample_where_windows_cover_x(monkeypatch
                                                                      filters, n, grad):
     # At 16^3 with 2 or 4 filters the windows would span 31 and 26 planes,
     # so a no_grad encode runs each step on the whole volume, not in the
-    # second step's 2 or 3 chunks.  At 40x48x40 with 16 filters they span 9
+    # second step's 2 or 3 chunks.  At 40x48x40 with 16 filters they span 6
     # planes, so a training forward, the same pass, runs the wavefront's
-    # chunks: 8 of 5 planes for the first step and 40 of 1 for the second,
+    # chunks: 20 of 2 planes for the first step and 40 of 1 for the second,
     # per sample.
     cin = 1
     kernel, bias = _gate_params(3, cin, filters, 11)
@@ -366,7 +370,35 @@ def test_encode_runs_each_step_once_per_sample_where_windows_cover_x(monkeypatch
     else:
         with ad.no_grad():
             ad.encode(x0, x1, kernel, bias)
-    assert counts == ([8 * n, 40 * n] if dims[0] == 40 else [n, n])
+    assert counts == ([20 * n, 40 * n] if dims[0] == 40 else [n, n])
+
+
+def test_every_slab_buffer_of_an_encode_fits_the_budget(monkeypatch):
+    # A 40x48x40 encode at 16 filters, without and with gradients: every
+    # slab buffer its passes share (_Front.bufs: im2col columns, gates,
+    # tanh(c), c, and in the backward the gate gradient and a first-step
+    # chunk's h gradient) fits _SLAB_BYTES.  The first step's 27 columns are
+    # narrower than its 64 gate channels, so a grid sized by its columns
+    # alone made 5-plane slabs whose gate buffers held 4.69 MiB.
+    fronts = []
+
+    class Recorded(ad._Front):
+        def __init__(self, *args):
+            super().__init__(*args)
+            fronts.append(self)
+
+    monkeypatch.setattr(ad, "_Front", Recorded)
+    kernel, bias = _gate_params(3, 1, 16, 13)
+    x0, x1 = _frames((40, 48, 40), 1, 14)
+    with ad.no_grad():
+        ad.encode(x0, x1, kernel, bias)
+    ad.tensor_sum(ad.encode(x0, x1, kernel, bias)).backward()
+    assert len(fronts) == 3  # the no_grad pass, the forward and the backward
+    forward = {"rows", "gates", "ts", "c"}
+    for front, names in zip(fronts, [forward, forward, forward | {"d", "gh"}]):
+        assert set(front.bufs) == names
+        sizes = {name: buf.nbytes for name, buf in front.bufs.items()}
+        assert max(sizes.values()) <= ad._SLAB_BYTES, sizes
 
 
 def test_grad_forward_keeps_only_the_argmax():
@@ -447,7 +479,7 @@ def cell_backward(gh, gc, zp, c_prev, w, bias, lo):
 
 
 # The slab budgets of test_small_slabs_are_bit_identical_to_the_previous_encode,
-# in y-rows of the cell's own columns.
+# in y-rows of the cell's own widest slab buffer (its columns).
 @pytest.mark.parametrize("state", [False, True])
 @pytest.mark.parametrize("rows", [1, 3, 12])
 def test_cell_backward_recomputes_the_gates_bit_for_bit(monkeypatch, rows, state):
@@ -456,9 +488,8 @@ def test_cell_backward_recomputes_the_gates_bit_for_bit(monkeypatch, rows, state
     # Both run with and without c's gradient, and for the gradients of all
     # of zp's channels (lo = 0) or of h's only (lo = cin).
     dims, cin, nf, k = (4, 6, 4), 2, 3, 3
-    cz = cin + nf if state else cin
-    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * dims[2] * k ** 3 * cz * 8)
     zp, c_prev, w, bias, (gh, gc) = _cell_case(dims, cin, nf, k, state, rows)
+    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * ad._cell_row_bytes(dims[2], w))
     inner = zp[:, 1:-1, 1:-1, 1:-1]
     *_, saved = old_cell_forward(inner[..., :cin], inner[..., cin:] if state else None, c_prev,
                                  w, bias, True)
@@ -478,8 +509,8 @@ def test_state_step_tanh_c_recompute_matches_a_kept_tanh_c(monkeypatch, rows, wi
     # gradient the oracle takes None and the current backward a zero one,
     # as convlstm3d_step hands it.
     dims, cin, nf, k = (4, 6, 4), 2, 3, 3
-    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * dims[2] * k ** 3 * (cin + nf) * 8)
     zp, c_prev, w, bias, (gh, gc) = _cell_case(dims, cin, nf, k, True, rows)
+    monkeypatch.setattr(ad, "_SLAB_BYTES", rows * ad._cell_row_bytes(dims[2], w))
     x, h_prev = zp[:, 1:-1, 1:-1, 1:-1, :cin], zp[:, 1:-1, 1:-1, 1:-1, cin:]
     *_, saved = old_cell_forward(x, h_prev, c_prev, w, bias, True)
     want = old_cell_backward(gh if with_gh else None, gc, saved, c_prev, w, 0)
@@ -513,3 +544,21 @@ def test_training_step_peak_is_two_samples_kept_plus_one_backward(monkeypatch):
              for encode in (ad.encode, old_encode)]
     assert peaks[0] <= bound, f"peak {peaks[0]} B over the bound {bound} B"
     assert peaks[1] > bound, "the control no longer breaks the bound"
+
+
+def test_training_step_peak_at_40x48x40_fits_28_mib():
+    # One 40x48x40 batch-2 training step at 16/32 filters, its parameters,
+    # frames and target made before tracing.  With each ConvLSTM slab sized
+    # by its widest buffer it peaks at about 23 MiB; sized by its im2col
+    # columns alone, the first step's 5-plane slabs took it to 36.7 MiB.
+    dims = (40, 48, 40)
+    config = I2IModelConfig(dims=dims, lstm_filters=16, decoder_filters=32)
+    params = init_model(config, seed=5)
+    (x0, x1), y = _frames(dims, 2, 1), _frames(dims, 2, 2)[0]
+
+    def step():
+        pred = forward_batch(params, x0[..., 0], x1[..., 0], config, mode="train")
+        ad.mae_loss(pred, y).backward()
+
+    peak = traced(step)[2] / 2 ** 20
+    assert peak <= 28.0, f"a training step peaks at {peak:.1f} MiB"

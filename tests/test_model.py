@@ -1,6 +1,8 @@
 """Forecaster network: configuration, initialization, shapes, serialization,
 and an end-to-end gradient check on a miniature instance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from longipet.model import (
 )
 from longipet.volume_io import Volume3D
 
-from gradcheck import max_rel_err, numeric_gradient
+from gradcheck import max_rel_err, numeric_gradient, traced
 
 SMALL = I2IModelConfig(dims=(8, 8, 8), lstm_filters=2, decoder_filters=3)
 
@@ -254,6 +256,28 @@ def test_infer_is_per_sample_consistent():
             for i in range(4):
                 alone = forward_batch(ps, f0[i : i + 1], f1[i : i + 1], config, mode="infer")
                 np.testing.assert_array_equal(batch[i], alone.data[0])
+
+
+def test_no_grad_forward_frees_the_encoder_output_before_decode(monkeypatch):
+    # Under no_grad nothing but forward_batch refers to the encoder's pooled
+    # output, and batchnorm writes a new buffer; so when decode is entered,
+    # the memory held since the call began is batchnorm's output, one
+    # pooled-size tensor, not two.
+    config = I2IModelConfig(dims=(24, 24, 24), lstm_filters=16, decoder_filters=4)
+    ps = init_model(config, seed=0)
+    f0, f1 = _frames(1, config.dims, 3)
+    pooled = 12 ** 3 * 16 * 8
+    held, decode = [], ad.decode
+
+    def recorded(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return decode(*args)
+
+    monkeypatch.setattr(ad, "decode", recorded)
+    with ad.no_grad():
+        traced(lambda: forward_batch(ps, f0, f1, config, mode="train"))
+    assert len(held) == 1
+    assert pooled <= held[0] <= pooled + pooled // 2, f"{held[0]} B held entering decode"
 
 
 def test_forward_volume_wrapper():

@@ -534,6 +534,24 @@ def test_bonferroni():
         bonferroni(0.05, 2.5)
 
 
+@pytest.mark.parametrize("m", [True, False, np.True_, 2.0, "2"],
+                         ids=["True", "False", "numpy-bool", "float", "string"])
+def test_bonferroni_rejects_a_count_that_is_not_an_integer(m):
+    with pytest.raises(ParameterError):
+        bonferroni(0.05, m)
+
+
+@pytest.mark.parametrize("alpha", [True, np.nan, np.inf, 10 ** 400, "0.05"],
+                         ids=["bool", "nan", "inf", "huge-int", "string"])
+def test_bonferroni_rejects_an_alpha_that_is_not_a_finite_real_number(alpha):
+    with pytest.raises(ParameterError):
+        bonferroni(alpha, 2)
+
+
+def test_bonferroni_takes_numpy_numbers():
+    assert bonferroni(np.float32(0.5), np.int64(4)) == 0.125
+
+
 def test_result_container():
     res = StatTestResult("t", 1.0, 0.5, (3.0,), 4)
     assert (res.name, res.statistic, res.p_value, res.df, res.n) == ("t", 1.0, 0.5, (3.0,), 4)
