@@ -40,6 +40,7 @@ and odd cubic kernels.
 """
 
 import json
+import math
 import struct
 from collections import deque
 from contextlib import contextmanager
@@ -48,7 +49,7 @@ from pathlib import Path
 from typing import Dict, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import FormatError, ParameterError, ShapeError, StateError
 from .volume_io import atomic_open
@@ -394,8 +395,10 @@ def _columns(xp, k):
     # View of every k^3 patch of the padded input, laid out
     # (n, a, b, c, i, j, l, ci) so a slab reshapes to im2col rows whose
     # column order matches w.reshape(k^3 * ci, co).
-    win = sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))
-    return win.transpose(0, 1, 2, 3, 5, 6, 7, 4)
+    n, a, b, c, ci = xp.shape
+    s0, s1, s2, s3, s4 = xp.strides
+    return as_strided(xp, (n, a - k + 1, b - k + 1, c - k + 1, k, k, k, ci),
+                      (s0, s1, s2, s3, s1, s2, s3, s4), writeable=False)
 
 
 def _slabs(lead, row_bytes):
@@ -867,7 +870,7 @@ def _scratch(bufs, name, shape):
     # chunks and samples) share their slab buffers instead of allocating
     # them each time; a sample's allocations then stay small, and glibc
     # keeps its heap instead of trimming it and faulting it back in.
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     if bufs is None:
         return np.empty(shape)
     buf = bufs.get(name)

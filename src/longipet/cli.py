@@ -29,8 +29,10 @@ Exit codes:
 core, each with a one-thread OpenBLAS pool; its outputs equal a serial run
 with that BLAS thread count.  Every other command runs in one process.
 
-``preprocess``, ``augment``, ``forecast`` and ``evaluate`` hold one subject's
-volumes at a time, and each volume is written whole or not at all.
+``preprocess``, ``augment`` and ``forecast`` hold one subject's volumes at a
+time, and each volume is written whole or not at all.  ``evaluate`` holds one
+ground-truth scan and one prediction at a time, reads only the scans of
+predicted years, and frees the atlas once it has indexed its labels.
 ``forecast`` runs its leakage audit and checks and loads every model file
 before it reads a scan, so those failures write no volume.  A scan that
 cannot be read (exit 3, for example one with non-finite voxels) stops a
@@ -317,20 +319,17 @@ def _cmd_evaluate(args) -> Written:
         raise ParameterError("--roi requires --atlas")
     manifest = load_manifest(args.manifest)
     forecasts = _load_predictions(Path(args.predictions))
-    # Only the ground truth of predicted years is read, one subject at a time.
-    wanted: Dict[str, set] = {}
-    for by_subject in forecasts.values():
-        for sid, by_year in by_subject.items():
-            wanted.setdefault(sid, set()).update(by_year)
-    records = (
-        manifest.load_record(sid, years=wanted[sid])
-        for sid in manifest.subject_ids
-        if sid in wanted
+    # evaluate_forecasts reads the ground truth of predicted years only, one
+    # scan at a time, from the entries of subjects with predictions.
+    predicted = {sid for by_subject in forecasts.values() for sid in by_subject}
+    entries = [e for e in manifest.entries if e.subject_id in predicted]
+    # No reference to the atlas is kept here, so it is freed once indexed.
+    report = evaluate_forecasts(
+        entries, forecasts,
+        atlas=read_volume(args.atlas) if args.atlas else None,
+        roi=load_roi(args.roi) if args.roi else None,
+        mask=read_volume(args.mask) if args.mask else None,
     )
-    atlas = read_volume(args.atlas) if args.atlas else None
-    roi = load_roi(args.roi) if args.roi else None
-    mask = read_volume(args.mask) if args.mask else None
-    report = evaluate_forecasts(records, forecasts, atlas=atlas, roi=roi, mask=mask)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(report.rows, out)

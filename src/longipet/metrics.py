@@ -69,7 +69,13 @@ def ssim3d(a: Volume3D, b: Volume3D, dynamic_range: Optional[float] = None) -> f
 
 class _Ssim:
     """SSIM of volume pairs of one size: the interior band matrices and every
-    buffer of the computation, allocated once and overwritten by each pair."""
+    buffer of the computation, allocated once and overwritten by each pair.
+
+    The buffers are one full-size map (the voxelwise products), the two
+    filter passes' scratch ``z_pass`` and ``y_pass``, and four interior maps
+    (the two means, ``E[a^2 + b^2]`` and ``E[ab]``).  ``b^2`` is added to
+    ``a^2`` one x-plane at a time in ``z_pass``, and the SSIM map is built in
+    ``z_pass`` once the filtering is done, so no other buffer is needed."""
 
     def __init__(self, dims: Tuple[int, int, int]):
         if min(dims) < SSIM_WINDOW:
@@ -82,9 +88,9 @@ class _Ssim:
         self.dims = dims
         self.bx, self.by, self.bz = (_band(n, w)[r : n - r] for n in dims)
         (nx, ny, _), (mx, my, mz) = dims, (n - 2 * r for n in dims)
-        self.prod, self.tmp = np.empty(dims), np.empty(dims)
+        self.prod = np.empty(dims)
         self.z_pass, self.y_pass = np.empty((nx * ny, mz)), np.empty((nx, my, mz))
-        self.maps = np.empty((5, mx, my, mz))
+        self.maps = np.empty((4, mx, my, mz))
 
     def _filter(self, x: np.ndarray, out: np.ndarray) -> None:
         # preprocess._filter3 on one map, GEMM for GEMM, into ``out``.
@@ -110,13 +116,19 @@ class _Ssim:
             )
         c1 = (SSIM_K1 * dynamic_range) ** 2
         c2 = (SSIM_K2 * dynamic_range) ** 2
-        mu_a, mu_b, e_sq, e_ab, t = self.maps
+        mu_a, mu_b, e_sq, e_ab = self.maps
         self._filter(da, mu_a)
         self._filter(db, mu_b)
+        # a^2 + b^2, with b^2 taken one x-plane at a time into filter scratch.
         np.multiply(da, da, out=self.prod)
-        np.add(self.prod, np.multiply(db, db, out=self.tmp), out=self.prod)
+        plane = self.z_pass.reshape(-1)[: db[0].size].reshape(db[0].shape)
+        for p, b in zip(self.prod, db):
+            np.add(p, np.multiply(b, b, out=plane), out=p)
         self._filter(self.prod, e_sq)
         self._filter(np.multiply(da, db, out=self.prod), e_ab)
+        # The filtering is done, so z_pass, which is larger than an interior
+        # map, holds the SSIM map.
+        t = self.z_pass.reshape(-1)[: mu_a.size].reshape(mu_a.shape)
         # Symmetric in a and b, so _Ssim(a, b) == _Ssim(b, a) exactly and
         # _Ssim(a, a) == 1.  The map is
         # ((2 mu_ab + c1) (2 (e_ab - mu_ab) + c2)) / ((mu_sq + c1) (e_sq - mu_sq + c2))

@@ -125,13 +125,15 @@ def _base_volume(config: PhantomConfig, rng: np.random.Generator,
                  brain: np.ndarray) -> np.ndarray:
     dims = config.dims
     field_arr = np.full(dims, BACKGROUND_VALUE, dtype=np.float64)
-    grids = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in dims], indexing="ij")
+    # Each axis's coordinates, shaped to broadcast against the other two.
+    axes = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in dims], indexing="ij",
+                       sparse=True)
     m = float(config.margin)
     for _ in range(config.n_blobs):
         center = [rng.uniform(m, d - 1 - m) for d in dims]
         sigma = rng.uniform(1.5, 3.0)
         amp = rng.uniform(-config.blob_amplitude, config.blob_amplitude)
-        r2 = sum((g - c) ** 2 for g, c in zip(grids, center))
+        r2 = sum((g - c) ** 2 for g, c in zip(axes, center))
         field_arr += amp * np.exp(-r2 / (2.0 * sigma * sigma))
     return field_arr * brain
 
@@ -182,7 +184,10 @@ def generate_cohort(config: PhantomConfig) -> PhantomCohort:
             vol = base - _decline(group, year, config) * roi_mask
             if config.noise_sigma > 0:
                 noise_rng = _stream(config.seed, "noise", subj_index, year)
-                vol = vol + config.noise_sigma * noise_rng.standard_normal(dims) * brain
+                noise = noise_rng.standard_normal(dims)
+                noise *= config.noise_sigma
+                noise *= brain
+                vol += noise
             scans[int(year)] = Volume3D(vol, affine.copy())
         records.append(SubjectRecord(subject_id=sid, group=group, scans=scans))
 

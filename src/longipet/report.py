@@ -45,7 +45,14 @@ from .stats import (
     WILCOXON_METHODS,
     wilcoxon_signed_rank,
 )
-from .volume_io import SubjectRecord, Volume3D, atomic_open, read_volume, write_text
+from .volume_io import (
+    ManifestEntry,
+    SubjectRecord,
+    Volume3D,
+    atomic_open,
+    read_volume,
+    write_text,
+)
 
 CSV_FIXED_COLUMNS = (
     "subject_id",
@@ -79,7 +86,7 @@ class EvalReport:
 
 
 def evaluate_forecasts(
-    records: Iterable[SubjectRecord],
+    records: Iterable[Union[SubjectRecord, ManifestEntry]],
     forecasts: Dict[str, Dict[str, Dict[int, Union[Volume3D, str, Path]]]],
     atlas: Optional[Volume3D] = None,
     roi: Optional[RoiDefinition] = None,
@@ -89,17 +96,24 @@ def evaluate_forecasts(
 
     ``records`` may be any iterable, such as a generator that reads one
     subject at a time; it is read once, and its subject ids must be
-    distinct.  A prediction is a ``Volume3D`` or the path of one, read only
-    when its row is scored.  Subjects are scored one at a time, so only one
-    record and one prediction are held.  Predictions without a matching
-    ground-truth scan are listed in ``gaps`` instead of being scored.
-    Regional and ROI columns appear only when an atlas (and ROI) are
-    supplied.  Rows and gaps come in predictor, then subject, then year
-    order, whatever the order of ``records``.  The atlas labels, the ROI
-    mask and the SSIM buffers are built once per call.
+    distinct.  A record is a ``SubjectRecord`` or a ``ManifestEntry``, whose
+    ground-truth scans are read from its ``scan_paths`` one year at a time,
+    only for years with a prediction.  A prediction is a ``Volume3D`` or the
+    path of one, read only when its row is scored.  Each subject is released
+    before the next is read and each year before the next is scored, so
+    beside the fixed buffers one record, one truth scan, one prediction and
+    one error map are held.  Predictions without a matching ground-truth scan
+    are listed in ``gaps`` instead of being scored.  Regional and ROI columns
+    appear only when an atlas (and ROI) are supplied.  Rows and gaps come in
+    predictor, then subject, then year order, whatever the order of
+    ``records``.  The atlas labels, the ROI mask and the SSIM buffers are
+    built once per call, and the atlas is released once they are.
     """
     index = AtlasIndex(atlas) if atlas is not None else None
     roi_sel = roi.mask(atlas) if atlas is not None and roi is not None else None
+    # Indexed: freed now unless the caller holds it (since CPython 3.11 a call's
+    # arguments are handed over to the callee, not held by the caller's frame).
+    del atlas
     ssim = None
     rows: List[EvalRow] = []
     gaps: List[Tuple[str, str, int, str]] = []  # (predictor, subject, year, text)
@@ -109,18 +123,26 @@ def evaluate_forecasts(
         if sid in seen:
             raise InputError(f"subject {sid!r} has more than one record")
         seen.add(sid)
+        by_year: Dict[int, Dict[str, Union[Volume3D, str, Path]]] = {}
         for predictor, by_subject in forecasts.items():
             for year, pred in by_subject.get(sid, {}).items():
-                if year not in rec.scans:
-                    gaps.append((predictor, sid, year, f"{predictor}: subject {sid} year "
-                                 f"{year} has no ground-truth scan"))
-                    continue
+                by_year.setdefault(year, {})[predictor] = pred
+        truth_years = set(rec.years)
+        for year, by_predictor in by_year.items():
+            if year not in truth_years:
+                gaps += [(predictor, sid, year, f"{predictor}: subject {sid} year "
+                          f"{year} has no ground-truth scan") for predictor in by_predictor]
+                continue
+            if isinstance(rec, ManifestEntry):
+                true = read_volume(rec.scan_paths[year])
+            else:
+                true = rec.scans[year]
+            for predictor, pred in by_predictor.items():
                 if not isinstance(pred, Volume3D):
                     pred = read_volume(pred)
-                true = rec.scans[year]
                 # One |pred - true| map serves the MAE and the regional means.
-                da, dt = _as_pair(pred, true)
-                err = np.abs(da - dt)
+                err = np.subtract(*_as_pair(pred, true))
+                np.abs(err, out=err)
                 if ssim is None or ssim.dims != true.dims:
                     ssim = _Ssim(true.dims)
                 # Also checks the atlas's dims, before any ROI mean is taken.
@@ -142,6 +164,9 @@ def evaluate_forecasts(
                         regional=regional,
                     )
                 )
+                del pred, err
+            del true
+        del rec
     for predictor, by_subject in forecasts.items():
         gaps += [(predictor, sid, -1, f"{predictor}: subject {sid} has predictions but no record")
                  for sid in by_subject if sid not in seen]

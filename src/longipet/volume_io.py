@@ -91,10 +91,6 @@ class Volume3D:
     def dims(self) -> Tuple[int, int, int]:
         return self.data.shape
 
-    def flat(self) -> np.ndarray:
-        """Values in x-fastest linear order."""
-        return self.data.ravel(order="F")
-
 
 @dataclass
 class SubjectRecord:
@@ -285,7 +281,8 @@ def _write_nifti(vol: Volume3D, path: Path) -> None:
     struct.pack_into("4s", hdr, 344, b"n+1\x00")
     with atomic_open(path) as fh:
         fh.write(hdr)
-        fh.write(vol.flat().astype("<f4"))
+        # x-fastest order is C order of the transpose: one casting copy.
+        fh.write(np.asarray(vol.data.T, dtype="<f4", order="C"))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,12 @@ whole map, then cut to the interior), and regional MAE by one mask per label.
 The GEMMs sum in another order, so values are compared with a tolerance.
 
 ``stacked_ssim3d`` is the banded-GEMM SSIM before ``metrics._Ssim``: its four
-maps stacked into one array and filtered together.  ``_Ssim`` runs the same
-GEMMs and ufuncs one map at a time in reused buffers, so it must be equal.
+maps stacked into one array and filtered together.  ``plain_ssim3d`` filters
+them one at a time, each into a fresh array.  ``_Ssim`` runs the same GEMMs
+and ufuncs one map at a time in reused buffers, so it must equal both.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +75,24 @@ def stacked_ssim3d(da, db, dynamic_range=None):
     bands = [_band(n, w)[r : n - r] for n in da.shape]
     stack = np.stack([da, db, da * da + db * db, da * db])
     mu_a, mu_b, e_sq, e_ab = _filter3(stack, *bands)
+    mu_ab = mu_a * mu_b
+    mu_sq = mu_a * mu_a + mu_b * mu_b
+    ssim_map = ((2 * mu_ab + c1) * (2 * (e_ab - mu_ab) + c2)) / (
+        (mu_sq + c1) * (e_sq - mu_sq + c2)
+    )
+    return float(ssim_map.mean())
+
+
+def plain_ssim3d(da, db, dynamic_range=None):
+    # Five whole maps, each a fresh array: the means, E[a^2 + b^2] and E[ab],
+    # each filtered alone, and the SSIM map.
+    if dynamic_range is None:
+        dynamic_range = float(max(da.max(), db.max()) - min(da.min(), db.min()))
+    c1 = (SSIM_K1 * dynamic_range) ** 2
+    c2 = (SSIM_K2 * dynamic_range) ** 2
+    w, r = _ssim_window(), SSIM_WINDOW // 2
+    bands = [_band(n, w)[r : n - r] for n in da.shape]
+    mu_a, mu_b, e_sq, e_ab = (_filter3(x, *bands) for x in (da, db, da * da + db * db, da * db))
     mu_ab = mu_a * mu_b
     mu_sq = mu_a * mu_a + mu_b * mu_b
     ssim_map = ((2 * mu_ab + c1) * (2 * (e_ab - mu_ab) + c2)) / (
@@ -152,9 +173,32 @@ def test_ssim_symmetric_and_self_similar_exactly(dims):
 def test_ssim_equals_stacked_oracle_exactly(dims):
     da, db = _pair(dims, sum(dims))
     a, b = Volume3D(da), Volume3D(db)
-    assert ssim3d(a, b) == stacked_ssim3d(da, db)
-    assert ssim3d(a, b, dynamic_range=3.0) == stacked_ssim3d(da, db, 3.0)
+    assert ssim3d(a, b) == stacked_ssim3d(da, db) == plain_ssim3d(da, db)
+    assert (ssim3d(a, b, dynamic_range=3.0) == stacked_ssim3d(da, db, 3.0)
+            == plain_ssim3d(da, db, 3.0))
     assert ssim3d(b, a) == ssim3d(a, b)
+
+
+@pytest.mark.parametrize("dims", [(13, 17, 19), (80, 96, 80)])
+def test_ssim_buffers_are_one_full_map_four_interior_maps_and_the_filter_scratch(dims):
+    (nx, ny, nz), (mx, my, mz) = dims, (n - SSIM_WINDOW + 1 for n in dims)
+    ssim = _Ssim(dims)
+    buffers = [v for name, v in vars(ssim).items()
+               if isinstance(v, np.ndarray) and name not in ("bx", "by", "bz")]
+    assert sum(b.nbytes for b in buffers) == 8 * (
+        nx * ny * nz + 4 * mx * my * mz + nx * ny * mz + nx * my * mz
+    )
+    # A call allocates no other buffer, not even one x-plane.
+    da, db = _pair(dims, 3)
+    a, b = Volume3D(da), Volume3D(db)
+    want = ssim(a, b)
+    tracemalloc.start()
+    try:
+        assert ssim(a, b) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < min(8 * ny * nz, 16 * 1024)
 
 
 def test_reused_ssim_buffers_score_each_pair_alone():

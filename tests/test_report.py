@@ -1,5 +1,8 @@
 """Forecast scoring tables, CSV round trips, summaries, and the SVG report."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,13 @@ from longipet.report import (
     write_report_svg,
     write_stats_csv,
 )
-from longipet.volume_io import SubjectRecord, Volume3D, read_volume, write_volume
+from longipet.volume_io import (
+    ManifestEntry,
+    SubjectRecord,
+    Volume3D,
+    read_volume,
+    write_volume,
+)
 
 DIMS = (12, 12, 12)
 
@@ -154,6 +163,92 @@ def test_a_subject_with_two_records_is_refused():
     records = _records()
     with pytest.raises(InputError, match="MCI_000"):
         evaluate_forecasts(records + records[1:2], _forecasts(records))
+
+
+def _on_disk(tmp_path, records, forecasts):
+    # The records as manifest entries and the predictions as paths.
+    entries = [
+        ManifestEntry(r.subject_id, r.group, {
+            y: write_volume(v, tmp_path / f"{r.subject_id}_y{y}.vol") for y, v in r.scans.items()
+        })
+        for r in records
+    ]
+    paths = {
+        predictor: {
+            sid: {y: write_volume(v, tmp_path / f"{sid}__{predictor}__y{y}.vol")
+                  for y, v in by_year.items()}
+            for sid, by_year in by_subject.items()
+        }
+        for predictor, by_subject in forecasts.items()
+    }
+    return entries, paths
+
+
+def test_manifest_entries_read_each_predicted_truth_scan_once(tmp_path, monkeypatch):
+    records = _records()
+    forecasts = _forecasts(records, years=(2, 5))  # year 5 has no ground truth
+    forecasts["linear"]["GHOST"] = {2: _vol(0)}
+    entries, paths = _on_disk(tmp_path, records, forecasts)
+    loaded = [SubjectRecord(e.subject_id, e.group,
+                            {y: read_volume(p) for y, p in e.scan_paths.items()})
+              for e in entries]
+    kwargs = dict(atlas=_atlas(), roi=RoiDefinition("half", (2,)))
+    want = evaluate_forecasts(loaded, paths, **kwargs)
+    reads = []
+    monkeypatch.setattr(report, "read_volume", lambda p: reads.append(p) or read_volume(p))
+    got = evaluate_forecasts(iter(entries), paths, **kwargs)
+    assert got.rows == want.rows and got.gaps == want.gaps
+    assert len(got.rows) == 6 and len(got.gaps) == 7
+    # Years 0 and 1 are never read, and year 2 once for both predictors.
+    assert sorted(reads) == sorted(
+        [e.scan_paths[2] for e in entries]
+        + [paths[r.predictor][r.subject_id][r.year] for r in got.rows]
+    )
+
+
+def _traced_peak(fn):
+    fn()  # first call: imports and caches
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_peak_does_not_grow_with_subjects_or_years(tmp_path):
+    # Beside its fixed buffers evaluate holds one truth scan, one prediction
+    # and one error map, so 3 subjects x 3 years peak as 1 subject x 1 year.
+    dims, years = (32, 32, 32), (2, 3, 4)
+    records = [
+        SubjectRecord(f"CN_{i:03d}", "CN", {y: Volume3D(np.random.default_rng(10 * i + y).uniform(
+            0.5, 1.5, size=dims)) for y in range(5)})
+        for i in range(3)
+    ]
+    forecasts = {"linear": {r.subject_id: {y: Volume3D(r.scans[y].data + 0.01) for y in years}
+                            for r in records}}
+    entries, paths = _on_disk(tmp_path, records, forecasts)
+    del records, forecasts
+    one = {"linear": {entries[0].subject_id: {2: paths["linear"][entries[0].subject_id][2]}}}
+    small = _traced_peak(lambda: evaluate_forecasts(entries[:1], one))
+    large = _traced_peak(lambda: evaluate_forecasts(entries, paths))
+    assert large <= 1.01 * small, (small, large)
+
+
+def test_the_atlas_is_released_once_indexed():
+    records = _records()
+    atlas = [_atlas()]
+    ref = weakref.ref(atlas[0])
+    released = []
+
+    def one_pass():
+        released.append(ref() is None)
+        yield from records
+
+    rep = evaluate_forecasts(one_pass(), _forecasts(records), atlas=atlas.pop(),
+                             roi=RoiDefinition("half", (2,)))
+    assert released == [True]
+    assert all(sorted(r.regional) == [1, 2] for r in rep.rows)
 
 
 # ---------------------------------------------------------------------------

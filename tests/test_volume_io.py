@@ -51,7 +51,7 @@ def test_flat_order_is_x_fastest():
     assert vol.data[1, 0, 0] == 1.0
     assert vol.data[0, 1, 0] == 2.0
     assert vol.data[0, 0, 1] == 6.0
-    np.testing.assert_array_equal(vol.flat(), np.arange(24.0))
+    np.testing.assert_array_equal(vol.data.ravel(order="F"), np.arange(24.0))
 
 
 def test_volume_rejects_non_finite():
@@ -110,7 +110,7 @@ def test_vol_roundtrip_keeps_float32_bits(tmp_path):
     p = write_volume(_x_fastest((2, 2, 2), vals), tmp_path / "v.vol")
     payload = np.frombuffer(p.read_bytes()[352:], dtype="<f4")
     np.testing.assert_array_equal(payload.view("<u4"), vals.view("<u4"))
-    back = read_volume(p).flat().astype(np.float32)
+    back = read_volume(p).data.ravel(order="F").astype(np.float32)
     np.testing.assert_array_equal(back.view(np.uint32), vals.view(np.uint32))
 
 
@@ -208,7 +208,7 @@ def test_nifti_little_endian_float32(tmp_path):
     p.write_bytes(blob)
     vol = read_volume(p)
     assert vol.dims == (3, 2, 2)
-    np.testing.assert_array_equal(vol.flat(), vals.astype(np.float64))
+    np.testing.assert_array_equal(vol.data.ravel(order="F"), vals.astype(np.float64))
     expected_affine = np.array(
         [[2, 0, 0, 10], [0, 2, 0, 20], [0, 0, 2, 30], [0, 0, 0, 1]], dtype=np.float64
     )
@@ -222,9 +222,9 @@ def test_nifti_big_endian_int16_with_scaling(tmp_path):
     p.write_bytes(blob)
     vol = read_volume(p)
     # scl_slope 3, scl_inter 1: stored 2 reads back as 3*2+1 = 7
-    assert vol.flat()[0] == 7.0
+    assert vol.data.ravel(order="F")[0] == 7.0
     np.testing.assert_array_equal(
-        vol.flat(), vals.astype(np.float64) * 3.0 + 1.0
+        vol.data.ravel(order="F"), vals.astype(np.float64) * 3.0 + 1.0
     )
 
 
@@ -233,7 +233,7 @@ def test_nifti_float64_payload(tmp_path):
     blob = build_nifti((2, 2, 2), 64, vals.astype("<f8").tobytes())
     p = tmp_path / "c.nii"
     p.write_bytes(blob)
-    np.testing.assert_array_equal(read_volume(p).flat(), vals)
+    np.testing.assert_array_equal(read_volume(p).data.ravel(order="F"), vals)
 
 
 def test_nifti_slope_zero_means_unscaled(tmp_path):
@@ -241,7 +241,7 @@ def test_nifti_slope_zero_means_unscaled(tmp_path):
     blob = build_nifti((2, 2, 1), 16, vals.tobytes(), scl=(0.0, 9.0))
     p = tmp_path / "d.nii"
     p.write_bytes(blob)
-    np.testing.assert_array_equal(read_volume(p).flat(), vals.astype(np.float64))
+    np.testing.assert_array_equal(read_volume(p).data.ravel(order="F"), vals.astype(np.float64))
 
 
 def test_nifti_no_sform_uses_pixdim(tmp_path):
