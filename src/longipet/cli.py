@@ -30,9 +30,11 @@ core, each with a one-thread OpenBLAS pool; its outputs equal a serial run
 with that BLAS thread count.  Every other command runs in one process.
 
 ``preprocess``, ``augment`` and ``forecast`` hold one subject's volumes at a
-time, and each volume is written whole or not at all.  ``evaluate`` holds one
+time, and each volume is written whole or not at all.  ``forecast`` writes
+each year as soon as it is predicted and, with one predictor, holds only the
+two volumes a step reads beside its output.  ``evaluate`` holds one
 ground-truth scan and one prediction at a time, reads only the scans of
-predicted years, and frees the atlas once it has indexed its labels.
+predicted years, and frees the atlas and the mask once it has indexed them.
 ``forecast`` runs its leakage audit and checks and loads every model file
 before it reads a scan, so those failures write no volume.  A scan that
 cannot be read (exit 3, for example one with non-finite voxels) stops a
@@ -284,10 +286,16 @@ def _cmd_forecast(args) -> Written:
     written = 0
     for sid in ids:
         record = manifest.load_record(sid, years=(0, 1))
-        for predictor, forecast in forecasters.items():
-            for year, vol in forecast(record).items():
+        # Each iterator holds the two scans it starts from, so once every
+        # predictor has one the record goes, and a chain frees each volume
+        # it no longer needs; each year is written as soon as it is predicted.
+        chains = [(predictor, forecast(record)) for predictor, forecast in forecasters.items()]
+        del record
+        for predictor, years in chains:
+            for year, vol in years:
                 write_volume(vol, out_dir / "volumes" / f"{sid}__{predictor}__y{year}.vol")
                 written += 1
+                del vol  # not alive while the next subject is read
     print(
         f"forecast {len(ids)} subjects x {len(predictors)} predictor(s) "
         f"to year {args.to_year}; wrote {written} volumes to {out_dir}"

@@ -2,7 +2,10 @@
 
 Year 2 is predicted from the observed year-0 and year-1 scans; year 3 from
 the observed year 1 and the predicted year 2; every later year from the two
-preceding predictions.  For the learned predictor, each subject must be
+preceding predictions.  ``forecast_years`` yields the years one at a time,
+each computed when it is drawn, so a caller can write each year before the
+next is predicted; ``forecast_recursive`` and ``forecast_cohort`` collect
+them into dicts.  For the learned predictor, each subject must be
 routed to the cross-validation round in which it was a test subject, so the
 model weights never saw that subject during training or validation.  The
 audit verifies exactly that and refuses to predict when it fails.
@@ -10,7 +13,7 @@ audit verifies exactly that and refuses to predict when it fails.
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import InputError, ParameterError, PlanError
 from .linear import predict_linear
@@ -125,19 +128,22 @@ def _load_model(path):
     return load_model(path)
 
 
-def forecast_recursive(
+def forecast_years(
     record: SubjectRecord,
     entry: PlanEntry,
     to_year: int,
     models: Optional[Dict[str, tuple]] = None,
     clamp_nonnegative: bool = False,
-) -> Dict[int, Volume3D]:
-    """Predict years 2..to_year for one subject.
+) -> Iterator[Tuple[int, Volume3D]]:
+    """Check one subject's forecast and return an iterator over its
+    ``(year, Volume3D)`` predictions for years 2..to_year, each computed
+    when it is drawn.
 
-    Requires observed year-0 and year-1 scans.  ``models`` maps a model path
-    to its loaded (params, config); a learned-predictor model not in it is
-    read from disk.  Only inference-mode forward passes are used; no
-    parameter ever updates here.
+    The checks of ``forecast_recursive`` raise here, before the iterator
+    exists.  The iterator holds the year-0 and year-1 scans, not
+    ``record``, and drops each scan once the two years after it are
+    predicted; so a caller that drops the record and writes each year as it
+    is drawn holds three volumes, not the whole forecast.
     """
     if to_year < 2:
         raise ParameterError(f"to_year must be >= 2, got {to_year}")
@@ -157,22 +163,42 @@ def forecast_recursive(
         def step(a: Volume3D, b: Volume3D) -> Volume3D:
             return predict_linear(a, b, clamp_nonnegative=clamp_nonnegative)
 
-    out: Dict[int, Volume3D] = {}
-    prev2, prev1 = record.scans[0], record.scans[1]
+    return _chain(step, record.scans[0], record.scans[1], to_year)
+
+
+def _chain(step, prev2: Volume3D, prev1: Volume3D,
+           to_year: int) -> Iterator[Tuple[int, Volume3D]]:
     for year in range(2, to_year + 1):
-        pred = step(prev2, prev1)
-        out[year] = pred
-        prev2, prev1 = prev1, pred
-    return out
+        prev2, prev1 = prev1, step(prev2, prev1)
+        yield year, prev1
+
+
+def forecast_recursive(
+    record: SubjectRecord,
+    entry: PlanEntry,
+    to_year: int,
+    models: Optional[Dict[str, tuple]] = None,
+    clamp_nonnegative: bool = False,
+) -> Dict[int, Volume3D]:
+    """Predict years 2..to_year for one subject.
+
+    Requires observed year-0 and year-1 scans.  ``models`` maps a model path
+    to its loaded (params, config); a learned-predictor model not in it is
+    read from disk.  Only inference-mode forward passes are used; no
+    parameter ever updates here.  ``forecast_years`` gives the same
+    predictions one year at a time.
+    """
+    return dict(forecast_years(record, entry, to_year, models, clamp_nonnegative))
 
 
 def checked_forecaster(
     plan: ForecastPlan,
     folds: Optional[FoldAssignment] = None,
     clamp_nonnegative: bool = False,
-) -> Callable[[SubjectRecord], Dict[int, Volume3D]]:
-    """Check ``plan`` and return a function that forecasts one planned
-    subject's record to ``{year: Volume3D}``.
+) -> Callable[[SubjectRecord], Iterator[Tuple[int, Volume3D]]]:
+    """Check ``plan`` and return a function that checks one planned
+    subject's record and returns ``forecast_years``'s iterator over its
+    ``(year, Volume3D)`` predictions.
 
     The checks run here, before any record is read: the mandatory leakage
     audit, then every model file the plan names is checked to exist and is
@@ -198,9 +224,9 @@ def checked_forecaster(
             raise PlanError(f"model file {path} does not exist")
     models = {path: load_model(path) for path in paths}
 
-    def forecast(record: SubjectRecord) -> Dict[int, Volume3D]:
-        return forecast_recursive(record, plan.entries[record.subject_id], plan.to_year,
-                                  models, clamp_nonnegative=clamp_nonnegative)
+    def forecast(record: SubjectRecord) -> Iterator[Tuple[int, Volume3D]]:
+        return forecast_years(record, plan.entries[record.subject_id], plan.to_year,
+                              models, clamp_nonnegative=clamp_nonnegative)
 
     return forecast
 
@@ -220,7 +246,7 @@ def forecast_cohort(
     of subjects the plan does not name are skipped.
     """
     forecast = checked_forecaster(plan, folds, clamp_nonnegative)
-    return {r.subject_id: forecast(r) for r in records if r.subject_id in plan.entries}
+    return {r.subject_id: dict(forecast(r)) for r in records if r.subject_id in plan.entries}
 
 
 def save_plan(plan: ForecastPlan, path) -> Path:

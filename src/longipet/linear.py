@@ -21,7 +21,9 @@ def predict_linear(prev2: Volume3D, prev1: Volume3D, clamp_nonnegative: bool = F
     (``prev1``)."""
     if prev2.dims != prev1.dims:
         raise ShapeError(f"input dims differ: {prev2.dims} vs {prev1.dims}")
-    data = 2.0 * prev1.data - prev2.data
+    # In one output buffer: no full-size temporary beside it.
+    data = np.multiply(prev1.data, 2.0)
+    data -= prev2.data
     if clamp_nonnegative:
-        data = np.maximum(data, 0.0)
+        np.maximum(data, 0.0, out=data)
     return Volume3D(data, prev1.affine.copy())

@@ -7,16 +7,30 @@ the two volumes unless given; the mean is taken over the interior map where
 the window fits entirely.  Only that interior is computed: four maps (the
 two means, ``E[a^2 + b^2]`` and ``E[ab]``; the formula needs the variances
 only as their sum) are filtered one at a time by banded GEMMs whose rows are
-the interior positions.  ``_Ssim`` holds the band matrices and buffers of one
-volume size, so a caller scoring many pairs allocates them once.
+the interior positions.  The z and y passes run one x-plane at a time, so
+the products ``a^2 + b^2`` and ``ab`` are formed one plane at a time too,
+and three interior maps hold the four filtered maps and the SSIM map.
+``_Ssim`` holds the band matrices and buffers of one volume size, so a
+caller scoring many pairs allocates them once.
 
-Per-label means index the rounded atlas labels once (``AtlasIndex``); each
-volume pair then costs one ``np.bincount``.
+The per-plane z pass is one GEMM per x-plane where one GEMM over the whole
+volume ran before; with OpenBLAS 0.3.31 both give the same bits at every
+size the exactness tests and the benchmark use (12^3 to 80x96x80), but not
+when y is 11, where the last bit of some z-pass values moves.  Over 200 random
+pairs the SSIM moved in 5 at 11^3, by at most 7.8e-16 (7 units in the last
+place; the interior is one voxel), and in 66 at 30x11x64, by at most
+2.2e-16.
+
+Per-label means index the rounded atlas labels once (``AtlasIndex``), one
+x-plane at a time, in the smallest unsigned integer type that numbers the
+labels; each volume pair then costs one ``np.add.at``, which sums each label
+in voxel order as ``np.bincount`` did.  ``RoiDefinition.mask`` also rounds
+the atlas one x-plane at a time.
 """
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -39,18 +53,25 @@ def _as_pair(a: Volume3D, b: Volume3D) -> Tuple[np.ndarray, np.ndarray]:
 def mae(a: Volume3D, b: Volume3D, mask: Optional[Volume3D] = None) -> float:
     """Mean absolute error, optionally restricted to a nonempty mask."""
     da, db = _as_pair(a, b)
-    return _mean_error(np.abs(da - db), mask)
+    return _mean_error(np.abs(da - db), None if mask is None else _mask_selection(mask))
 
 
-def _mean_error(err: np.ndarray, mask: Optional[Volume3D] = None) -> float:
-    """Mean of the absolute-error map ``err``, optionally over a nonempty mask."""
-    if mask is None:
-        return float(np.mean(err))
-    if mask.dims != err.shape:
-        raise ShapeError(f"mask dims {mask.dims} do not match volume dims {err.shape}")
+def _mask_selection(mask: Volume3D) -> np.ndarray:
+    """The voxels of a mask volume, as a boolean array; an empty mask raises
+    ParameterError."""
     sel = mask.data != 0
     if not sel.any():
         raise ParameterError("mask is empty")
+    return sel
+
+
+def _mean_error(err: np.ndarray, sel: Optional[np.ndarray] = None) -> float:
+    """Mean of the absolute-error map ``err``, optionally over the voxels of
+    the boolean array ``sel``."""
+    if sel is None:
+        return float(np.mean(err))
+    if sel.shape != err.shape:
+        raise ShapeError(f"mask dims {sel.shape} do not match volume dims {err.shape}")
     return float(np.mean(err[sel]))
 
 
@@ -71,11 +92,14 @@ class _Ssim:
     """SSIM of volume pairs of one size: the interior band matrices and every
     buffer of the computation, allocated once and overwritten by each pair.
 
-    The buffers are one full-size map (the voxelwise products), the two
-    filter passes' scratch ``z_pass`` and ``y_pass``, and four interior maps
-    (the two means, ``E[a^2 + b^2]`` and ``E[ab]``).  ``b^2`` is added to
-    ``a^2`` one x-plane at a time in ``z_pass``, and the SSIM map is built in
-    ``z_pass`` once the filtering is done, so no other buffer is needed."""
+    The buffers are two x-planes (``a^2`` and ``b^2``, or ``ab``), one
+    z-filtered plane, the y pass's output ``y_pass`` and three interior maps.
+    A map is filtered by running the z and y passes one x-plane at a time
+    into ``y_pass``, then one x-pass GEMM into an interior map.  The means
+    are filtered first and reduced in place to ``mu_a mu_b`` and ``mu_a^2 +
+    mu_b^2``, which frees a map for ``E[a^2 + b^2]``; the denominator is then
+    formed in place, which frees one for ``E[ab]``.  Each element goes
+    through the operations of the four-map formula, in the same order."""
 
     def __init__(self, dims: Tuple[int, int, int]):
         if min(dims) < SSIM_WINDOW:
@@ -87,17 +111,19 @@ class _Ssim:
         w, r = _ssim_window(), SSIM_WINDOW // 2
         self.dims = dims
         self.bx, self.by, self.bz = (_band(n, w)[r : n - r] for n in dims)
-        (nx, ny, _), (mx, my, mz) = dims, (n - 2 * r for n in dims)
-        self.prod = np.empty(dims)
-        self.z_pass, self.y_pass = np.empty((nx * ny, mz)), np.empty((nx, my, mz))
-        self.maps = np.empty((4, mx, my, mz))
+        (nx, ny, nz), (mx, my, mz) = dims, (n - 2 * r for n in dims)
+        self.planes = np.empty((2, ny, nz))
+        self.z_plane, self.y_pass = np.empty((ny, mz)), np.empty((nx, my, mz))
+        self.maps = np.empty((3, mx, my, mz))
 
-    def _filter(self, x: np.ndarray, out: np.ndarray) -> None:
-        # preprocess._filter3 on one map, GEMM for GEMM, into ``out``.
-        nx, ny, nz = self.dims
-        np.matmul(x.reshape(-1, nz), self.bz.T, out=self.z_pass)
-        np.matmul(self.by, self.z_pass.reshape(nx, ny, -1), out=self.y_pass)
-        np.matmul(self.bx, self.y_pass.reshape(nx, -1), out=out.reshape(len(self.bx), -1))
+    def _filter(self, planes: Iterable[np.ndarray], out: np.ndarray) -> None:
+        # preprocess._filter3 on the map whose x-planes ``planes`` yields,
+        # into ``out``: the z and y passes a plane at a time, then the x pass.
+        for plane, y in zip(planes, self.y_pass):
+            np.matmul(plane, self.bz.T, out=self.z_plane)
+            np.matmul(self.by, self.z_plane, out=y)
+        np.matmul(self.bx, self.y_pass.reshape(len(self.y_pass), -1),
+                  out=out.reshape(len(self.bx), -1))
 
     def __call__(self, a: Volume3D, b: Volume3D,
                  dynamic_range: Optional[float] = None) -> float:
@@ -116,50 +142,51 @@ class _Ssim:
             )
         c1 = (SSIM_K1 * dynamic_range) ** 2
         c2 = (SSIM_K2 * dynamic_range) ** 2
-        mu_a, mu_b, e_sq, e_ab = self.maps
-        self._filter(da, mu_a)
-        self._filter(db, mu_b)
-        # a^2 + b^2, with b^2 taken one x-plane at a time into filter scratch.
-        np.multiply(da, da, out=self.prod)
-        plane = self.z_pass.reshape(-1)[: db[0].size].reshape(db[0].shape)
-        for p, b in zip(self.prod, db):
-            np.add(p, np.multiply(b, b, out=plane), out=p)
-        self._filter(self.prod, e_sq)
-        self._filter(np.multiply(da, db, out=self.prod), e_ab)
-        # The filtering is done, so z_pass, which is larger than an interior
-        # map, holds the SSIM map.
-        t = self.z_pass.reshape(-1)[: mu_a.size].reshape(mu_a.shape)
         # Symmetric in a and b, so _Ssim(a, b) == _Ssim(b, a) exactly and
         # _Ssim(a, a) == 1.  The map is
         # ((2 mu_ab + c1) (2 (e_ab - mu_ab) + c2)) / ((mu_sq + c1) (e_sq - mu_sq + c2))
         # with mu_ab = mu_a mu_b and mu_sq = mu_a^2 + mu_b^2, built in place.
-        np.multiply(mu_a, mu_b, out=t)
-        np.add(np.multiply(mu_a, mu_a, out=mu_a), np.multiply(mu_b, mu_b, out=mu_b), out=mu_a)
-        e_ab -= t
-        e_ab *= 2
-        e_ab += c2
+        den, e, t = self.maps
+        p, q = self.planes
+        self._filter(da, den)  # mu_a
+        self._filter(db, e)  # mu_b
+        np.multiply(den, e, out=t)  # mu_ab
+        np.add(np.multiply(den, den, out=den), np.multiply(e, e, out=e), out=den)  # mu_sq
+        self._filter((np.add(np.multiply(x, x, out=p), np.multiply(y, y, out=q), out=p)
+                      for x, y in zip(da, db)), e)  # e_sq
+        e -= den
+        e += c2
+        den += c1
+        den *= e  # the denominator
+        self._filter((np.multiply(x, y, out=p) for x, y in zip(da, db)), e)  # e_ab
+        e -= t
+        e *= 2
+        e += c2
         t *= 2
         t += c1
-        t *= e_ab
-        e_sq -= mu_a
-        e_sq += c2
-        mu_a += c1
-        mu_a *= e_sq
-        t /= mu_a
+        t *= e
+        t /= den
         return float(t.mean())
 
 
 class AtlasIndex:
     """An atlas's rounded labels, indexed once: the sorted distinct labels,
-    each voxel's position among them and the voxel count of each."""
+    each voxel's position among them and the voxel count of each.
+
+    The atlas is rounded one x-plane at a time, never whole, and the
+    positions are kept in the smallest unsigned integer type that holds
+    them (``uint8`` up to 256 labels)."""
 
     def __init__(self, atlas: Volume3D):
         self.dims = atlas.dims
-        rounded = np.rint(atlas.data).astype(np.int64)
-        self.labels, inverse, self.counts = np.unique(
-            rounded, return_inverse=True, return_counts=True
-        )
-        self.inverse = inverse.ravel()
+        self.labels = np.unique(np.concatenate(
+            [np.unique(np.rint(plane).astype(np.int64)) for plane in atlas.data]))
+        n = self.labels.size
+        self.inverse = np.empty(atlas.data.size, dtype=np.min_scalar_type(n - 1))
+        self.counts = np.zeros(n, dtype=np.int64)
+        for out, plane in zip(self.inverse.reshape(self.dims), atlas.data):
+            out[...] = np.searchsorted(self.labels, np.rint(plane).astype(np.int64))
+            self.counts += np.bincount(out.ravel(), minlength=n)
 
     def regional_mae(self, a: Volume3D, b: Volume3D) -> Dict[int, float]:
         """Per-label MAE of ``a`` against ``b``; label 0 is background."""
@@ -171,9 +198,9 @@ class AtlasIndex:
         background."""
         if self.dims != err.shape:
             raise ShapeError(f"atlas dims {self.dims} do not match volume dims {err.shape}")
-        sums = np.bincount(
-            self.inverse, weights=err.ravel(), minlength=self.labels.size
-        )
+        # Voxel order, as np.bincount sums, without an intp copy of the index.
+        sums = np.zeros(self.labels.size)
+        np.add.at(sums, self.inverse, err.ravel())
         return {
             int(label): float(s / n)
             for label, s, n in zip(self.labels, sums, self.counts)
@@ -199,25 +226,31 @@ class RoiDefinition:
             raise ParameterError(f"ROI {self.name!r} has no labels")
 
     def mask(self, atlas: Volume3D) -> np.ndarray:
-        labels = np.rint(atlas.data).astype(np.int64)
-        return np.isin(labels, np.asarray(self.labels, dtype=np.int64))
+        """The voxels whose rounded atlas label is one of ``labels``; the
+        atlas is rounded one x-plane at a time."""
+        labels = np.asarray(self.labels, dtype=np.int64)
+        sel = np.empty(atlas.dims, dtype=bool)
+        for out, plane in zip(sel, atlas.data):
+            out[...] = np.isin(np.rint(plane).astype(np.int64), labels)
+        return sel
 
 
 def meta_roi_suvr(vol: Volume3D, atlas: Volume3D, roi: RoiDefinition) -> float:
     """Mean intensity over the ROI's label union."""
     if atlas.dims != vol.dims:
         raise ShapeError(f"atlas dims {atlas.dims} do not match volume dims {vol.dims}")
-    return _roi_mean(vol, roi.mask(atlas), roi)
+    return float(vol.data[_roi_selection(roi, atlas)].mean())
 
 
-def _roi_mean(vol: Volume3D, sel: np.ndarray, roi: RoiDefinition) -> float:
-    """Mean of ``vol`` over ``sel``, the mask of ``roi`` on an atlas of the
-    same dims."""
+def _roi_selection(roi: RoiDefinition, atlas: Volume3D) -> np.ndarray:
+    """``roi.mask(atlas)``; an ROI that selects no voxel raises
+    ParameterError."""
+    sel = roi.mask(atlas)
     if not sel.any():
         raise ParameterError(
             f"ROI {roi.name!r} labels {roi.labels} select no atlas voxels"
         )
-    return float(vol.data[sel].mean())
+    return sel
 
 
 def load_roi(path) -> RoiDefinition:

@@ -119,9 +119,12 @@ def preprocess_chain(
 ) -> Volume3D:
     """Apply the named steps in order.  Steps whose inputs were not supplied
     are skipped only if absent from ``order``; naming a step without its
-    input is an error (``check_order``)."""
+    input is an error (``check_order``).  ``vol`` is not referenced here
+    after the first step, so a caller that passes its only reference holds
+    one scan fewer through the later steps."""
     check_order(order, reference_mask, brain_mask)
     out = vol
+    del vol
     for step in order:
         if step == "suvr":
             out = suvr_normalize(out, reference_mask)

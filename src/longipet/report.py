@@ -32,8 +32,16 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
-from .errors import DegenerateDataError, FormatError, InputError, ParameterError
-from .metrics import AtlasIndex, RoiDefinition, _as_pair, _mean_error, _roi_mean, _Ssim
+from .errors import DegenerateDataError, FormatError, InputError, ParameterError, ShapeError
+from .metrics import (
+    AtlasIndex,
+    RoiDefinition,
+    _as_pair,
+    _mask_selection,
+    _mean_error,
+    _roi_selection,
+    _Ssim,
+)
 from .stats import (
     MixedAnovaResult,
     TestResult,
@@ -101,19 +109,27 @@ def evaluate_forecasts(
     only for years with a prediction.  A prediction is a ``Volume3D`` or the
     path of one, read only when its row is scored.  Each subject is released
     before the next is read and each year before the next is scored, so
-    beside the fixed buffers one record, one truth scan, one prediction and
-    one error map are held.  Predictions without a matching ground-truth scan
-    are listed in ``gaps`` instead of being scored.  Regional and ROI columns
-    appear only when an atlas (and ROI) are supplied.  Rows and gaps come in
-    predictor, then subject, then year order, whatever the order of
-    ``records``.  The atlas labels, the ROI mask and the SSIM buffers are
-    built once per call, and the atlas is released once they are.
+    beside the fixed buffers one record, one truth scan and one prediction
+    are held: a pair's ROI means and SSIM are taken first, and then the
+    |pred - truth| error map, which serves the MAE and the regional means,
+    is written into the prediction's buffer when the prediction was read
+    here (a caller's ``Volume3D`` is never written).  Predictions without a
+    matching ground-truth scan are listed in ``gaps`` instead of being
+    scored.  Regional and ROI columns appear only when an atlas (and ROI)
+    are supplied.  Rows and gaps come in predictor, then subject, then year
+    order, whatever the order of ``records``.  The atlas labels, the ROI
+    selection, the mask selection and the SSIM buffers are built once per
+    call, and the atlas and the mask are released once they are; an empty
+    mask or an ROI that selects no voxel raises ParameterError before any
+    record is drawn.
     """
     index = AtlasIndex(atlas) if atlas is not None else None
-    roi_sel = roi.mask(atlas) if atlas is not None and roi is not None else None
-    # Indexed: freed now unless the caller holds it (since CPython 3.11 a call's
-    # arguments are handed over to the callee, not held by the caller's frame).
-    del atlas
+    roi_sel = _roi_selection(roi, atlas) if atlas is not None and roi is not None else None
+    mask_sel = _mask_selection(mask) if mask is not None else None
+    # Indexed: freed now unless the caller holds them (since CPython 3.11 a
+    # call's arguments are handed over to the callee, not held by the
+    # caller's frame).
+    del atlas, mask
     ssim = None
     rows: List[EvalRow] = []
     gaps: List[Tuple[str, str, int, str]] = []  # (predictor, subject, year, text)
@@ -137,34 +153,39 @@ def evaluate_forecasts(
                 true = read_volume(rec.scan_paths[year])
             else:
                 true = rec.scans[year]
+            if ssim is None or ssim.dims != true.dims:
+                ssim = _Ssim(true.dims)
             for predictor, pred in by_predictor.items():
-                if not isinstance(pred, Volume3D):
+                owned = not isinstance(pred, Volume3D)
+                if owned:
                     pred = read_volume(pred)
-                # One |pred - true| map serves the MAE and the regional means.
-                err = np.subtract(*_as_pair(pred, true))
-                np.abs(err, out=err)
-                if ssim is None or ssim.dims != true.dims:
-                    ssim = _Ssim(true.dims)
-                # Also checks the atlas's dims, before any ROI mean is taken.
-                regional = index.regional_error(err) if index is not None else {}
+                dp, dt = _as_pair(pred, true)
+                # Checked before the ROI mean indexes the volume with the
+                # atlas's selection.
+                if index is not None and index.dims != true.dims:
+                    raise ShapeError(
+                        f"atlas dims {index.dims} do not match volume dims {true.dims}")
                 suvr_p = suvr_t = None
                 if roi_sel is not None:
-                    suvr_p = _roi_mean(pred, roi_sel, roi)
-                    suvr_t = _roi_mean(true, roi_sel, roi)
+                    suvr_p = float(dp[roi_sel].mean())
+                    suvr_t = float(dt[roi_sel].mean())
+                score = ssim(pred, true)
+                err = np.subtract(dp, dt, out=dp if owned else None)
+                np.abs(err, out=err)
                 rows.append(
                     EvalRow(
                         subject_id=sid,
                         group=rec.group,
                         year=year,
                         predictor=predictor,
-                        mae=_mean_error(err, mask),
-                        ssim=ssim(pred, true),
+                        mae=_mean_error(err, mask_sel),
+                        ssim=score,
                         meta_roi_suvr_pred=suvr_p,
                         meta_roi_suvr_true=suvr_t,
-                        regional=regional,
+                        regional=index.regional_error(err) if index is not None else {},
                     )
                 )
-                del pred, err
+                del pred, dp, dt, err
             del true
         del rec
     for predictor, by_subject in forecasts.items():

@@ -356,6 +356,7 @@ def read_volume(path) -> Volume3D:
     if len(payload) != nbytes:
         raise CorruptionError(f"{path} was truncated while it was read")
     data = _c_order(np.frombuffer(payload, dtype=header.dtype), header.dims)
+    del payload  # not held beside the float64 copy while that is checked
     if header.scale is not None:
         data *= header.scale[0]
         data += header.scale[1]

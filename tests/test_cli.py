@@ -376,6 +376,39 @@ def test_forecast_and_evaluate_memory_grows_with_one_subject_not_the_cohort(tmp_
         assert b - a < one_subject, (command, a, b)
 
 
+def test_each_cohort_command_peaks_at_a_few_volumes(tmp_path):
+    # The cohort-linear chain at 40x48x40: preprocess holds its two float64
+    # masks and the three full maps of the smoothing passes; forecast the
+    # two scans a linear step reads and its output; evaluate the fixed SSIM
+    # buffers (about two volumes here), a truth scan and a prediction being
+    # read.  Each bound is in float64 volumes of the phantom's size.
+    ph, d = tmp_path / "phantom", tmp_path
+    assert main([
+        "phantom", "--out", str(ph), "--dims", "40", "48", "40",
+        "--n-stable", "1", "--n-converter", "1", "--n-decliner", "1",
+        "--years", "0", "1", "2", "3", "4", "--seed", "7",
+    ]) == 0
+    volume = 8 * 40 * 48 * 40
+    for bound, argv in (
+        (5.6, ["preprocess", "--manifest", str(ph / "manifest.json"), "--out", str(d / "prep"),
+               "--ref-mask", str(ph / "reference_mask.vol"),
+               "--brain-mask", str(ph / "brain_mask.vol"), "--steps", "suvr,mask,smooth"]),
+        (4.0, ["forecast", "--manifest", str(d / "prep" / "manifest.json"),
+               "--out", str(d / "fc"), "--predictor", "linear", "--to-year", "4"]),
+        (5.5, ["evaluate", "--manifest", str(d / "prep" / "manifest.json"),
+               "--predictions", str(d / "fc" / "volumes"), "--out", str(d / "m.csv"),
+               "--atlas", str(ph / "atlas.vol"), "--roi", str(ph / "meta_roi.json")]),
+    ):
+        assert main(argv) == 0  # imports and caches
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * volume, (argv[0], peak / volume)
+
+
 def test_a_bad_scan_of_a_later_subject_stops_forecast_with_whole_volumes(tmp_path):
     ph, fc = tmp_path / "phantom", tmp_path / "forecast"
     assert main([

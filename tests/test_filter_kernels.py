@@ -1,4 +1,4 @@
-"""Equivalence of the banded-GEMM Gaussian filters and the bincount regional
+"""Equivalence of the banded-GEMM Gaussian filters and the indexed regional
 MAE with the implementations they replaced.
 
 The oracles below are the previous implementations: SSIM and smoothing by
@@ -9,7 +9,14 @@ The GEMMs sum in another order, so values are compared with a tolerance.
 ``stacked_ssim3d`` is the banded-GEMM SSIM before ``metrics._Ssim``: its four
 maps stacked into one array and filtered together.  ``plain_ssim3d`` filters
 them one at a time, each into a fresh array.  ``_Ssim`` runs the same GEMMs
-and ufuncs one map at a time in reused buffers, so it must equal both.
+and ufuncs one map at a time in reused buffers, its z pass one x-plane at a
+time, so it must equal both at the sizes tested (see the ``metrics``
+docstring for y = 11, where it does not).
+
+``BincountAtlasIndex`` is the atlas index before ``metrics.AtlasIndex``:
+``np.unique`` over the whole rounded atlas and one ``np.bincount`` per pair;
+``isin_roi_mask`` is the whole-volume ROI mask.  Both sum or select the same
+voxels in the same order as the per-plane versions, so they must be equal.
 """
 
 import tracemalloc
@@ -23,6 +30,7 @@ from longipet.metrics import (
     SSIM_K2,
     SSIM_WINDOW,
     AtlasIndex,
+    RoiDefinition,
     _Ssim,
     _ssim_window,
     regional_mae,
@@ -115,6 +123,27 @@ def loop_regional_mae(da, db, atlas_data):
     }
 
 
+class BincountAtlasIndex:
+    def __init__(self, atlas_data):
+        rounded = np.rint(atlas_data).astype(np.int64)
+        self.labels, inverse, self.counts = np.unique(
+            rounded, return_inverse=True, return_counts=True
+        )
+        self.inverse = inverse.ravel()
+
+    def regional_error(self, err):
+        sums = np.bincount(self.inverse, weights=err.ravel(), minlength=self.labels.size)
+        return {
+            int(label): float(s / n)
+            for label, s, n in zip(self.labels, sums, self.counts)
+            if label != 0
+        }
+
+
+def isin_roi_mask(roi, atlas_data):
+    return np.isin(np.rint(atlas_data).astype(np.int64), np.asarray(roi.labels, dtype=np.int64))
+
+
 def _pair(dims, seed, noise=0.2):
     r = np.random.default_rng(seed)
     a = r.uniform(0.0, 2.0, size=dims)
@@ -169,7 +198,9 @@ def test_ssim_symmetric_and_self_similar_exactly(dims):
     assert ssim3d(b, Volume3D(db.copy())) == 1.0
 
 
-@pytest.mark.parametrize("dims", [(13, 17, 19), (24, 24, 24), (80, 96, 80)])
+@pytest.mark.parametrize(
+    "dims", [(13, 17, 19), (16, 16, 16), (24, 24, 24), (40, 48, 40), (80, 96, 80)]
+)
 def test_ssim_equals_stacked_oracle_exactly(dims):
     da, db = _pair(dims, sum(dims))
     a, b = Volume3D(da), Volume3D(db)
@@ -180,13 +211,13 @@ def test_ssim_equals_stacked_oracle_exactly(dims):
 
 
 @pytest.mark.parametrize("dims", [(13, 17, 19), (80, 96, 80)])
-def test_ssim_buffers_are_one_full_map_four_interior_maps_and_the_filter_scratch(dims):
+def test_ssim_buffers_are_three_interior_maps_y_pass_and_planes(dims):
     (nx, ny, nz), (mx, my, mz) = dims, (n - SSIM_WINDOW + 1 for n in dims)
     ssim = _Ssim(dims)
     buffers = [v for name, v in vars(ssim).items()
                if isinstance(v, np.ndarray) and name not in ("bx", "by", "bz")]
     assert sum(b.nbytes for b in buffers) == 8 * (
-        nx * ny * nz + 4 * mx * my * mz + nx * ny * mz + nx * my * mz
+        3 * mx * my * mz + nx * my * mz + 2 * ny * nz + ny * mz
     )
     # A call allocates no other buffer, not even one x-plane.
     da, db = _pair(dims, 3)
@@ -258,3 +289,45 @@ def test_atlas_index_is_reusable_across_pairs():
     for seed in range(3):
         a, b = (Volume3D(v) for v in _pair(dims, seed))
         assert index.regional_mae(a, b) == regional_mae(a, b, atlas)
+
+
+@pytest.mark.parametrize("values", [
+    # negative, gapped and non-integer labels; -0.3 and 0.4 round to background
+    np.array([-7.0, -2.6, -0.3, 0.4, 1.0, 2.5, 3.49, 40.0, 1000.2]),
+    # more than 255 labels: a uint16 index
+    np.arange(-150.0, 400.0, 1.7),
+    np.arange(300.0),
+])
+def test_atlas_index_and_roi_mask_equal_the_whole_volume_oracles_exactly(values):
+    dims = (14, 9, 11)
+    r = np.random.default_rng(len(values))
+    atlas = r.choice(values, size=dims)
+    index, oracle = AtlasIndex(Volume3D(atlas)), BincountAtlasIndex(atlas)
+    np.testing.assert_array_equal(index.labels, oracle.labels)
+    np.testing.assert_array_equal(index.counts, oracle.counts)
+    assert index.inverse.dtype == (np.uint8 if index.labels.size <= 256 else np.uint16)
+    for seed in range(3):
+        err = np.abs(np.subtract(*_pair(dims, seed)))
+        assert index.regional_error(err) == oracle.regional_error(err)
+    labels = tuple(int(v) for v in oracle.labels[::3])
+    roi = RoiDefinition("some", labels + (5000,))
+    sel = roi.mask(Volume3D(atlas))
+    assert sel.dtype == bool and sel.any()
+    np.testing.assert_array_equal(sel, isin_roi_mask(roi, atlas))
+
+
+def test_atlas_index_and_roi_mask_peak_one_index_and_a_few_planes_above_the_atlas():
+    dims = (40, 48, 40)
+    atlas = Volume3D(np.random.default_rng(9).integers(0, 9, size=dims).astype(float))
+    plane = 8 * 48 * 40
+    for build, held in ((AtlasIndex, atlas.data.size),
+                        (RoiDefinition("r", (2, 5)).mask, atlas.data.size)):
+        build(atlas)  # imports and caches
+        tracemalloc.start()
+        try:
+            build(atlas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # uint8 positions or a bool mask, one byte a voxel, and plane scratch
+        assert peak < held + 6 * plane, (build, peak)

@@ -7,6 +7,7 @@ e_k = 2*e_{k-1} - e_{k-2} + 2g for its error at year k, giving
 """
 
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from longipet.forecast import (
     audit_leakage,
     forecast_cohort,
     forecast_recursive,
+    forecast_years,
     plan_from_folds,
     save_plan,
 )
@@ -106,6 +108,37 @@ def test_forecast_rejects_bad_horizon():
     rec = linear_record()
     with pytest.raises(ParameterError):
         forecast_recursive(rec, PlanEntry("CN_000", "linear"), to_year=1)
+
+
+def test_forecast_years_checks_at_the_call_and_yields_the_recursion_in_order():
+    rec = quadratic_record(dims=(4, 3, 2))
+    entry = PlanEntry("MCI_000", "linear")
+    years = forecast_years(rec, entry, to_year=5)
+    got = [(year, vol.data) for year, vol in years]
+    want = forecast_recursive(rec, entry, to_year=5)
+    assert [year for year, _ in got] == [2, 3, 4, 5]
+    for year, data in got:
+        np.testing.assert_array_equal(data, want[year].data)
+    # Nothing is drawn from the iterators below: the checks raise at the call.
+    with pytest.raises(ParameterError):
+        forecast_years(rec, entry, to_year=1)
+    with pytest.raises(InputError):
+        forecast_years(quadratic_record(years=(1, 2)), entry, to_year=3)
+
+
+def test_forecast_years_drops_each_scan_once_the_two_years_after_it_are_predicted():
+    rec = quadratic_record(dims=(4, 3, 2))
+    first, second = (weakref.ref(rec.scans[y]) for y in (0, 1))
+    years = forecast_years(rec, PlanEntry("MCI_000", "linear"), to_year=4)
+    del rec
+    assert first() is not None
+    _, y2 = next(years)
+    assert first() is None and second() is not None
+    y2 = weakref.ref(y2)
+    next(years)
+    assert second() is None and y2() is not None
+    next(years)
+    assert y2() is None
 
 
 def test_missing_model_file_is_a_plan_error():

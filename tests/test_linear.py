@@ -1,5 +1,7 @@
 """Voxelwise linear extrapolation baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,3 +86,23 @@ def test_prediction_carries_recent_affine():
 def test_dim_mismatch():
     with pytest.raises(ShapeError):
         predict_linear(Volume3D(np.ones((2, 2, 2))), Volume3D(np.ones((2, 2, 4))))
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_prediction_allocates_only_its_output(clamp):
+    r = np.random.default_rng(4)
+    a, b = (Volume3D(r.normal(size=(24, 20, 16))) for _ in range(2))
+    saved = a.data.copy(), b.data.copy()
+    predict_linear(a, b, clamp_nonnegative=clamp)  # imports and caches
+    tracemalloc.start()
+    try:
+        out = predict_linear(a, b, clamp_nonnegative=clamp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = 2.0 * b.data - a.data
+    np.testing.assert_array_equal(out.data, np.maximum(want, 0.0) if clamp else want)
+    np.testing.assert_array_equal(a.data, saved[0])
+    np.testing.assert_array_equal(b.data, saved[1])
+    # The output, its bool finiteness check and the affine; no second volume.
+    assert peak < 1.25 * a.data.nbytes, peak

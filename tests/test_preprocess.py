@@ -5,10 +5,12 @@ sharing nothing with the separable implementation under test.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from longipet import preprocess
 from longipet.errors import NormalizationError, ParameterError, ShapeError
 from longipet.preprocess import (
     DEFAULT_ORDER,
@@ -287,3 +289,22 @@ def test_chain_mask_without_mask():
 def test_chain_unknown_step():
     with pytest.raises(ParameterError):
         preprocess_chain(vol(np.ones((2, 2, 2))), order=("sharpen",))
+
+
+def test_chain_drops_its_input_after_the_first_step(monkeypatch):
+    r = np.random.default_rng(24)
+    data = r.uniform(0.5, 2.0, size=(6, 6, 6))
+    ref, brain = np.zeros((6, 6, 6)), np.zeros((6, 6, 6))
+    ref[2:4, 2:4, 2:4] = brain[1:5, 1:5, 1:5] = 1.0
+    inputs = [vol(data)]
+    ref_input = weakref.ref(inputs[0])
+    alive = []
+    smooth = preprocess.gaussian_smooth
+    monkeypatch.setattr(preprocess, "gaussian_smooth",
+                        lambda v, fwhm: alive.append(ref_input() is not None) or smooth(v, fwhm))
+    got = preprocess_chain(inputs.pop(), reference_mask=vol(ref), brain_mask=vol(brain),
+                           fwhm=2.0).data
+    assert alive == [False]
+    want = preprocess_chain(vol(data), reference_mask=vol(ref), brain_mask=vol(brain),
+                            fwhm=2.0).data
+    np.testing.assert_array_equal(got, want)

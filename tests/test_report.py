@@ -251,6 +251,57 @@ def test_the_atlas_is_released_once_indexed():
     assert all(sorted(r.regional) == [1, 2] for r in rep.rows)
 
 
+def test_the_mask_is_released_once_selected():
+    records = _records()
+    m = np.zeros(DIMS)
+    m[2:10] = 1.0
+    mask = [Volume3D(m)]
+    ref = weakref.ref(mask[0])
+    released = []
+
+    def one_pass():
+        released.append(ref() is None)
+        yield from records
+
+    rep = evaluate_forecasts(one_pass(), _forecasts(records), mask=mask.pop())
+    assert released == [True]
+    assert rep.rows == evaluate_forecasts(records, _forecasts(records), mask=Volume3D(m)).rows
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(mask=Volume3D(np.zeros(DIMS))), "mask is empty"),
+    (dict(atlas=_atlas(), roi=RoiDefinition("none", (3, 7))), "select no atlas voxels"),
+])
+def test_an_empty_mask_or_roi_is_refused_before_any_record_is_drawn(kwargs, match):
+    records = _records()
+    drawn = []
+
+    def one_pass():
+        for r in records:
+            drawn.append(r.subject_id)
+            yield r
+
+    with pytest.raises(ParameterError, match=match):
+        evaluate_forecasts(one_pass(), _forecasts(records), **kwargs)
+    assert drawn == []
+
+
+def test_the_callers_volumes_are_never_written():
+    # The error map takes the buffer of a prediction read from a path only.
+    records = _records()
+    forecasts = _forecasts(records, years=(2,))
+    before = [v.data.copy() for by_subject in forecasts.values()
+              for by_year in by_subject.values() for v in by_year.values()]
+    before += [v.data.copy() for r in records for v in r.scans.values()]
+    evaluate_forecasts(records, forecasts, atlas=_atlas(), roi=RoiDefinition("half", (2,)))
+    after = [v.data for by_subject in forecasts.values()
+             for by_year in by_subject.values() for v in by_year.values()]
+    after += [v.data for r in records for v in r.scans.values()]
+    assert len(after) == len(before) == 15
+    for a, b in zip(after, before):
+        np.testing.assert_array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # CSV round trip
 # ---------------------------------------------------------------------------
