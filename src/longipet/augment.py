@@ -70,7 +70,8 @@ def sample_augmentation(rng: np.random.Generator) -> AffineAugmentation:
 
 def apply_affine(vol: Volume3D, aug: AffineAugmentation) -> Volume3D:
     """Resample the volume under the transform, composed about the volume
-    center ((n-1)/2 per axis)."""
+    center ((n-1)/2 per axis).  ``vol`` may also hold float32 data, as
+    training's records do; it is widened, exactly, for the sampling."""
     # Imported here, so that importing the package does not load scipy.ndimage.
     from scipy.ndimage import map_coordinates
 
@@ -87,7 +88,8 @@ def apply_affine(vol: Volume3D, aug: AffineAugmentation) -> Volume3D:
     rel = grid - center - shifts
     src = rel @ m_inv.T + center
     # Trilinear sampling; samples outside the grid read 0.
-    data = map_coordinates(vol.data, np.moveaxis(src, -1, 0), order=1,
+    wide = np.asarray(vol.data, dtype=np.float64)
+    data = map_coordinates(wide, np.moveaxis(src, -1, 0), order=1,
                            mode="grid-constant", prefilter=False)
     return Volume3D(data, vol.affine.copy())
 

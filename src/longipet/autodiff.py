@@ -51,7 +51,7 @@ from typing import Dict, Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import FormatError, ParameterError, ShapeError, StateError
+from .errors import FormatError, ParameterError, ShapeError, StateError, check_real_array
 from .volume_io import atomic_open
 
 _GRAD_ENABLED = [True]
@@ -1282,7 +1282,11 @@ def encode(frames0, frames1, kernel, bias):
     final hidden state.  Returns the pooled state (n, x/2, y/2, z/2, filters).
 
     The frames are (n, x, y, z, c_in) arrays with even x, y, z; they are
-    constants and get no gradient.  ``kernel`` and ``bias`` are the gate
+    constants and get no gradient.  float32 frames are kept as given and
+    widened only as each sample is written into the steps' float64 padded
+    inputs, so they give the same bits as their float64 values; any other
+    real dtype becomes float64, and complex frames raise ParameterError.
+    ``kernel`` and ``bias`` are the gate
     kernel and bias of ``convlstm3d_step``, and the result equals, bit for
     bit, ``maxpool3d`` of the ``h`` two chained ``convlstm3d_step`` calls
     return.
@@ -1314,8 +1318,7 @@ def encode(frames0, frames1, kernel, bias):
     carried across the chunks and added up per sample, so the gradients are
     bit-identical to whole-volume backwards.
     """
-    x0 = np.asarray(frames0, dtype=np.float64)
-    x1 = np.asarray(frames1, dtype=np.float64)
+    x0, x1 = (check_real_array(f, "frames") for f in (frames0, frames1))
     kernel, bias = _const(kernel), _const(bias)
     if x0.shape != x1.shape:
         raise ShapeError(f"frames must share one shape, got {x0.shape} and {x1.shape}")
@@ -1355,10 +1358,14 @@ def mae_loss(pred, target):
     """Mean absolute error over all elements; subgradient 0 at zero.
 
     ``target`` given as a plain ndarray is a constant and gets no gradient;
-    pass a Tensor to differentiate it."""
+    pass a Tensor to differentiate it.  A float32 target is kept as given
+    and widened in the subtraction, so it gives the same bits as its
+    float64 values; any other real dtype becomes float64, and a complex
+    target raises ParameterError.  The node keeps only the difference,
+    which its backward reads, not the target."""
     pred = _const(pred)
     target_in = target if isinstance(target, Tensor) else None
-    td = target.data if target_in is not None else np.asarray(target, dtype=np.float64)
+    td = target.data if target_in is not None else check_real_array(target, "target")
     if pred.data.shape != td.shape:
         raise ShapeError(
             f"mae_loss shapes differ: {pred.shape} vs {td.shape}"

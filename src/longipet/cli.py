@@ -30,7 +30,9 @@ core, each with a one-thread OpenBLAS pool; its outputs equal a serial run
 with that BLAS thread count.  Every other command runs in one process.
 
 ``preprocess``, ``augment`` and ``forecast`` hold one subject's volumes at a
-time, and each volume is written whole or not at all.  ``forecast`` writes
+time, and each volume is written whole or not at all; ``preprocess`` holds
+its masks as boolean regions, built once.  ``train`` holds the cohort's
+scans as float32 wherever that is exact.  ``forecast`` writes
 each year as soon as it is predicted and, with one predictor, holds only the
 two volumes a step reads beside its output.  ``evaluate`` holds one
 ground-truth scan and one prediction at a time, reads only the scans of
@@ -172,8 +174,10 @@ def _cmd_preprocess(args) -> Written:
         raise ParameterError("no preprocessing steps selected")
     check_order(order, args.ref_mask or None, args.brain_mask or None)
     fwhm = args.fwhm if args.fwhm is not None else 4.0
-    ref = read_volume(args.ref_mask) if args.ref_mask else None
-    brain = read_volume(args.brain_mask) if args.brain_mask else None
+    # Each mask as its boolean region, built once; its float64 volume is
+    # dropped before the first scan is read.
+    ref = read_volume(args.ref_mask).data != 0 if args.ref_mask else None
+    brain = read_volume(args.brain_mask).data != 0 if args.brain_mask else None
 
     def scans(entry):
         for year in entry.years:

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer and real
-number checks of settings objects, settings files and parameters.
+"""Exception types shared across the package, the integer and real
+number checks of settings objects, settings files and parameters, and the
+real-array check of voxel data.
 
 Every error raised deliberately by this package derives from LongipetError,
 so callers (and the command line driver) can map failure categories to exit
@@ -91,3 +92,13 @@ def check_real(value, name: str, error=ParameterError) -> float:
     if not math.isfinite(real):
         raise error(f"{name} must be finite, got {value!r}")
     return real
+
+
+def check_real_array(value, name: str, error=ParameterError) -> np.ndarray:
+    """``value`` as an ndarray: float32 data as given, any other real dtype
+    as float64.  Complex data, whose imaginary part a float cast would
+    drop, raises ``error``."""
+    array = np.asarray(value)
+    if np.iscomplexobj(array):
+        raise error(f"{name} must be real, got {array.dtype} data")
+    return array if array.dtype == np.float32 else array.astype(np.float64, copy=False)

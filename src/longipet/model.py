@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .errors import FormatError, ParameterError, ShapeError, check_integer
+from .errors import FormatError, ParameterError, ShapeError, check_integer, check_real_array
 from .volume_io import Volume3D
 
 
@@ -109,6 +109,9 @@ def forward_batch(
 
     ``frames0`` and ``frames1`` are (n, x, y, z) arrays for the earlier and
     later input years.  Returns the prediction Tensor (n, x, y, z, 1).
+    float32 frames are kept as given (``autodiff.encode`` widens them
+    exactly, a sample at a time); any other real dtype becomes float64, and
+    complex frames raise ParameterError.
     ``mode`` is the batch norm's: "train" normalizes by the batch's
     statistics and updates the running ones, "infer" uses the running ones;
     the graph is recorded unless the call runs under ``autodiff.no_grad``.
@@ -118,8 +121,7 @@ def forward_batch(
     """
     if mode not in ("train", "infer"):
         raise ParameterError(f"mode must be 'train' or 'infer', got {mode!r}")
-    frames0 = np.asarray(frames0, dtype=np.float64)
-    frames1 = np.asarray(frames1, dtype=np.float64)
+    frames0, frames1 = (check_real_array(f, "frames") for f in (frames0, frames1))
     if frames0.shape != frames1.shape or frames0.ndim != 4:
         raise ShapeError(
             f"frames must share shape (n, x, y, z), got {frames0.shape} and {frames1.shape}"

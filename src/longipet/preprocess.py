@@ -24,14 +24,22 @@ _FWHM_TO_SIGMA = 1.0 / math.sqrt(8.0 * math.log(2.0))
 DEFAULT_ORDER = ("suvr", "mask", "smooth")
 
 
-def _check_mask(vol: Volume3D, mask: Volume3D, what: str) -> np.ndarray:
-    if mask.dims != vol.dims:
-        raise ShapeError(f"{what} dims {mask.dims} do not match volume dims {vol.dims}")
-    return mask.data != 0
+def _check_mask(vol: Volume3D, mask, what: str) -> np.ndarray:
+    # The mask's region as a boolean array: a boolean array is that region
+    # already, a Volume3D's region is its nonzero voxels.
+    if isinstance(mask, np.ndarray) and mask.dtype == bool:
+        sel = mask
+    else:
+        sel = mask.data != 0
+    if sel.shape != vol.dims:
+        raise ShapeError(f"{what} dims {sel.shape} do not match volume dims {vol.dims}")
+    return sel
 
 
 def suvr_normalize(vol: Volume3D, reference_mask: Volume3D) -> Volume3D:
-    """Divide by the mean intensity over the reference mask.
+    """Divide by the mean intensity over the reference mask: a Volume3D whose
+    nonzero voxels are the region, or that region as a boolean array, which
+    a caller normalizing many scans builds once.
 
     The output mean over the reference region is 1 by construction.  A
     non-positive reference mean cannot be normalized against and raises
@@ -47,7 +55,8 @@ def suvr_normalize(vol: Volume3D, reference_mask: Volume3D) -> Volume3D:
 
 
 def apply_brain_mask(vol: Volume3D, brain_mask: Volume3D) -> Volume3D:
-    """Zero every voxel outside the mask."""
+    """Zero every voxel outside the mask, a Volume3D whose nonzero voxels are
+    the region or that region as a boolean array (see ``suvr_normalize``)."""
     sel = _check_mask(vol, brain_mask, "brain mask")
     data = np.where(sel, vol.data, 0.0)
     return Volume3D(data, vol.affine.copy())
@@ -119,7 +128,8 @@ def preprocess_chain(
 ) -> Volume3D:
     """Apply the named steps in order.  Steps whose inputs were not supplied
     are skipped only if absent from ``order``; naming a step without its
-    input is an error (``check_order``).  ``vol`` is not referenced here
+    input is an error (``check_order``).  Each mask may be given as its
+    boolean region (``suvr_normalize``).  ``vol`` is not referenced here
     after the first step, so a caller that passes its only reference holds
     one scan fewer through the later steps."""
     check_order(order, reference_mask, brain_mask)

@@ -8,7 +8,11 @@ Adam; the checkpoint with the best validation MAE is kept.  Augmented copies
 are created only for the training subjects, never for validation or test.
 A round holds each sample once, as a record; a training batch stacks only
 its own frames, and validation and test subjects are predicted one at a
-time, as ``model.forward`` predicts them.
+time, as ``model.forward`` predicts them.  Scans are held as float32 where
+that holds them exactly, as it does for every scan read from a float32
+file: float32 to float64 is exact, and the model widens its frames and
+targets only where their values land in float64 arithmetic, so every
+output bit is the same as from float64 records.
 
 The rounds are independent and each derives its seeds from (seed, round),
 so ``cross_validate`` runs them in parallel worker processes, one OpenBLAS
@@ -19,7 +23,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -175,6 +179,44 @@ def _ids(value):
     return value
 
 
+@dataclass(frozen=True)
+class _NarrowScan:
+    """A scan held as float32 data that equals its Volume3D's exactly; it has
+    the ``data``, ``affine`` and ``dims`` that training, ``augment_cohort``
+    and ``model.forward`` read of a Volume3D."""
+
+    data: np.ndarray
+    affine: np.ndarray
+
+    @property
+    def dims(self):
+        return self.data.shape
+
+
+def _narrow(vol: Volume3D):
+    """``vol`` as a ``_NarrowScan`` when float32 holds every voxel exactly;
+    otherwise (a float64 file, or a scaled one whose values float32 rounds)
+    ``vol`` itself."""
+    with np.errstate(over="ignore"):  # a value beyond float32's range is not exact
+        data = vol.data.astype(np.float32)
+    return _NarrowScan(data, vol.affine) if np.array_equal(data, vol.data) else vol
+
+
+def _read_records(manifest: CohortManifest, subject_ids) -> Dict[str, SubjectRecord]:
+    """The subjects' records by id, each narrowed scan by scan (``_narrow``)
+    before the next is read, so one float64 record at a time exists."""
+    return {sid: _narrowed(manifest.load_record(sid)) for sid in subject_ids}
+
+
+def _narrowed(record: SubjectRecord) -> SubjectRecord:
+    return replace(record, scans={year: _narrow(vol) for year, vol in record.scans.items()})
+
+
+def _stack(batch: List[SubjectRecord], year: int) -> np.ndarray:
+    # One year's frames of a batch; float32 when every record holds them so.
+    return np.stack([r.scans[year].data for r in batch])
+
+
 def _check_triplets(records: List[SubjectRecord], dims):
     for r in records:
         if not r.has_triplet():
@@ -196,10 +238,11 @@ def train_fold(
 
     Deterministic per seed: initialization, augmentation and epoch shuffles
     all derive from it.  A non-finite loss or gradient aborts with
-    DivergenceError before the step is applied.
+    DivergenceError before the step is applied.  The scans are read one
+    subject at a time and held as float32 wherever that is exact.
     """
     rnd = folds.rounds[round_index]
-    records = {r.subject_id: r for r in manifest.load_records(rnd.train + rnd.val)}
+    records = _read_records(manifest, rnd.train + rnd.val)
     return _train_round(records, folds, round_index, config, hyper, seed)
 
 
@@ -238,10 +281,13 @@ def _train_round(
         weights = []
         for lo in range(0, len(order), hyper.batch_size):
             batch = [augmented[i] for i in order[lo : lo + hyper.batch_size]]
-            x0, x1, y2 = (np.stack([r.scans[year].data for r in batch]) for year in range(3))
+            x0, x1 = (_stack(batch, year) for year in (0, 1))
             params.zero_grad()
-            pred = forward_batch(params, x0, x1, config, mode="train")
-            loss = ad.mae_loss(pred, y2[..., None])
+            # Only the loss holds the prediction, and it keeps the difference
+            # from the target, not the target; its backward, which runs
+            # first, frees both before encode's backward runs.
+            loss = ad.mae_loss(forward_batch(params, x0, x1, config, mode="train"),
+                               _stack(batch, 2)[..., None])
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise DivergenceError(f"training diverged: round {round_index}, "
@@ -258,11 +304,11 @@ def _train_round(
             losses.append(loss_value)
             weights.append(len(batch))
         # loss.backward() releases each batch's graph, so inside the loop only
-        # the batch's frames and the last pred's and loss's data live on
-        # through the next forward.  Free them before validation; freeing
-        # them per batch made small steps slower (the allocator returns the
-        # heap top and the next forward faults it back in).
-        del x0, x1, y2, pred, loss, grads
+        # the batch's input frames and the loss's scalar data live on through
+        # the next forward.  Free them before validation; freeing the frames
+        # per batch made small steps slower (the allocator returns the heap
+        # top and the next forward faults it back in).
+        del x0, x1, loss, grads
         report.train_loss.append(float(np.average(losses, weights=weights)))
 
         maes = []
@@ -392,10 +438,11 @@ def cross_validate(
     """Run every round; predict year 2 for each held-out test subject with
     the model that never saw it.
 
-    Every eligible subject is read once, before the rounds start.  The
-    rounds run in up to one worker process per core, each with a
-    one-thread OpenBLAS pool; outputs are identical to a serial run with the
-    same BLAS thread count.  Other thread counts can change the last bits:
+    Every eligible subject is read once, before the rounds start, and
+    held as float32 wherever that is exact (``_read_records``), so the
+    forked workers share those pages.  The rounds run in up to one worker
+    process per core, each with a one-thread OpenBLAS pool; outputs are
+    identical to a serial run with the same BLAS thread count.  Other thread counts can change the last bits:
     with OpenBLAS 0.3.31 at 1 and 2 threads, the predictions of
     ``forward_batch`` and the gradients of one training step are
     bit-identical at 16^3 with 2/4 filters, but at 16 filters (16^3 and
@@ -412,7 +459,7 @@ def cross_validate(
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         save_folds(folds, out_dir / "folds.json")
-    records = {r.subject_id: r for r in manifest.load_records(sorted(folds.fold_of))}
+    records = _read_records(manifest, sorted(folds.fold_of))
     job = _CvJob(records, folds, config, hyper, seed, out_dir)
     reports = []
     predictions: Dict[str, Volume3D] = {}

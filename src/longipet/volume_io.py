@@ -36,6 +36,7 @@ from .errors import (
     ManifestError,
     ShapeError,
     UnsupportedError,
+    check_real_array,
 )
 
 GROUPS = ("CN", "MCI", "Dementia")
@@ -66,8 +67,9 @@ def _c_order(flat: np.ndarray, dims) -> np.ndarray:
 class Volume3D:
     """A 3D scalar volume with a voxel-to-world affine.
 
-    ``data`` has shape ``(nx, ny, nz)`` and dtype float64; element
-    ``data[x, y, z]`` is the voxel at grid position (x, y, z).  The
+    ``data`` has shape ``(nx, ny, nz)`` and dtype float64: data of any
+    other real dtype is converted, and complex data raises ParameterError.
+    Element ``data[x, y, z]`` is the voxel at grid position (x, y, z).  The
     serialized layout is x-fastest, which corresponds to Fortran order for
     this shape.
     """
@@ -76,7 +78,7 @@ class Volume3D:
     affine: np.ndarray = field(default_factory=lambda: np.eye(4))
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
+        self.data = np.asarray(check_real_array(self.data, "volume data"), dtype=np.float64)
         if self.data.ndim != 3:
             raise ShapeError(f"volume data must be 3D, got {self.data.ndim}D")
         if min(self.data.shape) < 1:
@@ -167,10 +169,6 @@ class CohortManifest:
             if wanted is None or year in wanted
         }
         return SubjectRecord(e.subject_id, e.group, scans)
-
-    def load_records(self, subject_ids=None) -> List[SubjectRecord]:
-        ids = self.subject_ids if subject_ids is None else list(subject_ids)
-        return [self.load_record(sid) for sid in ids]
 
 
 # ---------------------------------------------------------------------------

@@ -329,7 +329,8 @@ def test_streamed_augment_writes_what_the_library_writes(pipeline, tmp_path):
         "augment", "--manifest", str(phantom / "manifest.json"),
         "--out", str(tmp_path / "cli"), "--copies", "2", "--seed", "4",
     ]) == 0
-    records = augment_cohort(load_manifest(phantom / "manifest.json").load_records(),
+    manifest = load_manifest(phantom / "manifest.json")
+    records = augment_cohort([manifest.load_record(sid) for sid in manifest.subject_ids],
                              seed=4, n_copies=2)
     lib = tmp_path / "lib"
     volume_io.write_cohort_scans(
@@ -377,8 +378,9 @@ def test_forecast_and_evaluate_memory_grows_with_one_subject_not_the_cohort(tmp_
 
 
 def test_each_cohort_command_peaks_at_a_few_volumes(tmp_path):
-    # The cohort-linear chain at 40x48x40: preprocess holds its two float64
-    # masks and the three full maps of the smoothing passes; forecast the
+    # The cohort-linear chain at 40x48x40: preprocess holds its two masks as
+    # boolean regions (an eighth of a volume each) and the three full maps
+    # of the smoothing passes; forecast the
     # two scans a linear step reads and its output; evaluate the fixed SSIM
     # buffers (about two volumes here), a truth scan and a prediction being
     # read.  Each bound is in float64 volumes of the phantom's size.
@@ -390,7 +392,7 @@ def test_each_cohort_command_peaks_at_a_few_volumes(tmp_path):
     ]) == 0
     volume = 8 * 40 * 48 * 40
     for bound, argv in (
-        (5.6, ["preprocess", "--manifest", str(ph / "manifest.json"), "--out", str(d / "prep"),
+        (3.8, ["preprocess", "--manifest", str(ph / "manifest.json"), "--out", str(d / "prep"),
                "--ref-mask", str(ph / "reference_mask.vol"),
                "--brain-mask", str(ph / "brain_mask.vol"), "--steps", "suvr,mask,smooth"]),
         (4.0, ["forecast", "--manifest", str(d / "prep" / "manifest.json"),
@@ -407,6 +409,29 @@ def test_each_cohort_command_peaks_at_a_few_volumes(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < bound * volume, (argv[0], peak / volume)
+
+
+def test_preprocess_builds_each_mask_region_once(pipeline, tmp_path, monkeypatch):
+    calls, real_chain = [], cli.preprocess_chain
+
+    def chain(vol, reference_mask, brain_mask, **kwargs):
+        calls.append((reference_mask, brain_mask))
+        return real_chain(vol, reference_mask, brain_mask, **kwargs)
+
+    monkeypatch.setattr(cli, "preprocess_chain", chain)
+    phantom = pipeline["phantom"]
+    assert main([
+        "preprocess", "--manifest", str(phantom / "manifest.json"), "--out", str(tmp_path / "p"),
+        "--ref-mask", str(phantom / "reference_mask.vol"),
+        "--brain-mask", str(phantom / "brain_mask.vol"),
+    ]) == 0
+    ref, brain = calls[0]
+    assert len(calls) > 1 and all(c[0] is ref and c[1] is brain for c in calls)
+    for region, name in ((ref, "reference_mask.vol"), (brain, "brain_mask.vol")):
+        assert region.dtype == bool
+        np.testing.assert_array_equal(region, read_volume(phantom / name).data != 0)
+    for f in (pipeline["prep"] / "volumes").iterdir():
+        assert (tmp_path / "p" / "volumes" / f.name).read_bytes() == f.read_bytes()
 
 
 def test_a_bad_scan_of_a_later_subject_stops_forecast_with_whole_volumes(tmp_path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from longipet import autodiff as ad
-from longipet.errors import ShapeError
+from longipet.errors import ParameterError, ShapeError
 from longipet.model import I2IModelConfig, forward_batch, init_model
 
 from gradcheck import check_op, traced, weighted_sum
@@ -95,6 +95,12 @@ def test_encode_bad_shapes_raise(bad):
         kernel = kernel[..., :-1, :]
     with pytest.raises(ShapeError):
         ad.encode(x0, x1, kernel, case["bias"])
+
+
+def test_encode_rejects_complex_frames():
+    case = _case(1, 3)
+    with pytest.raises(ParameterError, match="must be real"):
+        ad.encode(case["x0"], case["x1"] * (1 + 1j), case["kernel"], case["bias"])
 
 
 def test_maxpool_keeps_only_the_argmax_for_its_backward():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from longipet import autodiff as ad
-from longipet.errors import StateError
+from longipet.errors import ParameterError, StateError
 from longipet.model import I2IModelConfig, forward_batch, init_model
 
 from gradcheck import traced
@@ -124,6 +124,15 @@ def test_mae_loss_tensor_target_gets_its_gradient():
     ad.mae_loss(pred, target).backward()
     np.testing.assert_array_equal(target.grad, -np.sign(pred.data - target.data) / 4)
     np.testing.assert_array_equal(pred.grad, -target.grad)
+
+
+def test_mae_loss_keeps_a_float32_target_as_given_and_rejects_a_complex_one():
+    pred = ad.Tensor(np.array([1.0, 2.0, 5.0, 3.0]))
+    target = np.array([2.1, 2.5, 4.0, 3.5], dtype=np.float32)
+    loss = ad.mae_loss(pred, target)
+    assert loss.data.tobytes() == ad.mae_loss(pred, target.astype(np.float64)).data.tobytes()
+    with pytest.raises(ParameterError, match="must be real"):
+        ad.mae_loss(pred, target * (1 + 1j))
 
 
 # ---------------------------------------------------------------------------

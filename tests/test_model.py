@@ -280,6 +280,53 @@ def test_no_grad_forward_frees_the_encoder_output_before_decode(monkeypatch):
     assert pooled <= held[0] <= pooled + pooled // 2, f"{held[0]} B held entering decode"
 
 
+def _float32_step(config, frames, target):
+    # One train-mode step from fresh parameters: the prediction, the loss and
+    # the 8 parameter gradients.
+    ps = init_model(config, seed=11)
+    pred = forward_batch(ps, *frames, config, mode="train")
+    loss = ad.mae_loss(pred, target)
+    loss.backward()
+    return pred.data, loss.data, {name: t.grad for name, t in ps.params.items()}
+
+
+@pytest.mark.parametrize("config, n", [
+    (I2IModelConfig(dims=(16, 16, 16), lstm_filters=2, decoder_filters=4), 2),
+    (I2IModelConfig(dims=(40, 48, 40), lstm_filters=16, decoder_filters=32), 1),
+], ids=["16^3-2/4", "40x48x40-16/32"])
+def test_float32_frames_and_target_give_the_float64_bits(config, n):
+    # Values float32 holds exactly, given as float32 or as float64: the
+    # model widens float32 only where it lands in float64 arithmetic.
+    f0, f1 = (f.astype(np.float32) for f in _frames(n, config.dims, 12))
+    y = np.random.default_rng(13).uniform(0.2, 1.5, (n, *config.dims, 1)).astype(np.float32)
+    narrow = _float32_step(config, (f0, f1), y)
+    wide = _float32_step(config, (f0.astype(np.float64), f1.astype(np.float64)),
+                         y.astype(np.float64))
+    assert narrow[0].dtype == np.float64
+    assert narrow[0].tobytes() == wide[0].tobytes()
+    assert narrow[1].tobytes() == wide[1].tobytes()
+    assert sorted(narrow[2]) == sorted(EXPECTED_PARAM_NAMES)
+    for name, g in narrow[2].items():
+        assert g.tobytes() == wide[2][name].tobytes(), name
+
+
+def test_forward_takes_other_real_dtypes_as_float64():
+    ps = init_model(SMALL, seed=0)
+    f0, f1 = (np.round(f * 4) for f in _frames(1, SMALL.dims, 14))
+    with ad.no_grad():
+        forward_batch(ps, f0, f1, SMALL, mode="train")
+        want = forward_batch(ps, f0, f1, SMALL, mode="infer").data
+        got = forward_batch(ps, f0.astype(np.int16), f1.astype(np.float16), SMALL, mode="infer")
+    assert got.data.tobytes() == want.tobytes()
+
+
+def test_forward_rejects_complex_frames():
+    ps = init_model(SMALL, seed=0)
+    f0, f1 = _frames(1, SMALL.dims, 3)
+    with pytest.raises(ParameterError, match="must be real"):
+        forward_batch(ps, f0 * (1 + 1j), f1, SMALL, mode="train")
+
+
 def test_forward_volume_wrapper():
     ps = init_model(SMALL, seed=0)
     f0, f1 = _frames(1, SMALL.dims, 8)

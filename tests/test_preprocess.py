@@ -102,6 +102,18 @@ def test_mask_all_ones_is_identity():
 def test_mask_shape_mismatch():
     with pytest.raises(ShapeError):
         apply_brain_mask(vol(np.ones((2, 2, 2))), vol(np.ones((2, 3, 2))))
+    with pytest.raises(ShapeError):
+        suvr_normalize(vol(np.ones((2, 2, 2))), np.ones((2, 3, 2), bool))
+
+
+def test_a_boolean_region_gives_its_mask_volume_bits():
+    r = np.random.default_rng(5)
+    v = vol(r.uniform(0.5, 2.0, size=(5, 6, 4)))
+    masks = [vol(r.choice([0.0, 0.5, 2.0], size=(5, 6, 4))) for _ in range(2)]
+    regions = [m.data != 0 for m in masks]
+    want = preprocess_chain(v, *masks, fwhm=2.0)
+    got = preprocess_chain(v, *regions, fwhm=2.0)
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from longipet.errors import DivergenceError, FormatError, InputError, ParameterError, ShapeError
-from longipet.model import I2IModelConfig, forward_batch, init_model, load_model
+from longipet.model import I2IModelConfig, forward_batch, init_model, load_model, save_model
 from longipet.training import (
     CrossValResult,
     FoldAssignment,
@@ -47,9 +47,12 @@ from longipet.volume_io import (
     SubjectRecord,
     Volume3D,
     load_manifest,
+    read_volume,
     write_manifest,
     write_volume,
 )
+
+from test_volume_io import build_nifti
 
 TINY = I2IModelConfig(dims=(4, 4, 4), lstm_filters=1, decoder_filters=1, kernel_size=1)
 
@@ -397,6 +400,40 @@ def test_last_batch_graph_is_freed_before_validation(tmp_path, monkeypatch):
         assert dead and all(dead)
 
 
+def test_prediction_and_target_are_freed_before_the_encoder_backward(tmp_path, monkeypatch):
+    # The loss node keeps only the difference it reads; the loop holds
+    # neither the prediction nor the stacked target, so both are freed by
+    # the loss's backward, before encode's backward (a step's peak) runs.
+    refs, seen = [], []
+    real_mae_loss, real_encode = ad.mae_loss, ad.encode
+
+    def watched_loss(pred, target):
+        stack = target if target.base is None else target.base
+        refs[:] = [weakref.ref(pred.data), weakref.ref(stack)]
+        return real_mae_loss(pred, target)
+
+    def watched_encode(*args):
+        out = real_encode(*args)
+        if out._backward is not None:
+            backward = out._backward
+
+            def checked(g):
+                seen.append([r() is None for r in refs])
+                backward(g)
+
+            out._backward = checked
+        return out
+
+    monkeypatch.setattr(ad, "mae_loss", watched_loss)
+    monkeypatch.setattr(ad, "encode", watched_encode)
+    m = cohort_on_disk(tmp_path)
+    folds = make_folds(m, seed=0)
+    hyper = Hyper(batch_size=2, epochs=2, n_copies=1)
+    train_fold(m, folds, 0, TINY, hyper, seed=0)
+    assert len(seen) == hyper.epochs * -(-2 * len(folds.rounds[0].train) // hyper.batch_size)
+    assert all(dead == [True, True] for dead in seen), seen
+
+
 def test_write_train_report(tmp_path):
     rep_path = tmp_path / "report.csv"
     m = cohort_on_disk(tmp_path)
@@ -442,7 +479,7 @@ def test_cross_validate_predictions_match_saved_models(tmp_path):
     folds = load_folds(out / "folds.json")
     for rnd in folds.rounds:
         params, cfg = load_model(out / f"model_{rnd.index}.bin")
-        recs = m.load_records(rnd.test)
+        recs = [m.load_record(sid) for sid in rnd.test]
         if not recs:
             continue
         t0 = np.stack([r.scans[0].data for r in recs])
@@ -492,6 +529,121 @@ def test_cross_validate_reads_each_subject_once(tmp_path, monkeypatch):
     monkeypatch.setattr(volume_io, "read_volume", lambda p: reads.append(p) or real_read(p))
     cross_validate(m, TINY, Hyper(epochs=1, n_copies=1, batch_size=8), seed=0)
     assert sorted(reads) == sorted(p for e in m.entries for p in e.scan_paths.values())
+
+
+# ---------------------------------------------------------------------------
+# float32 at rest
+# ---------------------------------------------------------------------------
+
+def _outputs(out_dir):
+    return {f.name: f.read_bytes() for f in sorted(Path(out_dir).iterdir())}
+
+
+def _wide(monkeypatch):
+    # Training on float64 records, as before scans were held narrow.
+    monkeypatch.setattr(training, "_narrow", lambda vol: vol)
+
+
+def test_train_fold_on_float32_records_equals_float64_records(tmp_path, monkeypatch):
+    m = cohort_on_disk(tmp_path, dims=(8, 8, 8))
+    cfg = I2IModelConfig(dims=(8, 8, 8), lstm_filters=2, decoder_filters=4)
+    folds = make_folds(m, seed=0)
+    hyper = Hyper(batch_size=3, epochs=2, n_copies=1)
+    runs = []
+    for name in ("narrow", "wide"):
+        if name == "wide":
+            _wide(monkeypatch)
+        params, report = train_fold(m, folds, 0, cfg, hyper, seed=2)
+        save_model(params, cfg, tmp_path / f"{name}.bin")
+        write_train_report(report, tmp_path / f"{name}.csv")
+        runs.append([t.data.tobytes() for t in params.params.values()]
+                    + [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("bin", "csv")])
+    assert runs[0] == runs[1]
+
+
+def test_pooled_cross_validate_on_float32_records_equals_float64_records(tmp_path, monkeypatch):
+    m = cohort_on_disk(tmp_path, dims=(8, 8, 8))
+    cfg = I2IModelConfig(dims=(8, 8, 8), lstm_filters=2, decoder_filters=4)
+    hyper = Hyper(epochs=2, n_copies=1, batch_size=4)
+    _cores(monkeypatch, 2)
+    narrow = cross_validate(m, cfg, hyper, seed=3, out_dir=tmp_path / "narrow")
+    _wide(monkeypatch)
+    wide = cross_validate(m, cfg, hyper, seed=3, out_dir=tmp_path / "wide")
+    assert _outputs(tmp_path / "narrow") == _outputs(tmp_path / "wide")
+    assert len(_outputs(tmp_path / "wide")) == 11
+    assert [r.__dict__ for r in narrow.reports] == [r.__dict__ for r in wide.reports]
+    assert sorted(narrow.predictions) == sorted(wide.predictions) == sorted(m.subject_ids)
+    for sid, vol in wide.predictions.items():
+        assert narrow.predictions[sid].data.tobytes() == vol.data.tobytes()
+
+
+def test_cross_validate_holds_float32_scans_read_one_record_at_a_time(tmp_path, monkeypatch):
+    # Each scan is read as float64 and narrowed before the next subject is
+    # read, so while a scan is read only its own subject's float64 scans
+    # are alive; the parent (and so the forked workers) holds float32.
+    m = cohort_on_disk(tmp_path)
+    reads, jobs = [], []
+    real_read = volume_io.read_volume
+
+    def read(path):
+        subject = Path(path).name.rsplit("_y", 1)[0]
+        reads.append((subject, {s for s, ref in alive if ref() is not None}))
+        vol = real_read(path)
+        alive.append((subject, weakref.ref(vol.data)))
+        return vol
+
+    alive = []
+    monkeypatch.setattr(volume_io, "read_volume", read)
+    monkeypatch.setattr(training, "_run_rounds", lambda job, n: jobs.append(job) or [])
+    cross_validate(m, TINY, Hyper(epochs=1, n_copies=1, batch_size=8), seed=0)
+    assert len(reads) == 3 * len(m.entries)
+    assert all(held <= {subject} for subject, held in reads), reads
+    assert all(ref() is None for _, ref in alive)
+    (job,) = jobs
+    assert sorted(job.records) == sorted(m.subject_ids)
+    for record in job.records.values():
+        for year, scan in record.scans.items():
+            assert scan.data.dtype == np.float32
+            want = read_volume(m.entry(record.subject_id).scan_paths[year]).data
+            assert scan.data.astype(np.float64).tobytes() == want.tobytes()
+
+
+def _inexact_scans(m, folds):
+    # Rewrite one training subject's year 0 as a float64 file and one
+    # validation subject's year 1 as int16 with scl_slope 0.1, neither of
+    # whose values float32 holds exactly; returns their (subject, year).
+    rnd = folds.rounds[0]
+    f64, i16 = (rnd.train[0], 0), (rnd.val[0], 1)
+    p = m.entry(f64[0]).scan_paths[f64[1]]
+    data = read_volume(p).data + 1e-9
+    p.write_bytes(build_nifti(data.shape, 64, np.asarray(data.T, "<f8", order="C").tobytes()))
+    p = m.entry(i16[0]).scan_paths[i16[1]]
+    data = np.round(read_volume(p).data * 1000).astype("<i2")
+    p.write_bytes(build_nifti(data.shape, 4, np.asarray(data.T, order="C").tobytes(), scl=(0.1, 0.0)))
+    return f64, i16
+
+
+def test_scans_float32_does_not_hold_exactly_train_on_their_float64_values(tmp_path, monkeypatch):
+    m = cohort_on_disk(tmp_path)
+    folds = make_folds(m, seed=0)
+    inexact = _inexact_scans(m, folds)
+    held, real_train_round = [], training._train_round
+    monkeypatch.setattr(training, "_train_round",
+                        lambda records, *a: held.append(records) or real_train_round(records, *a))
+    hyper = Hyper(batch_size=4, epochs=2, n_copies=1)
+    runs = []
+    for _ in range(2):
+        params, report = train_fold(m, folds, 0, TINY, hyper, seed=0)
+        runs.append(([t.data.tobytes() for t in params.params.values()], report.__dict__))
+        _wide(monkeypatch)
+    assert runs[0] == runs[1]
+    for sid, record in held[0].items():
+        for year, scan in record.scans.items():
+            want = read_volume(m.entry(sid).scan_paths[year]).data
+            assert scan.data.dtype == (np.float64 if (sid, year) in inexact else np.float32)
+            assert scan.data.astype(np.float64).tobytes() == want.tobytes()
+            if (sid, year) in inexact:
+                assert not np.array_equal(want.astype(np.float32), want)
 
 
 # ---------------------------------------------------------------------------

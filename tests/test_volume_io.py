@@ -17,6 +17,7 @@ from longipet.errors import (
     CorruptionError,
     FormatError,
     ManifestError,
+    ParameterError,
     ShapeError,
     UnsupportedError,
 )
@@ -59,6 +60,18 @@ def test_volume_rejects_non_finite():
     data[0, 0, 0] = np.nan
     with pytest.raises(CorruptionError):
         Volume3D(data)
+
+
+def test_volume_data_of_any_real_dtype_is_float64():
+    for dtype in (np.float32, np.int16, np.uint8, bool):
+        vol = Volume3D(np.ones((2, 2, 2), dtype=dtype))
+        assert vol.data.dtype == np.float64
+        np.testing.assert_array_equal(vol.data, 1.0)
+
+
+def test_volume_rejects_complex_data():
+    with pytest.raises(ParameterError, match="must be real"):
+        Volume3D(np.ones((2, 2, 2), complex) * (1 + 1j))
 
 
 def test_volume_rejects_wrong_rank_and_affine():
