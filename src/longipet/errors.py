@@ -94,11 +94,11 @@ def check_real(value, name: str, error=ParameterError) -> float:
     return real
 
 
-def check_real_array(value, name: str, error=ParameterError) -> np.ndarray:
+def check_real_array(value, name: str) -> np.ndarray:
     """``value`` as an ndarray: float32 data as given, any other real dtype
     as float64.  Complex data, whose imaginary part a float cast would
-    drop, raises ``error``."""
+    drop, raises ParameterError."""
     array = np.asarray(value)
     if np.iscomplexobj(array):
-        raise error(f"{name} must be real, got {array.dtype} data")
+        raise ParameterError(f"{name} must be real, got {array.dtype} data")
     return array if array.dtype == np.float32 else array.astype(np.float64, copy=False)

@@ -12,6 +12,7 @@ of the output (the SSIM interior in ``metrics``) passes only those rows.
 """
 
 import math
+from typing import Union
 
 import numpy as np
 
@@ -24,10 +25,15 @@ _FWHM_TO_SIGMA = 1.0 / math.sqrt(8.0 * math.log(2.0))
 DEFAULT_ORDER = ("suvr", "mask", "smooth")
 
 
-def _check_mask(vol: Volume3D, mask, what: str) -> np.ndarray:
+Mask = Union[Volume3D, np.ndarray]
+
+
+def _check_mask(vol: Volume3D, mask: Mask, what: str) -> np.ndarray:
     # The mask's region as a boolean array: a boolean array is that region
     # already, a Volume3D's region is its nonzero voxels.
-    if isinstance(mask, np.ndarray) and mask.dtype == bool:
+    if isinstance(mask, np.ndarray):
+        if mask.dtype != bool:
+            raise ParameterError(f"{what} given as an array must be boolean, got {mask.dtype}")
         sel = mask
     else:
         sel = mask.data != 0
@@ -36,10 +42,11 @@ def _check_mask(vol: Volume3D, mask, what: str) -> np.ndarray:
     return sel
 
 
-def suvr_normalize(vol: Volume3D, reference_mask: Volume3D) -> Volume3D:
+def suvr_normalize(vol: Volume3D, reference_mask: Mask) -> Volume3D:
     """Divide by the mean intensity over the reference mask: a Volume3D whose
     nonzero voxels are the region, or that region as a boolean array, which
-    a caller normalizing many scans builds once.
+    a caller normalizing many scans builds once; an array of another dtype
+    raises ParameterError.
 
     The output mean over the reference region is 1 by construction.  A
     non-positive reference mean cannot be normalized against and raises
@@ -54,7 +61,7 @@ def suvr_normalize(vol: Volume3D, reference_mask: Volume3D) -> Volume3D:
     return Volume3D(vol.data / ref_mean, vol.affine.copy())
 
 
-def apply_brain_mask(vol: Volume3D, brain_mask: Volume3D) -> Volume3D:
+def apply_brain_mask(vol: Volume3D, brain_mask: Mask) -> Volume3D:
     """Zero every voxel outside the mask, a Volume3D whose nonzero voxels are
     the region or that region as a boolean array (see ``suvr_normalize``)."""
     sel = _check_mask(vol, brain_mask, "brain mask")
@@ -121,8 +128,8 @@ def check_order(order, reference_mask, brain_mask) -> None:
 
 def preprocess_chain(
     vol: Volume3D,
-    reference_mask: Volume3D = None,
-    brain_mask: Volume3D = None,
+    reference_mask: Mask = None,
+    brain_mask: Mask = None,
     fwhm=(4.0, 4.0, 4.0),
     order=DEFAULT_ORDER,
 ) -> Volume3D:

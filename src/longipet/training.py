@@ -205,11 +205,12 @@ def _narrow(vol: Volume3D):
 def _read_records(manifest: CohortManifest, subject_ids) -> Dict[str, SubjectRecord]:
     """The subjects' records by id, each narrowed scan by scan (``_narrow``)
     before the next is read, so one float64 record at a time exists."""
-    return {sid: _narrowed(manifest.load_record(sid)) for sid in subject_ids}
-
-
-def _narrowed(record: SubjectRecord) -> SubjectRecord:
-    return replace(record, scans={year: _narrow(vol) for year, vol in record.scans.items()})
+    records = {}
+    for sid in subject_ids:
+        record = manifest.load_record(sid)
+        records[sid] = replace(record, scans={y: _narrow(v) for y, v in record.scans.items()})
+        del record  # else its float64 scans live through the next read
+    return records
 
 
 def _stack(batch: List[SubjectRecord], year: int) -> np.ndarray:

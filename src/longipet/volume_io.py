@@ -96,7 +96,9 @@ class Volume3D:
 
 @dataclass
 class SubjectRecord:
-    """One subject's loaded scans, keyed by integer year."""
+    """One subject's loaded scans, keyed by integer year.  The records that
+    training reads hold a scan as a float32 ``training._NarrowScan`` where
+    that narrowing is exact (``training._read_records``)."""
 
     subject_id: str
     group: str

@@ -106,6 +106,12 @@ def test_mask_shape_mismatch():
         suvr_normalize(vol(np.ones((2, 2, 2))), np.ones((2, 3, 2), bool))
 
 
+def test_a_mask_array_that_is_not_boolean_is_rejected():
+    for step in (suvr_normalize, apply_brain_mask):
+        with pytest.raises(ParameterError, match="boolean"):
+            step(vol(np.ones((2, 2, 2))), np.ones((2, 2, 2), np.uint8))
+
+
 def test_a_boolean_region_gives_its_mask_volume_bits():
     r = np.random.default_rng(5)
     v = vol(r.uniform(0.5, 2.0, size=(5, 6, 4)))
