@@ -8,7 +8,8 @@ from backward calls through fresh graphs sum until ``zero_grad``.  Interior
 gradients are not kept: the walk releases each interior node's gradient,
 saved buffers and parent links once its backward has run, and a second
 ``backward()`` that reaches a released node raises StateError.  Plain
-arrays are constants.
+arrays are constants.  Complex data, whose imaginary part the float64 cast
+would drop, raises ParameterError.
 
 The operation set is what the image-to-image forecaster needs: elementwise
 arithmetic, relu / tanh / sigmoid, reductions, channel concat/slice, 3D
@@ -78,7 +79,7 @@ class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = _float64(data, "tensor data")
         self.grad = None
         self._parents = _parents
         self._backward = _backward
@@ -167,10 +168,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
+def _float64(value, name):
+    return check_real_array(value, name).astype(np.float64, copy=False)
+
+
 def _const(value):
     if isinstance(value, Tensor):
         return value
-    return Tensor(np.asarray(value, dtype=np.float64))
+    return Tensor(value)
 
 
 def _node(data, parents, backward):
@@ -1054,7 +1059,7 @@ def convlstm3d_step(x, h_prev, c_prev, kernel, bias):
         raise ParameterError("h_prev and c_prev must both be given or both be None")
     state = h_prev is not None
     x_in = x if isinstance(x, Tensor) else None
-    xd = x.data if x_in is not None else np.asarray(x, dtype=np.float64)
+    xd = x.data if x_in is not None else _float64(x, "x")
     kernel, bias = _const(kernel), _const(bias)
     if state:
         h_prev, c_prev = _const(h_prev), _const(c_prev)

@@ -6,12 +6,14 @@ distribution up to n=25, normal approximation with continuity and tie
 corrections beyond), the paired t-test, one-way ANOVA, the chi-square
 independence test, and a two-factor mixed (split-plot) ANOVA with one
 between-subject factor and one within-subject factor.  The t, F and
-chi-square tail probabilities come from scipy's regularized incomplete beta
-and gamma functions; ``scipy.special`` is imported inside the functions that
-call it, so importing the package does not load it.  The signed-rank, t and
-ANOVA tests raise InputError on any non-finite sample value.
+chi-square tail probabilities come from the regularized incomplete beta and
+gamma functions, computed here by continued fractions with the prefactor in
+log space, so no scipy module is loaded; a fraction that does not converge
+raises DegenerateDataError.  The signed-rank, t, ANOVA and chi-square tests
+raise InputError on any non-finite sample value or count.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -37,26 +39,108 @@ class TestResult:
 # special functions
 # ---------------------------------------------------------------------------
 
+# Modified Lentz method and the incomplete beta and gamma continued
+# fractions of Press et al., Numerical Recipes, 3rd ed., sections 5.2, 6.2
+# and 6.4.  A fraction whose partial numerator reaches 0 (an integer b for
+# the beta, an integer a for the gamma) ends there, exactly.
+_TINY = 1e-300
+_EPS = 2.0 ** -52  # machine epsilon
+_MAX_TERMS = 10_000
+
+
+def _lentz(f: float, terms) -> float:
+    # b0 + a1/(b1 + a2/(b2 + ...)) for b0 = f != 0 and terms (a_j, b_j).
+    c, d = f, 0.0
+    for a, b in itertools.islice(terms, _MAX_TERMS):
+        d = b + a * d
+        d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+        c = b + a / c
+        c = c if abs(c) >= _TINY else _TINY
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return f
+    raise DegenerateDataError(f"continued fraction did not converge in {_MAX_TERMS} terms")
+
+
+def _ln_beta_ratio(a: float, b: float) -> float:
+    # ln(Gamma(a + b) / (Gamma(a) Gamma(b))).  Past 100, lgamma's absolute
+    # error grows with its value, so the larger argument's two terms come
+    # from Stirling's series, whose difference loses no digits.
+    big, small = max(a, b), min(a, b)
+    if big < 100.0:
+        return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+
+    def tail(z):  # ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi) / 2, to z^-5
+        return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * z * z)) / (z * z)) / z
+
+    return ((big - 0.5) * math.log1p(small / big) + small * (math.log(big + small) - 1.0)
+            + tail(big + small) - tail(big) - math.lgamma(small))
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    # I_x(a, b) by its continued fraction, which converges fast for x below
+    # (a + 1) / (a + b + 2).
+    def terms():
+        for m in itertools.count():
+            if m:
+                yield m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)), 1.0
+            yield -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)), 1.0
+
+    ln_front = _ln_beta_ratio(a, b) + a * math.log(x) + b * math.log1p(-x)
+    return math.exp(ln_front) / (a * _lentz(1.0, terms()))
+
+
 def betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
+    """Regularized incomplete beta I_x(a, b) for finite reals a, b > 0 and
+    x in [0, 1]; anything else raises ParameterError."""
+    a, b, x = check_real(a, "a"), check_real(b, "b"), check_real(x, "x")
     if a <= 0 or b <= 0:
         raise ParameterError(f"beta parameters must be positive, got a={a}, b={b}")
     if x < 0.0 or x > 1.0:
         raise ParameterError(f"x must lie in [0, 1], got {x}")
-    from scipy import special
+    if x == 0.0 or x == 1.0:
+        return x
+    if x < (a + 1.0) / (a + b + 2.0):
+        return _beta_fraction(a, b, x)
+    return 1.0 - _beta_fraction(b, a, 1.0 - x)
 
-    return float(special.betainc(a, b, x))
 
-
-def gammainc_lower(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
+def _gammainc(a: float, x: float) -> Tuple[float, float]:
+    # (P(a, x), Q(a, x)): P by its series below x = a + 1, Q by its continued
+    # fraction above, and the other one as 1 minus it.
+    a, x = check_real(a, "a"), check_real(x, "x")
     if a <= 0:
         raise ParameterError(f"shape must be positive, got {a}")
     if x < 0:
         raise ParameterError(f"x must be nonnegative, got {x}")
-    from scipy import special
+    if x == 0.0:
+        return 0.0, 1.0
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x >= a + 1.0:
+        terms = ((-i * (i - a), x + 2 * i + 1.0 - a) for i in itertools.count(1))
+        q = front / _lentz(x + 1.0 - a, terms)
+        return 1.0 - q, q
+    term = total = 1.0 / a
+    for n in range(1, _MAX_TERMS):
+        term *= x / (a + n)
+        total += term
+        if term <= total * _EPS:
+            p = front * total
+            return p, 1.0 - p
+    raise DegenerateDataError(f"gamma series did not converge in {_MAX_TERMS} terms")
 
-    return float(special.gammainc(a, x))
+
+def gammainc_lower(a: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(a, x) for finite reals a > 0 and
+    x >= 0; anything else raises ParameterError."""
+    return _gammainc(a, x)[0]
+
+
+def gammainc_upper(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x), computed
+    directly, so it keeps full relative precision in the far tail."""
+    return _gammainc(a, x)[1]
 
 
 def normal_cdf(z: float) -> float:
@@ -64,6 +148,7 @@ def normal_cdf(z: float) -> float:
 
 
 def student_t_cdf(x: float, df: float) -> float:
+    x, df = check_real(x, "x"), check_real(df, "df")
     if df <= 0:
         raise ParameterError(f"df must be positive, got {df}")
     if x == 0.0:
@@ -73,6 +158,7 @@ def student_t_cdf(x: float, df: float) -> float:
 
 
 def f_cdf(x: float, df1: float, df2: float) -> float:
+    x, df1, df2 = check_real(x, "x"), check_real(df1, "df1"), check_real(df2, "df2")
     if df1 <= 0 or df2 <= 0:
         raise ParameterError(f"df must be positive, got ({df1}, {df2})")
     if x <= 0.0:
@@ -81,6 +167,7 @@ def f_cdf(x: float, df1: float, df2: float) -> float:
 
 
 def chi2_cdf(x: float, df: float) -> float:
+    x, df = check_real(x, "x"), check_real(df, "df")
     if df <= 0:
         raise ParameterError(f"df must be positive, got {df}")
     if x <= 0.0:
@@ -222,6 +309,7 @@ def chi_square_independence(table) -> TestResult:
     obs = np.asarray(table, dtype=np.float64)
     if obs.ndim != 2 or obs.shape[0] < 2 or obs.shape[1] < 2:
         raise InputError(f"contingency table must be at least 2x2, got {obs.shape}")
+    _check_finite(obs)
     if np.any(obs < 0):
         raise InputError("contingency counts must be nonnegative")
     row = obs.sum(axis=1)
@@ -233,9 +321,7 @@ def chi_square_independence(table) -> TestResult:
     stat = float(((obs - expected) ** 2 / expected).sum())
     df = (obs.shape[0] - 1) * (obs.shape[1] - 1)
     # The upper tail directly: 1 - cdf cancels to 0 for large statistics.
-    from scipy import special
-
-    p = float(special.gammaincc(df / 2.0, stat / 2.0))
+    p = gammainc_upper(df / 2.0, stat / 2.0)
     return TestResult("chi2", stat, p, (float(df),), int(total))
 
 

@@ -19,6 +19,43 @@ def rng_for(tag: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
+# complex input
+# ---------------------------------------------------------------------------
+
+def _complex_inputs():
+    z = np.ones(3) * (1 + 1j)
+    kernel = np.zeros((3, 3, 3, 2, 4))
+    frame = np.ones((1, 4, 4, 4, 1)) * (1 + 1j)
+    return {
+        "Tensor": lambda: ad.Tensor(z),
+        "Tensor from a list": lambda: ad.Tensor([1.0, 2j]),
+        "mae_loss pred": lambda: ad.mae_loss(z, np.zeros(3)),
+        "convlstm3d_step x": lambda: ad.convlstm3d_step(frame, None, None, kernel, np.zeros(4)),
+        "convlstm3d_step kernel": lambda: ad.convlstm3d_step(
+            frame.real, None, None, kernel * 1j, np.zeros(4)),
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(_complex_inputs()))
+def test_complex_input_raises_instead_of_dropping_its_imaginary_part(case):
+    # Under "error" a ComplexWarning from a float cast would fail the test
+    # before any ParameterError.
+    with pytest.raises(ParameterError, match="must be real"):
+        _complex_inputs()[case]()
+
+
+@pytest.mark.filterwarnings("error")
+def test_real_input_keeps_its_float64_cast():
+    for value in ([1, 2, 3], np.arange(3, dtype=np.int32), np.float32([0.1, 0.2]), True, 2.5):
+        t = ad.Tensor(value)
+        assert t.data.dtype == np.float64
+        assert t.data.tobytes() == np.asarray(value, dtype=np.float64).tobytes()
+    same = np.arange(4.0)
+    assert ad.Tensor(same).data is same
+
+
+# ---------------------------------------------------------------------------
 # elementwise arithmetic
 # ---------------------------------------------------------------------------
 

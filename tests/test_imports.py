@@ -4,6 +4,7 @@ and none of them loads scipy."""
 import ast
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import longipet
+from longipet.report import TESTS
 
 PACKAGE = Path(longipet.__file__).parent
 
@@ -71,42 +73,61 @@ def test_no_module_imports_scipy_at_module_level():
     assert found == []
 
 
-# Imports the package, then runs phantom, preprocess, a linear forecast and
-# evaluate through cli.main, noting after each which of scipy.special and
-# scipy.ndimage are loaded; then calls the two functions that use them.
+# Imports the package, then runs through cli.main phantom, preprocess, a
+# linear forecast, evaluate (with the linear forecasts also written as i2i
+# predictions, scaled per subject, so every test has pairs), stats with every
+# test and report, noting after each which of scipy.special, scipy.stats and
+# scipy.ndimage are loaded; then calls the special functions, a chi-square
+# test and augmentation's sampler, the one of them that loads scipy.ndimage.
 _SCIPY_FREE_RUN = """
 import contextlib, io, json, sys
+from pathlib import Path
 
 def loaded():
-    return [m for m in ("scipy.special", "scipy.ndimage") if m in sys.modules]
+    return [m for m in ("scipy.special", "scipy.stats", "scipy.ndimage") if m in sys.modules]
 
 import longipet
 seen = {"import": loaded()}
 from longipet import cli
+from longipet.report import TESTS
+from longipet.volume_io import read_volume, write_volume
 work = sys.argv[1]
 steps = {
     "phantom": ["phantom", "--out", f"{work}/cohort", "--dims", "12", "12", "12",
-                "--n-stable", "1", "--n-converter", "1", "--n-decliner", "1"],
+                "--n-stable", "2", "--n-converter", "2", "--n-decliner", "2",
+                "--years", "0", "1", "2", "3"],
     "preprocess": ["preprocess", "--manifest", f"{work}/cohort/manifest.json",
                    "--out", f"{work}/prep", "--ref-mask", f"{work}/cohort/reference_mask.vol",
                    "--fwhm", "2"],
     "forecast": ["forecast", "--manifest", f"{work}/prep/manifest.json",
-                 "--out", f"{work}/fc", "--predictor", "linear"],
+                 "--out", f"{work}/fc", "--predictor", "linear", "--to-year", "3"],
     "evaluate": ["evaluate", "--manifest", f"{work}/prep/manifest.json",
                  "--predictions", f"{work}/fc/volumes", "--out", f"{work}/metrics.csv",
                  "--atlas", f"{work}/cohort/atlas.vol", "--roi", f"{work}/cohort/meta_roi.json"],
 }
+steps.update({f"stats {test}": ["stats", "--metrics", f"{work}/metrics.csv",
+                                "--out", f"{work}/stats_{test}.csv", "--test", test]
+              for test in TESTS})
+steps["report"] = ["report", "--metrics", f"{work}/metrics.csv", "--out", f"{work}/report.svg"]
 for name, argv in steps.items():
+    if name == "evaluate":
+        for k, path in enumerate(sorted(Path(f"{work}/fc/volumes").glob("*__linear__*.vol"))):
+            vol = read_volume(path)
+            vol.data *= 1.0 + 0.01 * (k % 5)
+            write_volume(vol, str(path).replace("__linear__", "__i2i__"))
     with contextlib.redirect_stdout(io.StringIO()):
         seen[name] = cli.main(argv), loaded()
 
 import numpy as np
 from longipet.augment import AffineAugmentation, apply_affine
-from longipet.stats import betainc_reg
+from longipet.stats import betainc_reg, chi_square_independence, gammainc_lower
 from longipet.volume_io import Volume3D
+seen["betainc_reg"] = betainc_reg(2.0, 3.0, 0.4)
+seen["gammainc_lower"] = gammainc_lower(1.0, 2.0)
+seen["chi2"] = chi_square_independence([[90, 10], [10, 90]]).p_value
+seen["special functions"] = loaded()
 vol = Volume3D(np.arange(64.0).reshape(4, 4, 4))
 same = apply_affine(vol, AffineAugmentation((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 0.0)))
-seen["betainc_reg"] = betainc_reg(2.0, 3.0, 0.4)
 seen["apply_affine"] = bool(np.array_equal(same.data, vol.data))
 print(json.dumps(seen))
 """
@@ -120,10 +141,36 @@ def test_import_and_the_scipy_free_commands_leave_scipy_unloaded(tmp_path):
     assert run.returncode == 0, run.stderr[-2000:]
     seen = json.loads(run.stdout)
     assert seen.pop("import") == []
-    for step in ("phantom", "preprocess", "forecast", "evaluate"):
+    for step in ("phantom", "preprocess", "forecast", "evaluate", "report") + tuple(
+            f"stats {test}" for test in TESTS):
         assert seen.pop(step) == [0, []], step  # exit code, scipy modules loaded
-    # I_0.4(2, 3) = 6 x^2 (1-x)^2 + 4 x^3 (1-x) + x^4
-    assert seen == {"betainc_reg": pytest.approx(0.5248, rel=1e-12), "apply_affine": True}
+    for test in TESTS:  # every test ran at least one comparison
+        rows = (tmp_path / f"stats_{test}.csv").read_text().splitlines()[1:]
+        assert any(row.endswith(",ok") for row in rows), test
+    assert seen.pop("special functions") == []
+    # I_0.4(2, 3) = 6 x^2 (1-x)^2 + 4 x^3 (1-x) + x^4; P(1, 2) = 1 - e^-2;
+    # a chi-square with 1 df and statistic 128 has p = erfc(8)
+    assert seen == {"betainc_reg": pytest.approx(0.5248, rel=1e-12),
+                    "gammainc_lower": pytest.approx(1.0 - math.exp(-2.0), rel=1e-12),
+                    "chi2": pytest.approx(math.erfc(8.0), rel=1e-12), "apply_affine": True}
+
+
+def test_no_file_imports_scipy_special_or_scipy_stats():
+    # Anywhere, function bodies included: the package computes its own
+    # incomplete beta and gamma functions, and either module costs a process
+    # about 15 MiB (scipy.special) or 40 MiB (scipy.stats) of RSS.
+    found = []
+    for path in sorted(PACKAGE.parent.rglob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[:2] in (["scipy", "special"], ["scipy", "stats"])]
+    assert found == []
 
 
 REPO = Path(__file__).resolve().parent.parent

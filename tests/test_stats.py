@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from longipet import report, stats
 from longipet.errors import DegenerateDataError, InputError, ParameterError
 from longipet.stats import (
     WILCOXON_EXACT_LIMIT,
@@ -26,6 +27,7 @@ from longipet.stats import (
     chi_square_independence,
     f_cdf,
     gammainc_lower,
+    gammainc_upper,
     mixed_anova,
     normal_cdf,
     one_way_anova,
@@ -154,6 +156,130 @@ def test_cdf_domains():
         f_cdf(1.0, 0.0, 2.0)
     with pytest.raises(ParameterError):
         chi2_cdf(1.0, -2.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("fn, args", [
+    (betainc_reg, (1.0, 1.0, NAN)),
+    (betainc_reg, (True, 1.0, 0.5)),
+    (betainc_reg, (INF, 1.0, 0.5)),
+    (betainc_reg, (1.0, -INF, 0.5)),
+    (betainc_reg, ("1", 1.0, 0.5)),
+    (gammainc_lower, (1.0, NAN)),
+    (gammainc_lower, (NAN, 1.0)),
+    (gammainc_lower, (1.0, INF)),
+    (gammainc_lower, (1.0, False)),
+    (gammainc_upper, (1.0, NAN)),
+    (gammainc_upper, (INF, 1.0)),
+    (gammainc_upper, ("2", 1.0)),
+    (student_t_cdf, (NAN, 3.0)),
+    (student_t_cdf, (INF, 3.0)),
+    (student_t_cdf, (1.0, True)),
+    (f_cdf, (NAN, 2.0, 3.0)),
+    (f_cdf, (1.0, INF, 3.0)),
+    (f_cdf, (1.0, 2.0, "3")),
+    (chi2_cdf, (-INF, 2.0)),
+    (chi2_cdf, (1.0, NAN)),
+    (chi2_cdf, (True, 2.0)),
+], ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_special_functions_take_only_finite_real_numbers(fn, args):
+    # NaN would run a continued fraction to its term cap; a bool or an
+    # infinity would pass as a number.
+    with pytest.raises(ParameterError):
+        fn(*args)
+
+
+def test_special_functions_take_numpy_numbers():
+    assert betainc_reg(np.float32(2.0), np.int64(3), np.float64(0.4)) == betainc_reg(2.0, 3.0, 0.4)
+    assert gammainc_upper(np.int32(2), np.float64(1.5)) == gammainc_upper(2.0, 1.5)
+
+
+def test_a_fraction_or_series_that_does_not_converge_raises(monkeypatch):
+    # Each of these needs more than 3 terms; a partial value is never returned.
+    monkeypatch.setattr(stats, "_MAX_TERMS", 3)
+    for fn, args in ((betainc_reg, (20.5, 30.5, 0.4)), (gammainc_upper, (2.5, 40.0)),
+                     (gammainc_lower, (50.5, 40.0)), (student_t_cdf, (2.0, 9.5))):
+        with pytest.raises(DegenerateDataError, match="did not converge"):
+            fn(*args)
+    # and the report turns it into a degenerate row
+    rows = report._attempt("ttest", "scope", paired_t, [1.0, 2.0, 4.0], [0.5, 1.0, 1.2])
+    assert [(r.ok, r.detail[:30]) for r in rows] == [(False, "continued fraction did not con")]
+
+
+# ---------------------------------------------------------------------------
+# incomplete beta and gamma against scipy.special
+# ---------------------------------------------------------------------------
+
+# Tail probabilities from 1 down to 1e-300; each case is placed at its
+# quantile by scipy's inverse and compared at that same argument.
+ORACLE_P = 10.0 ** -np.arange(0.0, 301.0, 7.5)
+ORACLE_REL = 1e-11
+
+
+def _worst_relative_error(fn, ref, cases):
+    worst = 0.0
+    for args in cases:
+        want = float(ref(*args))
+        if want >= 1e-300:
+            worst = max(worst, abs(fn(*args) - want) / want)
+    return worst
+
+
+def _beta_cases(a, b):
+    from scipy import special
+
+    for p in ORACLE_P:
+        x = float(special.betaincinv(a, b, p))
+        if 0.0 < x < 1.0:
+            yield a, b, x
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 5, 9, 30, 101, 1000, 10_000])
+def test_t_tails_match_scipy(df):
+    # the two-sided tail P(|T| >= t) = I_{df/(df+t^2)}(df/2, 1/2), and its lower half
+    from scipy import special
+
+    cases = list(_beta_cases(df / 2.0, 0.5))
+    assert len(cases) > 20
+    assert _worst_relative_error(betainc_reg, special.betainc, cases) <= ORACLE_REL
+    tails = [(-math.sqrt(df / x - df), float(df)) for _, _, x in cases]
+    assert _worst_relative_error(student_t_cdf, lambda t, v: special.stdtr(v, t),
+                                 tails) <= ORACLE_REL
+
+
+@pytest.mark.parametrize("df1", range(1, 11))
+def test_f_tails_match_scipy(df1):
+    # the upper tail I_{df2/(df2+df1 f)}(df2/2, df1/2) and the cdf I(df1/2, df2/2)
+    from scipy import special
+
+    for df2 in (1, 2, 5, 17, 100, 1000, 10_000):
+        for a, b in ((df2 / 2.0, df1 / 2.0), (df1 / 2.0, df2 / 2.0)):
+            cases = list(_beta_cases(a, b))
+            assert len(cases) >= 10  # x of the smallest tails underflows when a or b is small
+            assert _worst_relative_error(betainc_reg, special.betainc, cases) <= ORACLE_REL
+
+
+@pytest.mark.parametrize("dfs", [range(1, 26), range(26, 51), range(51, 76), range(76, 101)],
+                         ids=lambda r: f"df{r.start}-{r.stop - 1}")
+def test_chi_square_tails_match_scipy(dfs):
+    from scipy import special
+
+    for df in dfs:
+        a = df / 2.0
+        upper = [(a, float(special.gammainccinv(a, p))) for p in ORACLE_P]
+        lower = [(a, float(special.gammaincinv(a, p))) for p in ORACLE_P[1:]]  # P = 1 at inf
+        assert _worst_relative_error(gammainc_upper, special.gammaincc, upper) <= ORACLE_REL
+        assert _worst_relative_error(gammainc_lower, special.gammainc, lower) <= ORACLE_REL
+
+
+def test_chi_square_deep_tail_stays_positive_and_relative_accurate():
+    # df 1: Q(1/2, x/2) = erfc(sqrt(x/2)) = 2.1e-306 at x = 1400, where 1 - P is 0
+    want = math.erfc(math.sqrt(700.0))
+    assert gammainc_upper(0.5, 700.0) > 0.0
+    assert gammainc_upper(0.5, 700.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert 1.0 - chi2_cdf(1400.0, 1.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +433,7 @@ def test_paired_t_degenerate_and_validation():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("test", ["wilcoxon", "paired_t", "anova"])
+@pytest.mark.parametrize("test", ["wilcoxon", "paired_t", "anova", "chi2"])
 def test_non_finite_samples_are_rejected(test, bad):
     # a NaN difference used to be counted in n but in neither W+ nor W-:
     # these inputs gave n = 5, p = 0.125
@@ -318,8 +444,10 @@ def test_non_finite_samples_are_rejected(test, bad):
             wilcoxon_signed_rank(x, y)
         elif test == "paired_t":
             paired_t(y, x)
-        else:
+        elif test == "anova":
             one_way_anova([y, x])
+        else:
+            chi_square_independence([[1.0, 2.0], [3.0, bad]])
 
 
 # ---------------------------------------------------------------------------
